@@ -3,14 +3,20 @@
 Features take values in {-1, 0, +1} and are one-hot coded as bits
 (x2, x1, x0); node thresholds take values in {-0.5, +0.5} and are coded as
 a single bit y (1 for -0.5).  A node test "feature < threshold" then
-reduces to the two-variable arithmetic form
+reduces to the paper's two-variable arithmetic form
 
     z = (1 - x0) * (x2 * (y - 1) - y) + 1
 
-which needs neither x1 nor any comparison circuit: on the encrypted side it
-costs one ciphertext-ciphertext product when the split code is public and
-two when the split code is itself encrypted.  Smaller-than routes to the
-left child.
+which needs neither x1 nor any comparison circuit.  ``compare_clear``
+evaluates that form and is the oracle.  Because the code is one-hot,
+x0 * x2 = 0, and the same form equals the identity
+
+    z = 1 - x2 + y * (x0 + x2 - 1)
+
+which is affine in the feature bits.  The encrypted comparisons evaluate
+this identity: with a public split code it costs one plaintext multiply and
+no multiplicative level, with an encrypted split code one
+ciphertext-ciphertext product.  Smaller-than routes to the left child.
 """
 
 from __future__ import annotations
@@ -85,8 +91,16 @@ def compare_boolean(code: FeatureCode, y: int) -> int:
     return int((not code.x2) and ((not y) or code.x0))
 
 
-def _ones(backend):
+def encode_ones(backend):
+    """The all-ones slot vector, encoded."""
     return backend.encode(np.ones(backend.params.slot_count, dtype=np.int64))
+
+
+def _compare_linear(backend, ct_x0, ct_x2, times_y):
+    """1 - x2 + y * (x0 + x2 - 1), with ``times_y`` applying the product by y."""
+    ones = encode_ones(backend)
+    inner = backend.sub_pt(backend.add_ct(ct_x0, ct_x2), ones)
+    return backend.add_pt(backend.sub_ct(times_y(inner), ct_x2), ones)
 
 
 def compare_encrypted(backend, ct_x0, ct_x2, y_plain, ek):
@@ -94,25 +108,13 @@ def compare_encrypted(backend, ct_x0, ct_x2, y_plain, ek):
 
     Slot i of ct_x0 / ct_x2 carries the x0 / x2 bit of the feature routed to
     node-slot i, and slot i of y_plain that node's split code.  The returned
-    ciphertext decrypts to the comparison bit per slot and consumes exactly
-    one ciphertext-ciphertext multiplication.
+    ciphertext decrypts to the comparison bit per slot.  The only multiply
+    is by the plaintext y_plain, so no level is consumed and ``ek`` is not
+    used; it is accepted so both comparisons share one call shape.
     """
-    ones = _ones(backend)
-    y_slots = backend.decode(y_plain).astype(np.int64)
-    y_minus_1 = backend.encode(y_slots - 1)
-    inner = backend.sub_pt(backend.mul_pt(ct_x2, y_minus_1), y_plain)
-    one_minus_x0 = backend.add_pt(backend.negate(ct_x0), ones)
-    return backend.add_pt(backend.mul_ct(one_minus_x0, inner, ek), ones)
+    return _compare_linear(backend, ct_x0, ct_x2, lambda ct: backend.mul_pt(ct, y_plain))
 
 
 def compare_encrypted_model(backend, ct_x0, ct_x2, ct_y, ek):
-    """Slot-wise comparison with encrypted split codes (two ct-ct products).
-
-    Parenthesized as (1 - x0) * (x2 * (y - 1) - y) + 1 with x2 * (y - 1)
-    evaluated first, keeping total depth at two from fresh inputs.
-    """
-    ones = _ones(backend)
-    inner = backend.mul_ct(ct_x2, backend.sub_pt(ct_y, ones), ek)
-    inner = backend.sub_ct(inner, ct_y)
-    one_minus_x0 = backend.add_pt(backend.negate(ct_x0), ones)
-    return backend.add_pt(backend.mul_ct(one_minus_x0, inner, ek), ones)
+    """Slot-wise comparison with encrypted split codes (one ct-ct product)."""
+    return _compare_linear(backend, ct_x0, ct_x2, lambda ct: backend.mul_ct(ct, ct_y, ek))

@@ -25,14 +25,10 @@ import numpy as np
 
 from .compare import encode_split
 from .errors import ModelFormatError
-from .svm import SvmModel, check_aggregate_bound, quantize_model
+from .svm import SvmModel, check_aggregate_bound, next_pow2, quantize_model
 from .trees import Depth2Tree, Ensemble, transform_leaves
 
 STREAMS = ("root", "left", "right")
-
-
-def _next_pow2(x: int) -> int:
-    return 1 << max(0, x - 1).bit_length() if x > 1 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +128,7 @@ def load_ensemble(path, plaintext_modulus: int | None = None) -> Ensemble:
         )
 
     scale = 1 << scale_bits
-    k_padded = _next_pow2(k_raw)
+    k_padded = next_pow2(k_raw)
     max_feature = -1
     trees: list[Depth2Tree] = []
     for c in range(classes):
@@ -531,7 +527,7 @@ def gen_synthetic(seed: int, s: int, k: int, d: int, n_samples: int):
             lo = scores[grids[fi] == -1].mean()
             weights[c, f] += (hi - lo) / 2.0
 
-    k_padded = _next_pow2(k)
+    k_padded = next_pow2(k)
     trees = []
     for c in range(s):
         for j in range(k):

@@ -1,20 +1,24 @@
 """Scheme parameters and circuit-sized presets.
 
-Three presets cover the shipped circuits, named by the deepest
-ciphertext-ciphertext multiplication chain they must absorb:
+Three presets cover the shipped circuits:
 
 * ``svm-d1``          - packed dot products (one plaintext multiply, a
-                        row-wide rotate-and-add); depth budget 1.
-* ``xgb-d2``          - comparison gadget plus tree scoring with plaintext
-                        split codes and leaves; depth budget 2.
-* ``xgb-encmodel-d3`` - same circuit with encrypted split codes; depth
-                        budget 3.
+                        row-wide rotate-and-add); no ciphertext-ciphertext
+                        product; depth budget 1.
+* ``xgb-d2``          - comparison plus tree scoring with plaintext split
+                        codes and leaves: 2 ciphertext-ciphertext products
+                        per slot block, circuit depth 1; depth budget 2.
+* ``xgb-encmodel-d3`` - same circuit with encrypted split codes: 5 products
+                        per block, circuit depth 2; depth budget 3.
 
-Coefficient-modulus prime counts were fixed empirically: the acceptance
-suite measures the remaining noise margin on each preset's deepest circuit
-and requires at least 10 bits.  The presets target correctness and that
-margin, not a particular concrete-security level; deployments wanting a
-security claim should re-derive ring degree and modulus sizes.
+The name suffixes and depth budgets date from the paper's comparison form,
+which cost one more level (see compare.py); they stay until the prime
+counts are re-derived for the linear comparison.  Coefficient-modulus
+prime counts were fixed empirically: the acceptance suite measures the
+remaining noise margin on each preset's deepest circuit and requires at
+least 10 bits.  The presets target correctness and that margin, not a
+particular concrete-security level; deployments wanting a security claim
+should re-derive ring degree and modulus sizes.
 """
 
 from __future__ import annotations

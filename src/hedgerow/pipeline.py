@@ -28,6 +28,7 @@ from .compare import compare_encrypted, compare_encrypted_model
 from .errors import ModelFormatError, NoiseBudgetError
 from .metrics import accuracy, micro_auc
 from .modelio import (
+    STREAMS,
     ClientBundle,
     FeatureLayout,
     build_layout,
@@ -39,10 +40,13 @@ from .modelio import (
 from .params import HeParams, load_params, save_params
 from .scheme import HeBackend, Prg, keygen
 from .svm import infer_encrypted
-from .trees import NodeStreams, class_sums, tree_scores_encrypted, tree_scores_encrypted_model
+from .trees import NodeStreams, class_sums, tree_scores_encrypted
 
-MODES = ("svm", "xgb", "xgb-encmodel")
-STREAMS = ("root", "left", "right")
+# Each mode's ciphertext-ciphertext multiplication depth.  A public split
+# code makes the comparison affine, so xgb multiplies only in tree scoring;
+# encrypted split codes add one product below it.
+MODE_DEPTH = {"svm": 0, "xgb": 1, "xgb-encmodel": 2}
+MODES = tuple(MODE_DEPTH)
 
 PARAMS_FILE = "params.txt"
 SECRET_FILE = "secret.key"
@@ -232,7 +236,7 @@ def infer_xgb_sample(
     """Per-block encrypted class sums for one sample.
 
     With ``encrypted_split_blocks`` given, comparisons run against encrypted
-    split codes (two ct-ct products per node stream) instead of public ones.
+    split codes (one ct-ct product per node stream) instead of public ones.
     """
     out = []
     for b, enc in enumerate(bundle_blocks):
@@ -248,28 +252,6 @@ def infer_xgb_sample(
                 )
         streams = NodeStreams(zs["root"], zs["left"], zs["right"])
         scores = tree_scores_encrypted(backend, streams, planes["l"], ek)
-        classes_in_block = layout.trees_per_block // layout.trees_per_class
-        out.append(
-            class_sums(backend, scores, layout.trees_per_class, classes_in_block, ek)
-        )
-    return out
-
-
-def infer_xgb_sample_encrypted_leaves(
-    backend, bundle_blocks, model_plaintexts, encrypted_leaf_blocks, layout, ek
-):
-    """Variant with encrypted leaf streams (one extra depth level)."""
-    out = []
-    for b, enc in enumerate(bundle_blocks):
-        planes = model_plaintexts[b]
-        zs = {
-            stream: compare_encrypted(backend, *enc[stream], planes["y"][stream], ek)
-            for stream in STREAMS
-        }
-        streams = NodeStreams(zs["root"], zs["left"], zs["right"])
-        scores = tree_scores_encrypted_model(
-            backend, streams, encrypted_leaf_blocks[b], ek
-        )
         classes_in_block = layout.trees_per_block // layout.trees_per_class
         out.append(
             class_sums(backend, scores, layout.trees_per_class, classes_in_block, ek)
@@ -354,6 +336,11 @@ def run_infer(mode: str, model_path, indir, keydir, outdir, seed=0) -> float:
         raise ModelFormatError(f"unknown mode {mode!r}; expected one of {MODES}")
     keyset = load_keyset(keydir, forbid_secret=True)
     params = keyset.params
+    if params.depth_budget < MODE_DEPTH[mode]:
+        raise ModelFormatError(
+            f"mode {mode} needs depth {MODE_DEPTH[mode]}, parameters provide "
+            f"{params.depth_budget}"
+        )
     backend = HeBackend(params)
     src = Path(indir)
     out = Path(outdir)
@@ -372,8 +359,6 @@ def run_infer(mode: str, model_path, indir, keydir, outdir, seed=0) -> float:
                 f"model has {model.num_features} features but bundles were packed "
                 f"for {manifest['svm_features']}"
             )
-        if params.depth_budget < 1:
-            raise ModelFormatError("preset lacks the depth required by this mode")
         inputs = [_read_ct(_sample_dir(src, i) / "svm.ct", params) for i in range(n_samples)]
 
         def eval_one(i: int):
@@ -401,8 +386,6 @@ def run_infer(mode: str, model_path, indir, keydir, outdir, seed=0) -> float:
             raise ModelFormatError(
                 f"model needs {layout.num_blocks} blocks, bundles carry {manifest['blocks']}"
             )
-        if params.depth_budget < (3 if mode == "xgb-encmodel" else 2):
-            raise ModelFormatError("preset lacks the depth required by this mode")
         planes = ensemble_slot_streams(ens, layout)
         plane_pts = model_plane_plaintexts(backend, planes)
         enc_split = None
@@ -602,13 +585,3 @@ def run_bench(
         )
         return timing, evals
 
-
-def clear_reference_scores(mode: str, ens, svm_model, dataset) -> np.ndarray:
-    """Fixed-point clear-pipeline confidences for every sample (oracle side)."""
-    from .modelio import ensemble_scores_clear_batch, normalize_samples
-    from .svm import svm_scores_clear
-
-    ternary = normalize_samples(dataset.samples)
-    if mode == "svm":
-        return np.stack([svm_scores_clear(svm_model, row) for row in ternary])
-    return ensemble_scores_clear_batch(ens, ternary)

@@ -188,16 +188,6 @@ class RingContext:
         out[:, dst] = vals
         return out
 
-    def apply_automorphism_mod_t(self, poly: np.ndarray, g: int) -> np.ndarray:
-        """Same automorphism on a (N,) plaintext coefficient vector."""
-        dst, neg = self._auto_map(g)
-        t = np.uint64(self.t)
-        flipped = np.where(poly == 0, np.uint64(0), t - poly)
-        vals = np.where(neg, flipped, poly)
-        out = np.empty_like(poly)
-        out[dst] = vals
-        return out
-
     # -- bases --------------------------------------------------------------
 
     def wide_basis(self) -> tuple[tuple[int, ...], NttPlan, GarnerBasis]:

@@ -15,7 +15,10 @@ order.  Word streams per type:
   rotation-step list (two's-complement words).
 
 Deserialization always validates the fingerprint against the caller's
-parameters and fails on truncation, bad magic, or version mismatch.
+parameters and fails on truncation, bad magic, or version mismatch.  Every
+residue limb must lie below its row's prime, every plaintext coefficient
+below t, and a ciphertext level at most the depth budget, so no
+out-of-range word reaches the arithmetic.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ class _Reader:
             raise FingerprintMismatchError("container was written under different parameters")
         self._view = memoryview(data)
         self._pos = 38
+        self._params = params
 
     def words(self, count: int) -> np.ndarray:
         end = self._pos + 8 * count
@@ -82,9 +86,20 @@ class _Reader:
     def u64(self) -> int:
         return int(self.words(1)[0])
 
-    def poly(self, shape: tuple[int, ...]) -> np.ndarray:
-        n = int(np.prod(shape))
-        return self.words(n).reshape(shape).astype(np.uint64)
+    def rns_poly(self) -> np.ndarray:
+        """One (K, N) residue polynomial, every limb below its row's prime."""
+        primes = self._params.coeff_modulus
+        poly = self.words(len(primes) * self._params.ring_degree).reshape(len(primes), -1)
+        if (poly >= np.array(primes, dtype=np.uint64)[:, None]).any():
+            raise SerializationError("residue limb not below its coefficient prime")
+        return poly.astype(np.uint64, copy=False)
+
+    def plaintext_poly(self) -> np.ndarray:
+        """N plaintext coefficients, each below t."""
+        poly = self.words(self._params.ring_degree)
+        if (poly >= np.uint64(self._params.plaintext_modulus)).any():
+            raise SerializationError("plaintext coefficient not below t")
+        return poly.astype(np.uint64, copy=False)
 
     def finish(self) -> None:
         if self._pos != len(self._view):
@@ -105,7 +120,7 @@ def deserialize_plaintext(data: bytes, params: HeParams) -> PackedPlaintext:
     r = _Reader(data, TAG_PLAINTEXT, params)
     if r.u64() != 1:
         raise SerializationError("plaintext container must hold one part")
-    poly = r.poly((params.ring_degree,))
+    poly = r.plaintext_poly()
     r.finish()
     return PackedPlaintext(params, poly)
 
@@ -127,8 +142,11 @@ def deserialize_ciphertext(data: bytes, params: HeParams) -> Ciphertext:
     if not 2 <= count <= 3:
         raise SerializationError(f"ciphertext part count {count} out of range")
     level = r.u64()
-    shape = (len(params.coeff_modulus), params.ring_degree)
-    parts = tuple(r.poly(shape) for _ in range(count))
+    if level > params.depth_budget:
+        raise SerializationError(
+            f"ciphertext level {level} exceeds the depth budget {params.depth_budget}"
+        )
+    parts = tuple(r.rns_poly() for _ in range(count))
     r.finish()
     return Ciphertext(params.fingerprint, level, parts)
 
@@ -147,7 +165,7 @@ def deserialize_secret_key(data: bytes, params: HeParams) -> SecretKey:
     r = _Reader(data, TAG_SECRET_KEY, params)
     if r.u64() != 1:
         raise SerializationError("secret key container must hold one part")
-    s = r.poly((len(params.coeff_modulus), params.ring_degree))
+    s = r.rns_poly()
     r.finish()
     return SecretKey(params, s)
 
@@ -164,9 +182,8 @@ def deserialize_public_key(data: bytes, params: HeParams) -> PublicKey:
     r = _Reader(data, TAG_PUBLIC_KEY, params)
     if r.u64() != 2:
         raise SerializationError("public key container must hold two parts")
-    shape = (len(params.coeff_modulus), params.ring_degree)
-    b = r.poly(shape)
-    a = r.poly(shape)
+    b = r.rns_poly()
+    a = r.rns_poly()
     r.finish()
     return PublicKey(params, b, a)
 
@@ -177,8 +194,8 @@ def _write_ksk(out: bytearray, ksk) -> None:
         out += _poly_bytes(a_ntt)
 
 
-def _read_ksk(r: _Reader, digits: int, shape) -> tuple:
-    return tuple((r.poly(shape), r.poly(shape)) for _ in range(digits))
+def _read_ksk(r: _Reader, digits: int) -> tuple:
+    return tuple((r.rns_poly(), r.rns_poly()) for _ in range(digits))
 
 
 def serialize_eval_keys(ek: EvalKeys) -> bytes:
@@ -202,16 +219,15 @@ def serialize_eval_keys(ek: EvalKeys) -> bytes:
 def deserialize_eval_keys(data: bytes, params: HeParams) -> EvalKeys:
     r = _Reader(data, TAG_EVAL_KEYS, params)
     k = len(params.coeff_modulus)
-    shape = (k, params.ring_degree)
     digits = r.u64()
     if digits != k:
         raise SerializationError(f"eval keys carry {digits} digits, parameters need {k}")
-    relin = _read_ksk(r, digits, shape)
+    relin = _read_ksk(r, digits)
     galois = {}
     for _ in range(r.u64()):
         step = r.u64()
-        galois[step] = _read_ksk(r, digits, shape)
-    row_swap = _read_ksk(r, digits, shape) if r.u64() else None
+        galois[step] = _read_ksk(r, digits)
+    row_swap = _read_ksk(r, digits) if r.u64() else None
     declared = []
     count = r.u64()
     for w in r.words(count):

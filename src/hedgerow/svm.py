@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ModelFormatError
 
 
-def _next_pow2(x: int) -> int:
+def next_pow2(x: int) -> int:
     return 1 << max(0, x - 1).bit_length() if x > 1 else 1
 
 
@@ -51,7 +51,7 @@ class SvmModel:
 
     @property
     def d_padded(self) -> int:
-        return _next_pow2(self.num_features)
+        return next_pow2(self.num_features)
 
     def worst_case_aggregate(self) -> int:
         """Largest possible |confidence| over ternary inputs."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compare import compare_clear, encode_feature
+from .compare import compare_clear, encode_feature, encode_ones
 from .errors import ModelFormatError
 
 
@@ -157,10 +157,6 @@ def ensemble_scores_clear(ens: Ensemble, sample) -> np.ndarray:
     return scores
 
 
-def _ones(backend):
-    return backend.encode(np.ones(backend.params.slot_count, dtype=np.int64))
-
-
 def tree_scores_encrypted(backend, zs: NodeStreams, l_streams, ek):
     """Slot-wise tree scores with public leaf streams.
 
@@ -169,25 +165,12 @@ def tree_scores_encrypted(backend, zs: NodeStreams, l_streams, ek):
     only ciphertext-ciphertext products and sit on independent operands.
     """
     l1, l2, l3, l4 = l_streams
-    ones = _ones(backend)
+    ones = encode_ones(backend)
     left_pair = backend.mul_ct(backend.sub_pt(zs.root, ones), zs.right, ek)  # (z1-1)*z3
     top_pair = backend.mul_ct(zs.root, zs.left, ek)  # z1*z2
     acc = backend.add_ct(backend.mul_pt(left_pair, l3), backend.mul_pt(top_pair, l1))
     acc = backend.add_ct(acc, backend.mul_pt(zs.root, l2))
     return backend.add_pt(acc, l4)
-
-
-def tree_scores_encrypted_model(backend, zs: NodeStreams, l_streams_encrypted, ek):
-    """Same scores with encrypted leaf streams; needs one extra level."""
-    l1, l2, l3, l4 = l_streams_encrypted
-    ones = _ones(backend)
-    left_pair = backend.mul_ct(backend.sub_pt(zs.root, ones), zs.right, ek)
-    top_pair = backend.mul_ct(zs.root, zs.left, ek)
-    acc = backend.add_ct(
-        backend.mul_ct(left_pair, l3, ek), backend.mul_ct(top_pair, l1, ek)
-    )
-    acc = backend.add_ct(acc, backend.mul_ct(zs.root, l2, ek))
-    return backend.add_ct(acc, l4)
 
 
 def class_sums(backend, scores, trees_per_class: int, num_classes: int, ek):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -150,23 +151,56 @@ def test_encrypt_deterministic_bytes(workspace, tmp_path):
                 assert f.read_bytes() == twin.read_bytes()
 
 
-def test_depth_guard_rejects_shallow_params(workspace, tmp_path):
-    base = workspace["base"]
-    shallow = make_test_params(256, num_primes=11, depth_budget=1)
-    keydir = tmp_path / "shallow-keys"
-    write_keyset(keydir, shallow, seed=1)
-    server = tmp_path / "shallow-server"
-    export_public_keyset(keydir, server)
-    keyset = load_keyset(keydir, need_secret=True)
-    dataset = load_dataset(base / "data.csv", labeled=True)
-    layout = build_layout(workspace["ens"], shallow.slot_count)
-    run_encrypt(layout, dataset, keyset, 7, tmp_path / "enc")
+@pytest.fixture(scope="module")
+def shallow(workspace, tmp_path_factory):
+    """Depth-1 keys (server copy) and bundles encrypted under them."""
+    base = tmp_path_factory.mktemp("shallow")
+    params = make_test_params(256, num_primes=11, depth_budget=1)
+    write_keyset(base / "keys", params, seed=1)
+    export_public_keyset(base / "keys", base / "server")
+    keyset = load_keyset(base / "keys", need_secret=True)
+    dataset = load_dataset(workspace["base"] / "data.csv", labeled=True)
+    layout = build_layout(workspace["ens"], params.slot_count)
+    run_encrypt(layout, dataset, keyset, 7, base / "enc")
+    return base
+
+
+def test_depth_guard_rejects_shallow_params(workspace, shallow, tmp_path):
+    rc = main(
+        [
+            "infer", "--mode", "xgb-encmodel",
+            "--model", str(workspace["base"] / "ensemble.json"),
+            "--in", str(shallow / "enc"),
+            "--keys", str(shallow / "server"),
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == EXIT_FORMAT
+
+
+def test_xgb_exact_at_depth_one(workspace, shallow, tmp_path):
+    run_infer("xgb", workspace["base"] / "ensemble.json", shallow / "enc", shallow / "server",
+              tmp_path / "out")
+    _, _, conf = run_decrypt(tmp_path / "out", shallow / "keys", None)
+    ref = ensemble_scores_clear_batch(
+        workspace["ens"], normalize_samples(workspace["ds"].samples)
+    )
+    assert np.array_equal(conf * workspace["ens"].quant_scale, ref.astype(np.float64))
+
+
+def test_infer_rejects_tampered_upload(workspace, tmp_path):
+    enc = tmp_path / "enc"
+    shutil.copytree(workspace["base"] / "enc", enc)
+    target = enc / "sample_00000" / "block_000.root.x0.ct"
+    blob = bytearray(target.read_bytes())
+    blob[-8:] = ((1 << 40) + 5).to_bytes(8, "little")  # a limb far above its prime
+    target.write_bytes(bytes(blob))
     rc = main(
         [
             "infer", "--mode", "xgb",
-            "--model", str(base / "ensemble.json"),
-            "--in", str(tmp_path / "enc"),
-            "--keys", str(server),
+            "--model", str(workspace["base"] / "ensemble.json"),
+            "--in", str(enc),
+            "--keys", str(workspace["server"]),
             "--out", str(tmp_path / "out"),
         ]
     )

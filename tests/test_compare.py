@@ -180,14 +180,14 @@ def test_compare_encrypted_random_slots_match_oracle(he256, keys256, rng):
         assert set(np.unique(out)) <= {0, 1}
 
 
-def test_compare_encrypted_consumes_one_level(he256, keys256):
+def test_compare_encrypted_consumes_no_level(he256, keys256):
     _, pk, ek = keys256
     n = he256.params.slot_count
     zeros = np.zeros(n, dtype=np.int64)
     a = he256.encrypt(pk, he256.encode(zeros), seed=5)
     b = he256.encrypt(pk, he256.encode(zeros), seed=6)
     ct = compare_encrypted(he256, a, b, he256.encode(zeros), ek)
-    assert ct.level == a.level - 1
+    assert ct.level == a.level  # affine in the ciphertexts: no ct-ct product
 
 
 def test_compare_encrypted_model_matches_plain_variant(he256, keys256, rng):
@@ -204,7 +204,7 @@ def test_compare_encrypted_model_matches_plain_variant(he256, keys256, rng):
     a = he256.decode(he256.decrypt(sk, plain))
     b = he256.decode(he256.decrypt(sk, encm))
     assert np.array_equal(a, b)
-    assert encm.level == ct_x0.level - 2  # two ct-ct products
+    assert encm.level == ct_x0.level - 1  # one ct-ct product
 
 
 def test_compare_encrypted_model_amplification_forces_zero(he256, keys256, rng):
@@ -248,3 +248,27 @@ def test_gadget_backend_invariance(he256, clear256, keys256, clear_keys256, rng)
     assert np.array_equal(
         he256.decode(he256.decrypt(sk, enc)), clear256.decode(clear256.decrypt(csk, clr))
     )
+
+
+@pytest.mark.parametrize("backend_name", ["he", "clear"])
+def test_encrypted_comparisons_match_oracle_on_all_cases(
+    backend_name, he256, clear256, keys256, clear_keys256
+):
+    # the six (feature, split) cases, one per slot, against the paper's form
+    backend, (sk, pk, ek) = {
+        "he": (he256, keys256),
+        "clear": (clear256, clear_keys256),
+    }[backend_name]
+    cases = [(f, encode_split(t)) for f in FEATURE_VALUES for t in THRESHOLDS]
+    feats, ys = zip(*cases)
+    x0, x2, y = _pack_cases(backend, feats, ys)
+    ct_x0 = backend.encrypt(pk, backend.encode(x0), 60)
+    ct_x2 = backend.encrypt(pk, backend.encode(x2), 61)
+    ct_y = backend.encrypt(pk, backend.encode(y), 62)
+    expect = _expected(feats, ys, len(cases))
+    for ct in (
+        compare_encrypted(backend, ct_x0, ct_x2, backend.encode(y), ek),
+        compare_encrypted_model(backend, ct_x0, ct_x2, ct_y, ek),
+    ):
+        out = backend.decode(backend.decrypt(sk, ct)).astype(np.int64)
+        assert np.array_equal(out[: len(cases)], expect)

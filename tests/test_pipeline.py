@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from hedgerow import HeBackend, ModelFormatError, make_test_params
+from hedgerow import CountingBackend, HeBackend, ModelFormatError, make_test_params
 from hedgerow.modelio import (
     build_layout,
     ensemble_scores_clear_batch,
@@ -19,8 +19,8 @@ from hedgerow.pipeline import (
     TimingReport,
     decrypt_class_scores,
     encrypt_bundle,
+    encrypt_split_planes,
     infer_xgb_sample,
-    infer_xgb_sample_encrypted_leaves,
     model_plane_plaintexts,
     run_bench,
 )
@@ -81,30 +81,27 @@ def test_comp_scales_with_block_count():
     assert 1.8 <= ratio <= 5.0, f"comp did not scale ~linearly in blocks: {ratio:.2f}"
 
 
-def test_encrypted_leaves_variant_matches(he256, keys256):
-    params = he256.params
-    sk, pk, ek = keys256
-    ens, _, ds = gen_synthetic(seed=4, s=2, k=8, d=24, n_samples=2)
-    layout = build_layout(ens, params.slot_count)
+@pytest.mark.parametrize(
+    "encrypted_model, mul_ct, mul_pt", [(False, 2, 6), (True, 5, 3)]
+)
+def test_xgb_block_cost_contract(encrypted_model, mul_ct, mul_pt, params256, clear256,
+                                 clear_keys256):
+    # per block: 3 comparisons (1 mul_pt, or 1 mul_ct with encrypted split
+    # codes) + tree scoring (2 mul_ct, 3 mul_pt) + log2(k) class-sum rotations
+    counting = CountingBackend(clear256)
+    _, cpk, cek = clear_keys256
+    ens, _, ds = gen_synthetic(seed=8, s=2, k=8, d=24, n_samples=1)
+    layout = build_layout(ens, params256.slot_count)
+    assert layout.num_blocks == 1
     planes = ensemble_slot_streams(ens, layout)
-    pts = model_plane_plaintexts(he256, planes)
-    from hedgerow.pipeline import Prg
-
-    prg = Prg(9)
-    enc_leaves = [
-        [
-            he256.encrypt(pk, he256.encode(block["l"][i]), prg.bytes(f"l{b}.{i}", 32))
-            for i in range(4)
-        ]
-        for b, block in enumerate(planes)
-    ]
-    ref = ensemble_scores_clear_batch(ens, normalize_samples(ds.samples))
-    for i in range(ds.num_samples):
-        bundle = pack_client_input(ds.samples[i], layout)
-        cts = encrypt_bundle(he256, pk, bundle, seed=100 + i)
-        out = infer_xgb_sample_encrypted_leaves(he256, cts["xgb"], pts, enc_leaves, layout, ek)
-        got = decrypt_class_scores(he256, sk, out, layout)
-        assert np.array_equal(got, ref[i])
+    pts = model_plane_plaintexts(counting, planes)
+    enc_split = encrypt_split_planes(counting, cpk, planes, seed=2) if encrypted_model else None
+    cts = encrypt_bundle(counting, cpk, pack_client_input(ds.samples[0], layout), seed=1)
+    counting.ops.reset()
+    infer_xgb_sample(counting, cts["xgb"], pts, layout, cek, enc_split)
+    assert counting.ops.get("mul_ct") == mul_ct
+    assert counting.ops.get("mul_pt") == mul_pt
+    assert counting.ops.get("rotate") == 3  # log2(8)
 
 
 def test_clear_backend_runs_full_program(params256, clear256, clear_keys256):

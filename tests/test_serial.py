@@ -104,3 +104,27 @@ def test_fingerprint_mismatch_raises(setup):
     blob = serial.serialize_ciphertext(ct)
     with pytest.raises(FingerprintMismatchError):
         serial.deserialize_ciphertext(blob, other)
+
+
+def test_limb_above_its_prime_raises(setup, params64):
+    *_, ct = setup
+    blob = bytearray(serial.serialize_ciphertext(ct))
+    blob[-8:] = ((1 << 40) + 5).to_bytes(8, "little")  # 29-bit primes
+    with pytest.raises(SerializationError):
+        serial.deserialize_ciphertext(bytes(blob), params64)
+
+
+def test_plaintext_word_not_below_t_raises(setup, params64):
+    *_, pt, _ = setup
+    blob = bytearray(serial.serialize_plaintext(pt))
+    blob[-8:] = params64.plaintext_modulus.to_bytes(8, "little")
+    with pytest.raises(SerializationError):
+        serial.deserialize_plaintext(bytes(blob), params64)
+
+
+def test_level_above_depth_budget_raises(setup, params64):
+    *_, ct = setup
+    blob = bytearray(serial.serialize_ciphertext(ct))
+    blob[46:54] = (99).to_bytes(8, "little")  # header (38) + part count (8)
+    with pytest.raises(SerializationError):
+        serial.deserialize_ciphertext(bytes(blob), params64)

@@ -18,7 +18,6 @@ from hedgerow.trees import (
     transform_leaves,
     tree_score_clear,
     tree_scores_encrypted,
-    tree_scores_encrypted_model,
     tree_z_bits,
 )
 
@@ -203,23 +202,6 @@ def test_tree_scores_encrypted_level_consumption(he256, keys256, rng):
     ls = [he256.encode(np.zeros(n, dtype=np.int64)) for _ in range(4)]
     out = tree_scores_encrypted(he256, zs, ls, ek)
     assert out.level == zs.root.level - 1
-
-
-def test_tree_scores_encrypted_model_equivalence(he256, keys256, rng):
-    sk, pk, ek = keys256
-    n = he256.params.slot_count
-    leaves = [tuple(int(v) for v in rng.integers(-1000, 1000, 4)) for _ in range(n)]
-    tls = [transform_leaves(c) for c in leaves]
-    z_vecs = [rng.integers(0, 2, n, dtype=np.int64) for _ in range(3)]
-    zs = _encrypt_streams(he256, pk, z_vecs, seed=400)
-    l_vecs = _l_vectors(n, tls)
-    plain = tree_scores_encrypted(he256, zs, [he256.encode(v) for v in l_vecs], ek)
-    l_cts = [he256.encrypt(pk, he256.encode(v), seed=500 + i) for i, v in enumerate(l_vecs)]
-    encm = tree_scores_encrypted_model(he256, zs, l_cts, ek)
-    assert np.array_equal(
-        he256.decode(he256.decrypt(sk, plain)), he256.decode(he256.decrypt(sk, encm))
-    )
-    assert encm.level == plain.level - 1  # leaf products cost one extra level
 
 
 def test_class_sums_small_example(he256, keys256):
