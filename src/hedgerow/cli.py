@@ -25,7 +25,15 @@ from .errors import (
     ParamError,
     SerializationError,
 )
+from .modelio import (
+    build_layout, gen_synthetic, load_dataset, load_ensemble, load_layout, load_svm,
+    save_dataset, save_ensemble, save_layout, save_svm,
+)
 from .params import PRESET_NAMES, gen_params, load_params
+from .pipeline import (
+    MODES, export_public_keyset, format_bench_table, load_keyset, run_bench, run_decrypt,
+    run_encrypt, run_infer, write_keyset,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -53,8 +61,6 @@ def _parse_seed(text: str) -> int:
 
 
 def _cmd_keygen(args) -> int:
-    from .pipeline import export_public_keyset, write_keyset
-
     params = gen_params(args.preset)
     seconds = write_keyset(args.out, params, _parse_seed(args.seed))
     if args.server_out:
@@ -66,8 +72,6 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    from .modelio import gen_synthetic, save_dataset, save_ensemble, save_svm
-
     seed = _parse_seed(args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -83,8 +87,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_layout(args) -> int:
-    from .modelio import build_layout, load_ensemble, load_svm, save_layout
-
     params = load_params(Path(args.keys) / "params.txt")
     ens = load_ensemble(args.model, params.plaintext_modulus)
     svm_features = None
@@ -97,9 +99,6 @@ def _cmd_layout(args) -> int:
 
 
 def _cmd_encrypt(args) -> int:
-    from .modelio import load_dataset, load_layout
-    from .pipeline import load_keyset, run_encrypt
-
     layout = load_layout(args.model_layout)
     dataset = load_dataset(args.data, labeled=args.labeled)
     keyset = load_keyset(args.keys)
@@ -109,8 +108,6 @@ def _cmd_encrypt(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    from .pipeline import run_infer
-
     seconds = run_infer(
         args.mode, args.model, args.infile, args.keys, args.out, _parse_seed(args.seed)
     )
@@ -119,16 +116,12 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_decrypt(args) -> int:
-    from .pipeline import run_decrypt
-
     seconds, predictions, _ = run_decrypt(args.infile, args.keys, args.report)
     print(f"decrypt: {len(predictions)} sample(s) in {seconds:.3f}s -> {args.report}")
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    from .pipeline import format_bench_table, run_bench
-
     rows = []
     reports = {}
     for mode in args.mode:
@@ -193,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_encrypt)
 
     p = sub.add_parser("infer", help="server: evaluate encrypted scores")
-    p.add_argument("--mode", required=True, choices=("svm", "xgb", "xgb-encmodel"))
+    p.add_argument("--mode", required=True, choices=tuple(MODES))
     p.add_argument("--model", required=True, help="model JSON for the chosen mode")
     p.add_argument("--in", dest="infile", required=True, help="encrypted bundle directory")
     p.add_argument("--keys", required=True, help="server key directory (public only)")
@@ -208,8 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decrypt)
 
     p = sub.add_parser("bench", help="timed end-to-end synthetic benchmark")
-    p.add_argument("--mode", nargs="+", required=True,
-                   choices=("svm", "xgb", "xgb-encmodel"))
+    p.add_argument("--mode", nargs="+", required=True, choices=tuple(MODES))
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--seed", default="1")
     p.add_argument("--classes", type=int, default=11)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .compare import encode_split
 from .errors import ModelFormatError
-from .svm import SvmModel, check_aggregate_bound, next_pow2, quantize_model
+from .svm import MAX_SCALE_BITS, SvmModel, check_aggregate_bound, next_pow2, quantize_model
 from .trees import Depth2Tree, Ensemble, transform_leaves
 
 STREAMS = ("root", "left", "right")
@@ -97,11 +97,11 @@ def load_dataset(path, labeled: bool = False) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _read_json(path) -> dict:
+def read_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise ModelFormatError(f"cannot parse {path}: {exc}") from exc
 
 
@@ -112,7 +112,7 @@ def load_ensemble(path, plaintext_modulus: int | None = None) -> Ensemble:
     to a power-of-two tree count with zero-leaf trees.  With a plaintext
     modulus given, rejects models whose class sums could wrap.
     """
-    doc = _read_json(path)
+    doc = read_json(path)
     try:
         classes = int(doc["classes"])
         k_raw = int(doc["trees_per_class"])
@@ -122,6 +122,8 @@ def load_ensemble(path, plaintext_modulus: int | None = None) -> Ensemble:
         raise ModelFormatError(f"ensemble file missing field: {exc}") from exc
     if classes < 1 or k_raw < 1:
         raise ModelFormatError("ensemble needs positive class and tree counts")
+    if not 0 <= scale_bits <= MAX_SCALE_BITS:
+        raise ModelFormatError(f"scale_bits out of range: {scale_bits}")
     if len(raw_trees) != classes * k_raw:
         raise ModelFormatError(
             f"expected {classes * k_raw} trees, file holds {len(raw_trees)}"
@@ -187,7 +189,7 @@ def save_ensemble(ens: Ensemble, path) -> None:
 
 
 def load_svm(path, plaintext_modulus: int | None = None) -> SvmModel:
-    doc = _read_json(path)
+    doc = read_json(path)
     try:
         classes = int(doc["classes"])
         features = int(doc["features"])
@@ -310,7 +312,7 @@ def save_layout(layout: FeatureLayout, path) -> None:
 
 
 def load_layout(path) -> FeatureLayout:
-    doc = _read_json(path)
+    doc = read_json(path)
     try:
         return FeatureLayout(
             slot_count=int(doc["slot_count"]),

@@ -2,11 +2,14 @@
 decryption, and benchmark reporting.
 
 The exchange between roles is file-based: a key directory (params.txt plus
-key containers), a directory of per-sample ciphertext bundles, and a
-directory of per-sample encrypted score outputs with a manifest describing
-how to decode them.  The server-side entry points never accept or load a
-secret key; ``load_keyset(forbid_secret=True)`` additionally refuses to run
-when one is present in the key directory.
+key containers), a directory of per-sample upload ciphertexts, and one of
+per-sample score ciphertexts, each with a manifest that ``read_manifest``
+validates.  Every mode writes the same scores: ``score_NNN.ct`` files and a
+manifest ``{mode, samples, classes, scale_bits, outputs, class_positions}``
+placing class c at (output, slot) ``class_positions[c]``.  Only
+``server_model`` looks at the mode.  The server-side entry points never
+accept or load a secret key; ``load_keyset(forbid_secret=True)``
+additionally refuses to run when one is present in the key directory.
 
 Evaluation works against either backend (encrypted or clear mirror), which
 is how the oracle-equivalence tests drive the identical circuit on both.
@@ -16,10 +19,13 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,26 +39,34 @@ from .modelio import (
     FeatureLayout,
     build_layout,
     ensemble_slot_streams,
+    gen_synthetic,
     load_ensemble,
     load_svm,
     pack_client_input,
+    read_json,
+    save_ensemble,
+    save_svm,
 )
-from .params import HeParams, load_params, save_params
-from .scheme import HeBackend, Prg, keygen
-from .svm import infer_encrypted
+from .params import HeParams, gen_params, load_params, save_params
+from .scheme import HeBackend, Prg, decrypt_scores, keygen
+from .svm import MAX_SCALE_BITS, infer_encrypted
 from .trees import NodeStreams, class_sums, tree_scores_encrypted
 
-# Each mode's ciphertext-ciphertext multiplication depth.  A public split
-# code makes the comparison affine, so xgb multiplies only in tree scoring;
-# encrypted split codes add one product below it.
-MODE_DEPTH = {"svm": 0, "xgb": 1, "xgb-encmodel": 2}
-MODES = tuple(MODE_DEPTH)
+# mode -> (the preset ``run_bench`` runs it at, its ciphertext-ciphertext
+# multiplication depth).  A public split code makes the comparison affine, so
+# xgb multiplies only in tree scoring; encrypted split codes add one product.
+MODES = {"svm": ("svm-d1", 0), "xgb": ("xgb-d2", 1), "xgb-encmodel": ("xgb-encmodel-d3", 2)}
 
 PARAMS_FILE = "params.txt"
 SECRET_FILE = "secret.key"
 PUBLIC_FILE = "public.key"
 EVAL_FILE = "eval.key"
 MANIFEST_FILE = "manifest.json"
+PLANES = ("x0", "x2")
+SCORE_FILE = "score_{:03d}.ct"
+# Integer fields of the manifests run_encrypt and run_infer write.
+BUNDLE_COUNTS = ("samples", "blocks", "slot_count", "svm_features")
+SCORE_COUNTS = ("samples", "classes", "scale_bits", "outputs")
 
 
 def thread_count(n_tasks: int) -> int:
@@ -184,14 +198,13 @@ def encrypt_bundle(backend, pk, bundle: ClientBundle, seed) -> dict:
     prg = Prg(seed)
     blocks = []
     for b, planes in enumerate(bundle.xgb_planes):
-        enc = {}
-        for stream in STREAMS:
-            x0, x2 = planes[stream]
-            enc[stream] = (
-                backend.encrypt(pk, backend.encode(x0), prg.bytes(f"b{b}.{stream}.x0", 32)),
-                backend.encrypt(pk, backend.encode(x2), prg.bytes(f"b{b}.{stream}.x2", 32)),
+        blocks.append({
+            stream: tuple(
+                backend.encrypt(pk, backend.encode(x), prg.bytes(f"b{b}.{stream}.{p}", 32))
+                for p, x in zip(PLANES, planes[stream])
             )
-        blocks.append(enc)
+            for stream in STREAMS
+        })
     svm_ct = backend.encrypt(pk, backend.encode(bundle.svm_vector), prg.bytes("svm.x", 32))
     return {"xgb": blocks, "svm": svm_ct}
 
@@ -259,19 +272,13 @@ def infer_xgb_sample(
     return out
 
 
-def signed_mod_t(value: int, t: int) -> int:
-    return value - t if value > t // 2 else value
-
-
 def decrypt_class_scores(backend, sk, block_cts: list, layout: FeatureLayout) -> np.ndarray:
     """Signed fixed-point class sums recovered from per-block score ciphertexts."""
-    t = backend.params.plaintext_modulus
-    decoded = [backend.decode(backend.decrypt(sk, ct)) for ct in block_cts]
-    scores = np.empty(layout.num_classes, dtype=np.int64)
-    for c in range(layout.num_classes):
-        block, slot = layout.class_position(c)
-        scores[c] = signed_mod_t(int(decoded[block][slot]), t)
-    return scores
+    return decrypt_scores(backend, sk, block_cts, _class_positions(layout))
+
+
+def _class_positions(layout: FeatureLayout) -> list[tuple[int, int]]:
+    return [layout.class_position(c) for c in range(layout.num_classes)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +288,52 @@ def decrypt_class_scores(backend, sk, block_cts: list, layout: FeatureLayout) ->
 
 def _sample_dir(base: Path, index: int) -> Path:
     return base / f"sample_{index:05d}"
+
+
+def upload_names(num_blocks: int) -> dict:
+    """File name of each upload ciphertext of one sample, keyed by
+    (block, stream, plane) for the tree streams and "svm" for the SVM vector."""
+    names = {
+        (b, s, p): f"block_{b:03d}.{s}.{p}.ct"
+        for b in range(num_blocks) for s in STREAMS for p in PLANES
+    }
+    names["svm"] = "svm.ct"
+    return names
+
+
+def read_manifest(directory, counts: tuple[str, ...], slot_count: int) -> dict:
+    """A bundle or score directory's manifest with each field in ``counts``
+    a non-negative integer, checked against the keys' ``slot_count``; a score
+    manifest's mode, scale and class positions are checked too."""
+    path = Path(directory) / MANIFEST_FILE
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{path}: expected a JSON object")
+    for key in counts:
+        if type(doc.get(key)) is not int or doc[key] < 0:
+            raise ModelFormatError(f"{path}: {key}={doc.get(key)!r} is not a non-negative integer")
+    if counts == BUNDLE_COUNTS:
+        if doc["slot_count"] != slot_count:
+            raise ModelFormatError("input bundles were packed for different parameters")
+        return doc
+    if doc.get("mode") not in MODES:
+        raise ModelFormatError(f"{path}: unknown mode {doc.get('mode')!r}")
+    if doc["scale_bits"] > MAX_SCALE_BITS:
+        raise ModelFormatError(f"{path}: scale_bits above {MAX_SCALE_BITS}")
+    positions = doc.get("class_positions")
+    if not (
+        isinstance(positions, list)
+        and 0 < len(positions) == doc["classes"]
+        and all(_in_grid(p, doc["outputs"], slot_count) for p in positions)
+    ):
+        raise ModelFormatError(f"{path}: class_positions must place each class in "
+                               f"{doc['outputs']} outputs x {slot_count} slots")
+    return doc
+
+
+def _in_grid(p, outputs: int, slots: int) -> bool:
+    return (isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
+            and 0 <= p[0] < outputs and 0 <= p[1] < slots)
 
 
 def run_encrypt(layout: FeatureLayout, dataset, keyset: KeySet, seed, outdir) -> float:
@@ -293,23 +346,21 @@ def run_encrypt(layout: FeatureLayout, dataset, keyset: KeySet, seed, outdir) ->
             f"layout was built for {layout.slot_count} slots, keys provide "
             f"{keyset.params.slot_count}"
         )
+    names = upload_names(layout.num_blocks)
     prg = Prg(seed)
     t0 = time.perf_counter()
     for i in range(dataset.num_samples):
         bundle = pack_client_input(dataset.samples[i], layout)
         cts = encrypt_bundle(backend, keyset.public, bundle, prg.bytes(f"sample.{i}", 32))
+        uploads = {
+            (b, s, p): ct
+            for b, enc in enumerate(cts["xgb"]) for s in STREAMS for p, ct in zip(PLANES, enc[s])
+        }
+        uploads["svm"] = cts["svm"]
         sdir = _sample_dir(out, i)
         sdir.mkdir(parents=True, exist_ok=True)
-        for b, enc in enumerate(cts["xgb"]):
-            for stream in STREAMS:
-                ct_x0, ct_x2 = enc[stream]
-                (sdir / f"block_{b:03d}.{stream}.x0.ct").write_bytes(
-                    serial.serialize_ciphertext(ct_x0)
-                )
-                (sdir / f"block_{b:03d}.{stream}.x2.ct").write_bytes(
-                    serial.serialize_ciphertext(ct_x2)
-                )
-        (sdir / "svm.ct").write_bytes(serial.serialize_ciphertext(cts["svm"]))
+        for key, ct in uploads.items():
+            (sdir / names[key]).write_bytes(serial.serialize_ciphertext(ct))
     elapsed = time.perf_counter() - t0
     manifest = {
         "samples": dataset.num_samples,
@@ -325,6 +376,59 @@ def _read_ct(path: Path, params: HeParams):
     return serial.deserialize_ciphertext(path.read_bytes(), params)
 
 
+class ServerModel(NamedTuple):
+    """One mode's model as the server evaluates it."""
+
+    uploads: list  # the ``upload_names`` keys one sample needs
+    evaluate: Callable[[dict], list]  # {upload key: ciphertext} -> output ciphertexts
+    scores: dict  # the score manifest's classes, scale_bits, outputs, class_positions
+
+
+def server_model(mode, model_path, backend, keyset: KeySet, bundles: dict, seed) -> ServerModel:
+    """The server's only per-mode code: load the mode's model, check it
+    against the bundle manifest, and prepare the evaluation of one sample."""
+    params = keyset.params
+    if mode == "svm":
+        model = load_svm(model_path, params.plaintext_modulus)
+        if model.num_features != bundles["svm_features"]:
+            raise ModelFormatError(
+                f"model has {model.num_features} features but bundles were packed "
+                f"for {bundles['svm_features']}"
+            )
+        classes = model.num_classes
+        return ServerModel(
+            ["svm"],
+            lambda cts: infer_encrypted(backend, cts["svm"], model, keyset.evals),
+            {"classes": classes, "scale_bits": model.scale_bits, "outputs": classes,
+             "class_positions": [(c, 0) for c in range(classes)]},
+        )
+    ens = load_ensemble(model_path, params.plaintext_modulus)
+    layout = build_layout(ens, params.slot_count)
+    if layout.num_blocks != bundles["blocks"]:
+        raise ModelFormatError(
+            f"model needs {layout.num_blocks} blocks, bundles carry {bundles['blocks']}"
+        )
+    planes = ensemble_slot_streams(ens, layout)
+    plane_pts = model_plane_plaintexts(backend, planes)
+    enc_split = None
+    if mode == "xgb-encmodel":
+        enc_split = encrypt_split_planes(backend, keyset.public, planes, seed)
+
+    def evaluate(cts: dict) -> list:
+        blocks = [
+            {s: (cts[b, s, "x0"], cts[b, s, "x2"]) for s in STREAMS}
+            for b in range(layout.num_blocks)
+        ]
+        return infer_xgb_sample(backend, blocks, plane_pts, layout, keyset.evals, enc_split)
+
+    return ServerModel(
+        [key for key in upload_names(layout.num_blocks) if key != "svm"],
+        evaluate,
+        {"classes": layout.num_classes, "scale_bits": ens.scale_bits,
+         "outputs": layout.num_blocks, "class_positions": _class_positions(layout)},
+    )
+
+
 def run_infer(mode: str, model_path, indir, keydir, outdir, seed=0) -> float:
     """Server role: evaluate encrypted scores.  Returns Comp wall-clock seconds.
 
@@ -333,116 +437,38 @@ def run_infer(mode: str, model_path, indir, keydir, outdir, seed=0) -> float:
     timed window, so the returned Comp time excludes file IO.
     """
     if mode not in MODES:
-        raise ModelFormatError(f"unknown mode {mode!r}; expected one of {MODES}")
+        raise ModelFormatError(f"unknown mode {mode!r}; expected one of {tuple(MODES)}")
     keyset = load_keyset(keydir, forbid_secret=True)
     params = keyset.params
-    if params.depth_budget < MODE_DEPTH[mode]:
+    _, depth = MODES[mode]
+    if params.depth_budget < depth:
         raise ModelFormatError(
-            f"mode {mode} needs depth {MODE_DEPTH[mode]}, parameters provide "
-            f"{params.depth_budget}"
+            f"mode {mode} needs depth {depth}, parameters provide {params.depth_budget}"
         )
     backend = HeBackend(params)
-    src = Path(indir)
-    out = Path(outdir)
+    src, out = Path(indir), Path(outdir)
+    bundles = read_manifest(src, BUNDLE_COUNTS, params.slot_count)
+    model = server_model(mode, model_path, backend, keyset, bundles, seed)
+    names = upload_names(bundles["blocks"])
+    inputs = [
+        {key: _read_ct(_sample_dir(src, i) / names[key], params) for key in model.uploads}
+        for i in range(bundles["samples"])
+    ]
+
+    t0 = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=thread_count(len(inputs))) as pool:
+        results = list(pool.map(model.evaluate, inputs))
+    comp_seconds = time.perf_counter() - t0
+
     out.mkdir(parents=True, exist_ok=True)
-    manifest = json.loads((src / MANIFEST_FILE).read_text(encoding="utf-8"))
-    n_samples = int(manifest["samples"])
-    if int(manifest["slot_count"]) != params.slot_count:
-        raise ModelFormatError("input bundles were packed for different parameters")
-
-    t = params.plaintext_modulus
-
-    if mode == "svm":
-        model = load_svm(model_path, t)
-        if model.num_features != int(manifest["svm_features"]):
-            raise ModelFormatError(
-                f"model has {model.num_features} features but bundles were packed "
-                f"for {manifest['svm_features']}"
-            )
-        inputs = [_read_ct(_sample_dir(src, i) / "svm.ct", params) for i in range(n_samples)]
-
-        def eval_one(i: int):
-            return infer_encrypted(backend, inputs[i], model, keyset.evals)
-
-        t0 = time.perf_counter()
-        results = _parallel_map(eval_one, n_samples)
-        comp_seconds = time.perf_counter() - t0
-        for i, outputs in enumerate(results):
-            sdir = _sample_dir(out, i)
-            sdir.mkdir(parents=True, exist_ok=True)
-            for c, ct in enumerate(outputs):
-                (sdir / f"class_{c:03d}.ct").write_bytes(serial.serialize_ciphertext(ct))
-        out_manifest = {
-            "mode": mode,
-            "samples": n_samples,
-            "classes": model.num_classes,
-            "scale_bits": model.scale_bits,
-            "layout": "per-class ciphertexts, confidence at slot 0",
-        }
-    else:
-        ens = load_ensemble(model_path, t)
-        layout = build_layout(ens, params.slot_count)
-        if layout.num_blocks != int(manifest["blocks"]):
-            raise ModelFormatError(
-                f"model needs {layout.num_blocks} blocks, bundles carry {manifest['blocks']}"
-            )
-        planes = ensemble_slot_streams(ens, layout)
-        plane_pts = model_plane_plaintexts(backend, planes)
-        enc_split = None
-        if mode == "xgb-encmodel":
-            enc_split = encrypt_split_planes(backend, keyset.public, planes, seed)
-
-        inputs = []
-        for i in range(n_samples):
-            sdir_in = _sample_dir(src, i)
-            inputs.append(
-                [
-                    {
-                        stream: (
-                            _read_ct(sdir_in / f"block_{b:03d}.{stream}.x0.ct", params),
-                            _read_ct(sdir_in / f"block_{b:03d}.{stream}.x2.ct", params),
-                        )
-                        for stream in STREAMS
-                    }
-                    for b in range(layout.num_blocks)
-                ]
-            )
-
-        def eval_one(i: int):
-            return infer_xgb_sample(
-                backend, inputs[i], plane_pts, layout, keyset.evals, enc_split
-            )
-
-        t0 = time.perf_counter()
-        results = _parallel_map(eval_one, n_samples)
-        comp_seconds = time.perf_counter() - t0
-        for i, score_cts in enumerate(results):
-            sdir = _sample_dir(out, i)
-            sdir.mkdir(parents=True, exist_ok=True)
-            for b, ct in enumerate(score_cts):
-                (sdir / f"scores_block_{b:03d}.ct").write_bytes(
-                    serial.serialize_ciphertext(ct)
-                )
-        out_manifest = {
-            "mode": mode,
-            "samples": n_samples,
-            "classes": layout.num_classes,
-            "scale_bits": ens.scale_bits,
-            "blocks": layout.num_blocks,
-            "trees_per_class": layout.trees_per_class,
-            "trees_per_block": layout.trees_per_block,
-            "class_positions": [list(layout.class_position(c)) for c in range(layout.num_classes)],
-        }
-    (out / MANIFEST_FILE).write_text(json.dumps(out_manifest), encoding="utf-8")
+    for i, outputs in enumerate(results):
+        sdir = _sample_dir(out, i)
+        sdir.mkdir(exist_ok=True)
+        for o, ct in enumerate(outputs):
+            (sdir / SCORE_FILE.format(o)).write_bytes(serial.serialize_ciphertext(ct))
+    manifest = {"mode": mode, "samples": len(results), **model.scores}
+    (out / MANIFEST_FILE).write_text(json.dumps(manifest), encoding="utf-8")
     return comp_seconds
-
-
-def _parallel_map(fn, count: int) -> list:
-    workers = thread_count(count)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def run_decrypt(indir, keydir, report_path) -> tuple[float, np.ndarray, np.ndarray]:
@@ -454,48 +480,25 @@ def run_decrypt(indir, keydir, report_path) -> tuple[float, np.ndarray, np.ndarr
     params = keyset.params
     backend = HeBackend(params)
     src = Path(indir)
-    manifest = json.loads((src / MANIFEST_FILE).read_text(encoding="utf-8"))
-    mode = manifest["mode"]
-    n_samples = int(manifest["samples"])
-    classes = int(manifest["classes"])
-    scale = float(1 << int(manifest["scale_bits"]))
-    t = params.plaintext_modulus
+    manifest = read_manifest(src, SCORE_COUNTS, params.slot_count)
+    scale = float(1 << manifest["scale_bits"])
 
-    confidences = np.empty((n_samples, classes), dtype=np.float64)
+    confidences = np.empty((manifest["samples"], manifest["classes"]), dtype=np.float64)
     elapsed = 0.0
-    for i in range(n_samples):
+    for i in range(manifest["samples"]):
         sdir = _sample_dir(src, i)
-        if mode == "svm":
-            cts = [_read_ct(sdir / f"class_{c:03d}.ct", params) for c in range(classes)]
-            t0 = time.perf_counter()
-            for c, ct in enumerate(cts):
-                _check_noise(backend, keyset.secret, ct)
-                raw = int(backend.decode(backend.decrypt(keyset.secret, ct))[0])
-                confidences[i, c] = signed_mod_t(raw, t) / scale
-            elapsed += time.perf_counter() - t0
-        else:
-            blocks = int(manifest["blocks"])
-            cts = [_read_ct(sdir / f"scores_block_{b:03d}.ct", params) for b in range(blocks)]
-            positions = manifest["class_positions"]
-            t0 = time.perf_counter()
-            decoded = []
-            for ct in cts:
-                _check_noise(backend, keyset.secret, ct)
-                decoded.append(backend.decode(backend.decrypt(keyset.secret, ct)))
-            for c in range(classes):
-                block, slot = positions[c]
-                confidences[i, c] = signed_mod_t(int(decoded[block][slot]), t) / scale
-            elapsed += time.perf_counter() - t0
+        cts = [_read_ct(sdir / SCORE_FILE.format(o), params) for o in range(manifest["outputs"])]
+        t0 = time.perf_counter()
+        if min(backend.noise_budget(keyset.secret, ct) for ct in cts) <= 0:
+            raise NoiseBudgetError("noise budget exhausted; decryption unreliable")
+        scores = decrypt_scores(backend, keyset.secret, cts, manifest["class_positions"])
+        confidences[i] = scores / scale
+        elapsed += time.perf_counter() - t0
 
     predictions = np.argmax(confidences, axis=1).astype(np.int64)
     if report_path is not None:
         _write_report_csv(report_path, predictions, confidences)
     return elapsed, predictions, confidences
-
-
-def _check_noise(backend, sk, ct) -> None:
-    if backend.noise_budget(sk, ct) <= 0:
-        raise NoiseBudgetError("noise budget exhausted; decryption unreliable")
 
 
 def _write_report_csv(path, predictions: np.ndarray, confidences: np.ndarray) -> None:
@@ -522,14 +525,9 @@ def run_bench(
     workdir=None,
 ) -> tuple[TimingReport, EvalReport]:
     """Full synthetic pipeline in a work directory, timed per phase."""
-    import tempfile
-
-    from .modelio import gen_synthetic, save_ensemble, save_svm
-    from .params import gen_params
-
     if mode not in MODES:
-        raise ModelFormatError(f"unknown mode {mode!r}; expected one of {MODES}")
-    preset = {"svm": "svm-d1", "xgb": "xgb-d2", "xgb-encmodel": "xgb-encmodel-d3"}[mode]
+        raise ModelFormatError(f"unknown mode {mode!r}; expected one of {tuple(MODES)}")
+    preset, _ = MODES[mode]
 
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(workdir) if workdir is not None else Path(tmp)

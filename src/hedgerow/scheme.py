@@ -264,6 +264,18 @@ class SlotSumMixin:
         return ct
 
 
+def decrypt_scores(backend, sk, cts, positions) -> np.ndarray:
+    """Signed class scores from output ciphertexts.
+
+    Class c is read at ``positions[c] = (output, slot)`` and lifted from
+    [0, t) to the centred range (-t/2, t/2].
+    """
+    t = backend.params.plaintext_modulus
+    slots = [backend.decode(backend.decrypt(sk, ct)) for ct in cts]
+    raw = np.array([slots[o][s] for o, s in positions], dtype=np.int64)
+    return np.where(raw > t // 2, raw - t, raw)
+
+
 class HeBackend(SlotSumMixin):
     """Homomorphic operation surface over real ciphertexts.
 

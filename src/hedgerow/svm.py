@@ -18,6 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelFormatError
+from .scheme import decrypt_scores
+
+# Largest fixed-point scale a model file or a score manifest may declare.
+MAX_SCALE_BITS = 40
 
 
 def next_pow2(x: int) -> int:
@@ -70,7 +74,7 @@ def quantize_model(weights, bias, scale_bits: int, plaintext_modulus: int | None
     b = np.asarray(bias, dtype=np.float64)
     if w.ndim != 2 or b.ndim != 1:
         raise ModelFormatError("weights must be 2-d and bias 1-d")
-    if scale_bits < 0 or scale_bits > 40:
+    if not 0 <= scale_bits <= MAX_SCALE_BITS:
         raise ModelFormatError(f"scale_bits out of range: {scale_bits}")
     scale = float(1 << scale_bits)
     model = SvmModel(
@@ -128,14 +132,4 @@ def infer_encrypted(backend, ct_x, model: SvmModel, ek) -> list:
 
 def confidence_integers(backend, sk, cts, model: SvmModel) -> np.ndarray:
     """Slot-0 confidences as signed fixed-point integers."""
-    t = backend.params.plaintext_modulus
-    values = np.empty(len(cts), dtype=np.int64)
-    for i, ct in enumerate(cts):
-        raw = int(backend.decode(backend.decrypt(sk, ct))[0])
-        values[i] = raw - t if raw > t // 2 else raw
-    return values
-
-
-def decode_confidences(backend, sk, cts, model: SvmModel) -> np.ndarray:
-    """De-scaled real confidences, one per class."""
-    return confidence_integers(backend, sk, cts, model) / model.quant_scale
+    return decrypt_scores(backend, sk, cts, [(c, 0) for c in range(len(cts))])

@@ -1,7 +1,6 @@
 """CLI flows: file-based phases, role separation, exit codes, determinism."""
 
 import json
-import os
 import shutil
 
 import numpy as np
@@ -119,24 +118,24 @@ def test_infer_refuses_secret_key(workspace):
     assert not (base / "refused").exists()
 
 
-def test_infer_thread_count_invariance(workspace):
+@pytest.mark.parametrize(
+    "mode, model",
+    [("svm", "svm.json"), ("xgb", "ensemble.json"), ("xgb-encmodel", "ensemble.json")],
+    ids=["svm", "xgb", "xgb-encmodel"],
+)
+def test_infer_thread_count_invariance(workspace, monkeypatch, mode, model):
     base = workspace["base"]
-    old = os.environ.get("HEDGEROW_THREADS")
-    try:
-        os.environ["HEDGEROW_THREADS"] = "1"
-        run_infer("xgb", base / "ensemble.json", base / "enc", workspace["server"], base / "t1")
-        os.environ["HEDGEROW_THREADS"] = "3"
-        run_infer("xgb", base / "ensemble.json", base / "enc", workspace["server"], base / "t3")
-    finally:
-        if old is None:
-            os.environ.pop("HEDGEROW_THREADS", None)
-        else:
-            os.environ["HEDGEROW_THREADS"] = old
-    for sample_dir in sorted((base / "t1").iterdir()):
-        if sample_dir.is_dir():
-            for f in sorted(sample_dir.iterdir()):
-                twin = base / "t3" / sample_dir.name / f.name
-                assert f.read_bytes() == twin.read_bytes()
+    runs = {}
+    for threads in ("1", "3"):
+        monkeypatch.setenv("HEDGEROW_THREADS", threads)
+        out = runs[threads] = base / f"threads{threads}-{mode}"
+        run_infer(mode, base / model, base / "enc", workspace["server"], out)
+        run_decrypt(out, workspace["keydir"], out / "report.csv")
+    one, three = (sorted(p.relative_to(runs[t]) for p in runs[t].rglob("*")) for t in ("1", "3"))
+    assert one == three
+    for rel in one:
+        if (runs["1"] / rel).is_file():
+            assert (runs["1"] / rel).read_bytes() == (runs["3"] / rel).read_bytes(), rel
 
 
 def test_encrypt_deterministic_bytes(workspace, tmp_path):
@@ -205,6 +204,67 @@ def test_infer_rejects_tampered_upload(workspace, tmp_path):
         ]
     )
     assert rc == EXIT_FORMAT
+
+
+@pytest.fixture(scope="module")
+def xgb_scores(workspace):
+    base = workspace["base"]
+    run_infer("xgb", base / "ensemble.json", base / "enc", workspace["server"], base / "xgb-scores")
+    return base / "xgb-scores"
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "role, field, value",
+    [
+        pytest.param("infer", "samples", _DROP, id="infer-no-samples"),
+        pytest.param("infer", "svm_features", _DROP, id="infer-no-svm_features"),
+        pytest.param("infer", "samples", "abc", id="infer-samples-abc"),
+        pytest.param("infer", "samples", -3, id="infer-samples-negative"),
+        pytest.param("decrypt", "samples", _DROP, id="decrypt-no-samples"),
+        pytest.param("decrypt", "samples", "abc", id="decrypt-samples-abc"),
+        pytest.param("decrypt", "samples", -3, id="decrypt-samples-negative"),
+        pytest.param("decrypt", "scale_bits", -1, id="decrypt-scale_bits-negative"),
+        pytest.param("decrypt", "class_positions", [[0, 99999]] * 3, id="decrypt-slot-outside"),
+        pytest.param("decrypt", "class_positions", [[1, 0]] * 3, id="decrypt-output-outside"),
+        pytest.param("decrypt", "mode", "bogus", id="decrypt-mode-bogus"),
+        pytest.param("ensemble", "scale_bits", -1, id="ensemble-scale_bits-negative"),
+    ],
+)
+def test_hostile_manifest_exits_format(workspace, xgb_scores, tmp_path, role, field, value):
+    base = workspace["base"]
+    enc, scores, ensemble = tmp_path / "enc", tmp_path / "scores", tmp_path / "ensemble.json"
+    shutil.copytree(base / "enc", enc)
+    shutil.copytree(xgb_scores, scores)
+    shutil.copy(base / "ensemble.json", ensemble)
+    edited = {"infer": enc / "manifest.json", "decrypt": scores / "manifest.json",
+              "ensemble": ensemble}[role]
+    doc = json.loads(edited.read_text())
+    if value is _DROP:
+        del doc[field]
+    else:
+        doc[field] = value
+    edited.write_text(json.dumps(doc))
+    if role == "decrypt":
+        argv = ["decrypt", "--in", str(scores), "--keys", str(workspace["keydir"]),
+                "--report", str(tmp_path / "r.csv")]
+    else:
+        mode, model = ("svm", base / "svm.json") if role == "infer" else ("xgb", ensemble)
+        argv = ["infer", "--mode", mode, "--model", str(model), "--in", str(enc),
+                "--keys", str(workspace["server"]), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_FORMAT
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[]"], ids=["not-utf8", "not-an-object"])
+def test_unreadable_manifest_exits_format(workspace, xgb_scores, tmp_path, content):
+    scores = tmp_path / "scores"
+    shutil.copytree(xgb_scores, scores)
+    (scores / "manifest.json").write_bytes(content)
+    argv = ["decrypt", "--in", str(scores), "--keys", str(workspace["keydir"]),
+            "--report", str(tmp_path / "r.csv")]
+    assert main(argv) == EXIT_FORMAT
 
 
 def test_noise_exhaustion_exits_crypto(tmp_path):

@@ -8,7 +8,6 @@ from hedgerow.clear import ClearBackend, CountingBackend
 from hedgerow.svm import (
     SvmModel,
     confidence_integers,
-    decode_confidences,
     infer_encrypted,
     quantize_model,
     svm_scores_clear,
@@ -114,8 +113,8 @@ def test_negative_confidence_decodes_negative(he256, keys256):
     model = quantize_model([[-1.0]], [-0.5], 20)
     ct = he256.encrypt(pk, he256.encode(_pack_x(he256, np.array([1]))), seed=3)
     outs = infer_encrypted(he256, ct, model, ek)
-    conf = decode_confidences(he256, sk, outs, model)
-    assert conf[0] == pytest.approx(-1.5)
+    got = confidence_integers(he256, sk, outs, model)
+    assert got[0] == -1.5 * model.quant_scale
 
 
 def test_confidence_roundtrip_and_argmax_stability(he256, keys256, clear256, clear_keys256, rng):
