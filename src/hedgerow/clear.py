@@ -60,7 +60,6 @@ class ClearEvalKeys:
     params: HeParams
     galois_steps: frozenset
     has_row_swap: bool = True
-    declared_steps: tuple = ()
 
     @property
     def fingerprint(self) -> bytes:
@@ -98,7 +97,7 @@ class ClearBackend(SlotSumMixin):
         effective = frozenset(s % self.row for s in rotation_steps) - {0}
         sk = ClearSecretKey(self.params)
         pk = ClearPublicKey(self.params)
-        ek = ClearEvalKeys(self.params, effective, True, tuple(rotation_steps))
+        ek = ClearEvalKeys(self.params, effective)
         return sk, pk, ek
 
     def encrypt(self, pk: ClearPublicKey, pt: ClearPlaintext, seed=None) -> ClearCiphertext:

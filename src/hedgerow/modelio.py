@@ -10,8 +10,12 @@ File formats (all diffable and hand-writable):
 * SVM JSON: ``{classes, features, scale_bits, weights (row-major), bias}``.
 * Dataset CSV: headerless integers in -2..2, one sample per row, optional
   final label column selected by flag.
-* Layout JSON: the public slot map telling clients which feature, in which
-  one-hot bit plane, feeds each slot of each ciphertext block.  Publishing
+* Layout JSON: ``{slot_count, classes, trees_per_class, features,
+  svm_features, tree_features: [[root, left, right], ...]}``, the public
+  slot map a client packs by, with the trees class-major and padded.  Tree
+  g sits at slot g mod trees_per_block of block g div trees_per_block in
+  every stream, where a block holds as many whole classes as fit
+  slot_count.  Every count and index must be a JSON integer.  Publishing
   it reveals which feature indices the model consults (the evaluation
   protocol leaks the same); no feature *values* are revealed.
 """
@@ -219,94 +223,105 @@ def save_svm(model: SvmModel, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Layout JSON key -> FeatureLayout count field.
+_LAYOUT_COUNTS = {
+    "slot_count": "slot_count",
+    "classes": "num_classes",
+    "trees_per_class": "trees_per_class",
+    "features": "num_features",
+    "svm_features": "svm_features",
+}
+
+
 @dataclass(frozen=True)
 class FeatureLayout:
-    """Public slot map: which feature feeds which node-slot of which block."""
+    """Public slot map: the (root, left, right) feature indices of each tree.
+
+    Tree g (class-major, padded) sits at slot g mod ``trees_per_block`` of
+    block g div ``trees_per_block`` in every stream, so the layout stores
+    no block, slot or stream of its own.
+    """
 
     slot_count: int
     num_classes: int
     trees_per_class: int
     num_features: int
     svm_features: int
-    num_blocks: int
-    trees_per_block: int
-    entries: tuple  # (block, stream, slot, feature_index) per tree node
+    tree_features: tuple  # (root, left, right) feature indices per tree
 
     def __post_init__(self):
-        total = self.num_classes * self.trees_per_class
-        if len(self.entries) != 3 * total:
+        for name in _LAYOUT_COUNTS.values():
+            if getattr(self, name) < 1:
+                raise ModelFormatError(f"layout {name} must be at least 1")
+        k = self.trees_per_class
+        if k & (k - 1) or k > self.slot_count:
             raise ModelFormatError(
-                f"layout must place {3 * total} nodes, holds {len(self.entries)}"
+                f"trees_per_class {k} is not a power of two <= {self.slot_count}"
             )
-        seen = set()
-        for block, stream, slot, feature in self.entries:
-            if stream not in STREAMS:
-                raise ModelFormatError(f"unknown stream {stream!r}")
-            if not 0 <= slot < self.trees_per_block:
-                raise ModelFormatError(f"slot {slot} out of block range")
-            if feature >= self.num_features:
-                raise ModelFormatError(f"feature index {feature} out of range")
-            key = (block, stream, slot)
-            if key in seen:
-                raise ModelFormatError(f"duplicate slot assignment {key}")
-            seen.add(key)
+        if self.svm_features > self.slot_count:
+            raise ModelFormatError(
+                f"SVM vector of {self.svm_features} features exceeds {self.slot_count} slots"
+            )
+        if len(self.tree_features) != self.num_classes * k:
+            raise ModelFormatError(
+                f"layout must list {self.num_classes * k} trees, holds {len(self.tree_features)}"
+            )
+        for feats in self.tree_features:
+            if len(feats) != 3 or not all(0 <= f < self.num_features for f in feats):
+                raise ModelFormatError(
+                    f"tree features {feats} are not 3 indices below {self.num_features}"
+                )
 
-    def block_tree_count(self, block: int) -> int:
-        total = self.num_classes * self.trees_per_class
-        return min(self.trees_per_block, total - block * self.trees_per_block)
+    @property
+    def trees_per_block(self) -> int:
+        # a block holds whole classes: k is a power of two <= N, so class
+        # blocks always align with rotation rows
+        k = self.trees_per_class
+        return min(self.num_classes * k, (self.slot_count // k) * k)
+
+    @property
+    def num_blocks(self) -> int:
+        return -(-len(self.tree_features) // self.trees_per_block)
+
+    @property
+    def entries(self) -> tuple:
+        """(block, stream, slot, feature_index) of every tree node."""
+        tpb = self.trees_per_block
+        return tuple(
+            (g // tpb, stream, g % tpb, feature)
+            for g, feats in enumerate(self.tree_features)
+            for stream, feature in zip(STREAMS, feats)
+        )
 
     def class_position(self, c: int) -> tuple[int, int]:
         """(block, slot) where class c's summed score lands."""
-        flat = c * self.trees_per_class
-        return flat // self.trees_per_block, flat % self.trees_per_block
+        return divmod(c * self.trees_per_class, self.trees_per_block)
 
 
 def build_layout(ens: Ensemble, slot_count: int, svm_features: int | None = None) -> FeatureLayout:
-    """Deterministic slot layout for an ensemble on a given slot capacity.
+    """Slot layout for an ensemble on a given slot capacity.
 
-    Trees pack class-major; a block holds a multiple of trees_per_class so
-    no class ever straddles blocks, spilling deterministically when
-    s*k exceeds the slot count.
+    A block holds as many whole classes as fit the slots, so no class ever
+    straddles blocks; larger ensembles spill into further blocks.
     """
-    k = ens.trees_per_class
-    total = ens.num_classes * k
-    if k > slot_count:
+    if ens.trees_per_class > slot_count:
         raise ModelFormatError(
-            f"a class of {k} trees does not fit {slot_count} slots; "
+            f"a class of {ens.trees_per_class} trees does not fit {slot_count} slots; "
             "splitting one class across ciphertexts is not supported"
         )
-    # k is a power of two <= N, so class blocks always align with rotation
-    # rows (k <= N/2 divides the row; k == N uses the full-width sum)
-    trees_per_block = min(total, (slot_count // k) * k)
-    num_blocks = (total + trees_per_block - 1) // trees_per_block
-    entries = []
-    for g, tree in enumerate(ens.trees):
-        block, slot = divmod(g, trees_per_block)
-        for stream, feature in zip(STREAMS, tree.features):
-            entries.append((block, stream, slot, feature))
     return FeatureLayout(
         slot_count=slot_count,
         num_classes=ens.num_classes,
-        trees_per_class=k,
+        trees_per_class=ens.trees_per_class,
         num_features=ens.num_features,
         svm_features=ens.num_features if svm_features is None else svm_features,
-        num_blocks=num_blocks,
-        trees_per_block=trees_per_block,
-        entries=tuple(entries),
+        tree_features=tuple(tree.features for tree in ens.trees),
     )
 
 
 def save_layout(layout: FeatureLayout, path) -> None:
-    doc = {
-        "slot_count": layout.slot_count,
-        "classes": layout.num_classes,
-        "trees_per_class": layout.trees_per_class,
-        "features": layout.num_features,
-        "svm_features": layout.svm_features,
-        "blocks": layout.num_blocks,
-        "trees_per_block": layout.trees_per_block,
-        "entries": [list(e) for e in layout.entries],
-    }
+    doc = {key: getattr(layout, name) for key, name in _LAYOUT_COUNTS.items()}
+    doc["tree_features"] = [list(f) for f in layout.tree_features]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
@@ -314,18 +329,17 @@ def save_layout(layout: FeatureLayout, path) -> None:
 def load_layout(path) -> FeatureLayout:
     doc = read_json(path)
     try:
-        return FeatureLayout(
-            slot_count=int(doc["slot_count"]),
-            num_classes=int(doc["classes"]),
-            trees_per_class=int(doc["trees_per_class"]),
-            num_features=int(doc["features"]),
-            svm_features=int(doc["svm_features"]),
-            num_blocks=int(doc["blocks"]),
-            trees_per_block=int(doc["trees_per_block"]),
-            entries=tuple((int(b), str(s), int(sl), int(f)) for b, s, sl, f in doc["entries"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed layout file: {exc}") from exc
+        counts = {name: doc[key] for key, name in _LAYOUT_COUNTS.items()}
+        trees = doc["tree_features"]
+    except (KeyError, TypeError) as exc:
+        raise ModelFormatError(f"malformed layout file: {exc!r}") from exc
+    if not (
+        all(type(v) is int for v in counts.values())
+        and isinstance(trees, list)
+        and all(isinstance(t, list) and all(type(f) is int for f in t) for t in trees)
+    ):
+        raise ModelFormatError("layout counts and feature indices must be integers")
+    return FeatureLayout(**counts, tree_features=tuple(tuple(t) for t in trees))
 
 
 # ---------------------------------------------------------------------------
@@ -357,30 +371,24 @@ def pack_client_input(sample_raw, layout: FeatureLayout) -> ClientBundle:
         )
     ternary = normalize_samples(sample)
 
-    blocks = []
-    for block in range(layout.num_blocks):
-        blocks.append(
-            {
-                stream: (
-                    np.zeros(layout.slot_count, dtype=np.int64),
-                    np.zeros(layout.slot_count, dtype=np.int64),
-                )
-                for stream in STREAMS
-            }
-        )
-    for block, stream, slot, feature in layout.entries:
-        value = ternary[feature]
-        x0, x2 = blocks[block][stream]
-        x0[slot] = 1 if value == -1 else 0
-        x2[slot] = 1 if value == 1 else 0
+    # node values per (tree, stream), zero-padded to whole blocks; a zero
+    # sets neither plane, like a slot that holds no tree
+    tpb = layout.trees_per_block
+    values = np.zeros((layout.num_blocks * tpb, 3), dtype=np.int64)
+    values[: len(layout.tree_features)] = ternary[np.array(layout.tree_features, dtype=np.int64)]
 
+    def plane(v: np.ndarray, bit: int) -> np.ndarray:
+        out = np.zeros(layout.slot_count, dtype=np.int64)
+        out[:tpb] = v == bit
+        return out
+
+    blocks = tuple(
+        {stream: (plane(v, -1), plane(v, 1)) for stream, v in zip(STREAMS, block.T)}
+        for block in values.reshape(layout.num_blocks, tpb, 3)
+    )
     svm_vec = np.zeros(layout.slot_count, dtype=np.int64)
-    if layout.svm_features > layout.slot_count:
-        raise ModelFormatError(
-            f"SVM vector of {layout.svm_features} features exceeds {layout.slot_count} slots"
-        )
     svm_vec[: layout.svm_features] = ternary[: layout.svm_features]
-    return ClientBundle(tuple(blocks), svm_vec)
+    return ClientBundle(blocks, svm_vec)
 
 
 def ensemble_slot_streams(ens: Ensemble, layout: FeatureLayout) -> list[dict]:
@@ -389,21 +397,20 @@ def ensemble_slot_streams(ens: Ensemble, layout: FeatureLayout) -> list[dict]:
     Slots beyond the last tree keep zero leaves, so whatever comparison bits
     land there contribute nothing to class sums.
     """
-    out = []
-    k = layout.trees_per_block
-    for block in range(layout.num_blocks):
-        planes = {
+    out = [
+        {
             "y": {s: np.zeros(layout.slot_count, dtype=np.int64) for s in STREAMS},
             "l": [np.zeros(layout.slot_count, dtype=np.int64) for _ in range(4)],
         }
-        for local in range(layout.block_tree_count(block)):
-            tree = ens.trees[block * k + local]
-            for stream, y in zip(STREAMS, tree.splits):
-                planes["y"][stream][local] = y
-            tl = transform_leaves(tree.leaves)
-            for idx, val in enumerate((tl.l1, tl.l2, tl.l3, tl.l4)):
-                planes["l"][idx][local] = val
-        out.append(planes)
+        for _ in range(layout.num_blocks)
+    ]
+    for g, tree in enumerate(ens.trees):
+        planes, slot = out[g // layout.trees_per_block], g % layout.trees_per_block
+        for stream, y in zip(STREAMS, tree.splits):
+            planes["y"][stream][slot] = y
+        tl = transform_leaves(tree.leaves)
+        for leaf, val in zip(planes["l"], (tl.l1, tl.l2, tl.l3, tl.l4)):
+            leaf[slot] = val
     return out
 
 

@@ -154,22 +154,24 @@ def save_params(params: HeParams, path) -> None:
 
 def load_params(path) -> HeParams:
     fields: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParamError(f"malformed params line: {line!r}")
-            key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
     try:
-        return HeParams(
-            ring_degree=int(fields["N"]),
-            coeff_modulus=tuple(int(x) for x in fields["primes"].split(",")),
-            plaintext_modulus=int(fields["t"]),
-            depth_budget=int(fields["depth"]),
-            preset_name=fields.get("preset", "custom"),
-        )
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParamError(f"params file {path} is not ASCII text") from exc
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParamError(f"malformed params line: {line!r}")
+        key, value = line.split("=", 1)
+        fields[key.strip()] = value.strip()
+    try:
+        n, t, depth = (int(fields[key]) for key in ("N", "t", "depth"))
+        primes = tuple(int(x) for x in fields["primes"].split(","))
     except KeyError as exc:
         raise ParamError(f"params file missing key {exc}") from exc
+    except ValueError as exc:
+        raise ParamError(f"params file holds a non-integer value: {exc}") from exc
+    return HeParams(n, primes, t, depth, fields.get("preset", "custom"))

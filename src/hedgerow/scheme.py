@@ -109,15 +109,19 @@ class PackedPlaintext:
 
 @dataclass(frozen=True, eq=False)
 class Ciphertext:
-    """RLWE ciphertext: 2 parts (3 transiently inside multiplication)."""
+    """RLWE ciphertext (c0, c1), decrypting as c0 + c1*s.
+
+    Always two parts: ``mul_ct`` relinearizes its three-part product before
+    returning, so no other part count exists outside it.
+    """
 
     params_fingerprint: bytes
     level: int
-    parts: tuple[np.ndarray, ...]  # each (K, N) uint64 residues, coefficient domain
+    parts: tuple[np.ndarray, np.ndarray]  # each (K, N) uint64 residues, coefficient domain
 
     def __post_init__(self):
-        if not 2 <= len(self.parts) <= 3:
-            raise ParamError(f"ciphertext must have 2 or 3 parts, got {len(self.parts)}")
+        if len(self.parts) != 2:
+            raise ParamError(f"ciphertext must have 2 parts, got {len(self.parts)}")
         if self.level < 0:
             raise ParamError("ciphertext level cannot be negative")
 
@@ -156,7 +160,6 @@ class EvalKeys:
     relin: KeySwitchKey
     galois: dict  # effective step (0 < step < N/2) -> KeySwitchKey
     row_swap: KeySwitchKey | None
-    declared_steps: tuple[int, ...]
 
     @property
     def fingerprint(self) -> bytes:
@@ -232,7 +235,7 @@ def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None
 
     sk = SecretKey(params, s)
     pk = PublicKey(params, pk_b, pk_a)
-    ek = EvalKeys(params, relin, galois, row_swap, tuple(rotation_steps))
+    ek = EvalKeys(params, relin, galois, row_swap)
     return sk, pk, ek
 
 
@@ -329,16 +332,9 @@ class HeBackend(SlotSumMixin):
         return Ciphertext(self.params.fingerprint, self.params.depth_budget, (c0, c1))
 
     def _phase(self, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
-        """Residues of c0 + c1*s (+ c2*s^2), coefficient domain."""
+        """Residues of c0 + c1*s, coefficient domain."""
         ring = self.ring
         acc = ring.plan_q.pointwise(ring.plan_q.forward(ct.parts[1]), sk._s_ntt)
-        if len(ct.parts) == 3:
-            c2 = ring.plan_q.forward(ct.parts[2])
-            acc = add_mod(
-                acc,
-                ring.plan_q.pointwise(ring.plan_q.pointwise(c2, sk._s_ntt), sk._s_ntt),
-                ring.q_arr,
-            )
         return add_mod(ct.parts[0], ring.plan_q.inverse(acc), ring.q_arr)
 
     def decrypt(self, sk: SecretKey, ct: Ciphertext) -> PackedPlaintext:
@@ -368,14 +364,8 @@ class HeBackend(SlotSumMixin):
 
     def add_ct(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self._check_pair(a, b)
-        na, nb = len(a.parts), len(b.parts)
-        parts = []
-        for i in range(max(na, nb)):
-            if i < na and i < nb:
-                parts.append(add_mod(a.parts[i], b.parts[i], self.ring.q_arr))
-            else:
-                parts.append((a.parts[i] if i < na else b.parts[i]).copy())
-        return Ciphertext(a.params_fingerprint, min(a.level, b.level), tuple(parts))
+        parts = tuple(add_mod(x, y, self.ring.q_arr) for x, y in zip(a.parts, b.parts))
+        return Ciphertext(a.params_fingerprint, min(a.level, b.level), parts)
 
     def sub_ct(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         return self.add_ct(a, self.negate(b))
@@ -391,13 +381,13 @@ class HeBackend(SlotSumMixin):
         self._check_fp(a.params_fingerprint)
         self._check_fp(pt.params.fingerprint)
         c0 = add_mod(a.parts[0], self.ring.scale_plaintext(pt.poly), self.ring.q_arr)
-        return Ciphertext(a.params_fingerprint, a.level, (c0,) + a.parts[1:])
+        return Ciphertext(a.params_fingerprint, a.level, (c0, a.parts[1]))
 
     def sub_pt(self, a: Ciphertext, pt: PackedPlaintext) -> Ciphertext:
         self._check_fp(a.params_fingerprint)
         self._check_fp(pt.params.fingerprint)
         c0 = sub_mod(a.parts[0], self.ring.scale_plaintext(pt.poly), self.ring.q_arr)
-        return Ciphertext(a.params_fingerprint, a.level, (c0,) + a.parts[1:])
+        return Ciphertext(a.params_fingerprint, a.level, (c0, a.parts[1]))
 
     def mul_pt(self, a: Ciphertext, pt: PackedPlaintext) -> Ciphertext:
         self._check_fp(a.params_fingerprint)
@@ -413,8 +403,6 @@ class HeBackend(SlotSumMixin):
         self._check_fp(ek.fingerprint)
         if a.level < 1 or b.level < 1:
             raise DepthExhaustedError("no multiplicative depth remaining")
-        if len(a.parts) != 2 or len(b.parts) != 2:
-            raise ParamError("mul_ct expects relinearized 2-part inputs")
         ring = self.ring
         wide_primes, plan_w, garner_w = ring.wide_basis()
 
@@ -465,8 +453,6 @@ class HeBackend(SlotSumMixin):
         return self._apply_galois(a, self.ring.row_swap_element, ek.row_swap)
 
     def _apply_galois(self, a: Ciphertext, g: int, key: KeySwitchKey) -> Ciphertext:
-        if len(a.parts) != 2:
-            raise ParamError("rotation expects a relinearized 2-part ciphertext")
         ring = self.ring
         c0 = ring.apply_automorphism(a.parts[0], g)
         c1 = ring.apply_automorphism(a.parts[1], g)

@@ -1,24 +1,24 @@
-"""Binary containers for keys, plaintexts, and ciphertexts.
+"""Binary containers for keys and ciphertexts.
 
-Layout: magic ``HEGR``, version byte, type-tag byte, the 32-byte params
+Layout: magic ``HEGR``, version byte (2), type-tag byte, the 32-byte params
 fingerprint, then a stream of little-endian 64-bit words.  Every polynomial
 is written as its residue limbs in (prime-index-major, coefficient-minor)
 order.  Word streams per type:
 
-* plaintext  : part count (=1), N coefficient limbs mod t
-* ciphertext : part count, level, then per part K*N limbs
+* ciphertext : part count (=2), level, then per part K*N limbs
 * secret key : part count (=1), K*N limbs (coefficient domain)
 * public key : part count (=2), 2 * K*N limbs (NTT domain, as held in memory)
 * eval keys  : digit count K; relin digits (K * 2 polys); Galois entry count,
-  then per entry the effective step followed by K * 2 polys (sorted by step);
-  a row-swap flag and its K * 2 polys when present; finally the declared
-  rotation-step list (two's-complement words).
+  then per entry the effective step followed by K * 2 polys, in strictly
+  increasing step order; a row-swap flag (0 or 1) and, when 1, its K * 2
+  polys.
 
 Deserialization always validates the fingerprint against the caller's
-parameters and fails on truncation, bad magic, or version mismatch.  Every
-residue limb must lie below its row's prime, every plaintext coefficient
-below t, and a ciphertext level at most the depth budget, so no
-out-of-range word reaches the arithmetic.
+parameters and fails on truncation, bad magic, or version mismatch (so a
+container written by another version is refused, not misread).  Every
+residue limb must lie below its row's prime, a ciphertext level at most the
+depth budget, and every Galois step in (0, N/2), so no out-of-range word
+reaches the arithmetic.
 """
 
 from __future__ import annotations
@@ -27,18 +27,15 @@ import numpy as np
 
 from .errors import FingerprintMismatchError, SerializationError
 from .params import HeParams
-from .scheme import Ciphertext, EvalKeys, PackedPlaintext, PublicKey, SecretKey
+from .scheme import Ciphertext, EvalKeys, PublicKey, SecretKey
 
 MAGIC = b"HEGR"
-VERSION = 1
+VERSION = 2
 
-TAG_PLAINTEXT = 1
 TAG_CIPHERTEXT = 2
 TAG_SECRET_KEY = 3
 TAG_PUBLIC_KEY = 4
 TAG_EVAL_KEYS = 5
-
-_U64_MAX = (1 << 64) - 1
 
 
 def _header(tag: int, fingerprint: bytes) -> bytearray:
@@ -94,35 +91,9 @@ class _Reader:
             raise SerializationError("residue limb not below its coefficient prime")
         return poly.astype(np.uint64, copy=False)
 
-    def plaintext_poly(self) -> np.ndarray:
-        """N plaintext coefficients, each below t."""
-        poly = self.words(self._params.ring_degree)
-        if (poly >= np.uint64(self._params.plaintext_modulus)).any():
-            raise SerializationError("plaintext coefficient not below t")
-        return poly.astype(np.uint64, copy=False)
-
     def finish(self) -> None:
         if self._pos != len(self._view):
             raise SerializationError("trailing bytes after container payload")
-
-
-# -- plaintext ---------------------------------------------------------------
-
-
-def serialize_plaintext(pt: PackedPlaintext) -> bytes:
-    out = _header(TAG_PLAINTEXT, pt.params.fingerprint)
-    out += _words([1])
-    out += _poly_bytes(pt.poly)
-    return bytes(out)
-
-
-def deserialize_plaintext(data: bytes, params: HeParams) -> PackedPlaintext:
-    r = _Reader(data, TAG_PLAINTEXT, params)
-    if r.u64() != 1:
-        raise SerializationError("plaintext container must hold one part")
-    poly = r.plaintext_poly()
-    r.finish()
-    return PackedPlaintext(params, poly)
 
 
 # -- ciphertext ----------------------------------------------------------------
@@ -139,14 +110,14 @@ def serialize_ciphertext(ct: Ciphertext) -> bytes:
 def deserialize_ciphertext(data: bytes, params: HeParams) -> Ciphertext:
     r = _Reader(data, TAG_CIPHERTEXT, params)
     count = r.u64()
-    if not 2 <= count <= 3:
-        raise SerializationError(f"ciphertext part count {count} out of range")
+    if count != 2:
+        raise SerializationError(f"ciphertext must hold 2 parts, container holds {count}")
     level = r.u64()
     if level > params.depth_budget:
         raise SerializationError(
             f"ciphertext level {level} exceeds the depth budget {params.depth_budget}"
         )
-    parts = tuple(r.rns_poly() for _ in range(count))
+    parts = (r.rns_poly(), r.rns_poly())
     r.finish()
     return Ciphertext(params.fingerprint, level, parts)
 
@@ -211,8 +182,6 @@ def serialize_eval_keys(ek: EvalKeys) -> bytes:
     out += _words([1 if ek.row_swap is not None else 0])
     if ek.row_swap is not None:
         _write_ksk(out, ek.row_swap)
-    out += _words([len(ek.declared_steps)])
-    out += _words([s & _U64_MAX for s in ek.declared_steps])
     return bytes(out)
 
 
@@ -224,14 +193,19 @@ def deserialize_eval_keys(data: bytes, params: HeParams) -> EvalKeys:
         raise SerializationError(f"eval keys carry {digits} digits, parameters need {k}")
     relin = _read_ksk(r, digits)
     galois = {}
+    previous = 0
     for _ in range(r.u64()):
         step = r.u64()
+        if not previous < step < params.rotation_group_size:
+            raise SerializationError(
+                f"Galois step {step} is not above {previous} and below "
+                f"{params.rotation_group_size}"
+            )
         galois[step] = _read_ksk(r, digits)
-    row_swap = _read_ksk(r, digits) if r.u64() else None
-    declared = []
-    count = r.u64()
-    for w in r.words(count):
-        w = int(w)
-        declared.append(w - (1 << 64) if w >= (1 << 63) else w)
+        previous = step
+    flag = r.u64()
+    if flag > 1:
+        raise SerializationError(f"row-swap flag {flag} is neither 0 nor 1")
+    row_swap = _read_ksk(r, digits) if flag else None
     r.finish()
-    return EvalKeys(params, relin, galois, row_swap, tuple(declared))
+    return EvalKeys(params, relin, galois, row_swap)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compare import compare_clear, encode_feature, encode_ones
+from .compare import encode_ones
 from .errors import ModelFormatError
 
 
@@ -136,25 +136,6 @@ class NodeStreams:
     root: object
     left: object
     right: object
-
-
-def tree_z_bits(tree: Depth2Tree, sample) -> tuple[int, int, int]:
-    """Comparison bits of one tree on a ternary sample vector."""
-    return tuple(
-        compare_clear(encode_feature(int(sample[f])), y)
-        for f, y in zip(tree.features, tree.splits)
-    )
-
-
-def ensemble_scores_clear(ens: Ensemble, sample) -> np.ndarray:
-    """Fixed-point class sums by routing each tree to its leaf (reference path)."""
-    scores = np.zeros(ens.num_classes, dtype=np.int64)
-    for c in range(ens.num_classes):
-        total = 0
-        for tree in ens.class_trees(c):
-            total += tree.leaves[route_leaf(tree_z_bits(tree, sample))]
-        scores[c] = total
-    return scores
 
 
 def tree_scores_encrypted(backend, zs: NodeStreams, l_streams, ek):

@@ -267,6 +267,55 @@ def test_unreadable_manifest_exits_format(workspace, xgb_scores, tmp_path, conte
     assert main(argv) == EXIT_FORMAT
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda d: {"tree_features": [[-1, 0, 0]] + d["tree_features"][1:]},
+                     id="feature-minus-one"),
+        pytest.param(lambda d: {"tree_features": [[d["features"], 0, 0]] + d["tree_features"][1:]},
+                     id="feature-equal-features"),
+        pytest.param(lambda d: {"tree_features": [[0, 0]] + d["tree_features"][1:]},
+                     id="tree-of-two-features"),
+        pytest.param(lambda d: {"tree_features": d["tree_features"][:-1]}, id="tree-count"),
+        pytest.param(lambda d: {"trees_per_class": 3, "tree_features": d["tree_features"][:9]},
+                     id="trees_per_class-3"),
+        pytest.param(lambda d: {"trees_per_class": 512, "tree_features": [[0, 0, 0]] * 3 * 512},
+                     id="trees_per_class-above-slots"),
+        pytest.param(lambda d: {"svm_features": 0}, id="svm_features-0"),
+        pytest.param(lambda d: {"svm_features": -5}, id="svm_features-negative"),
+        pytest.param(lambda d: {"svm_features": d["slot_count"] + 1}, id="svm_features-above-slots"),
+        pytest.param(lambda d: {"svm_features": True}, id="bool-count"),
+        pytest.param(lambda d: {"features": float(d["features"])}, id="float-count"),
+    ],
+)
+def test_hostile_layout_exits_format(workspace, tmp_path, edit):
+    base = workspace["base"]
+    doc = json.loads((base / "layout.json").read_text())
+    assert (doc["slot_count"], doc["classes"], doc["trees_per_class"]) == (256, 3, 8)
+    doc.update(edit(doc))
+    (tmp_path / "layout.json").write_text(json.dumps(doc))
+    argv = ["encrypt", "--model-layout", str(tmp_path / "layout.json"),
+            "--data", str(base / "data.csv"), "--labeled", "--keys", str(workspace["keydir"]),
+            "--out", str(tmp_path / "enc")]
+    assert main(argv) == EXIT_FORMAT
+
+
+@pytest.mark.parametrize(
+    "key, line",
+    [("preset", "preset=caf\u00e9"), ("N", "N=abc"), ("primes", "primes="), ("depth", "depth=x")],
+    ids=["non-ascii", "N-abc", "primes-empty", "depth-x"],
+)
+def test_bad_params_file_exits_format(workspace, tmp_path, key, line):
+    keys = tmp_path / "keys"
+    shutil.copytree(workspace["keydir"], keys)
+    text = (keys / "params.txt").read_text(encoding="ascii")
+    lines = [line if old.startswith(key + "=") else old for old in text.splitlines()]
+    (keys / "params.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["layout", "--model", str(workspace["base"] / "ensemble.json"), "--keys", str(keys),
+            "--out", str(tmp_path / "layout.json")]
+    assert main(argv) == EXIT_FORMAT
+
+
 def test_noise_exhaustion_exits_crypto(tmp_path):
     # parameters far too small for the depth-2 circuit: decrypt must refuse
     params = make_test_params(64, num_primes=4, depth_budget=2)

@@ -1,0 +1,99 @@
+"""Hypothesis fuzz of the exchange-file loaders: every input either loads or
+raises a HedgerowError (which the CLI maps to exit 3 or 4)."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hedgerow import HedgerowError, make_test_params, serial
+from hedgerow.modelio import FeatureLayout, load_layout, pack_client_input
+from hedgerow.scheme import HeBackend
+
+FUZZ = settings(max_examples=200, derandomize=True, deadline=None)
+
+VALID_LAYOUT = {
+    "slot_count": 8,
+    "classes": 2,
+    "trees_per_class": 2,
+    "features": 5,
+    "svm_features": 4,
+    "tree_features": [[0, 1, 2], [3, 4, 0], [1, 1, 1], [4, 3, 2]],
+}
+
+# small ints so that a layout that loads can also be packed
+_ints = st.integers(-2, 12)
+_non_ints = st.one_of(
+    st.booleans(), st.floats(), st.none(), st.text(max_size=2), st.lists(_ints, max_size=3)
+)
+_values = st.one_of(_ints, _non_ints)
+_trees = st.lists(st.lists(_values, min_size=2, max_size=4), max_size=10)
+
+
+@st.composite
+def layout_docs(draw):
+    """The valid layout with any of its fields or tree entries replaced,
+    a field dropped, or no JSON object at all."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(_values)
+    doc = {key: value for key, value in VALID_LAYOUT.items() if key != "tree_features"}
+    doc["tree_features"] = [list(t) for t in VALID_LAYOUT["tree_features"]]
+    for tree in doc["tree_features"]:
+        if draw(st.booleans()):
+            tree[draw(st.integers(0, 2))] = draw(_values)
+    for key in VALID_LAYOUT:
+        if draw(st.booleans()):
+            doc[key] = draw(st.one_of(_values, _trees) if key == "tree_features" else _values)
+    if draw(st.integers(0, 9)) == 0:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def layout_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "layout.json"
+
+
+@FUZZ
+@given(doc=layout_docs())
+def test_load_layout_loads_or_refuses(layout_path, doc):
+    layout_path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        layout = load_layout(layout_path)
+    except HedgerowError:
+        return
+    assert isinstance(layout, FeatureLayout)
+    bundle = pack_client_input(np.ones(max(layout.num_features, layout.svm_features)), layout)
+    assert len(bundle.xgb_planes) == layout.num_blocks
+
+
+@pytest.fixture(scope="module")
+def blobs():
+    params = make_test_params(16, num_primes=2, depth_budget=1)
+    be = HeBackend(params)
+    _, pk, ek = be.keygen(seed=3)
+    ct = be.encrypt(pk, be.encode([1, -1, 0, 1]), seed=4)
+    return params, {
+        "ciphertext": (serial.serialize_ciphertext(ct), serial.deserialize_ciphertext),
+        "eval_keys": (serial.serialize_eval_keys(ek), serial.deserialize_eval_keys),
+    }
+
+
+@pytest.mark.parametrize("kind", ["ciphertext", "eval_keys"])
+@FUZZ
+@given(data=st.data())
+def test_container_damage_loads_or_refuses(blobs, kind, data):
+    params, table = blobs
+    blob, load = table[kind]
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    else:
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        damaged = blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:]
+    try:
+        load(damaged, params)
+    except HedgerowError:
+        pass

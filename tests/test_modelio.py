@@ -25,7 +25,12 @@ from hedgerow.modelio import (
     save_svm,
 )
 from hedgerow.compare import encode_feature
-from hedgerow.trees import ensemble_scores_clear
+from hedgerow.pipeline import (
+    decrypt_class_scores,
+    encrypt_bundle,
+    infer_xgb_sample,
+    model_plane_plaintexts,
+)
 
 
 def write_ensemble_json(path, classes, k, trees, scale_bits=20, features=None):
@@ -318,9 +323,14 @@ def test_gen_synthetic_thresholds_admissible():
         assert all(y in (0, 1) for y in tree.splits)
 
 
-def test_batch_scores_match_scalar_path(rng):
+def test_batch_scores_match_scalar_path(rng, params256, clear256, clear_keys256):
+    # oracle: the slot circuit itself, run sample by sample on the clear mirror
+    csk, cpk, cek = clear_keys256
     ens, _, ds = gen_synthetic(seed=8, s=4, k=8, d=32, n_samples=20)
-    ternary = normalize_samples(ds.samples)
-    batch = ensemble_scores_clear_batch(ens, ternary)
+    layout = build_layout(ens, params256.slot_count)
+    pts = model_plane_plaintexts(clear256, ensemble_slot_streams(ens, layout))
+    batch = ensemble_scores_clear_batch(ens, normalize_samples(ds.samples))
     for i in range(ds.num_samples):
-        assert np.array_equal(batch[i], ensemble_scores_clear(ens, ternary[i]))
+        cts = encrypt_bundle(clear256, cpk, pack_client_input(ds.samples[i], layout), seed=i)
+        out = infer_xgb_sample(clear256, cts["xgb"], pts, layout, cek)
+        assert np.array_equal(batch[i], decrypt_class_scores(clear256, csk, out, layout))

@@ -17,14 +17,6 @@ def setup(params64):
     return be, sk, pk, ek, pt, ct
 
 
-def test_plaintext_roundtrip_byte_identical(setup, params64):
-    be, *_, pt, _ = setup
-    blob = serial.serialize_plaintext(pt)
-    again = serial.deserialize_plaintext(blob, params64)
-    assert serial.serialize_plaintext(again) == blob
-    assert np.array_equal(again.poly, pt.poly)
-
-
 def test_ciphertext_roundtrip_and_decrypt(setup, params64):
     be, sk, _, _, pt, ct = setup
     blob = serial.serialize_ciphertext(ct)
@@ -56,7 +48,6 @@ def test_eval_keys_roundtrip_usable(setup, params64):
     blob = serial.serialize_eval_keys(ek)
     again = serial.deserialize_eval_keys(blob, params64)
     assert serial.serialize_eval_keys(again) == blob
-    assert again.declared_steps == ek.declared_steps
     a = be.encrypt(pk, be.encode([1, 2, 3]), seed=5)
     b = be.encrypt(pk, be.encode([2, 2, 2]), seed=6)
     out = be.decode(be.decrypt(sk, be.mul_ct(a, b, again)))
@@ -92,8 +83,8 @@ def test_bad_magic_and_version(setup, params64):
 
 
 def test_wrong_type_tag_raises(setup, params64):
-    *_, pt, _ = setup
-    blob = serial.serialize_plaintext(pt)
+    _, _, pk, *_ = setup
+    blob = serial.serialize_public_key(pk)
     with pytest.raises(SerializationError):
         serial.deserialize_ciphertext(blob, params64)
 
@@ -114,17 +105,37 @@ def test_limb_above_its_prime_raises(setup, params64):
         serial.deserialize_ciphertext(bytes(blob), params64)
 
 
-def test_plaintext_word_not_below_t_raises(setup, params64):
-    *_, pt, _ = setup
-    blob = bytearray(serial.serialize_plaintext(pt))
-    blob[-8:] = params64.plaintext_modulus.to_bytes(8, "little")
-    with pytest.raises(SerializationError):
-        serial.deserialize_plaintext(bytes(blob), params64)
-
-
 def test_level_above_depth_budget_raises(setup, params64):
     *_, ct = setup
     blob = bytearray(serial.serialize_ciphertext(ct))
     blob[46:54] = (99).to_bytes(8, "little")  # header (38) + part count (8)
     with pytest.raises(SerializationError):
         serial.deserialize_ciphertext(bytes(blob), params64)
+
+
+def test_three_part_ciphertext_raises(setup, params64):
+    *_, ct = setup
+    blob = bytearray(serial.serialize_ciphertext(ct))
+    blob[38:46] = (3).to_bytes(8, "little")  # part count, after the header
+    blob += blob[-len(ct.parts[1].tobytes()):]  # a third part, limbs in range
+    with pytest.raises(SerializationError):
+        serial.deserialize_ciphertext(bytes(blob), params64)
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [(0, 0), (1, 1), (2, 1), (4, 32), ("swap", 2)],
+    ids=["step-zero", "step-duplicate", "step-decreasing", "step-row-size", "swap-flag-2"],
+)
+def test_bad_galois_entry_raises(setup, params64, entry, value):
+    *_, ek, _, _ = setup
+    blob = serial.serialize_eval_keys(ek)
+    k = len(params64.coeff_modulus)
+    ksk_bytes = k * 2 * k * params64.ring_degree * 8  # K digits of two (K, N) polys
+    first = 38 + 8 + ksk_bytes + 8  # header, digit count, relin key, entry count
+    offset = first + (len(ek.galois) if entry == "swap" else entry) * (8 + ksk_bytes)
+    expected = 1 if entry == "swap" else sorted(ek.galois)[entry]  # steps 1..16; N/2 = 32
+    assert int.from_bytes(blob[offset:offset + 8], "little") == expected
+    bad = blob[:offset] + value.to_bytes(8, "little") + blob[offset + 8:]
+    with pytest.raises(SerializationError):
+        serial.deserialize_eval_keys(bad, params64)

@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 
 from hedgerow import ModelFormatError
+from hedgerow.modelio import ensemble_scores_clear_batch
 from hedgerow.trees import (
     Depth2Tree,
     Ensemble,
     NodeStreams,
     class_sums,
-    ensemble_scores_clear,
     path_score_clear,
     predict_class,
     route_leaf,
     transform_leaves,
     tree_score_clear,
     tree_scores_encrypted,
-    tree_z_bits,
 )
 
 ALL_Z = list(itertools.product((0, 1), repeat=3))
@@ -134,17 +133,12 @@ def test_ensemble_validation():
     assert ens.quant_scale == 1 << 20
 
 
-def test_tree_z_bits_against_direct_comparison():
-    tree = Depth2Tree((0, 1, 2), (1, 0, 1), (5, 6, 7, 8))
-    # features: -1 < -0.5 -> 1; 0 < 0.5 -> 1; 1 < -0.5 -> 0
-    assert tree_z_bits(tree, [-1, 0, 1]) == (1, 1, 0)
-
-
 def test_ensemble_scores_clear_single_tree():
     tree = Depth2Tree((0, 1, 2), (1, 0, 1), (5, 6, 7, 8))
     ens = Ensemble(1, 1, 3, 20, (tree,))
+    # features: -1 < -0.5 -> 1; 0 < 0.5 -> 1; 1 < -0.5 -> 0
     # z = (1,1,0) routes to c1 = 5
-    assert ensemble_scores_clear(ens, [-1, 0, 1])[0] == 5
+    assert ensemble_scores_clear_batch(ens, np.array([[-1, 0, 1]]))[0, 0] == 5
 
 
 # ---------------------------------------------------------------------------
