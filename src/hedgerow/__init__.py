@@ -11,10 +11,12 @@ from .errors import (
     SerializationError,
 )
 from .params import HeParams, gen_params, load_params, make_test_params, save_params
-from .scheme import Ciphertext, EvalKeys, HeBackend, PackedPlaintext, PublicKey, SecretKey, keygen
+from .scheme import Backend, Ciphertext, EvalKeys, HeBackend, PackedPlaintext, PublicKey
+from .scheme import SecretKey, keygen
 from .clear import ClearBackend, CountingBackend
 
 __all__ = [
+    "Backend",
     "Ciphertext",
     "ClearBackend",
     "CountingBackend",

@@ -2,9 +2,10 @@
 
 Every operation on :class:`HeBackend` exists here with the same signature
 and the same slot semantics mod t, so circuit code runs unchanged on either
-backend and the decoded outputs can be compared exactly.  Levels, parameter
-fingerprints, and Galois-key availability are tracked identically so error
-behaviour mirrors the encrypted side too.
+backend and the decoded outputs can be compared exactly.  Both subclass
+:class:`scheme.Backend`, which holds the fingerprint, slot-vector, depth
+and Galois-key rules once, so levels and errors match by construction.
+The mirror's secret and public keys are plain :class:`scheme.ParamsKey`.
 """
 
 from __future__ import annotations
@@ -13,15 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DepthExhaustedError,
-    FingerprintMismatchError,
-    MissingGaloisKeyError,
-    ParamError,
-)
 from .ntt import add_mod, mul_mod, sub_mod
 from .params import HeParams
-from .scheme import SlotSumMixin, default_rotation_steps
+from .scheme import Backend, ParamsKey, default_rotation_steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,38 +33,13 @@ class ClearCiphertext:
 
 
 @dataclass(frozen=True, eq=False)
-class ClearSecretKey:
-    params: HeParams
-
-    @property
-    def fingerprint(self) -> bytes:
-        return self.params.fingerprint
+class ClearEvalKeys(ParamsKey):
+    galois: frozenset  # effective steps (0 < step < N/2) with a key
+    row_swap: bool = True
 
 
-@dataclass(frozen=True, eq=False)
-class ClearPublicKey:
-    params: HeParams
-
-    @property
-    def fingerprint(self) -> bytes:
-        return self.params.fingerprint
-
-
-@dataclass(frozen=True, eq=False)
-class ClearEvalKeys:
-    params: HeParams
-    galois_steps: frozenset
-    has_row_swap: bool = True
-
-    @property
-    def fingerprint(self) -> bytes:
-        return self.params.fingerprint
-
-
-class ClearBackend(SlotSumMixin):
+class ClearBackend(Backend):
     """Slot-vector evaluation with the HeBackend operation contract."""
-
-    is_encrypted = False
 
     def __init__(self, params: HeParams):
         self.params = params
@@ -77,41 +47,28 @@ class ClearBackend(SlotSumMixin):
         self.row = params.rotation_group_size
 
     def encode(self, values) -> ClearPlaintext:
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ParamError("encode expects a 1-d vector")
-        if arr.size > self.params.slot_count:
-            raise ParamError(
-                f"vector of length {arr.size} exceeds {self.params.slot_count} slots"
-            )
-        slots = np.zeros(self.params.slot_count, dtype=np.uint64)
-        slots[: arr.size] = (arr % np.int64(self.params.plaintext_modulus)).astype(np.uint64)
-        return ClearPlaintext(self.params, slots)
-
-    def decode(self, pt: ClearPlaintext) -> np.ndarray:
-        return pt.slots.copy()
+        return ClearPlaintext(self.params, self._slot_vector(values))
 
     def keygen(self, seed, rotation_steps: tuple[int, ...] | None = None):
+        """(secret, public, eval) keys; the first two are the same ParamsKey."""
         if rotation_steps is None:
             rotation_steps = default_rotation_steps(self.params)
+        key = ParamsKey(self.params)
         effective = frozenset(s % self.row for s in rotation_steps) - {0}
-        sk = ClearSecretKey(self.params)
-        pk = ClearPublicKey(self.params)
-        ek = ClearEvalKeys(self.params, effective)
-        return sk, pk, ek
+        return key, key, ClearEvalKeys(self.params, effective)
 
-    def encrypt(self, pk: ClearPublicKey, pt: ClearPlaintext, seed=None) -> ClearCiphertext:
+    def encrypt(self, pk: ParamsKey, pt: ClearPlaintext, seed=None) -> ClearCiphertext:
         self._check_fp(pk.fingerprint)
         return ClearCiphertext(
             self.params.fingerprint, self.params.depth_budget, pt.slots.copy()
         )
 
-    def decrypt(self, sk: ClearSecretKey, ct: ClearCiphertext) -> ClearPlaintext:
+    def decrypt(self, sk: ParamsKey, ct: ClearCiphertext) -> ClearPlaintext:
         self._check_fp(sk.fingerprint)
         self._check_fp(ct.params_fingerprint)
         return ClearPlaintext(self.params, ct.slots.copy())
 
-    def noise_budget(self, sk: ClearSecretKey, ct: ClearCiphertext) -> int:
+    def noise_budget(self, sk: ParamsKey, ct: ClearCiphertext) -> int:
         # the mirror carries no noise; report the fresh-ciphertext cap
         return self.params.coeff_modulus_product.bit_length() - 1
 
@@ -134,58 +91,32 @@ class ClearBackend(SlotSumMixin):
         )
 
     def add_pt(self, a: ClearCiphertext, pt: ClearPlaintext) -> ClearCiphertext:
-        self._check_fp(a.params_fingerprint)
-        self._check_fp(pt.params.fingerprint)
+        self._check_pt(a, pt)
         return ClearCiphertext(a.params_fingerprint, a.level, add_mod(a.slots, pt.slots, self.t))
 
     def sub_pt(self, a: ClearCiphertext, pt: ClearPlaintext) -> ClearCiphertext:
-        self._check_fp(a.params_fingerprint)
-        self._check_fp(pt.params.fingerprint)
+        self._check_pt(a, pt)
         return ClearCiphertext(a.params_fingerprint, a.level, sub_mod(a.slots, pt.slots, self.t))
 
     def mul_pt(self, a: ClearCiphertext, pt: ClearPlaintext) -> ClearCiphertext:
-        self._check_fp(a.params_fingerprint)
-        self._check_fp(pt.params.fingerprint)
+        self._check_pt(a, pt)
         return ClearCiphertext(a.params_fingerprint, a.level, mul_mod(a.slots, pt.slots, self.t))
 
     def mul_ct(self, a: ClearCiphertext, b: ClearCiphertext, ek: ClearEvalKeys) -> ClearCiphertext:
-        self._check_pair(a, b)
-        self._check_fp(ek.fingerprint)
-        if a.level < 1 or b.level < 1:
-            raise DepthExhaustedError("no multiplicative depth remaining")
-        return ClearCiphertext(
-            a.params_fingerprint,
-            min(a.level, b.level) - 1,
-            mul_mod(a.slots, b.slots, self.t),
-        )
+        level = self._product_level(a, b, ek)
+        return ClearCiphertext(a.params_fingerprint, level, mul_mod(a.slots, b.slots, self.t))
 
     def rotate(self, a: ClearCiphertext, steps: int, ek: ClearEvalKeys) -> ClearCiphertext:
-        self._check_fp(a.params_fingerprint)
-        self._check_fp(ek.fingerprint)
-        eff = steps % self.row
+        eff = self._rotation_step(a, steps, ek)
         if eff == 0:
             return a
-        if eff not in ek.galois_steps:
-            raise MissingGaloisKeyError(f"no Galois key for rotation step {steps}")
         rows = a.slots.reshape(2, self.row)
         return ClearCiphertext(a.params_fingerprint, a.level, np.roll(rows, -eff, axis=1).reshape(-1))
 
     def swap_rows(self, a: ClearCiphertext, ek: ClearEvalKeys) -> ClearCiphertext:
-        self._check_fp(a.params_fingerprint)
-        self._check_fp(ek.fingerprint)
-        if not ek.has_row_swap:
-            raise MissingGaloisKeyError("no Galois key for the row swap")
+        self._check_row_swap(a, ek)
         rows = a.slots.reshape(2, self.row)
         return ClearCiphertext(a.params_fingerprint, a.level, rows[::-1].reshape(-1).copy())
-
-    def _check_fp(self, fingerprint: bytes) -> None:
-        if fingerprint != self.params.fingerprint:
-            raise FingerprintMismatchError("object belongs to different parameters")
-
-    def _check_pair(self, a, b) -> None:
-        self._check_fp(a.params_fingerprint)
-        if a.params_fingerprint != b.params_fingerprint:
-            raise FingerprintMismatchError("operands belong to different parameters")
 
 
 @dataclass
@@ -204,11 +135,12 @@ class OpCounts:
         self.counts.clear()
 
 
-class CountingBackend(SlotSumMixin):
+class CountingBackend:
     """Backend wrapper tallying primitive-operation calls.
 
-    ``sum_slots`` comes from the shared mixin, so its internal rotations and
-    additions are counted like any direct call.
+    It takes only ``sum_slots`` from :class:`Backend`, so the rotations and
+    additions inside it are counted like any direct call; any other op is
+    passed through to the inner backend and counted once, as itself.
     """
 
     _COUNTED = (
@@ -225,10 +157,11 @@ class CountingBackend(SlotSumMixin):
         "swap_rows",
     )
 
+    sum_slots = Backend.sum_slots
+
     def __init__(self, inner):
         self.inner = inner
         self.params = inner.params
-        self.is_encrypted = inner.is_encrypted
         self.ops = OpCounts()
 
     def __getattr__(self, name):

@@ -104,9 +104,33 @@ def load_dataset(path, labeled: bool = False) -> Dataset:
 def read_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise ModelFormatError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{path}: expected a JSON object")
+    return doc
+
+
+def is_int(value) -> bool:
+    """A JSON integer.  ``json`` loads true/false as bool, a subclass of
+    int, so ``isinstance`` would let them through."""
+    return type(value) is int
+
+
+def _reals(values, what: str, scale: int = 1) -> np.ndarray:
+    """A JSON list of numbers (never a bool or a string) times ``scale`` as
+    float64; every product must be finite."""
+    if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+        raise ModelFormatError(f"{what} must be a list of numbers")
+    try:
+        with np.errstate(over="ignore"):
+            arr = np.array(values, dtype=np.float64) * scale
+    except OverflowError as exc:
+        raise ModelFormatError(f"{what}: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise ModelFormatError(f"{what} must stay finite when scaled by {scale}")
+    return arr
 
 
 def load_ensemble(path, plaintext_modulus: int | None = None) -> Ensemble:
@@ -117,13 +141,12 @@ def load_ensemble(path, plaintext_modulus: int | None = None) -> Ensemble:
     modulus given, rejects models whose class sums could wrap.
     """
     doc = read_json(path)
-    try:
-        classes = int(doc["classes"])
-        k_raw = int(doc["trees_per_class"])
-        scale_bits = int(doc["scale_bits"])
-        raw_trees = doc["trees"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"ensemble file missing field: {exc}") from exc
+    classes, k_raw, scale_bits = (doc.get(k) for k in ("classes", "trees_per_class", "scale_bits"))
+    raw_trees = doc.get("trees")
+    if not all(map(is_int, (classes, k_raw, scale_bits))):
+        raise ModelFormatError("ensemble classes, trees_per_class and scale_bits must be integers")
+    if not (isinstance(raw_trees, list) and all(isinstance(e, dict) for e in raw_trees)):
+        raise ModelFormatError("ensemble trees must be a list of objects")
     if classes < 1 or k_raw < 1:
         raise ModelFormatError("ensemble needs positive class and tree counts")
     if not 0 <= scale_bits <= MAX_SCALE_BITS:
@@ -140,21 +163,21 @@ def load_ensemble(path, plaintext_modulus: int | None = None) -> Ensemble:
     for c in range(classes):
         for j in range(k_raw):
             entry = raw_trees[c * k_raw + j]
-            try:
-                feats = tuple(int(f) for f in entry["feat"])
-                thresh = tuple(float(v) for v in entry["thresh"])
-                leaves = tuple(float(v) for v in entry["leaves"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ModelFormatError(f"malformed tree entry: {exc}") from exc
-            splits = tuple(encode_split(v) for v in thresh)
-            quantized = tuple(int(np.round(v * scale)) for v in leaves)
-            max_feature = max(max_feature, *feats)
-            trees.append(Depth2Tree(feats, splits, quantized))
+            feats = entry.get("feat")
+            if not (isinstance(feats, list) and all(map(is_int, feats))):
+                raise ModelFormatError(f"tree feature indices must be integers, got {feats!r}")
+            splits = tuple(encode_split(v) for v in _reals(entry.get("thresh"), "thresholds"))
+            leaves = _reals(entry.get("leaves"), "leaves", scale)
+            tree = Depth2Tree(tuple(feats), splits, tuple(int(np.round(v)) for v in leaves))
+            max_feature = max(max_feature, *tree.features)
+            trees.append(tree)
         trees.extend(
             Depth2Tree((0, 0, 0), (0, 0, 0), (0, 0, 0, 0)) for _ in range(k_padded - k_raw)
         )
 
-    num_features = int(doc.get("features", max_feature + 1))
+    num_features = doc.get("features", max_feature + 1)
+    if not is_int(num_features):
+        raise ModelFormatError(f"ensemble features={num_features!r} is not an integer")
     if num_features <= max_feature:
         raise ModelFormatError(
             f"feature count {num_features} below max used index {max_feature}"
@@ -194,15 +217,15 @@ def save_ensemble(ens: Ensemble, path) -> None:
 
 def load_svm(path, plaintext_modulus: int | None = None) -> SvmModel:
     doc = read_json(path)
-    try:
-        classes = int(doc["classes"])
-        features = int(doc["features"])
-        scale_bits = int(doc["scale_bits"])
-        weights = np.asarray(doc["weights"], dtype=np.float64).reshape(classes, features)
-        bias = np.asarray(doc["bias"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed SVM file: {exc}") from exc
-    return quantize_model(weights, bias, scale_bits, plaintext_modulus)
+    classes, features, scale_bits = (doc.get(k) for k in ("classes", "features", "scale_bits"))
+    if not all(map(is_int, (classes, features, scale_bits))) or classes < 1 or features < 1:
+        raise ModelFormatError("SVM classes and features must be positive integers, "
+                               "scale_bits an integer")
+    weights = _reals(doc.get("weights"), "SVM weights")
+    if weights.size != classes * features:
+        raise ModelFormatError(f"expected {classes * features} weights, file holds {weights.size}")
+    bias = _reals(doc.get("bias"), "SVM bias")
+    return quantize_model(weights.reshape(classes, features), bias, scale_bits, plaintext_modulus)
 
 
 def save_svm(model: SvmModel, path) -> None:
@@ -328,15 +351,12 @@ def save_layout(layout: FeatureLayout, path) -> None:
 
 def load_layout(path) -> FeatureLayout:
     doc = read_json(path)
-    try:
-        counts = {name: doc[key] for key, name in _LAYOUT_COUNTS.items()}
-        trees = doc["tree_features"]
-    except (KeyError, TypeError) as exc:
-        raise ModelFormatError(f"malformed layout file: {exc!r}") from exc
+    counts = {name: doc.get(key) for key, name in _LAYOUT_COUNTS.items()}
+    trees = doc.get("tree_features")
     if not (
-        all(type(v) is int for v in counts.values())
+        all(map(is_int, counts.values()))
         and isinstance(trees, list)
-        and all(isinstance(t, list) and all(type(f) is int for f in t) for t in trees)
+        and all(isinstance(t, list) and all(map(is_int, t)) for t in trees)
     ):
         raise ModelFormatError("layout counts and feature indices must be integers")
     return FeatureLayout(**counts, tree_features=tuple(tuple(t) for t in trees))

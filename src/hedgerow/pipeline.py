@@ -31,7 +31,7 @@ import numpy as np
 
 from . import serial
 from .compare import compare_encrypted, compare_encrypted_model
-from .errors import ModelFormatError, NoiseBudgetError
+from .errors import ModelFormatError
 from .metrics import accuracy, micro_auc
 from .modelio import (
     STREAMS,
@@ -40,6 +40,7 @@ from .modelio import (
     build_layout,
     ensemble_slot_streams,
     gen_synthetic,
+    is_int,
     load_ensemble,
     load_svm,
     pack_client_input,
@@ -307,16 +308,14 @@ def read_manifest(directory, counts: tuple[str, ...], slot_count: int) -> dict:
     manifest's mode, scale and class positions are checked too."""
     path = Path(directory) / MANIFEST_FILE
     doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"{path}: expected a JSON object")
     for key in counts:
-        if type(doc.get(key)) is not int or doc[key] < 0:
+        if not is_int(doc.get(key)) or doc[key] < 0:
             raise ModelFormatError(f"{path}: {key}={doc.get(key)!r} is not a non-negative integer")
     if counts == BUNDLE_COUNTS:
         if doc["slot_count"] != slot_count:
             raise ModelFormatError("input bundles were packed for different parameters")
         return doc
-    if doc.get("mode") not in MODES:
+    if not isinstance(doc.get("mode"), str) or doc["mode"] not in MODES:
         raise ModelFormatError(f"{path}: unknown mode {doc.get('mode')!r}")
     if doc["scale_bits"] > MAX_SCALE_BITS:
         raise ModelFormatError(f"{path}: scale_bits above {MAX_SCALE_BITS}")
@@ -332,7 +331,7 @@ def read_manifest(directory, counts: tuple[str, ...], slot_count: int) -> dict:
 
 
 def _in_grid(p, outputs: int, slots: int) -> bool:
-    return (isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
+    return (isinstance(p, list) and len(p) == 2 and all(map(is_int, p))
             and 0 <= p[0] < outputs and 0 <= p[1] < slots)
 
 
@@ -472,7 +471,8 @@ def run_infer(mode: str, model_path, indir, keydir, outdir, seed=0) -> float:
 
 
 def run_decrypt(indir, keydir, report_path) -> tuple[float, np.ndarray, np.ndarray]:
-    """Client role: decrypt scores, check noise margins, emit the report CSV.
+    """Client role: decrypt scores, emit the report CSV.  Decryption raises
+    NoiseBudgetError on an output with no noise margin left.
 
     Returns (seconds, predictions, confidence matrix).
     """
@@ -489,8 +489,6 @@ def run_decrypt(indir, keydir, report_path) -> tuple[float, np.ndarray, np.ndarr
         sdir = _sample_dir(src, i)
         cts = [_read_ct(sdir / SCORE_FILE.format(o), params) for o in range(manifest["outputs"])]
         t0 = time.perf_counter()
-        if min(backend.noise_budget(keyset.secret, ct) for ct in cts) <= 0:
-            raise NoiseBudgetError("noise budget exhausted; decryption unreliable")
         scores = decrypt_scores(backend, keyset.secret, cts, manifest["class_positions"])
         confidences[i] = scores / scale
         elapsed += time.perf_counter() - t0

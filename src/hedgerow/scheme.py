@@ -12,6 +12,10 @@ Slot geometry: the N slots form two rotation rows of N/2 (see ring.py).
 exchanges them; ``sum_slots`` composes the two so that power-of-two block
 sums land at the block-start slots.
 
+``Backend`` holds the rules ``HeBackend`` and the clear mirror share;
+every key type derives from ``ParamsKey``.  ``decrypt`` refuses a
+ciphertext whose noise margin is exhausted.
+
 Everything is deterministic given explicit seeds: randomness comes from
 SHAKE-256 expansion of (seed, domain label), nothing else.
 """
@@ -28,6 +32,7 @@ from .errors import (
     DepthExhaustedError,
     FingerprintMismatchError,
     MissingGaloisKeyError,
+    NoiseBudgetError,
     ParamError,
 )
 from .ntt import add_mod, mul_mod, sub_mod
@@ -127,13 +132,23 @@ class Ciphertext:
 
 
 @dataclass(frozen=True, eq=False)
-class SecretKey:
+class ParamsKey:
+    """Key material bound to one parameter set.
+
+    The base of every key type; the clear mirror's secret and public keys
+    are exactly this, since they carry nothing but their parameters.
+    """
+
     params: HeParams
-    s: np.ndarray  # (K, N) residues of the ternary secret, coefficient domain
 
     @property
     def fingerprint(self) -> bytes:
         return self.params.fingerprint
+
+
+@dataclass(frozen=True, eq=False)
+class SecretKey(ParamsKey):
+    s: np.ndarray  # (K, N) residues of the ternary secret, coefficient domain
 
     @cached_property
     def _s_ntt(self) -> np.ndarray:
@@ -141,29 +156,19 @@ class SecretKey:
 
 
 @dataclass(frozen=True, eq=False)
-class PublicKey:
-    params: HeParams
+class PublicKey(ParamsKey):
     b_ntt: np.ndarray  # (K, N), NTT domain
     a_ntt: np.ndarray
-
-    @property
-    def fingerprint(self) -> bytes:
-        return self.params.fingerprint
 
 
 KeySwitchKey = tuple  # tuple of (b_ntt, a_ntt) pairs, one per RNS digit
 
 
 @dataclass(frozen=True, eq=False)
-class EvalKeys:
-    params: HeParams
+class EvalKeys(ParamsKey):
     relin: KeySwitchKey
     galois: dict  # effective step (0 < step < N/2) -> KeySwitchKey
     row_swap: KeySwitchKey | None
-
-    @property
-    def fingerprint(self) -> bytes:
-        return self.params.fingerprint
 
 
 def default_rotation_steps(params: HeParams) -> tuple[int, ...]:
@@ -244,8 +249,66 @@ def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None
 # ---------------------------------------------------------------------------
 
 
-class SlotSumMixin:
-    """sum_slots built from the backend's own rotate/add/swap primitives."""
+class Backend:
+    """The operation contract HeBackend and its clear mirror share.
+
+    Each rule both backends enforce is written here once: operands must
+    carry this backend's parameter fingerprint, a slot vector is 1-d and at
+    most N long, a product needs depth on both operands, a rotation or row
+    swap needs its Galois key.  ``sum_slots`` is built from the subclass's
+    own rotate/add/swap primitives.  Subclasses set ``params``.
+    """
+
+    def _check_fp(self, fingerprint: bytes) -> None:
+        if fingerprint != self.params.fingerprint:
+            raise FingerprintMismatchError("object belongs to different parameters")
+
+    def _check_pair(self, a, b) -> None:
+        self._check_fp(a.params_fingerprint)
+        if a.params_fingerprint != b.params_fingerprint:
+            raise FingerprintMismatchError("operands belong to different parameters")
+
+    def _check_pt(self, a, pt) -> None:
+        self._check_fp(a.params_fingerprint)
+        self._check_fp(pt.params.fingerprint)
+
+    def _slot_vector(self, values) -> np.ndarray:
+        """The N slots mod t that ``encode`` packs: ``values`` zero-padded."""
+        n = self.params.slot_count
+        arr = np.asarray(values, dtype=np.int64)
+        if arr.ndim != 1:
+            raise ParamError("encode expects a 1-d vector")
+        if arr.size > n:
+            raise ParamError(f"vector of length {arr.size} exceeds {n} slots")
+        slots = np.zeros(n, dtype=np.uint64)
+        slots[: arr.size] = (arr % np.int64(self.params.plaintext_modulus)).astype(np.uint64)
+        return slots
+
+    def decode(self, pt) -> np.ndarray:
+        return pt.slots.copy()
+
+    def _product_level(self, a, b, ek) -> int:
+        """Level of the product a*b; raises when either operand has none left."""
+        self._check_pair(a, b)
+        self._check_fp(ek.fingerprint)
+        if a.level < 1 or b.level < 1:
+            raise DepthExhaustedError("no multiplicative depth remaining")
+        return min(a.level, b.level) - 1
+
+    def _rotation_step(self, a, steps: int, ek) -> int:
+        """``steps`` mod the row size N/2 (0 is the identity), with its key in ek."""
+        self._check_fp(a.params_fingerprint)
+        self._check_fp(ek.fingerprint)
+        eff = steps % self.params.rotation_group_size
+        if eff and eff not in ek.galois:
+            raise MissingGaloisKeyError(f"no Galois key for rotation step {steps}")
+        return eff
+
+    def _check_row_swap(self, a, ek) -> None:
+        self._check_fp(a.params_fingerprint)
+        self._check_fp(ek.fingerprint)
+        if not ek.row_swap:
+            raise MissingGaloisKeyError("no Galois key for the row swap")
 
     def sum_slots(self, ct, width: int, ek):
         """Rotate-and-add so every slot i holds the sum of input slots i..i+width-1.
@@ -279,15 +342,13 @@ def decrypt_scores(backend, sk, cts, positions) -> np.ndarray:
     return np.where(raw > t // 2, raw - t, raw)
 
 
-class HeBackend(SlotSumMixin):
+class HeBackend(Backend):
     """Homomorphic operation surface over real ciphertexts.
 
     All methods are pure functions of their arguments; randomness enters only
     through explicit seeds.  The ClearBackend mirror implements the identical
     surface over plaintext slot vectors.
     """
-
-    is_encrypted = True
 
     def __init__(self, params: HeParams):
         self.params = params
@@ -297,20 +358,9 @@ class HeBackend(SlotSumMixin):
 
     def encode(self, values) -> PackedPlaintext:
         ring = self.ring
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ParamError("encode expects a 1-d vector")
-        if arr.size > ring.n:
-            raise ParamError(f"vector of length {arr.size} exceeds {ring.n} slots")
-        slots = np.zeros(ring.n, dtype=np.uint64)
-        slots[: arr.size] = (arr % np.int64(ring.t)).astype(np.uint64)
         evals = np.empty((1, ring.n), dtype=np.uint64)
-        evals[0, ring.slot_to_eval] = slots
-        poly = ring.plan_t.inverse(evals)[0]
-        return PackedPlaintext(self.params, poly)
-
-    def decode(self, pt: PackedPlaintext) -> np.ndarray:
-        return pt.slots.copy()
+        evals[0, ring.slot_to_eval] = self._slot_vector(values)
+        return PackedPlaintext(self.params, ring.plan_t.inverse(evals)[0])
 
     # -- keys and encryption -------------------------------------------------
 
@@ -331,34 +381,34 @@ class HeBackend(SlotSumMixin):
         c1 = add_mod(c1, e2, ring.q_arr)
         return Ciphertext(self.params.fingerprint, self.params.depth_budget, (c0, c1))
 
-    def _phase(self, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
-        """Residues of c0 + c1*s, coefficient domain."""
-        ring = self.ring
-        acc = ring.plan_q.pointwise(ring.plan_q.forward(ct.parts[1]), sk._s_ntt)
-        return add_mod(ct.parts[0], ring.plan_q.inverse(acc), ring.q_arr)
-
-    def decrypt(self, sk: SecretKey, ct: Ciphertext) -> PackedPlaintext:
+    def _scaled_phase(self, sk: SecretKey, ct: Ciphertext):
+        """(r, w) with t*x = q*r + w for the phase x = c0 + c1*s lifted to the
+        integers: r = round(t*x/q) and the noise w lies in (-q/2, q/2)."""
         self._check_fp(sk.fingerprint)
         self._check_fp(ct.params_fingerprint)
         ring = self.ring
-        x = ring.garner_q.residues_to_ints(self._phase(sk, ct))
-        m = ((2 * ring.t * x + ring.q) // (2 * ring.q)) % ring.t
-        return PackedPlaintext(self.params, m.astype(np.uint64))
+        acc = ring.plan_q.pointwise(ring.plan_q.forward(ct.parts[1]), sk._s_ntt)
+        phase = add_mod(ct.parts[0], ring.plan_q.inverse(acc), ring.q_arr)
+        tx = ring.t * ring.garner_q.residues_to_ints(phase)
+        r = (2 * tx + ring.q) // (2 * ring.q)
+        return r, tx - ring.q * r
+
+    def _margin_bits(self, w: np.ndarray) -> int:
+        q = self.ring.q
+        max_w = int(np.abs(w).max())
+        margin = q // 2 if max_w == 0 else q // (2 * max_w)
+        return max(0, margin.bit_length() - 1)
+
+    def decrypt(self, sk: SecretKey, ct: Ciphertext) -> PackedPlaintext:
+        """The slots of ct; raises NoiseBudgetError when no margin is left."""
+        r, w = self._scaled_phase(sk, ct)
+        if self._margin_bits(w) <= 0:
+            raise NoiseBudgetError("noise budget exhausted; decryption unreliable")
+        return PackedPlaintext(self.params, (r % self.ring.t).astype(np.uint64))
 
     def noise_budget(self, sk: SecretKey, ct: Ciphertext) -> int:
         """Estimated bits of margin before decryption can fail (0 = exhausted)."""
-        self._check_fp(sk.fingerprint)
-        self._check_fp(ct.params_fingerprint)
-        ring = self.ring
-        x = ring.garner_q.residues_to_ints(self._phase(sk, ct))
-        w = (ring.t * x) % ring.q
-        w = np.where(w > ring.q // 2, w - ring.q, w)
-        max_w = int(np.abs(w).max())
-        if max_w == 0:
-            margin = ring.q // 2
-        else:
-            margin = ring.q // (2 * max_w)
-        return max(0, margin.bit_length() - 1)
+        return self._margin_bits(self._scaled_phase(sk, ct)[1])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -378,20 +428,17 @@ class HeBackend(SlotSumMixin):
         return Ciphertext(a.params_fingerprint, a.level, parts)
 
     def add_pt(self, a: Ciphertext, pt: PackedPlaintext) -> Ciphertext:
-        self._check_fp(a.params_fingerprint)
-        self._check_fp(pt.params.fingerprint)
+        self._check_pt(a, pt)
         c0 = add_mod(a.parts[0], self.ring.scale_plaintext(pt.poly), self.ring.q_arr)
         return Ciphertext(a.params_fingerprint, a.level, (c0, a.parts[1]))
 
     def sub_pt(self, a: Ciphertext, pt: PackedPlaintext) -> Ciphertext:
-        self._check_fp(a.params_fingerprint)
-        self._check_fp(pt.params.fingerprint)
+        self._check_pt(a, pt)
         c0 = sub_mod(a.parts[0], self.ring.scale_plaintext(pt.poly), self.ring.q_arr)
         return Ciphertext(a.params_fingerprint, a.level, (c0, a.parts[1]))
 
     def mul_pt(self, a: Ciphertext, pt: PackedPlaintext) -> Ciphertext:
-        self._check_fp(a.params_fingerprint)
-        self._check_fp(pt.params.fingerprint)
+        self._check_pt(a, pt)
         plan = self.ring.plan_q
         parts = tuple(
             plan.inverse(plan.pointwise(plan.forward(p), pt._ntt_q)) for p in a.parts
@@ -399,10 +446,7 @@ class HeBackend(SlotSumMixin):
         return Ciphertext(a.params_fingerprint, a.level, parts)
 
     def mul_ct(self, a: Ciphertext, b: Ciphertext, ek: EvalKeys) -> Ciphertext:
-        self._check_pair(a, b)
-        self._check_fp(ek.fingerprint)
-        if a.level < 1 or b.level < 1:
-            raise DepthExhaustedError("no multiplicative depth remaining")
+        level = self._product_level(a, b, ek)
         ring = self.ring
         wide_primes, plan_w, garner_w = ring.wide_basis()
 
@@ -429,27 +473,19 @@ class HeBackend(SlotSumMixin):
         c0, c1, c2 = (scale_down(d) for d in (d0, d1, d2))
         r0, r1 = self._keyswitch(c2, ek.relin)
         parts = (add_mod(c0, r0, ring.q_arr), add_mod(c1, r1, ring.q_arr))
-        return Ciphertext(a.params_fingerprint, min(a.level, b.level) - 1, parts)
+        return Ciphertext(a.params_fingerprint, level, parts)
 
     # -- slot permutations ----------------------------------------------------
 
     def rotate(self, a: Ciphertext, steps: int, ek: EvalKeys) -> Ciphertext:
         """Cyclic left shift of both slot rows by `steps` (negative = right)."""
-        self._check_fp(a.params_fingerprint)
-        self._check_fp(ek.fingerprint)
-        eff = steps % self.ring.row
+        eff = self._rotation_step(a, steps, ek)
         if eff == 0:
             return a
-        key = ek.galois.get(eff)
-        if key is None:
-            raise MissingGaloisKeyError(f"no Galois key for rotation step {steps}")
-        return self._apply_galois(a, self.ring.galois_element(eff), key)
+        return self._apply_galois(a, self.ring.galois_element(eff), ek.galois[eff])
 
     def swap_rows(self, a: Ciphertext, ek: EvalKeys) -> Ciphertext:
-        self._check_fp(a.params_fingerprint)
-        self._check_fp(ek.fingerprint)
-        if ek.row_swap is None:
-            raise MissingGaloisKeyError("no Galois key for the row swap")
+        self._check_row_swap(a, ek)
         return self._apply_galois(a, self.ring.row_swap_element, ek.row_swap)
 
     def _apply_galois(self, a: Ciphertext, g: int, key: KeySwitchKey) -> Ciphertext:
@@ -472,14 +508,3 @@ class HeBackend(SlotSumMixin):
             acc0 = ring.accumulate_ntt(acc0, dig_ntt, key[j][0])
             acc1 = ring.accumulate_ntt(acc1, dig_ntt, key[j][1])
         return ring.plan_q.inverse(acc0), ring.plan_q.inverse(acc1)
-
-    # -- checks ----------------------------------------------------------------
-
-    def _check_fp(self, fingerprint: bytes) -> None:
-        if fingerprint != self.params.fingerprint:
-            raise FingerprintMismatchError("object belongs to different parameters")
-
-    def _check_pair(self, a: Ciphertext, b: Ciphertext) -> None:
-        self._check_fp(a.params_fingerprint)
-        if a.params_fingerprint != b.params_fingerprint:
-            raise FingerprintMismatchError("operands belong to different parameters")

@@ -77,12 +77,19 @@ def quantize_model(weights, bias, scale_bits: int, plaintext_modulus: int | None
     if not 0 <= scale_bits <= MAX_SCALE_BITS:
         raise ModelFormatError(f"scale_bits out of range: {scale_bits}")
     scale = float(1 << scale_bits)
+    # a bound on every |W.x + b|, so that int64 holds the model and its
+    # aggregates exactly; nan and inf (also from overflow) fail it too
+    with np.errstate(over="ignore"):
+        w_q, b_q = np.round(w * scale), np.round(b * scale)
+        bound = np.abs(w_q).sum(axis=1).max(initial=0) + np.abs(b_q).max(initial=0)
+    if not bound < 2.0**62:
+        raise ModelFormatError("weights and biases must be finite, their aggregate below 2^62")
     model = SvmModel(
         num_classes=w.shape[0],
         num_features=w.shape[1],
         scale_bits=scale_bits,
-        weights=np.round(w * scale).astype(np.int64),
-        bias=np.round(b * scale).astype(np.int64),
+        weights=w_q.astype(np.int64),
+        bias=b_q.astype(np.int64),
     )
     if plaintext_modulus is not None:
         check_aggregate_bound(model.worst_case_aggregate(), plaintext_modulus)

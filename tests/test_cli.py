@@ -230,6 +230,7 @@ _DROP = object()
         pytest.param("decrypt", "class_positions", [[0, 99999]] * 3, id="decrypt-slot-outside"),
         pytest.param("decrypt", "class_positions", [[1, 0]] * 3, id="decrypt-output-outside"),
         pytest.param("decrypt", "mode", "bogus", id="decrypt-mode-bogus"),
+        pytest.param("decrypt", "mode", ["xgb"], id="decrypt-mode-list"),
         pytest.param("ensemble", "scale_bits", -1, id="ensemble-scale_bits-negative"),
     ],
 )
@@ -297,6 +298,43 @@ def test_hostile_layout_exits_format(workspace, tmp_path, edit):
     argv = ["encrypt", "--model-layout", str(tmp_path / "layout.json"),
             "--data", str(base / "data.csv"), "--labeled", "--keys", str(workspace["keydir"]),
             "--out", str(tmp_path / "enc")]
+    assert main(argv) == EXIT_FORMAT
+
+
+def _first_tree(field, value):
+    def edit(doc):
+        doc["trees"][0][field] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "model, edit",
+    [
+        # each edit keeps the tree count and feature range consistent, so only
+        # the type of the edited field is wrong
+        pytest.param("ensemble", lambda d: d.update(classes=3.5), id="classes-float"),
+        pytest.param("ensemble", lambda d: d.update(classes=24, trees_per_class=True),
+                     id="trees_per_class-bool"),
+        pytest.param("ensemble", lambda d: d.update(scale_bits=20.7), id="scale_bits-float"),
+        pytest.param("ensemble", lambda d: d.update(features=str(d["features"])),
+                     id="features-string"),
+        pytest.param("ensemble", _first_tree("feat", [0, 1.5, True]), id="feat-float-bool"),
+        pytest.param("ensemble", _first_tree("leaves", [float("nan")] * 4), id="leaf-nan"),
+        pytest.param("ensemble", _first_tree("leaves", [float("inf")] * 4), id="leaf-inf"),
+        pytest.param("ensemble", lambda d: d.update(trees=5), id="trees-int"),
+        pytest.param("svm", lambda d: d["weights"].__setitem__(0, float("nan")), id="weight-nan"),
+        pytest.param("svm", lambda d: d["weights"].__setitem__(0, 1e300), id="weight-1e300"),
+    ],
+)
+def test_hostile_model_exits_format(workspace, tmp_path, model, edit):
+    base = workspace["base"]
+    for name in ("ensemble.json", "svm.json"):
+        shutil.copy(base / name, tmp_path / name)
+    doc = json.loads((tmp_path / f"{model}.json").read_text())
+    edit(doc)
+    (tmp_path / f"{model}.json").write_text(json.dumps(doc))
+    argv = ["layout", "--model", str(tmp_path / "ensemble.json"), "--svm", str(tmp_path / "svm.json"),
+            "--keys", str(workspace["keydir"]), "--out", str(tmp_path / "layout.json")]
     assert main(argv) == EXIT_FORMAT
 
 

@@ -1,5 +1,5 @@
-"""Hypothesis fuzz of the exchange-file loaders: every input either loads or
-raises a HedgerowError (which the CLI maps to exit 3 or 4)."""
+"""Hypothesis fuzz of the exchange-file and model loaders: every input either
+loads or raises a HedgerowError (which the CLI maps to exit 3 or 4)."""
 
 import json
 
@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedgerow import HedgerowError, make_test_params, serial
-from hedgerow.modelio import FeatureLayout, load_layout, pack_client_input
+from hedgerow.modelio import FeatureLayout, load_ensemble, load_layout, load_svm, pack_client_input
+from hedgerow.pipeline import BUNDLE_COUNTS, SCORE_COUNTS, read_manifest
 from hedgerow.scheme import HeBackend
 
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None)
@@ -56,6 +57,55 @@ def layout_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "layout.json"
 
 
+def _tree(feat, thresh, leaves):
+    return {"feat": feat, "thresh": thresh, "leaves": leaves}
+
+
+VALID_MODELS = {
+    "ensemble": {
+        "classes": 2, "trees_per_class": 2, "features": 5, "scale_bits": 20,
+        "trees": [_tree([0, 1, 2], [0.5, -0.5, 0.5], [0.25, -1, 0.5, 0]),
+                  _tree([3, 4, 0], [-0.5, -0.5, 0.5], [1, 2, 3, 4]),
+                  _tree([1, 1, 1], [0.5, 0.5, 0.5], [0, 0, 0, 0]),
+                  _tree([4, 3, 2], [-0.5, 0.5, -0.5], [-0.5, 0.5, -1.5, 2])],
+    },
+    "svm": {"classes": 2, "features": 3, "scale_bits": 20,
+            "weights": [0.5, -0.25, 1, 0, 2, -3], "bias": [0.125, -1]},
+    "bundle": {"samples": 2, "blocks": 1, "slot_count": 8, "svm_features": 4},
+    "scores": {"mode": "xgb", "samples": 2, "classes": 2, "scale_bits": 20, "outputs": 1,
+               "class_positions": [[0, 0], [0, 4]]},
+}
+
+
+def _paths(value, path=()):
+    """The path of ``value`` and of every field and list entry inside it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield from _paths(inner, path + (key,))
+
+
+@st.composite
+def model_docs(draw, kind):
+    """A valid model or manifest with one to three of its fields, list
+    entries or tree entries replaced by any value (the whole document being
+    one of them), and sometimes a field dropped."""
+    doc = json.loads(json.dumps(VALID_MODELS[kind]))
+    edits = draw(st.lists(st.sampled_from(list(_paths(doc))), min_size=1, max_size=3))
+    for path in sorted(edits, key=len, reverse=True):  # inner edits before outer ones
+        if not path:
+            return draw(_values)
+        *outer, last = path
+        parent = doc
+        for key in outer:
+            parent = parent[key]
+        parent[last] = draw(_values)
+    if draw(st.integers(0, 9)) == 0:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
 @FUZZ
 @given(doc=layout_docs())
 def test_load_layout_loads_or_refuses(layout_path, doc):
@@ -95,5 +145,34 @@ def test_container_damage_loads_or_refuses(blobs, kind, data):
         damaged = blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:]
     try:
         load(damaged, params)
+    except HedgerowError:
+        pass
+
+
+T = make_test_params(8, num_primes=2, depth_budget=1).plaintext_modulus
+
+
+@pytest.mark.parametrize("kind", ["ensemble", "svm"])
+@FUZZ
+@given(data=st.data())
+def test_model_loaders_load_or_refuse(layout_path, kind, data):
+    path = layout_path.with_name(f"{kind}.json")
+    path.write_text(json.dumps(data.draw(model_docs(kind))), encoding="utf-8")
+    try:
+        (load_ensemble if kind == "ensemble" else load_svm)(path, T)
+    except HedgerowError:
+        pass
+
+
+@pytest.mark.parametrize("kind, counts", [("bundle", BUNDLE_COUNTS), ("scores", SCORE_COUNTS)])
+@FUZZ
+@given(data=st.data())
+def test_read_manifest_loads_or_refuses(layout_path, kind, counts, data):
+    directory = layout_path.parent / kind
+    directory.mkdir(exist_ok=True)
+    (directory / "manifest.json").write_text(json.dumps(data.draw(model_docs(kind))),
+                                             encoding="utf-8")
+    try:
+        read_manifest(directory, counts, 8)
     except HedgerowError:
         pass

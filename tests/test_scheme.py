@@ -1,9 +1,12 @@
 """Scheme-level behaviour: roundtrips, operation semantics, the clear mirror."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hedgerow import (
+    ClearBackend,
     DepthExhaustedError,
     FingerprintMismatchError,
     HeBackend,
@@ -379,3 +382,38 @@ def test_clear_mirror_levels_and_errors(clear64, clear_keys64):
         clear64.mul_ct(m, a, cek)
     with pytest.raises(MissingGaloisKeyError):
         clear64.rotate(a, 3, cek)
+
+
+@pytest.mark.parametrize("name", ["he", "clear"])
+def test_backends_share_one_contract(name, request):
+    # both backends must refuse the same misuse with the same error class,
+    # or a circuit proven on the mirror could fail differently when encrypted
+    be = request.getfixturevalue(f"{name}64")
+    sk, pk, ek = request.getfixturevalue("keys64" if name == "he" else "clear_keys64")
+    other = type(be)(make_test_params(64, num_primes=5, depth_budget=1))
+    _, opk, oek = other.keygen(seed=1, rotation_steps=())
+    a = enc(be, pk, [1, 2], seed=1)
+    foreign = enc(other, opk, [1, 2], seed=1)
+    for call in (
+        lambda: be.add_ct(a, foreign),
+        lambda: be.mul_pt(a, other.encode([1])),
+        lambda: be.mul_ct(a, a, oek),
+        lambda: be.decrypt(sk, foreign),
+    ):
+        with pytest.raises(FingerprintMismatchError):
+            call()
+    for bad in (np.zeros((2, 2), dtype=np.int64), np.zeros(65, dtype=np.int64)):
+        with pytest.raises(ParamError):
+            be.encode(bad)
+    exhausted = be.mul_ct(be.mul_ct(a, a, ek), a, ek)
+    assert exhausted.level == 0
+    with pytest.raises(DepthExhaustedError):
+        be.mul_ct(exhausted, a, ek)
+    bare = dataclasses.replace(
+        ek, galois=type(ek.galois)(), row_swap=None if name == "he" else False
+    )
+    assert be.rotate(a, 0, bare) is a
+    with pytest.raises(MissingGaloisKeyError):
+        be.rotate(a, 1, bare)
+    with pytest.raises(MissingGaloisKeyError):
+        be.swap_rows(a, bare)
