@@ -16,7 +16,7 @@ import numpy as np
 
 from .ntt import add_mod, mul_mod, sub_mod
 from .params import HeParams
-from .scheme import Backend, ParamsKey, default_rotation_steps
+from .scheme import Backend, ParamsKey, galois_steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,11 +51,9 @@ class ClearBackend(Backend):
 
     def keygen(self, seed, rotation_steps: tuple[int, ...] | None = None):
         """(secret, public, eval) keys; the first two are the same ParamsKey."""
-        if rotation_steps is None:
-            rotation_steps = default_rotation_steps(self.params)
         key = ParamsKey(self.params)
-        effective = frozenset(s % self.row for s in rotation_steps) - {0}
-        return key, key, ClearEvalKeys(self.params, effective)
+        steps = frozenset(galois_steps(self.params, rotation_steps))
+        return key, key, ClearEvalKeys(self.params, steps)
 
     def encrypt(self, pk: ParamsKey, pt: ClearPlaintext, seed=None) -> ClearCiphertext:
         self._check_fp(pk.fingerprint)

@@ -122,23 +122,15 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rows = []
-    reports = {}
+    rows, reports = [], {}
     for mode in args.mode:
         timing, evals = run_bench(
-            mode,
-            samples=args.samples,
-            seed=_parse_seed(args.seed),
-            classes=args.classes,
-            trees=args.trees,
-            features=args.features,
+            mode, args.samples, _parse_seed(args.seed), args.classes, args.trees, args.features,
             workdir=Path(args.workdir) / mode if args.workdir else None,
         )
         rows.append((mode, timing, evals.micro_auc))
-        doc = timing.as_dict()
-        doc["microAUC"] = evals.micro_auc
-        doc["accuracy"] = evals.accuracy
-        reports[mode] = doc
+        reports[mode] = {**timing.as_dict(), "microAUC": evals.micro_auc,
+                         "accuracy": evals.accuracy}
     print(format_bench_table(rows))
     if args.json:
         Path(args.json).write_text(json.dumps(reports, indent=2), encoding="utf-8")

@@ -23,6 +23,7 @@ File formats (all diffable and hand-writable):
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +86,12 @@ def save_dataset(ds: Dataset, path, include_labels: bool = True) -> None:
 
 
 def load_dataset(path, labeled: bool = False) -> Dataset:
+    # ASCII only: numpy 2.4's loadtxt can segfault on code points above U+7FFFF
     try:
-        raw = np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2)
-    except ValueError as exc:
+        with open(path, encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy only warns on a file without rows
+            raw = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2)
+    except (ValueError, UserWarning) as exc:  # UnicodeDecodeError is a ValueError
         raise ModelFormatError(f"malformed dataset CSV: {exc}") from exc
     if labeled:
         if raw.shape[1] < 2:

@@ -63,20 +63,20 @@ class HeParams:
             raise ParamError("at least one coefficient prime is required")
         if len(set(self.coeff_modulus)) != len(self.coeff_modulus):
             raise ParamError("coefficient primes must be distinct")
-        for q in self.coeff_modulus:
+        for q in self.coeff_modulus:  # sizes first: is_prime is exact below 2^64
+            if q >= (1 << 31):
+                raise ParamError(f"coefficient modulus {q} exceeds 31 bits")
             if not is_prime(q):
                 raise ParamError(f"coefficient modulus {q} is not prime")
             if (q - 1) % (2 * n) != 0:
                 raise ParamError(f"coefficient modulus {q} is not 1 mod {2 * n}")
-            if q >= (1 << 31):
-                raise ParamError(f"coefficient modulus {q} exceeds 31 bits")
         t = self.plaintext_modulus
+        if t >= (1 << 42):
+            raise ParamError("plaintext modulus above 2^42 is not supported")
         if not is_prime(t):
             raise ParamError(f"plaintext modulus {t} is not prime")
         if (t - 1) % (2 * n) != 0:
             raise ParamError(f"plaintext modulus {t} is not 1 mod {2 * n}")
-        if t >= (1 << 42):
-            raise ParamError("plaintext modulus above 2^42 is not supported")
         if any(q % t == 0 or t % q == 0 for q in self.coeff_modulus):
             raise ParamError("plaintext modulus must be coprime to every coefficient prime")
         if self.depth_budget < 1:
@@ -165,8 +165,10 @@ def load_params(path) -> HeParams:
             continue
         if "=" not in line:
             raise ParamError(f"malformed params line: {line!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in fields:
+            raise ParamError(f"params file repeats key {key!r}")
+        fields[key] = value
     try:
         n, t, depth = (int(fields[key]) for key in ("N", "t", "depth"))
         primes = tuple(int(x) for x in fields["primes"].split(","))

@@ -7,8 +7,10 @@ per-sample score ciphertexts, each with a manifest that ``read_manifest``
 validates.  Every mode writes the same scores: ``score_NNN.ct`` files and a
 manifest ``{mode, samples, classes, scale_bits, outputs, class_positions}``
 placing class c at (output, slot) ``class_positions[c]``.  Only
-``server_model`` looks at the mode.  The server-side entry points never
-accept or load a secret key; ``load_keyset(forbid_secret=True)``
+``server_model`` looks at the mode.  Each role reads only the key files
+it uses: encrypt ``public.key``, decrypt ``secret.key``, infer ``eval.key``
+(and ``public.key`` to encrypt split codes).  The server-side entry points
+never accept or load a secret key; ``load_keyset(forbid_secret=True)``
 additionally refuses to run when one is present in the key directory.
 
 Evaluation works against either backend (encrypted or clear mirror), which
@@ -24,6 +26,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -141,12 +144,21 @@ def format_bench_table(rows: list[tuple[str, TimingReport, float]]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+def _key_file(name: str, load):
+    """A KeySet attribute read from the container ``name`` on first use."""
+    return cached_property(lambda keys: load((keys.keydir / name).read_bytes(), keys.params))
+
+
 class KeySet:
-    params: HeParams
-    public: object
-    evals: object
-    secret: object | None = None
+    """A key directory's parameters and, read on first use, its keys: each
+    role reads only the key files it uses."""
+
+    public = _key_file(PUBLIC_FILE, serial.deserialize_public_key)
+    evals = _key_file(EVAL_FILE, serial.deserialize_eval_keys)
+    secret = _key_file(SECRET_FILE, serial.deserialize_secret_key)
+
+    def __init__(self, keydir: Path, params: HeParams):
+        self.keydir, self.params = keydir, params
 
 
 def write_keyset(outdir, params: HeParams, seed) -> float:
@@ -172,21 +184,16 @@ def export_public_keyset(keydir, outdir) -> None:
 
 
 def load_keyset(keydir, need_secret: bool = False, forbid_secret: bool = False) -> KeySet:
+    """The key directory's ``KeySet``; ``need_secret`` requires a secret key
+    in it, ``forbid_secret`` (the server role) refuses one."""
     src = Path(keydir)
     params = load_params(src / PARAMS_FILE)
-    secret_path = src / SECRET_FILE
-    if forbid_secret and secret_path.exists():
-        raise ModelFormatError(
-            f"refusing to run the server role: secret key present in {src}"
-        )
-    public = serial.deserialize_public_key((src / PUBLIC_FILE).read_bytes(), params)
-    evals = serial.deserialize_eval_keys((src / EVAL_FILE).read_bytes(), params)
-    secret = None
-    if need_secret:
-        if not secret_path.exists():
-            raise ModelFormatError(f"no secret key in {src}")
-        secret = serial.deserialize_secret_key(secret_path.read_bytes(), params)
-    return KeySet(params, public, evals, secret)
+    has_secret = (src / SECRET_FILE).exists()
+    if forbid_secret and has_secret:
+        raise ModelFormatError(f"refusing to run the server role: secret key present in {src}")
+    if need_secret and not has_secret:
+        raise ModelFormatError(f"no secret key in {src}")
+    return KeySet(src, params)
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +353,12 @@ def run_encrypt(layout: FeatureLayout, dataset, keyset: KeySet, seed, outdir) ->
             f"{keyset.params.slot_count}"
         )
     names = upload_names(layout.num_blocks)
+    pk = keyset.public
     prg = Prg(seed)
     t0 = time.perf_counter()
     for i in range(dataset.num_samples):
         bundle = pack_client_input(dataset.samples[i], layout)
-        cts = encrypt_bundle(backend, keyset.public, bundle, prg.bytes(f"sample.{i}", 32))
+        cts = encrypt_bundle(backend, pk, bundle, prg.bytes(f"sample.{i}", 32))
         uploads = {
             (b, s, p): ct
             for b, enc in enumerate(cts["xgb"]) for s in STREAMS for p, ct in zip(PLANES, enc[s])
@@ -385,8 +393,9 @@ class ServerModel(NamedTuple):
 
 def server_model(mode, model_path, backend, keyset: KeySet, bundles: dict, seed) -> ServerModel:
     """The server's only per-mode code: load the mode's model, check it
-    against the bundle manifest, and prepare the evaluation of one sample."""
-    params = keyset.params
+    against the bundle manifest, and prepare the evaluation of one sample.
+    The evaluation keys are read here, before any thread evaluates a sample."""
+    params, ek = keyset.params, keyset.evals
     if mode == "svm":
         model = load_svm(model_path, params.plaintext_modulus)
         if model.num_features != bundles["svm_features"]:
@@ -397,7 +406,7 @@ def server_model(mode, model_path, backend, keyset: KeySet, bundles: dict, seed)
         classes = model.num_classes
         return ServerModel(
             ["svm"],
-            lambda cts: infer_encrypted(backend, cts["svm"], model, keyset.evals),
+            lambda cts: infer_encrypted(backend, cts["svm"], model, ek),
             {"classes": classes, "scale_bits": model.scale_bits, "outputs": classes,
              "class_positions": [(c, 0) for c in range(classes)]},
         )
@@ -418,7 +427,7 @@ def server_model(mode, model_path, backend, keyset: KeySet, bundles: dict, seed)
             {s: (cts[b, s, "x0"], cts[b, s, "x2"]) for s in STREAMS}
             for b in range(layout.num_blocks)
         ]
-        return infer_xgb_sample(backend, blocks, plane_pts, layout, keyset.evals, enc_split)
+        return infer_xgb_sample(backend, blocks, plane_pts, layout, ek, enc_split)
 
     return ServerModel(
         [key for key in upload_names(layout.num_blocks) if key != "svm"],
@@ -477,7 +486,7 @@ def run_decrypt(indir, keydir, report_path) -> tuple[float, np.ndarray, np.ndarr
     Returns (seconds, predictions, confidence matrix).
     """
     keyset = load_keyset(keydir, need_secret=True)
-    params = keyset.params
+    params, sk = keyset.params, keyset.secret
     backend = HeBackend(params)
     src = Path(indir)
     manifest = read_manifest(src, SCORE_COUNTS, params.slot_count)
@@ -489,7 +498,7 @@ def run_decrypt(indir, keydir, report_path) -> tuple[float, np.ndarray, np.ndarr
         sdir = _sample_dir(src, i)
         cts = [_read_ct(sdir / SCORE_FILE.format(o), params) for o in range(manifest["outputs"])]
         t0 = time.perf_counter()
-        scores = decrypt_scores(backend, keyset.secret, cts, manifest["class_positions"])
+        scores = decrypt_scores(backend, sk, cts, manifest["class_positions"])
         confidences[i] = scores / scale
         elapsed += time.perf_counter() - t0
 
@@ -557,11 +566,7 @@ def run_bench(
         end_to_end = time.perf_counter() - t_start
 
         timing = TimingReport(
-            keygen_s=keygen_s,
-            enc_s=enc_s,
-            comp_s=comp_s,
-            dec_s=dec_s,
-            end_to_end_s=end_to_end,
+            keygen_s, enc_s, comp_s, dec_s, end_to_end,
             metadata={
                 "mode": mode,
                 "preset": preset,

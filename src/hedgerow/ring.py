@@ -242,10 +242,6 @@ class RingContext:
 
 
 @lru_cache(maxsize=8)
-def _ring_by_key(fingerprint: bytes, params: HeParams) -> RingContext:
-    return RingContext(params)
-
-
 def get_ring(params: HeParams) -> RingContext:
-    """Cached RingContext for the given parameters."""
-    return _ring_by_key(params.fingerprint, params)
+    """Cached RingContext for the given parameters (equal params share one)."""
+    return RingContext(params)

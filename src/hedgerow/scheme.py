@@ -171,15 +171,25 @@ class EvalKeys(ParamsKey):
     row_swap: KeySwitchKey | None
 
 
+def fold_steps(row_width: int) -> tuple[int, ...]:
+    """The rotations of the rotate-and-add fold over ``row_width`` slots (a
+    power of two), in the order ``sum_slots`` makes them: row_width/2, ..., 2, 1."""
+    return tuple(1 << i for i in reversed(range(row_width.bit_length() - 1)))
+
+
 def default_rotation_steps(params: HeParams) -> tuple[int, ...]:
-    """+-(powers of two) below the row size: enough for any power-of-two sum width."""
-    steps = []
-    w = 1
-    while w < params.rotation_group_size:
-        steps.append(w)
-        steps.append(-w)
-        w *= 2
-    return tuple(steps)
+    """The fold over a whole row, +N/4 down to +1: the steps ``sum_slots``
+    makes at every supported width."""
+    return fold_steps(params.rotation_group_size)
+
+
+def galois_steps(params: HeParams, rotation_steps: tuple[int, ...] | None) -> tuple[int, ...]:
+    """The steps that get a Galois key: each requested step mod N/2, without
+    0 or repeats (by default ``default_rotation_steps``)."""
+    if rotation_steps is None:
+        rotation_steps = default_rotation_steps(params)
+    row = params.rotation_group_size
+    return tuple(dict.fromkeys(s % row for s in rotation_steps if s % row))
 
 
 def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None):
@@ -188,9 +198,9 @@ def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None
     Args:
         params: scheme parameters.
         seed: 256-bit value (bytes or int); same seed reproduces identical keys.
-        rotation_steps: rotation amounts to build Galois keys for.  Defaults
-            to all +-powers of two below the row size, which covers every
-            supported ``sum_slots`` width.
+        rotation_steps: rotation amounts to build Galois keys for, negative
+            ones included.  Defaults to ``default_rotation_steps``, which
+            covers every ``sum_slots`` width.  The row-swap key is always built.
 
     Returns:
         (SecretKey, PublicKey, EvalKeys)
@@ -225,15 +235,9 @@ def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None
 
     relin = keyswitch_key("rlk", ring.plan_q.pointwise(s_ntt, s_ntt))
 
-    if rotation_steps is None:
-        rotation_steps = default_rotation_steps(params)
     galois = {}
-    for step in rotation_steps:
-        eff = step % ring.row
-        if eff == 0 or eff in galois:
-            continue
-        g = ring.galois_element(eff)
-        s_tau = ring.plan_q.forward(ring.apply_automorphism(s, g))
+    for eff in galois_steps(params, rotation_steps):
+        s_tau = ring.plan_q.forward(ring.apply_automorphism(s, ring.galois_element(eff)))
         galois[eff] = keyswitch_key(f"gk.{eff}", s_tau)
     s_swap = ring.plan_q.forward(ring.apply_automorphism(s, ring.row_swap_element))
     row_swap = keyswitch_key("gk.swap", s_swap)
@@ -320,11 +324,8 @@ class Backend:
         n = self.params.slot_count
         if width < 1 or width > n or width & (width - 1):
             raise ParamError(f"sum width must be a power of two in [1, {n}], got {width}")
-        row_width = min(width, n // 2)
-        step = row_width // 2
-        while step >= 1:
+        for step in fold_steps(min(width, n // 2)):
             ct = self.add_ct(ct, self.rotate(ct, step, ek))
-            step //= 2
         if width == n:
             ct = self.add_ct(ct, self.swap_rows(ct, ek))
         return ct

@@ -128,8 +128,9 @@ def test_criterion_3_homomorphism_suite():
     params = make_test_params(64, num_primes=6, depth_budget=2)
     t = params.plaintext_modulus
     he, cl = HeBackend(params), ClearBackend(params)
-    sk, pk, ek = he.keygen(seed=SEED)
-    csk, cpk, cek = cl.keygen(seed=SEED)
+    steps_pool = [1, 2, 4, 8, 16, -1, -2, -4, -8, -16]
+    sk, pk, ek = he.keygen(seed=SEED, rotation_steps=steps_pool)
+    csk, cpk, cek = cl.keygen(seed=SEED, rotation_steps=steps_pool)
     rng = np.random.default_rng(SEED)
 
     cases = 1000
@@ -161,7 +162,6 @@ def test_criterion_3_homomorphism_suite():
         u, v, a, b, ca, cb = pair(10_000 + 2 * i)
         check(he.mul_ct(a, b, ek), cl.mul_ct(ca, cb, cek))
 
-    steps_pool = [1, 2, 4, 8, 16, -1, -2, -4, -8, -16]
     for i in range(cases):
         u, v, a, _, ca, _ = pair(40_000 + 2 * i)
         steps = steps_pool[i % len(steps_pool)]

@@ -138,6 +138,31 @@ def test_infer_thread_count_invariance(workspace, monkeypatch, mode, model):
             assert (runs["1"] / rel).read_bytes() == (runs["3"] / rel).read_bytes(), rel
 
 
+def test_client_roles_read_only_their_keys(workspace, tmp_path):
+    # encrypt reads params.txt and public.key, decrypt params.txt and secret.key
+    base = workspace["base"]
+    client = tmp_path / "client-keys"
+    shutil.copytree(workspace["keydir"], client)
+    (client / "eval.key").unlink()
+    rc = main(["encrypt", "--model-layout", str(base / "layout.json"), "--data",
+               str(base / "data.csv"), "--labeled", "--keys", str(client), "--seed", "7",
+               "--out", str(tmp_path / "enc")])
+    assert rc == EXIT_OK
+    assert (tmp_path / "enc" / "sample_00000" / "svm.ct").read_bytes() == (
+        base / "enc" / "sample_00000" / "svm.ct").read_bytes()
+    infer = ["infer", "--mode", "svm", "--model", str(base / "svm.json"),
+             "--in", str(tmp_path / "enc"), "--out", str(tmp_path / "scores"), "--keys"]
+    assert main(infer + [str(client)]) == EXIT_FORMAT  # still refused: secret key present
+    assert main(infer + [str(workspace["server"])]) == EXIT_OK
+    (client / "public.key").unlink()
+    rc = main(["decrypt", "--in", str(tmp_path / "scores"), "--keys", str(client),
+               "--report", str(tmp_path / "report.csv")])
+    assert rc == EXIT_OK
+    _, _, full = run_decrypt(tmp_path / "scores", workspace["keydir"], None)
+    _, _, trimmed = run_decrypt(tmp_path / "scores", client, None)
+    assert np.array_equal(trimmed, full)
+
+
 def test_encrypt_deterministic_bytes(workspace, tmp_path):
     base = workspace["base"]
     keyset = load_keyset(workspace["keydir"], need_secret=True)

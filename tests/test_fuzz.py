@@ -1,5 +1,6 @@
-"""Hypothesis fuzz of the exchange-file and model loaders: every input either
-loads or raises a HedgerowError (which the CLI maps to exit 3 or 4)."""
+"""Hypothesis fuzz of the exchange-file, params, dataset and model loaders:
+every input either loads or raises a HedgerowError (which the CLI maps to
+exit 3 or 4)."""
 
 import json
 
@@ -8,8 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedgerow import HedgerowError, make_test_params, serial
-from hedgerow.modelio import FeatureLayout, load_ensemble, load_layout, load_svm, pack_client_input
+from hedgerow import (
+    HedgerowError, HeParams, ModelFormatError, ParamError, load_params, make_test_params, serial,
+)
+from hedgerow.modelio import (
+    Dataset, FeatureLayout, load_dataset, load_ensemble, load_layout, load_svm, pack_client_input,
+)
 from hedgerow.pipeline import BUNDLE_COUNTS, SCORE_COUNTS, read_manifest
 from hedgerow.scheme import HeBackend
 
@@ -176,3 +181,69 @@ def test_read_manifest_loads_or_refuses(layout_path, kind, counts, data):
         read_manifest(directory, counts, 8)
     except HedgerowError:
         pass
+
+
+VALID_PARAMS = make_test_params(16, num_primes=2, depth_budget=1).canonical_text().splitlines()
+_huge = st.one_of(st.integers(2**63, 2**200), st.integers(4290, 4310).map(lambda k: "7" * k))
+_words = st.one_of(
+    st.integers(-(2**70), 2**70), _huge, st.text(max_size=4),
+    st.sampled_from(["", "1.5", "0x20", "1e3", "16 16", "\u0661\u0666", "nan"]),
+).map(str)
+
+
+@st.composite
+def params_files(draw):
+    """The valid params file with values replaced, lines repeated, dropped or
+    added, encoded as UTF-8 or Latin-1; or arbitrary bytes."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.binary(max_size=64))
+    lines = list(VALID_PARAMS)
+    for i, line in enumerate(VALID_PARAMS):
+        if draw(st.booleans()):
+            lines[i] = line.split("=")[0] + "=" + draw(_words)
+    for _ in range(draw(st.integers(0, 2))):
+        action = draw(st.sampled_from(["repeat", "drop", "add"]))
+        at = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        if action == "repeat" and lines:
+            lines.insert(at, lines[at])
+        elif action == "drop" and lines:
+            del lines[at]
+        else:
+            lines.insert(at, draw(_words))
+    return "\n".join(lines).encode(draw(st.sampled_from(["utf-8", "latin-1"])), "replace")
+
+
+@FUZZ
+@given(blob=params_files())
+def test_load_params_loads_or_refuses(layout_path, blob):
+    path = layout_path.with_name("params.txt")
+    path.write_bytes(blob)
+    try:
+        params = load_params(path)
+    except ParamError:  # exit 3 at the CLI
+        return
+    assert isinstance(params, HeParams)
+
+
+_cells = st.one_of(
+    st.integers(-2, 2), st.integers(-3, 3), _huge, st.text(max_size=3),
+    st.sampled_from(["", " 1", "1.0", "1e0", "+1", "\u0661", "-"]),
+).map(str)
+
+
+@FUZZ
+@given(
+    rows=st.lists(st.lists(_cells, max_size=5), max_size=5),
+    encoding=st.sampled_from(["utf-8", "latin-1"]),
+    labeled=st.booleans(),
+)
+def test_load_dataset_loads_or_refuses(layout_path, rows, encoding, labeled):
+    """Ragged, blank, non-integer, huge and non-ASCII rows load or refuse."""
+    path = layout_path.with_name("data.csv")
+    path.write_bytes("\n".join(",".join(row) for row in rows).encode(encoding, "replace"))
+    try:
+        dataset = load_dataset(path, labeled=labeled)
+    except ModelFormatError:  # exit 3 at the CLI
+        return
+    assert isinstance(dataset, Dataset)
+    assert dataset.num_samples > 0

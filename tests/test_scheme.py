@@ -176,8 +176,8 @@ def test_rotate_basic_permutation(he64, keys64):
     assert out[31] == 1
 
 
-def test_rotate_inverse(he64, keys64, rng):
-    sk, pk, ek = keys64
+def test_rotate_inverse(he64, rng):
+    sk, pk, ek = he64.keygen(seed=0x5EED, rotation_steps=(4, -4))
     v = rng.integers(0, 100, 64, dtype=np.int64)
     a = enc(he64, pk, v, seed=11)
     back = he64.rotate(he64.rotate(a, 4, ek), -4, ek)
@@ -193,9 +193,10 @@ def test_rotate_group_action(he64, keys64, rng):
     assert np.array_equal(dec(he64, sk, two_step), dec(he64, sk, one_jump))
 
 
-def test_rotate_random_vs_permutation_oracle(he64, keys64, rng):
-    sk, pk, ek = keys64
-    for i, steps in enumerate([1, 2, 8, 16, -1, -8]):
+def test_rotate_random_vs_permutation_oracle(he64, rng):
+    all_steps = (1, 2, 8, 16, -1, -8)
+    sk, pk, ek = he64.keygen(seed=0x5EED, rotation_steps=all_steps)
+    for i, steps in enumerate(all_steps):
         v = rng.integers(0, 1000, 64, dtype=np.int64)
         a = enc(he64, pk, v, seed=300 + i)
         got = dec(he64, sk, he64.rotate(a, steps, ek))
@@ -206,7 +207,7 @@ def test_rotate_missing_key(he64, keys64):
     sk, pk, ek = keys64
     a = enc(he64, pk, [1], seed=13)
     with pytest.raises(MissingGaloisKeyError):
-        he64.rotate(a, 3, ek)  # only +-powers of two are declared
+        he64.rotate(a, 3, ek)  # the default keys hold only the fold steps +1, +2, ..., +16
 
 
 def test_sum_slots_eight_ones(he64, keys64):
@@ -245,6 +246,25 @@ def test_sum_slots_full_width(he64, keys64, params64, rng):
     a = enc(he64, pk, v, seed=17)
     out = dec(he64, sk, he64.sum_slots(a, 64, ek))
     assert (out == int(v.sum()) % params64.plaintext_modulus).all()
+
+
+@pytest.mark.parametrize("name", ["he", "clear"])
+def test_default_keys_are_the_fold_schedule(name, request):
+    # keygen runs before the model is known, so the default keys must serve
+    # every sum width, and they hold no step sum_slots does not make
+    be = request.getfixturevalue(f"{name}64")
+    sk, pk, ek = request.getfixturevalue("keys64" if name == "he" else "clear_keys64")
+    assert set(ek.galois) == {1, 2, 4, 8, 16}
+    assert ek.row_swap
+    v = np.arange(1, 65, dtype=np.int64)
+    a = enc(be, pk, v, seed=19)
+    rows = v.reshape(2, 32)
+    for width in (1, 2, 4, 8, 16, 32):
+        expect = sum(np.roll(rows, -j, axis=1) for j in range(width)).reshape(-1)
+        assert np.array_equal(dec(be, sk, be.sum_slots(a, width, ek)), expect), width
+    assert (dec(be, sk, be.sum_slots(a, 64, ek)) == v.sum()).all()
+    with pytest.raises(MissingGaloisKeyError):
+        be.rotate(a, -1, ek)
 
 
 def test_sum_slots_rejects_bad_width(he64, keys64):
@@ -328,6 +348,9 @@ def test_fingerprint_mismatch_rejected(he64, keys64):
 # ---------------------------------------------------------------------------
 
 
+MIRROR_ROTATIONS = (1, 2, 4, 8, 16, -1, -2, -4)
+
+
 def _mirror_case(op_name, he, clear, he_keys, clear_keys, t, rng, seed):
     sk, pk, ek = he_keys
     csk, cpk, cek = clear_keys
@@ -351,7 +374,7 @@ def _mirror_case(op_name, he, clear, he_keys, clear_keys, t, rng, seed):
     elif op_name == "mul_ct":
         got, ref = he.mul_ct(a, b, ek), clear.mul_ct(ca, cb, cek)
     elif op_name == "rotate":
-        steps = int(rng.choice([1, 2, 4, 8, 16, -1, -2, -4]))
+        steps = int(rng.choice(MIRROR_ROTATIONS))
         got, ref = he.rotate(a, steps, ek), clear.rotate(ca, steps, cek)
     elif op_name == "sum_slots":
         width = int(rng.choice([2, 4, 8, 16, 32, 64]))
@@ -368,6 +391,10 @@ def _mirror_case(op_name, he, clear, he_keys, clear_keys, t, rng, seed):
 )
 def test_clear_mirror_random_cases(op_name, he64, clear64, keys64, clear_keys64, params64, rng):
     t = params64.plaintext_modulus
+    if op_name == "rotate":  # right rotations need keys beyond the default fold steps
+        keys64, clear_keys64 = (
+            be.keygen(seed=0x5EED, rotation_steps=MIRROR_ROTATIONS) for be in (he64, clear64)
+        )
     for i in range(25):
         _mirror_case(op_name, he64, clear64, keys64, clear_keys64, t, rng, seed=1000 + 31 * i)
 
