@@ -2,9 +2,10 @@
 
 Three presets cover the shipped circuits:
 
-* ``svm-d1``          - packed dot products (one plaintext multiply, a
-                        row-wide rotate-and-add); no ciphertext-ciphertext
-                        product; depth budget 1.
+* ``svm-d1``          - one diagonal matrix-vector product (plaintext
+                        multiplies and power-of-two rotations, one output
+                        ciphertext); no ciphertext-ciphertext product;
+                        depth budget 1.
 * ``xgb-d2``          - comparison plus tree scoring with plaintext split
                         codes and leaves: 2 ciphertext-ciphertext products
                         per slot block, circuit depth 1; depth budget 2.
@@ -79,8 +80,9 @@ class HeParams:
             raise ParamError(f"plaintext modulus {t} is not 1 mod {2 * n}")
         if any(q % t == 0 or t % q == 0 for q in self.coeff_modulus):
             raise ParamError("plaintext modulus must be coprime to every coefficient prime")
-        if self.depth_budget < 1:
-            raise ParamError(f"depth budget must be >= 1, got {self.depth_budget}")
+        if not 1 <= self.depth_budget <= len(self.coeff_modulus):
+            raise ParamError(f"depth budget must lie in [1, {len(self.coeff_modulus)}] "
+                             f"(the prime count), got {self.depth_budget}")
 
     @property
     def slot_count(self) -> int:

@@ -53,7 +53,7 @@ from .modelio import (
 )
 from .params import HeParams, gen_params, load_params, save_params
 from .scheme import HeBackend, Prg, decrypt_scores, keygen
-from .svm import MAX_SCALE_BITS, infer_encrypted
+from .svm import MAX_SCALE_BITS, encoded_planes, infer_encrypted
 from .trees import NodeStreams, class_sums, tree_scores_encrypted
 
 # mode -> (the preset ``run_bench`` runs it at, its ciphertext-ciphertext
@@ -403,12 +403,12 @@ def server_model(mode, model_path, backend, keyset: KeySet, bundles: dict, seed)
                 f"model has {model.num_features} features but bundles were packed "
                 f"for {bundles['svm_features']}"
             )
-        classes = model.num_classes
+        encoded_planes(backend, model)  # encode (or refuse) once, before any thread
         return ServerModel(
             ["svm"],
             lambda cts: infer_encrypted(backend, cts["svm"], model, ek),
-            {"classes": classes, "scale_bits": model.scale_bits, "outputs": classes,
-             "class_positions": [(c, 0) for c in range(classes)]},
+            {"classes": model.num_classes, "scale_bits": model.scale_bits, "outputs": 1,
+             "class_positions": [(0, c) for c in range(model.num_classes)]},
         )
     ens = load_ensemble(model_path, params.plaintext_modulus)
     layout = build_layout(ens, params.slot_count)

@@ -1,10 +1,18 @@
 """One-vs-all linear SVM inference over a packed encrypted feature vector.
 
-Ternary features ride unscaled in slots 0..d-1 of a single ciphertext.  Per
-class the server multiplies by the packed quantized weight row, folds the
-first d_padded slots with a rotate-and-add sum, and adds the quantized bias:
-one plaintext multiply, log2(d_padded) rotations, one plaintext addition.
-Slot 0 of each result decrypts to the fixed-point confidence W_c . x + b_c.
+Ternary features ride unscaled in slots 0..d-1 of one ciphertext.  All class
+scores come from one diagonal matrix-vector product (Halevi-Shoup, in
+Gazelle's hybrid form): with g = next_pow2(s) and W zero-padded to g x N,
+
+    z = sum_{k<g} rotate(x * plane_k, k),   plane_k[n] = W[(n - k) mod g, n]
+
+summed as a binary tree of rotations by 1, 2, ..., g/2, then folded with the
+row fold's steps >= g (and a row swap when d > N/2), so slot c holds W_c . x;
+one bias plaintext adds b_c at slot c.  Every step is a power of two, so the
+default Galois keys suffice, and the products are rotated, never x, so each
+keyswitch adds its noise once.  Per sample: g plaintext multiplies,
+g - 1 + log2(N/2g) rotations and one output ciphertext.  The planes and the
+bias are encoded once per model and backend.
 
 Weights and biases are both quantized at round(value * 2^scale_bits);
 features are integers, so products and biases share one scale and decoding
@@ -13,12 +21,12 @@ divides by it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ModelFormatError
-from .scheme import decrypt_scores
+from .scheme import decrypt_scores, fold_steps
 
 # Largest fixed-point scale a model file or a score manifest may declare.
 MAX_SCALE_BITS = 40
@@ -37,6 +45,8 @@ class SvmModel:
     scale_bits: int
     weights: np.ndarray  # (s, d) int64, fixed point
     bias: np.ndarray  # (s,) int64, fixed point
+    # backend -> (planes, bias plaintext), filled by encoded_planes
+    _encoded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_classes < 1 or self.num_features < 1:
@@ -115,28 +125,54 @@ def svm_scores_clear(model: SvmModel, sample) -> np.ndarray:
     return model.weights @ x + model.bias
 
 
-def infer_encrypted(backend, ct_x, model: SvmModel, ek) -> list:
-    """Per-class confidence ciphertexts; slot 0 of entry i holds class i.
-
-    ct_x must carry the ternary features in slots 0..d-1 with zeros beyond.
-    """
-    n = backend.params.slot_count
-    if model.d_padded > n:
+def encoded_planes(backend, model: SvmModel) -> tuple[list, object]:
+    """The model's g diagonal planes and its bias as ``backend`` plaintexts,
+    encoded on the first call per backend and cached on the model."""
+    cached = model._encoded.get(backend)
+    if cached is not None:
+        return cached
+    n, row = backend.params.slot_count, backend.params.rotation_group_size
+    if model.num_features > n:
         raise ModelFormatError(
             f"{model.num_features} features need {model.d_padded} slots, "
             f"parameters provide {n} (multi-ciphertext splitting not supported)"
         )
-    outputs = []
-    for c in range(model.num_classes):
-        row = np.zeros(n, dtype=np.int64)
-        row[: model.num_features] = model.weights[c]
-        product = backend.mul_pt(ct_x, backend.encode(row))
-        folded = backend.sum_slots(product, model.d_padded, ek)
-        bias_pt = backend.encode(np.full(n, model.bias[c], dtype=np.int64))
-        outputs.append(backend.add_pt(folded, bias_pt))
-    return outputs
+    if model.num_classes > row:
+        raise ModelFormatError(
+            f"{model.num_classes} classes exceed the {row} slots of a rotation row"
+        )
+    g = next_pow2(model.num_classes)
+    w = np.zeros((g, n), dtype=np.int64)
+    w[: model.num_classes, : model.num_features] = model.weights
+    cols = np.arange(n)
+    planes = [backend.encode(w[(cols - k) % g, cols]) for k in range(g)]
+    # setdefault: threads racing on a cold cache all get the first entry
+    return model._encoded.setdefault(backend, (planes, backend.encode(model.bias)))
+
+
+def infer_encrypted(backend, ct_x, model: SvmModel, ek) -> list:
+    """The one confidence ciphertext; slot c holds class c.
+
+    ct_x must carry the ternary features in slots 0..d-1; the zero-padded
+    planes cancel whatever the other slots hold.
+    """
+    planes, bias_pt = encoded_planes(backend, model)
+    terms = [backend.mul_pt(ct_x, pt) for pt in planes]
+    step = 1
+    while len(terms) > 1:
+        terms = [backend.add_ct(a, backend.rotate(b, step, ek))
+                 for a, b in zip(terms[::2], terms[1::2])]
+        step *= 2
+    z = terms[0]
+    row = backend.params.rotation_group_size
+    for step in fold_steps(row):
+        if step >= len(planes):
+            z = backend.add_ct(z, backend.rotate(z, step, ek))
+    if model.num_features > row:
+        z = backend.add_ct(z, backend.swap_rows(z, ek))
+    return [backend.add_pt(z, bias_pt)]
 
 
 def confidence_integers(backend, sk, cts, model: SvmModel) -> np.ndarray:
-    """Slot-0 confidences as signed fixed-point integers."""
-    return decrypt_scores(backend, sk, cts, [(c, 0) for c in range(len(cts))])
+    """Class confidences as signed fixed-point integers (class c at slot c)."""
+    return decrypt_scores(backend, sk, cts, [(0, c) for c in range(model.num_classes)])

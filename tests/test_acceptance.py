@@ -239,18 +239,19 @@ def test_criterion_6_svm_end_to_end():
         ct = he.encrypt(pk, he.encode(packed), seed=SEED + i)
         he.ops.reset()
         outs = infer_encrypted(he, ct, model, ek)
-        assert he.ops.get("mul_pt") == s * 1
-        assert he.ops.get("rotate") == s * 11  # log2(2048)
-        assert he.ops.get("add_pt") == s * 1
+        assert he.ops.get("mul_pt") == 16  # g = next_pow2(11) planes
+        assert he.ops.get("rotate") == 22  # 15 in the tree + the fold 1024..16
+        assert he.ops.get("add_pt") == 1
         assert he.ops.get("mul_ct") == 0
         got = confidence_integers(he, sk, outs, model)
         assert np.array_equal(got, svm_scores_clear(model, x))  # exact
+        assert he.noise_budget(sk, outs[0]) >= 10
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     _report(
         6,
-        f"d=2048 s=11, {n_samples} samples exact; per class 1 mul_pt + 11 rot + "
-        f"1 add_pt ({elapsed:.1f}s)",
+        f"d=2048 s=11, {n_samples} samples exact; per sample 16 mul_pt + 22 rot + "
+        f"1 add_pt, 1 output ({elapsed:.1f}s)",
     )
 
 

@@ -365,8 +365,9 @@ def test_hostile_model_exits_format(workspace, tmp_path, model, edit):
 
 @pytest.mark.parametrize(
     "key, line",
-    [("preset", "preset=caf\u00e9"), ("N", "N=abc"), ("primes", "primes="), ("depth", "depth=x")],
-    ids=["non-ascii", "N-abc", "primes-empty", "depth-x"],
+    [("preset", "preset=caf\u00e9"), ("N", "N=abc"), ("primes", "primes="), ("depth", "depth=x"),
+     ("depth", "depth=100000000000000000000000")],
+    ids=["non-ascii", "N-abc", "primes-empty", "depth-x", "depth-1e23"],
 )
 def test_bad_params_file_exits_format(workspace, tmp_path, key, line):
     keys = tmp_path / "keys"

@@ -50,6 +50,10 @@ def test_params_validation_errors():
         HeParams(64, good.coeff_modulus, 97, 1)  # t not 1 mod 2N
     with pytest.raises(ParamError):
         HeParams(64, good.coeff_modulus, good.plaintext_modulus, 0)  # depth < 1
+    HeParams(64, good.coeff_modulus, good.plaintext_modulus, 3)  # one level per prime
+    for depth in (4, 10**23):  # more levels than primes
+        with pytest.raises(ParamError):
+            HeParams(64, good.coeff_modulus, good.plaintext_modulus, depth)
     with pytest.raises(ParamError):
         HeParams(
             64,

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from hedgerow import ModelFormatError
+from hedgerow import HeBackend, ModelFormatError, make_test_params
 from hedgerow.clear import ClearBackend, CountingBackend
+from hedgerow.scheme import fold_steps, keygen
 from hedgerow.svm import (
     SvmModel,
     confidence_integers,
+    encoded_planes,
     infer_encrypted,
     quantize_model,
     svm_scores_clear,
@@ -80,7 +82,7 @@ def test_zero_input_gives_bias(he256, keys256, rng):
     model, _, _ = random_model(rng, s=3, d=50)
     ct = he256.encrypt(pk, he256.encode(_pack_x(he256, np.zeros(50, dtype=np.int64))), seed=1)
     outs = infer_encrypted(he256, ct, model, ek)
-    assert len(outs) == 3
+    assert len(outs) == 1
     got = confidence_integers(he256, sk, outs, model)
     assert np.array_equal(got, model.bias)
 
@@ -154,11 +156,73 @@ def test_cost_contract_counts(params256, clear_keys256, rng):
     ct = counting.encrypt(cpk, counting.encode(x), None)
     counting.ops.reset()
     infer_encrypted(counting, ct, model, cek)
-    per_class = 3
-    log_d = 7  # log2(128)
-    assert counting.ops.get("mul_pt") == per_class * 1
-    assert counting.ops.get("rotate") == per_class * log_d
-    assert counting.ops.get("add_ct") == per_class * log_d
-    assert counting.ops.get("add_pt") == per_class * 1
+    # g = 4 planes; rotation tree 1, 2, 1 (3) plus the row fold 64..4 (5)
+    assert counting.ops.get("mul_pt") == 4
+    assert counting.ops.get("rotate") == 8
+    assert counting.ops.get("add_ct") == 8
+    assert counting.ops.get("add_pt") == 1
     assert counting.ops.get("mul_ct") == 0
     assert counting.ops.get("swap_rows") == 0
+
+
+@pytest.mark.parametrize(
+    "d, s",
+    [(200, 5), (256, 3), (90, 1), (256, 1), (60, 7), (128, 128)],
+    ids=["swap-path", "full-ring", "one-class", "one-class-swap", "seven-classes", "row-of-classes"],
+)
+def test_diagonal_product_exact_on_both_backends(
+    he256, keys256, clear256, clear_keys256, rng, d, s
+):
+    sk, pk, ek = keys256
+    csk, cpk, cek = clear_keys256
+    model, _, _ = random_model(rng, s=s, d=d)
+    for i in range(2):
+        x = rng.integers(-1, 2, d)
+        packed = _pack_x(he256, x)
+        enc = infer_encrypted(he256, he256.encrypt(pk, he256.encode(packed), seed=70 + i), model, ek)
+        clr = infer_encrypted(clear256, clear256.encrypt(cpk, clear256.encode(packed)), model, cek)
+        assert len(enc) == len(clr) == 1
+        expect = svm_scores_clear(model, x)
+        assert np.array_equal(confidence_integers(he256, sk, enc, model), expect)
+        assert np.array_equal(confidence_integers(clear256, csk, clr, model), expect)
+        assert he256.noise_budget(sk, enc[0]) >= 10
+
+
+def test_more_classes_than_a_row_rejected(he256, keys256):
+    _, pk, ek = keys256
+    model = quantize_model(np.zeros((129, 8)), np.zeros(129), 20)  # 129 > N/2 = 128
+    ct = he256.encrypt(pk, he256.encode([0]), seed=4)
+    with pytest.raises(ModelFormatError):
+        infer_encrypted(he256, ct, model, ek)
+
+
+def test_default_fold_keys_suffice(rng):
+    params = make_test_params(64, num_primes=5, depth_budget=1)
+    sk, pk, ek = keygen(params, seed=11)
+    assert set(ek.galois) == set(fold_steps(params.rotation_group_size))
+    he = HeBackend(params)
+    for d, s in ((64, 1), (7, 32), (40, 5)):
+        model, _, _ = random_model(rng, s=s, d=d)
+        x = rng.integers(-1, 2, d)
+        ct = he.encrypt(pk, he.encode(_pack_x(he, x)), seed=d)
+        got = confidence_integers(he, sk, infer_encrypted(he, ct, model, ek), model)
+        assert np.array_equal(got, svm_scores_clear(model, x))
+
+
+@pytest.mark.parametrize("backend_type", [HeBackend, ClearBackend])
+def test_planes_encoded_once_per_model_and_backend(params256, backend_type, rng):
+    backend = backend_type(params256)
+    sk, pk, ek = backend.keygen(seed=5)
+    encodes = []
+    encode = backend.encode
+    backend.encode = lambda values: encodes.append(1) or encode(values)
+    model, _, _ = random_model(rng, s=5, d=100)
+    x = rng.integers(-1, 2, 100)
+    ct = backend.encrypt(pk, encode(_pack_x(backend, x)), 1)
+    first = infer_encrypted(backend, ct, model, ek)
+    assert len(encodes) == 8 + 1  # g = 8 planes and the bias
+    second = infer_encrypted(backend, ct, model, ek)
+    assert len(encodes) == 9
+    assert encoded_planes(backend, model) is encoded_planes(backend, model)
+    for outs in (first, second):
+        assert np.array_equal(confidence_integers(backend, sk, outs, model), svm_scores_clear(model, x))
