@@ -10,16 +10,17 @@ so pointwise multiplication in the transform domain is exactly negacyclic
 modulus per row, which keeps the per-stage work in a handful of vectorized
 uint64 operations.
 
-Moduli up to 2^31 use plain 64-bit products; moduli up to 2^42 (the packed
-plaintext modulus) go through a split-multiply path that never overflows
-uint64.
+Every modulus, coefficient primes and plaintext modulus alike, has at most
+``MODULUS_BITS`` = 31 bits, so the product of two residues fits one uint64
+and every modular multiply is a single ``(a * b) % p``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MASK21 = (1 << 21) - 1
+# one word size for every modulus: two residues multiply within uint64
+MODULUS_BITS = 31
 
 # deterministic Miller-Rabin witnesses for n < 2^64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -100,24 +101,10 @@ def root_of_unity(order: int, p: int) -> int:
     return w
 
 
-def _mul_mod_small(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return (a * b) % p
-
-
-def _mul_mod_wide(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # split multiplier: exact for p < 2^42, all intermediates < 2^64
-    hi = (((a >> 21) * b) % p << 21) % p
-    return (hi + (a & _MASK21) * b) % p
-
-
 def mul_mod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
-    """Elementwise (a*b) mod p on uint64 arrays; p may be scalar or (K,1)."""
-    p_arr = np.asarray(p, dtype=np.uint64)
-    if int(p_arr.max()) < (1 << 31):
-        return _mul_mod_small(a, b, p_arr)
-    if int(p_arr.max()) < (1 << 42):
-        return _mul_mod_wide(a, b, p_arr)
-    raise ValueError("modulus too large for 64-bit modular multiply")
+    """Elementwise (a*b) mod p on uint64 residues; p of at most MODULUS_BITS
+    bits, scalar or (K,1)."""
+    return (a * b) % p
 
 
 def add_mod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
@@ -144,9 +131,10 @@ class NttPlan:
     """Precomputed tables for batched negacyclic NTTs.
 
     One plan covers a fixed transform size ``n`` and a fixed tuple of
-    moduli, each of which must be a prime congruent to 1 mod 2n.  Arrays
-    passed to :meth:`forward` / :meth:`inverse` have shape (K, n) with
-    row k reduced modulo ``moduli[k]``.
+    moduli, each of which must be a prime of at most ``MODULUS_BITS`` bits
+    congruent to 1 mod 2n.  Arrays passed to :meth:`forward` /
+    :meth:`inverse` have shape (K, n) with row k reduced modulo
+    ``moduli[k]``.
     """
 
     def __init__(self, n: int, moduli: tuple[int, ...]):
@@ -155,12 +143,10 @@ class NttPlan:
         self.n = n
         self.moduli = tuple(int(m) for m in moduli)
         for m in self.moduli:
+            if m >= 1 << MODULUS_BITS:
+                raise ValueError(f"modulus {m} exceeds {MODULUS_BITS} bits")
             if (m - 1) % (2 * n) != 0:
                 raise ValueError(f"modulus {m} is not 1 mod {2 * n}")
-        if max(self.moduli) >= (1 << 42):
-            raise ValueError("moduli above 2^42 are not supported")
-        self._wide = max(self.moduli) >= (1 << 31)
-        self._mulmod = _mul_mod_wide if self._wide else _mul_mod_small
 
         k = len(self.moduli)
         self.p = np.array(self.moduli, dtype=np.uint64).reshape(k, 1)
@@ -210,23 +196,23 @@ class NttPlan:
             half = size // 2
             x = x.reshape(k, n // size, size)
             lo = x[:, :, :half]
-            hi = self._mulmod(x[:, :, half:], tw, p3)
+            hi = mul_mod(x[:, :, half:], tw, p3)
             x = np.concatenate((add_mod(lo, hi, p3), sub_mod(lo, hi, p3)), axis=2)
         return x.reshape(k, n)
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         """Negacyclic NTT: out[k][j] = a_k(psi^(2j+1)) in natural order."""
-        twisted = self._mulmod(a, self._psi_pow, self.p)
+        twisted = mul_mod(a, self._psi_pow, self.p)
         return self._cyclic(twisted, self._stage_tw)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward` (exact)."""
         x = self._cyclic(a, self._stage_tw_inv)
-        x = self._mulmod(x, self._n_inv, self.p)
-        return self._mulmod(x, self._psi_inv_pow, self.p)
+        x = mul_mod(x, self._n_inv, self.p)
+        return mul_mod(x, self._psi_inv_pow, self.p)
 
     def pointwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._mulmod(a, b, self.p)
+        return mul_mod(a, b, self.p)
 
     def negacyclic_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Negacyclic product of coefficient-domain inputs."""

@@ -20,6 +20,14 @@ remaining noise margin on each preset's deepest circuit and requires at
 least 10 bits.  The presets target correctness and that margin, not a
 particular concrete-security level; deployments wanting a security claim
 should re-derive ring degree and modulus sizes.
+
+Every preset's plaintext modulus t is the largest 31-bit prime = 1 mod 2N,
+the one word size ``ntt.MODULUS_BITS`` that every modulus shares.  Class
+scores decrypt centred in (-t/2, t/2], so a model's worst-case |score| must
+stay below t/2 < 2^30 in fixed point (1024 at the synthetic models' 2^20
+scale); ``svm.check_aggregate_bound`` refuses a larger model at load.  A
+params file naming a wider t fails validation, and its key directory must
+be regenerated.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from functools import cached_property
 from math import prod
 
 from .errors import ParamError
-from .ntt import find_ntt_primes, is_prime
+from .ntt import MODULUS_BITS, find_ntt_primes, is_prime
 
 PRESET_NAMES = ("svm-d1", "xgb-d2", "xgb-encmodel-d3")
 
@@ -42,7 +50,6 @@ _PRESET_SHAPES = {
 }
 
 _COEFF_PRIME_BITS = 29
-_PLAINTEXT_BITS = 41  # default t is the largest 41-bit prime = 1 mod 2N, ~2^40 range
 
 
 @dataclass(frozen=True)
@@ -62,24 +69,17 @@ class HeParams:
         object.__setattr__(self, "coeff_modulus", tuple(int(q) for q in self.coeff_modulus))
         if not self.coeff_modulus:
             raise ParamError("at least one coefficient prime is required")
-        if len(set(self.coeff_modulus)) != len(self.coeff_modulus):
-            raise ParamError("coefficient primes must be distinct")
-        for q in self.coeff_modulus:  # sizes first: is_prime is exact below 2^64
-            if q >= (1 << 31):
-                raise ParamError(f"coefficient modulus {q} exceeds 31 bits")
-            if not is_prime(q):
-                raise ParamError(f"coefficient modulus {q} is not prime")
-            if (q - 1) % (2 * n) != 0:
-                raise ParamError(f"coefficient modulus {q} is not 1 mod {2 * n}")
         t = self.plaintext_modulus
-        if t >= (1 << 42):
-            raise ParamError("plaintext modulus above 2^42 is not supported")
-        if not is_prime(t):
-            raise ParamError(f"plaintext modulus {t} is not prime")
-        if (t - 1) % (2 * n) != 0:
-            raise ParamError(f"plaintext modulus {t} is not 1 mod {2 * n}")
-        if any(q % t == 0 or t % q == 0 for q in self.coeff_modulus):
-            raise ParamError("plaintext modulus must be coprime to every coefficient prime")
+        roles = [("coefficient modulus", q) for q in self.coeff_modulus]
+        for role, m in roles + [("plaintext modulus", t)]:
+            if m >= 1 << MODULUS_BITS:  # sizes first: is_prime is exact below 2^64
+                raise ParamError(f"{role} {m} exceeds {MODULUS_BITS} bits")
+            if not is_prime(m):
+                raise ParamError(f"{role} {m} is not prime")
+            if (m - 1) % (2 * n) != 0:
+                raise ParamError(f"{role} {m} is not 1 mod {2 * n}")
+        if len({*self.coeff_modulus, t}) != len(self.coeff_modulus) + 1:
+            raise ParamError("coefficient primes and plaintext modulus must be distinct")
         if not 1 <= self.depth_budget <= len(self.coeff_modulus):
             raise ParamError(f"depth budget must lie in [1, {len(self.coeff_modulus)}] "
                              f"(the prime count), got {self.depth_budget}")
@@ -115,7 +115,8 @@ class HeParams:
 
 
 def default_plaintext_modulus(ring_degree: int) -> int:
-    return find_ntt_primes(_PLAINTEXT_BITS, 1, 2 * ring_degree)[0]
+    """The largest word-sized (MODULUS_BITS) prime = 1 mod 2N."""
+    return find_ntt_primes(MODULUS_BITS, 1, 2 * ring_degree)[0]
 
 
 def gen_params(preset: str) -> HeParams:

@@ -205,7 +205,9 @@ class RingContext:
                     while prod(primes) <= need:
                         count += 1
                         primes = find_ntt_primes(_WIDE_PRIME_BITS, count, self.two_n)
-                    assert not set(primes) & set(self.q_primes)
+                    # a prime shared with q is harmless: values enter and
+                    # leave this basis as Garner digits, which need only
+                    # distinct primes whose product exceeds `need`
                     wide = tuple(primes)
                     self._wide = (wide, NttPlan(self.n, wide), GarnerBasis(wide))
         return self._wide

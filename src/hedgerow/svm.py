@@ -63,10 +63,6 @@ class SvmModel:
     def quant_scale(self) -> int:
         return 1 << self.scale_bits
 
-    @property
-    def d_padded(self) -> int:
-        return next_pow2(self.num_features)
-
     def worst_case_aggregate(self) -> int:
         """Largest possible |confidence| over ternary inputs."""
         return int(
@@ -134,8 +130,8 @@ def encoded_planes(backend, model: SvmModel) -> tuple[list, object]:
     n, row = backend.params.slot_count, backend.params.rotation_group_size
     if model.num_features > n:
         raise ModelFormatError(
-            f"{model.num_features} features need {model.d_padded} slots, "
-            f"parameters provide {n} (multi-ciphertext splitting not supported)"
+            f"{model.num_features} features exceed the {n} slots of one ciphertext "
+            f"(multi-ciphertext splitting not supported)"
         )
     if model.num_classes > row:
         raise ModelFormatError(

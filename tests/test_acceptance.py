@@ -227,7 +227,6 @@ def test_criterion_6_svm_end_to_end():
     d, s = 2048, 11
     model = quantize_model(rng.normal(0, 0.1, (s, d)), rng.normal(0, 0.5, s), 20,
                            plaintext_modulus=params.plaintext_modulus)
-    assert model.d_padded == 2048
 
     he = CountingBackend(HeBackend(params))
     sk, pk, ek = he.keygen(seed=SEED)

@@ -6,12 +6,13 @@ import shutil
 import numpy as np
 import pytest
 
-from hedgerow import make_test_params
+from hedgerow import HeParams, make_test_params
 from hedgerow.cli import EXIT_CRYPTO, EXIT_FORMAT, EXIT_OK, main
 from hedgerow.modelio import (
     build_layout,
     gen_synthetic,
     load_dataset,
+    load_ensemble,
     normalize_samples,
     save_dataset,
     save_ensemble,
@@ -27,6 +28,8 @@ from hedgerow.pipeline import (
     run_infer,
     write_keyset,
 )
+from hedgerow.ntt import find_ntt_primes
+from hedgerow.params import default_plaintext_modulus
 from hedgerow.svm import svm_scores_clear
 
 
@@ -366,8 +369,10 @@ def test_hostile_model_exits_format(workspace, tmp_path, model, edit):
 @pytest.mark.parametrize(
     "key, line",
     [("preset", "preset=caf\u00e9"), ("N", "N=abc"), ("primes", "primes="), ("depth", "depth=x"),
-     ("depth", "depth=100000000000000000000000")],
-    ids=["non-ascii", "N-abc", "primes-empty", "depth-x", "depth-1e23"],
+     ("depth", "depth=100000000000000000000000"),
+     # the 41-bit default t that key directories held before t became word-sized
+     ("t", f"t={find_ntt_primes(41, 1, 512)[0]}")],
+    ids=["non-ascii", "N-abc", "primes-empty", "depth-x", "depth-1e23", "t-41-bit"],
 )
 def test_bad_params_file_exits_format(workspace, tmp_path, key, line):
     keys = tmp_path / "keys"
@@ -414,24 +419,35 @@ def test_cli_synth_layout_roundtrip(tmp_path):
         )
         == EXIT_OK
     )
+    synth = tmp_path / "synth"
     for name in ("ensemble.json", "svm.json", "data.csv"):
-        assert (tmp_path / "synth" / name).exists()
-    params = make_test_params(64, num_primes=5, depth_budget=2)
-    write_keyset(tmp_path / "keys", params, seed=1)
-    assert (
-        main(
-            [
-                "layout",
-                "--model", str(tmp_path / "synth" / "ensemble.json"),
-                "--svm", str(tmp_path / "synth" / "svm.json"),
-                "--keys", str(tmp_path / "keys"),
-                "--out", str(tmp_path / "layout.json"),
-            ]
-        )
-        == EXIT_OK
-    )
-    doc = json.loads((tmp_path / "layout.json").read_text())
-    assert doc["slot_count"] == 64
+        assert (synth / name).exists()
+    ens = load_ensemble(synth / "ensemble.json")
+    samples = load_dataset(synth / "data.csv", labeled=True).samples
+    ref = ensemble_scores_clear_batch(ens, normalize_samples(samples))
+    primes = tuple(find_ntt_primes(29, 5, 128))
+    # the second set holds a 30-bit prime that the wide basis also picks
+    for case, coeff in enumerate((primes, primes + (1073741441,))):
+        work = tmp_path / f"case{case}"
+        keys, server = work / "keys", work / "server"
+        write_keyset(keys, HeParams(64, coeff, default_plaintext_modulus(64), 2), seed=1)
+        export_public_keyset(keys, server)
+        steps = [
+            ["layout", "--model", str(synth / "ensemble.json"), "--svm", str(synth / "svm.json"),
+             "--keys", str(keys), "--out", str(work / "layout.json")],
+            ["encrypt", "--model-layout", str(work / "layout.json"), "--data",
+             str(synth / "data.csv"), "--labeled", "--keys", str(keys), "--seed", "7",
+             "--out", str(work / "enc")],
+            ["infer", "--mode", "xgb", "--model", str(synth / "ensemble.json"), "--in",
+             str(work / "enc"), "--keys", str(server), "--out", str(work / "scores")],
+            ["decrypt", "--in", str(work / "scores"), "--keys", str(keys),
+             "--report", str(work / "report.csv")],
+        ]
+        for argv in steps:
+            assert main(argv) == EXIT_OK, argv[0]
+        assert json.loads((work / "layout.json").read_text())["slot_count"] == 64
+        _, _, conf = run_decrypt(work / "scores", keys, None)
+        assert np.array_equal(conf * ens.quant_scale, ref.astype(np.float64))
 
 
 def test_usage_errors_exit_two():

@@ -25,6 +25,7 @@ from hedgerow.modelio import (
     save_svm,
 )
 from hedgerow.compare import encode_feature
+from hedgerow.params import gen_params
 from hedgerow.pipeline import (
     decrypt_class_scores,
     encrypt_bundle,
@@ -97,6 +98,17 @@ def test_load_ensemble_checks_aggregate_bound(tmp_path):
     with pytest.raises(ModelFormatError):
         load_ensemble(path, plaintext_modulus=2**21)
     load_ensemble(path, plaintext_modulus=2**40)
+    # the benchmark's models (seed 1, 11 x 128 trees, 1024 samples; worst-case
+    # aggregates 2^26.25 and 2^25.91) keep 3 bits of headroom: they load under
+    # their preset's t/8
+    ens, _, _ = gen_synthetic(seed=1, s=11, k=128, d=256, n_samples=1024)
+    _, svm_model, _ = gen_synthetic(seed=1, s=11, k=128, d=2048, n_samples=1024)
+    save_ensemble(ens, tmp_path / "xgb.json")
+    save_svm(svm_model, tmp_path / "svm.json")
+    for preset in ("xgb-d2", "xgb-encmodel-d3"):
+        t = gen_params(preset).plaintext_modulus
+        assert load_ensemble(tmp_path / "xgb.json", plaintext_modulus=t >> 3) == ens
+    load_svm(tmp_path / "svm.json", plaintext_modulus=gen_params("svm-d1").plaintext_modulus >> 3)
 
 
 def test_ensemble_roundtrip_fixed_point(tmp_path, rng):

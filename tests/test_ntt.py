@@ -7,10 +7,10 @@ from hedgerow.ntt import (
     NttPlan,
     find_ntt_primes,
     is_prime,
-    mul_mod,
     primitive_root,
     root_of_unity,
 )
+from hedgerow.params import PRESET_NAMES, gen_params
 
 
 def schoolbook_negacyclic(a, b, q):
@@ -56,21 +56,16 @@ def test_root_of_unity_orders():
     assert pow(g, (p - 1) // 2, p) != 1
 
 
+# every preset's t is 1 mod 2N for its N >= 2048, hence 1 mod 2n for these n
+PRESET_TS = tuple(sorted({gen_params(name).plaintext_modulus for name in PRESET_NAMES}))
+
+
 @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
 def test_forward_inverse_identity(n, rng):
-    primes = tuple(find_ntt_primes(29, 3, 2 * n))
+    primes = tuple(find_ntt_primes(29, 3, 2 * n)) + PRESET_TS
     plan = NttPlan(n, primes)
     for _ in range(20):
         a = np.stack([rng.integers(0, p, n, dtype=np.uint64) for p in primes])
-        assert np.array_equal(plan.inverse(plan.forward(a)), a)
-
-
-def test_forward_inverse_identity_wide_modulus(rng):
-    # the plaintext modulus path: a single ~41-bit prime
-    t = find_ntt_primes(41, 1, 128)[0]
-    plan = NttPlan(64, (t,))
-    for _ in range(20):
-        a = rng.integers(0, t, (1, 64)).astype(np.uint64)
         assert np.array_equal(plan.inverse(plan.forward(a)), a)
 
 
@@ -102,18 +97,11 @@ def test_negacyclic_wraparound_sign():
     assert np.array_equal(got, expect)
 
 
-def test_mul_mod_wide_path_matches_bigint(rng):
-    t = find_ntt_primes(41, 1, 128)[0]
-    a = rng.integers(0, t, 1000).astype(np.uint64)
-    b = rng.integers(0, t, 1000).astype(np.uint64)
-    got = mul_mod(a, b, np.uint64(t))
-    expect = (a.astype(object) * b.astype(object)) % t
-    assert np.array_equal(got.astype(object), expect)
-
-
 def test_plan_rejects_bad_sizes():
     p = find_ntt_primes(29, 1, 16)[0]
     with pytest.raises(ValueError):
         NttPlan(6, (p,))
     with pytest.raises(ValueError):
         NttPlan(8, (7,))  # 7 is not 1 mod 16
+    with pytest.raises(ValueError):
+        NttPlan(8, (find_ntt_primes(41, 1, 16)[0],))  # above the 31-bit word

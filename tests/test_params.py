@@ -3,7 +3,8 @@
 import pytest
 
 from hedgerow import HeParams, ParamError, gen_params, load_params, make_test_params, save_params
-from hedgerow.ntt import is_prime
+from hedgerow.ntt import find_ntt_primes, is_prime
+from hedgerow.params import PRESET_NAMES
 
 
 @pytest.mark.parametrize(
@@ -31,8 +32,11 @@ def test_preset_modulus_structure():
     t = params.plaintext_modulus
     assert is_prime(t)
     assert (t - 1) % two_n == 0
-    assert t > 2**40  # default t sits in the 2^40 range
+    assert 2**30 < t < 2**31
     assert all(q != t for q in params.coeff_modulus)
+    for preset in PRESET_NAMES:  # t is the largest 31-bit prime = 1 mod 2N
+        p = gen_params(preset)
+        assert p.plaintext_modulus == find_ntt_primes(31, 1, 2 * p.ring_degree)[0]
 
 
 def test_svm_preset_row_fits_default_features():
@@ -48,6 +52,8 @@ def test_params_validation_errors():
         HeParams(64, (15,), good.plaintext_modulus, 1)  # composite modulus
     with pytest.raises(ParamError):
         HeParams(64, good.coeff_modulus, 97, 1)  # t not 1 mod 2N
+    with pytest.raises(ParamError):
+        HeParams(64, good.coeff_modulus, find_ntt_primes(41, 1, 128)[0], 1)  # t above 31 bits
     with pytest.raises(ParamError):
         HeParams(64, good.coeff_modulus, good.plaintext_modulus, 0)  # depth < 1
     HeParams(64, good.coeff_modulus, good.plaintext_modulus, 3)  # one level per prime

@@ -60,12 +60,6 @@ def test_quantize_overflow_bound():
     quantize_model(np.full((1, 10), 1.0), [0.0], 20, plaintext_modulus=2**40)
 
 
-def test_d_padded():
-    assert quantize_model(np.zeros((1, 5)), [0.0], 20).d_padded == 8
-    assert quantize_model(np.zeros((1, 64)), [0.0], 20).d_padded == 64
-    assert quantize_model(np.zeros((1, 1)), [0.0], 20).d_padded == 1
-
-
 # ---------------------------------------------------------------------------
 # encrypted inference
 # ---------------------------------------------------------------------------
@@ -141,7 +135,7 @@ def test_confidence_roundtrip_and_argmax_stability(he256, keys256, clear256, cle
 
 def test_oversize_feature_vector_rejected(he256, keys256):
     _, pk, ek = keys256
-    model = quantize_model(np.zeros((1, 300)), [0.0], 20)  # d_padded = 512 > 256
+    model = quantize_model(np.zeros((1, 300)), [0.0], 20)  # 300 features > 256 slots
     ct = he256.encrypt(pk, he256.encode([0]), seed=4)
     with pytest.raises(ModelFormatError):
         infer_encrypted(he256, ct, model, ek)
@@ -151,7 +145,6 @@ def test_cost_contract_counts(params256, clear_keys256, rng):
     counting = CountingBackend(ClearBackend(params256))
     csk, cpk, cek = clear_keys256
     model, _, _ = random_model(rng, s=3, d=128)
-    assert model.d_padded == 128
     x = _pack_x(counting, rng.integers(-1, 2, 128))
     ct = counting.encrypt(cpk, counting.encode(x), None)
     counting.ops.reset()
