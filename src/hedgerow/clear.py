@@ -83,10 +83,7 @@ class ClearBackend(Backend):
         )
 
     def negate(self, a: ClearCiphertext) -> ClearCiphertext:
-        zero = np.uint64(0)
-        return ClearCiphertext(
-            a.params_fingerprint, a.level, np.where(a.slots == zero, zero, self.t - a.slots)
-        )
+        return ClearCiphertext(a.params_fingerprint, a.level, sub_mod(0, a.slots, self.t))
 
     def add_pt(self, a: ClearCiphertext, pt: ClearPlaintext) -> ClearCiphertext:
         self._check_pt(a, pt)

@@ -9,7 +9,6 @@ exactly the O(n^2) pairwise count with half ties, at O(n log n).
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ModelFormatError
 
@@ -22,7 +21,8 @@ def micro_auc(scores, labels) -> float:
         labels: (n_samples,) true class indices.
 
     Raises:
-        ModelFormatError: shape mismatch or a degenerate pooled set.
+        ModelFormatError: shape mismatch, a non-finite score, or a degenerate
+            pooled set.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -30,6 +30,8 @@ def micro_auc(scores, labels) -> float:
         raise ModelFormatError("scores must be (n, s) with one label per sample")
     if y.size and (y.min() < 0 or y.max() >= s.shape[1]):
         raise ModelFormatError("labels out of class range")
+    if not np.isfinite(s).all():
+        raise ModelFormatError("scores must be finite")
     n, classes = s.shape
     positives = np.zeros((n, classes), dtype=bool)
     positives[np.arange(n), y] = True
@@ -39,7 +41,9 @@ def micro_auc(scores, labels) -> float:
     n_neg = pos.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ModelFormatError("pooled one-vs-rest set is degenerate (single class)")
-    ranks = rankdata(pooled, method="average")
+    # 1-based ranks, each tie group sharing the mean of the ranks it spans
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     rank_sum = float(ranks[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

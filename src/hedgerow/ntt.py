@@ -8,7 +8,9 @@ evaluations at the odd powers of a primitive 2N-th root of unity psi:
 so pointwise multiplication in the transform domain is exactly negacyclic
 (x^N = -1) convolution.  Transforms are batched over a leading axis, one
 modulus per row, which keeps the per-stage work in a handful of vectorized
-uint64 operations.
+uint64 operations.  A plan keeps one table of powers of psi and one of its
+inverse; each butterfly stage reads its twiddles (powers of omega = psi^2)
+as a strided slice of them.
 
 Every modulus, coefficient primes and plaintext modulus alike, has at most
 ``MODULUS_BITS`` = 31 bits, so the product of two residues fits one uint64
@@ -166,48 +168,38 @@ class NttPlan:
                     acc = acc * base % m
             return tbl
 
+        # omega = psi^2, so every stage twiddle is a strided slice of these
         self._psi_pow = power_table(psis, n)
         self._psi_inv_pow = power_table([pow(s, -1, m) for s, m in zip(psis, self.moduli)], n)
-        omegas = [s * s % m for s, m in zip(psis, self.moduli)]
-        omegas_inv = [pow(w, -1, m) for w, m in zip(omegas, self.moduli)]
-
-        # per-stage twiddles: stage with block size `size` uses omega^(n/size * j)
-        self._stage_tw = []
-        self._stage_tw_inv = []
-        size = 2
-        while size <= n:
-            half = size // 2
-            step = n // size
-            fw = power_table([pow(w, step, m) for w, m in zip(omegas, self.moduli)], half)
-            bw = power_table([pow(w, step, m) for w, m in zip(omegas_inv, self.moduli)], half)
-            self._stage_tw.append(fw.reshape(k, 1, half))
-            self._stage_tw_inv.append(bw.reshape(k, 1, half))
-            size *= 2
         self._n_inv = np.array(
             [pow(n, -1, m) for m in self.moduli], dtype=np.uint64
         ).reshape(k, 1)
 
-    def _cyclic(self, a: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    def _cyclic(self, a: np.ndarray, powers: np.ndarray) -> np.ndarray:
+        """Cyclic NTT of bit-reversed input; ``powers`` are psi^j (or psi^-j)."""
         k, n = a.shape
         p3 = self.p.reshape(k, 1, 1)
         x = a[:, self._bitrev]
-        for stage, tw in enumerate(tables):
-            size = 2 << stage
-            half = size // 2
+        half = 1
+        while half < n:
+            size = 2 * half
+            # the stage of block size `size` multiplies by omega^(n/size * j) = psi^(n/half * j)
+            tw = powers[:, :: n // half].reshape(k, 1, half)
             x = x.reshape(k, n // size, size)
             lo = x[:, :, :half]
             hi = mul_mod(x[:, :, half:], tw, p3)
             x = np.concatenate((add_mod(lo, hi, p3), sub_mod(lo, hi, p3)), axis=2)
+            half = size
         return x.reshape(k, n)
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         """Negacyclic NTT: out[k][j] = a_k(psi^(2j+1)) in natural order."""
         twisted = mul_mod(a, self._psi_pow, self.p)
-        return self._cyclic(twisted, self._stage_tw)
+        return self._cyclic(twisted, self._psi_pow)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward` (exact)."""
-        x = self._cyclic(a, self._stage_tw_inv)
+        x = self._cyclic(a, self._psi_inv_pow)
         x = mul_mod(x, self._n_inv, self.p)
         return mul_mod(x, self._psi_inv_pow, self.p)
 

@@ -76,7 +76,7 @@ SCORE_COUNTS = ("samples", "classes", "scale_bits", "outputs")
 def thread_count(n_tasks: int) -> int:
     """Worker count for sample-parallel stages, capped by HEDGEROW_THREADS."""
     cap = os.environ.get("HEDGEROW_THREADS", "")
-    workers = int(cap) if cap.strip().isdigit() and int(cap) > 0 else (os.cpu_count() or 1)
+    workers = int(cap) if cap.strip().isdecimal() and int(cap) > 0 else (os.cpu_count() or 1)
     return max(1, min(workers, n_tasks))
 
 
@@ -298,15 +298,13 @@ def _sample_dir(base: Path, index: int) -> Path:
     return base / f"sample_{index:05d}"
 
 
-def upload_names(num_blocks: int) -> dict:
-    """File name of each upload ciphertext of one sample, keyed by
-    (block, stream, plane) for the tree streams and "svm" for the SVM vector."""
-    names = {
-        (b, s, p): f"block_{b:03d}.{s}.{p}.ct"
-        for b in range(num_blocks) for s in STREAMS for p in PLANES
-    }
-    names["svm"] = "svm.ct"
-    return names
+def upload_name(key) -> str:
+    """File name of one upload ciphertext of a sample, whose key is
+    (block, stream, plane) for a tree stream and "svm" for the SVM vector."""
+    if key == "svm":
+        return "svm.ct"
+    b, s, p = key
+    return f"block_{b:03d}.{s}.{p}.ct"
 
 
 def read_manifest(directory, counts: tuple[str, ...], slot_count: int) -> dict:
@@ -352,7 +350,6 @@ def run_encrypt(layout: FeatureLayout, dataset, keyset: KeySet, seed, outdir) ->
             f"layout was built for {layout.slot_count} slots, keys provide "
             f"{keyset.params.slot_count}"
         )
-    names = upload_names(layout.num_blocks)
     pk = keyset.public
     prg = Prg(seed)
     t0 = time.perf_counter()
@@ -367,7 +364,7 @@ def run_encrypt(layout: FeatureLayout, dataset, keyset: KeySet, seed, outdir) ->
         sdir = _sample_dir(out, i)
         sdir.mkdir(parents=True, exist_ok=True)
         for key, ct in uploads.items():
-            (sdir / names[key]).write_bytes(serial.serialize_ciphertext(ct))
+            (sdir / upload_name(key)).write_bytes(serial.serialize_ciphertext(ct))
     elapsed = time.perf_counter() - t0
     manifest = {
         "samples": dataset.num_samples,
@@ -386,7 +383,7 @@ def _read_ct(path: Path, params: HeParams):
 class ServerModel(NamedTuple):
     """One mode's model as the server evaluates it."""
 
-    uploads: list  # the ``upload_names`` keys one sample needs
+    uploads: list  # the ``upload_name`` keys one sample needs
     evaluate: Callable[[dict], list]  # {upload key: ciphertext} -> output ciphertexts
     scores: dict  # the score manifest's classes, scale_bits, outputs, class_positions
 
@@ -430,7 +427,7 @@ def server_model(mode, model_path, backend, keyset: KeySet, bundles: dict, seed)
         return infer_xgb_sample(backend, blocks, plane_pts, layout, ek, enc_split)
 
     return ServerModel(
-        [key for key in upload_names(layout.num_blocks) if key != "svm"],
+        [(b, s, p) for b in range(layout.num_blocks) for s in STREAMS for p in PLANES],
         evaluate,
         {"classes": layout.num_classes, "scale_bits": ens.scale_bits,
          "outputs": layout.num_blocks, "class_positions": _class_positions(layout)},
@@ -457,9 +454,8 @@ def run_infer(mode: str, model_path, indir, keydir, outdir, seed=0) -> float:
     src, out = Path(indir), Path(outdir)
     bundles = read_manifest(src, BUNDLE_COUNTS, params.slot_count)
     model = server_model(mode, model_path, backend, keyset, bundles, seed)
-    names = upload_names(bundles["blocks"])
     inputs = [
-        {key: _read_ct(_sample_dir(src, i) / names[key], params) for key in model.uploads}
+        {key: _read_ct(_sample_dir(src, i) / upload_name(key), params) for key in model.uploads}
         for i in range(bundles["samples"])
     ]
 

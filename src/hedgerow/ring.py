@@ -3,26 +3,32 @@
 A :class:`RingContext` owns, for one parameter set:
 
 * batched NTT plans for the coefficient primes, the plaintext modulus, and
-  (built lazily) a wide auxiliary basis large enough to hold exact integer
-  tensor products of two ciphertext parts;
+  (built on first use) a wide auxiliary basis large enough to hold exact
+  integer tensor products of two ciphertext parts;
 * the slot permutation realizing full-N batching.  Slots form two rotation
   rows of N/2: slot j < N/2 is the evaluation at psi^(3^j mod 2N), slot
   N/2+j at psi^(-3^j mod 2N).  The automorphism x -> x^(3^r) rotates both
   rows left by r; x -> x^(2N-1) swaps the rows;
+* the two scalings between Z_t and Z_q: round(q*m/t) for a plaintext and
+  round(t*x/q) for a product or a decrypted phase;
 * Garner mixed-radix conversion between RNS residues, other prime bases,
   and centered big integers (used for exact multiply scaling, decryption,
   and noise measurement).
+
+A context holds no lock and no cache but the wide basis: an automorphism's
+index map is recomputed per call (microseconds, against milliseconds for
+the keyswitch that follows it), and threads that race to build the wide
+basis build the same one.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from math import prod
 
 import numpy as np
 
-from .ntt import NttPlan, add_mod, find_ntt_primes, mul_mod
+from .ntt import NttPlan, add_mod, find_ntt_primes, mul_mod, sub_mod
 from .params import HeParams
 
 _WIDE_PRIME_BITS = 30
@@ -131,15 +137,6 @@ class RingContext:
             [pow(self.t % p, -1, p) for p in self.q_primes], dtype=np.uint64
         ).reshape(self.k, 1)
 
-        # crt_unit[j] = 1 mod q_j, 0 mod the others; reduced per prime for keyswitch keys
-        self._crt_units = []
-        for j, p in enumerate(self.q_primes):
-            qj_hat = self.q // p
-            unit = qj_hat * pow(qj_hat % p, -1, p)
-            self._crt_units.append(
-                np.array([unit % pi for pi in self.q_primes], dtype=np.uint64).reshape(self.k, 1)
-            )
-
         # slot j < N/2 evaluates at psi^(3^j); slot N/2+j at psi^(-3^j); the
         # forward NTT emits evaluation at psi^(2k+1) in position k
         exps = np.empty(self.n, dtype=np.int64)
@@ -150,8 +147,6 @@ class RingContext:
             e = e * 3 % self.two_n
         self.slot_to_eval = ((exps - 1) // 2).astype(np.intp)
 
-        self._lock = threading.Lock()
-        self._auto_maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._wide: tuple[tuple[int, ...], NttPlan, GarnerBasis] | None = None
 
     # -- galois -------------------------------------------------------------
@@ -164,52 +159,35 @@ class RingContext:
     def row_swap_element(self) -> int:
         return self.two_n - 1
 
-    def _auto_map(self, g: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._auto_maps.get(g)
-        if cached is not None:
-            return cached
-        with self._lock:
-            cached = self._auto_maps.get(g)
-            if cached is None:
-                src = np.arange(self.n, dtype=np.int64)
-                e = src * g % self.two_n
-                neg = e >= self.n
-                dst = np.where(neg, e - self.n, e).astype(np.intp)
-                cached = (dst, neg)
-                self._auto_maps[g] = cached
-        return cached
-
     def apply_automorphism(self, poly: np.ndarray, g: int) -> np.ndarray:
-        """x -> x^g on a (K, N) residue array in coefficient domain."""
-        dst, neg = self._auto_map(g)
-        flipped = np.where(poly == 0, np.uint64(0), self.q_arr - poly)
-        vals = np.where(neg[None, :], flipped, poly)
+        """x -> x^g on a (K, N) residue array in coefficient domain: coefficient
+        i moves to i*g mod 2N, negated where that exponent wraps past N."""
+        e = np.arange(self.n, dtype=np.int64) * g % self.two_n
         out = np.empty_like(poly)
-        out[:, dst] = vals
+        out[:, e % self.n] = np.where(e >= self.n, sub_mod(0, poly, self.q_arr), poly)
         return out
 
     # -- bases --------------------------------------------------------------
 
     def wide_basis(self) -> tuple[tuple[int, ...], NttPlan, GarnerBasis]:
-        """Auxiliary prime basis holding exact ciphertext tensor products."""
+        """Auxiliary prime basis holding exact ciphertext tensor products.
+
+        Built on first use.  Threads that race here each build the same
+        deterministic basis, so whichever assignment lands last is harmless.
+        """
         if self._wide is None:
-            with self._lock:
-                if self._wide is None:
-                    # d1 = a0*b1 + a1*b0 is bounded by 2*N*(q/2)^2 in magnitude
-                    bound = 2 * self.n * (self.q // 2 + 1) ** 2
-                    need = 4 * bound
-                    count = (need.bit_length() + _WIDE_PRIME_BITS - 2) // (
-                        _WIDE_PRIME_BITS - 1
-                    )
-                    primes = find_ntt_primes(_WIDE_PRIME_BITS, count, self.two_n)
-                    while prod(primes) <= need:
-                        count += 1
-                        primes = find_ntt_primes(_WIDE_PRIME_BITS, count, self.two_n)
-                    # a prime shared with q is harmless: values enter and
-                    # leave this basis as Garner digits, which need only
-                    # distinct primes whose product exceeds `need`
-                    wide = tuple(primes)
-                    self._wide = (wide, NttPlan(self.n, wide), GarnerBasis(wide))
+            # d1 = a0*b1 + a1*b0 is bounded by 2*N*(q/2)^2 in magnitude
+            need = 4 * 2 * self.n * (self.q // 2 + 1) ** 2
+            count = (need.bit_length() + _WIDE_PRIME_BITS - 2) // (_WIDE_PRIME_BITS - 1)
+            primes = find_ntt_primes(_WIDE_PRIME_BITS, count, self.two_n)
+            while prod(primes) <= need:
+                count += 1
+                primes = find_ntt_primes(_WIDE_PRIME_BITS, count, self.two_n)
+            # a prime shared with q is harmless: values enter and leave this
+            # basis as Garner digits, which need only distinct primes whose
+            # product exceeds `need`
+            wide = tuple(primes)
+            self._wide = (wide, NttPlan(self.n, wide), GarnerBasis(wide))
         return self._wide
 
     # -- small helpers ------------------------------------------------------
@@ -233,14 +211,10 @@ class RingContext:
         )
         return mul_mod(diff.astype(np.uint64), self._t_inv_mod_q, self.q_arr)
 
-    def crt_unit(self, j: int) -> np.ndarray:
-        return self._crt_units[j]
-
-    def zero_rns(self) -> np.ndarray:
-        return np.zeros((self.k, self.n), dtype=np.uint64)
-
-    def accumulate_ntt(self, acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return add_mod(acc, self.plan_q.pointwise(a, b), self.q_arr)
+    def scale_round(self, x: np.ndarray) -> np.ndarray:
+        """round(t * x / q), halves rounded up, of centred integers x (an
+        object array): the scale-down of a product and of a decrypted phase."""
+        return (2 * self.t * x + self.q) // (2 * self.q)
 
 
 @lru_cache(maxsize=8)

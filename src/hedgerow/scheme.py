@@ -35,7 +35,7 @@ from .errors import (
     NoiseBudgetError,
     ParamError,
 )
-from .ntt import add_mod, mul_mod, sub_mod
+from .ntt import add_mod, sub_mod
 from .params import HeParams
 from .ring import RingContext, get_ring
 
@@ -106,10 +106,7 @@ class PackedPlaintext:
     @cached_property
     def _ntt_q(self) -> np.ndarray:
         ring = get_ring(self.params)
-        res = (self.poly[None, :].astype(np.int64) % ring.q_arr.astype(np.int64)).astype(
-            np.uint64
-        )
-        return ring.plan_q.forward(res)
+        return ring.plan_q.forward(ring.rns_from_small(self.poly.astype(np.int64)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +216,7 @@ def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None
         e = ring.rns_from_small(prg.cbd(label + ".e", n))
         a_ntt = ring.plan_q.forward(a)
         b = add_mod(ring.plan_q.pointwise(a_ntt, s_ntt), ring.plan_q.forward(e), ring.q_arr)
-        b = sub_mod(np.zeros_like(b), b, ring.q_arr)
+        b = sub_mod(0, b, ring.q_arr)
         if payload_ntt is not None:
             b = add_mod(b, payload_ntt, ring.q_arr)
         return b, a_ntt
@@ -227,9 +224,12 @@ def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None
     pk_b, pk_a = rlwe_pair("pk", None)
 
     def keyswitch_key(label: str, target_ntt: np.ndarray) -> KeySwitchKey:
+        """Digit j encrypts the target times the CRT unit of q_j (1 mod q_j,
+        0 mod the other primes): the target's row j, zero elsewhere."""
         digits = []
         for j in range(k):
-            payload = mul_mod(target_ntt, ring.crt_unit(j), ring.q_arr)
+            payload = np.zeros_like(target_ntt)
+            payload[j] = target_ntt[j]
             digits.append(rlwe_pair(f"{label}.{j}", payload))
         return tuple(digits)
 
@@ -390,9 +390,9 @@ class HeBackend(Backend):
         ring = self.ring
         acc = ring.plan_q.pointwise(ring.plan_q.forward(ct.parts[1]), sk._s_ntt)
         phase = add_mod(ct.parts[0], ring.plan_q.inverse(acc), ring.q_arr)
-        tx = ring.t * ring.garner_q.residues_to_ints(phase)
-        r = (2 * tx + ring.q) // (2 * ring.q)
-        return r, tx - ring.q * r
+        x = ring.garner_q.residues_to_ints(phase)
+        r = ring.scale_round(x)
+        return r, ring.t * x - ring.q * r
 
     def _margin_bits(self, w: np.ndarray) -> int:
         q = self.ring.q
@@ -419,13 +419,12 @@ class HeBackend(Backend):
         return Ciphertext(a.params_fingerprint, min(a.level, b.level), parts)
 
     def sub_ct(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return self.add_ct(a, self.negate(b))
+        self._check_pair(a, b)
+        parts = tuple(sub_mod(x, y, self.ring.q_arr) for x, y in zip(a.parts, b.parts))
+        return Ciphertext(a.params_fingerprint, min(a.level, b.level), parts)
 
     def negate(self, a: Ciphertext) -> Ciphertext:
-        zero = np.uint64(0)
-        parts = tuple(
-            np.where(p == zero, zero, self.ring.q_arr - p) for p in a.parts
-        )
+        parts = tuple(sub_mod(0, p, self.ring.q_arr) for p in a.parts)
         return Ciphertext(a.params_fingerprint, a.level, parts)
 
     def add_pt(self, a: Ciphertext, pt: PackedPlaintext) -> Ciphertext:
@@ -463,13 +462,8 @@ class HeBackend(Backend):
         d2 = plan_w.pointwise(a1, b1)
 
         def scale_down(d_ntt: np.ndarray) -> np.ndarray:
-            digits = garner_w.to_digits(plan_w.inverse(d_ntt))
-            x = garner_w.digits_to_ints(digits, garner_w.negative_mask(digits))
-            r = (2 * ring.t * x + ring.q) // (2 * ring.q)
-            out = np.empty((ring.k, ring.n), dtype=np.uint64)
-            for i, p in enumerate(ring.q_primes):
-                out[i] = (r % p).astype(np.uint64)
-            return out
+            r = ring.scale_round(garner_w.residues_to_ints(plan_w.inverse(d_ntt)))
+            return np.stack([(r % p).astype(np.uint64) for p in ring.q_primes])
 
         c0, c1, c2 = (scale_down(d) for d in (d0, d1, d2))
         r0, r1 = self._keyswitch(c2, ek.relin)
@@ -501,11 +495,10 @@ class HeBackend(Backend):
     def _keyswitch(self, poly: np.ndarray, key: KeySwitchKey):
         """Per-prime digit keyswitch of a coefficient-domain polynomial."""
         ring = self.ring
-        acc0 = ring.zero_rns()
-        acc1 = ring.zero_rns()
+        plan = ring.plan_q
+        acc0 = acc1 = np.zeros((ring.k, ring.n), dtype=np.uint64)
         for j in range(ring.k):
-            digit = poly[j][None, :] % ring.q_arr
-            dig_ntt = ring.plan_q.forward(digit)
-            acc0 = ring.accumulate_ntt(acc0, dig_ntt, key[j][0])
-            acc1 = ring.accumulate_ntt(acc1, dig_ntt, key[j][1])
-        return ring.plan_q.inverse(acc0), ring.plan_q.inverse(acc1)
+            dig_ntt = plan.forward(poly[j][None, :] % ring.q_arr)
+            acc0 = add_mod(acc0, plan.pointwise(dig_ntt, key[j][0]), ring.q_arr)
+            acc1 = add_mod(acc1, plan.pointwise(dig_ntt, key[j][1]), ring.q_arr)
+        return plan.inverse(acc0), plan.inverse(acc1)

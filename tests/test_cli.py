@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from hedgerow.pipeline import (
 )
 from hedgerow.ntt import find_ntt_primes
 from hedgerow.params import default_plaintext_modulus
+from hedgerow.ring import get_ring
 from hedgerow.svm import svm_scores_clear
 
 
@@ -131,6 +133,8 @@ def test_infer_thread_count_invariance(workspace, monkeypatch, mode, model):
     runs = {}
     for threads in ("1", "3"):
         monkeypatch.setenv("HEDGEROW_THREADS", threads)
+        if threads == "3":
+            get_ring.cache_clear()  # the threads race to build the wide basis
         out = runs[threads] = base / f"threads{threads}-{mode}"
         run_infer(mode, base / model, base / "enc", workspace["server"], out)
         run_decrypt(out, workspace["keydir"], out / "report.csv")
@@ -284,6 +288,27 @@ def test_hostile_manifest_exits_format(workspace, xgb_scores, tmp_path, role, fi
         argv = ["infer", "--mode", mode, "--model", str(model), "--in", str(enc),
                 "--keys", str(workspace["server"]), "--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_FORMAT
+
+
+def test_svm_infer_ignores_the_block_count(workspace, tmp_path):
+    # svm mode reads one upload per sample, so no block count may size anything
+    base = workspace["base"]
+    hostile = tmp_path / "hostile"
+    shutil.copytree(base / "enc", hostile)
+    doc = json.loads((hostile / "manifest.json").read_text())
+    doc["blocks"] = 2**62
+    (hostile / "manifest.json").write_text(json.dumps(doc))
+    reports = []
+    for enc, scores in ((base / "enc", tmp_path / "scores"),
+                        (hostile, tmp_path / "hostile-scores")):
+        start = time.perf_counter()
+        assert main(["infer", "--mode", "svm", "--model", str(base / "svm.json"), "--in",
+                     str(enc), "--keys", str(workspace["server"]), "--out", str(scores)]) == EXIT_OK
+        assert time.perf_counter() - start < 30
+        assert main(["decrypt", "--in", str(scores), "--keys", str(workspace["keydir"]),
+                     "--report", str(scores / "report.csv")]) == EXIT_OK
+        reports.append((scores / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe", b"[]"], ids=["not-utf8", "not-an-object"])

@@ -89,6 +89,9 @@ def test_degenerate_pool_rejected():
     # single-class scores: with one class every pooled decision is positive
     with pytest.raises(ModelFormatError):
         micro_auc(np.array([[1.0], [2.0]]), np.array([0, 0]))
+    # a NaN score has no rank
+    with pytest.raises(ModelFormatError):
+        micro_auc(np.array([[0.9, np.nan], [0.2, 0.8]]), np.array([0, 1]))
 
 
 def test_label_range_validated():

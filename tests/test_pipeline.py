@@ -14,6 +14,7 @@ from hedgerow.modelio import (
     normalize_samples,
     pack_client_input,
 )
+from hedgerow import pipeline
 from hedgerow.pipeline import (
     EvalReport,
     TimingReport,
@@ -32,6 +33,19 @@ def test_timing_report_invariants():
         TimingReport(1.0, 2.0, 3.0, 0.5, 2.9)  # end-to-end below a component
     with pytest.raises(ModelFormatError):
         TimingReport(-0.1, 0.0, 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "cap, workers",
+    [("²", 8), ("abc", 8), ("0", 8), ("", 8), ("3", 3), (" 5 ", 5)],
+    ids=["superscript-two", "abc", "zero", "empty", "three", "padded-five"],
+)
+def test_thread_count_reads_decimal_caps_only(monkeypatch, cap, workers):
+    # "²" passes str.isdigit but not int(); like any non-cap it leaves the cpu count
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 8)
+    monkeypatch.setenv("HEDGEROW_THREADS", cap)
+    assert pipeline.thread_count(100) == workers
+    assert pipeline.thread_count(2) == min(workers, 2)
 
 
 def test_eval_report_range():

@@ -1,6 +1,8 @@
 """Scheme-level behaviour: roundtrips, operation semantics, the clear mirror."""
 
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hedgerow import (
     ParamError,
     make_test_params,
 )
+from hedgerow.ring import RingContext
 from hedgerow.serial import serialize_public_key, serialize_secret_key
 
 
@@ -154,6 +157,25 @@ def test_mul_ct_random_binary_vs_and(he64, keys64, rng):
         a = enc(he64, pk, u, seed=100 + i)
         b = enc(he64, pk, v, seed=200 + i)
         assert np.array_equal(dec(he64, sk, he64.mul_ct(a, b, ek)), u & v)
+
+
+def test_racing_threads_build_one_wide_basis(params64, rng):
+    # wide_basis takes no lock: threads racing on a cold ring may each build
+    # the basis, and every build must be the same one
+    ring = RingContext(params64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(ring.wide_basis) for _ in range(8)]
+            builds = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    primes, plan, _ = ring.wide_basis()
+    x = rng.integers(0, 2**62, (len(primes), ring.n), dtype=np.uint64) % plan.p
+    for p, other_plan, garner in builds:
+        assert p == primes and garner.primes == primes
+        assert np.array_equal(other_plan.forward(x), plan.forward(x))
 
 
 # ---------------------------------------------------------------------------
