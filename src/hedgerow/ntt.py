@@ -19,6 +19,9 @@ and every modular multiply is a single ``(a * b) % p``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import islice
+
 import numpy as np
 
 # one word size for every modulus: two residues multiply within uint64
@@ -53,15 +56,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def ntt_primes(bit_size: int, two_n: int) -> Iterator[int]:
+    """The primes below 2^bit_size congruent to 1 mod two_n, largest first."""
+    # k * two_n + 1 < 2^bit_size: k * two_n <= 2^bit_size - 1, and an even
+    # two_n never makes that an equality
+    for k in range(((1 << bit_size) - 1) // two_n, 0, -1):
+        if is_prime(k * two_n + 1):
+            yield k * two_n + 1
+
+
 def find_ntt_primes(bit_size: int, count: int, two_n: int) -> list[int]:
     """Largest `count` primes below 2^bit_size congruent to 1 mod two_n."""
-    primes = []
-    k = ((1 << bit_size) - 1) // two_n
-    while len(primes) < count and k > 0:
-        p = k * two_n + 1
-        if p < (1 << bit_size) and is_prime(p):
-            primes.append(p)
-        k -= 1
+    primes = list(islice(ntt_primes(bit_size, two_n), count))
     if len(primes) < count:
         raise ValueError(f"not enough {bit_size}-bit primes = 1 mod {two_n}")
     return primes
@@ -109,14 +115,18 @@ def mul_mod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     return (a * b) % p
 
 
+# add_mod and sub_mod take residues below p and reduce a sum s < 2p as
+# min(s, s - p): in uint64, s - p wraps above s exactly when s < p
+
+
 def add_mod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     s = a + b
-    return np.where(s >= p, s - p, s)
+    return np.minimum(s, s - p)
 
 
 def sub_mod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     d = a + (p - b)
-    return np.where(d >= p, d - p, d)
+    return np.minimum(d, d - p)
 
 
 def _bit_reverse_indices(n: int) -> np.ndarray:

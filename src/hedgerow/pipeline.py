@@ -488,15 +488,19 @@ def run_decrypt(indir, keydir, report_path) -> tuple[float, np.ndarray, np.ndarr
     manifest = read_manifest(src, SCORE_COUNTS, params.slot_count)
     scale = float(1 << manifest["scale_bits"])
 
-    confidences = np.empty((manifest["samples"], manifest["classes"]), dtype=np.float64)
+    # rows grow as samples decrypt: the manifest's count is outside input and
+    # must not size an allocation, so a count beyond the files ends at the
+    # first missing one
+    rows = []
     elapsed = 0.0
     for i in range(manifest["samples"]):
         sdir = _sample_dir(src, i)
         cts = [_read_ct(sdir / SCORE_FILE.format(o), params) for o in range(manifest["outputs"])]
         t0 = time.perf_counter()
         scores = decrypt_scores(backend, sk, cts, manifest["class_positions"])
-        confidences[i] = scores / scale
+        rows.append(scores / scale)
         elapsed += time.perf_counter() - t0
+    confidences = np.array(rows, dtype=np.float64).reshape(len(rows), manifest["classes"])
 
     predictions = np.argmax(confidences, axis=1).astype(np.int64)
     if report_path is not None:

@@ -5,6 +5,12 @@ A :class:`RingContext` owns, for one parameter set:
 * batched NTT plans for the coefficient primes, the plaintext modulus, and
   (built on first use) a wide auxiliary basis large enough to hold exact
   integer tensor products of two ciphertext parts;
+* the special primes P of hybrid keyswitching (Gentry-Halevi-Smart 2012,
+  in the RNS form of Han-Ki 2020): the fewest of the largest word-sized NTT
+  primes, other than t and the coefficient primes, whose product exceeds q.
+  Switching keys live mod qP; ``mod_up`` lifts a polynomial from q to qP
+  and ``mod_down`` divides one mod qP by P with rounding, back to q.  The
+  qP plan is built on first use;
 * the slot permutation realizing full-N batching.  Slots form two rotation
   rows of N/2: slot j < N/2 is the evaluation at psi^(3^j mod 2N), slot
   N/2+j at psi^(-3^j mod 2N).  The automorphism x -> x^(3^r) rotates both
@@ -12,13 +18,13 @@ A :class:`RingContext` owns, for one parameter set:
 * the two scalings between Z_t and Z_q: round(q*m/t) for a plaintext and
   round(t*x/q) for a product or a decrypted phase;
 * Garner mixed-radix conversion between RNS residues, other prime bases,
-  and centered big integers (used for exact multiply scaling, decryption,
-  and noise measurement).
+  and centered big integers (used for exact multiply scaling, the qP basis
+  changes, decryption, and noise measurement).
 
-A context holds no lock and no cache but the wide basis: an automorphism's
-index map is recomputed per call (microseconds, against milliseconds for
-the keyswitch that follows it), and threads that race to build the wide
-basis build the same one.
+A context holds no lock and no cache but the wide and qP bases: an
+automorphism's index map is recomputed per call (microseconds, against
+milliseconds for the keyswitch that follows it), and threads that race to
+build a basis build the same one.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from math import prod
 
 import numpy as np
 
-from .ntt import NttPlan, add_mod, find_ntt_primes, mul_mod, sub_mod
+from .errors import ParamError
+from .ntt import MODULUS_BITS, NttPlan, add_mod, find_ntt_primes, mul_mod, ntt_primes, sub_mod
 from .params import HeParams
 
 _WIDE_PRIME_BITS = 30
@@ -99,6 +106,12 @@ class GarnerBasis:
             out[row] = (acc + wp - correction) % wp
         return out
 
+    def lift(self, residues: np.ndarray, target_primes: tuple[int, ...]) -> np.ndarray:
+        """The centred values whose residues are given, reduced modulo each
+        target prime: the exact change of basis from this one."""
+        digits = self.to_digits(residues)
+        return self.digits_to_residues(digits, self.negative_mask(digits), target_primes)
+
     def digits_to_ints(self, digits: np.ndarray, negative: np.ndarray) -> np.ndarray:
         """Centered Python-int values as an object array of shape (N,)."""
         acc = digits[0].astype(object)
@@ -109,6 +122,20 @@ class GarnerBasis:
     def residues_to_ints(self, residues: np.ndarray) -> np.ndarray:
         digits = self.to_digits(residues)
         return self.digits_to_ints(digits, self.negative_mask(digits))
+
+
+def special_primes(params: HeParams) -> tuple[int, ...]:
+    """The fewest of the largest MODULUS_BITS-bit primes = 1 mod 2N, other
+    than t and the coefficient primes, whose product exceeds q."""
+    taken = {*params.coeff_modulus, params.plaintext_modulus}
+    chosen, product = [], 1
+    for p in ntt_primes(MODULUS_BITS, 2 * params.ring_degree):
+        if p not in taken:
+            chosen.append(p)
+            product *= p
+            if product > params.coeff_modulus_product:
+                return tuple(chosen)
+    raise ParamError("too few word-sized NTT primes for a special modulus above q")
 
 
 class RingContext:
@@ -147,7 +174,19 @@ class RingContext:
             e = e * 3 % self.two_n
         self.slot_to_eval = ((exps - 1) // 2).astype(np.intp)
 
+        # hybrid keyswitching: keys live mod qP; mod_down divides by P > q
+        self.p_primes = special_primes(params)
+        self.qp_primes = self.q_primes + self.p_primes
+        p_prod = prod(self.p_primes)
+        self.p_mod_q = np.array(
+            [p_prod % q for q in self.q_primes], dtype=np.uint64
+        ).reshape(self.k, 1)
+        self._p_inv_mod_q = np.array(
+            [pow(p_prod, -1, q) for q in self.q_primes], dtype=np.uint64
+        ).reshape(self.k, 1)
+
         self._wide: tuple[tuple[int, ...], NttPlan, GarnerBasis] | None = None
+        self._special: tuple[NttPlan, GarnerBasis] | None = None
 
     # -- galois -------------------------------------------------------------
 
@@ -190,11 +229,31 @@ class RingContext:
             self._wide = (wide, NttPlan(self.n, wide), GarnerBasis(wide))
         return self._wide
 
+    def special_basis(self) -> tuple[NttPlan, GarnerBasis]:
+        """The NTT plan over qP (the q rows first) and the Garner basis of P,
+        built on first use like ``wide_basis``."""
+        if self._special is None:
+            self._special = (NttPlan(self.n, self.qp_primes), GarnerBasis(self.p_primes))
+        return self._special
+
+    def mod_up(self, poly: np.ndarray) -> np.ndarray:
+        """The centred lift of a (K, N) polynomial mod q, as (K+L, N) residues mod qP."""
+        return np.concatenate((poly, self.garner_q.lift(poly, self.p_primes)))
+
+    def mod_down(self, poly: np.ndarray) -> np.ndarray:
+        """round(x / P) mod q of a (K+L, N) polynomial x mod qP, as the exact
+        (x - [x]_P) / P with [x]_P the centred residue of x mod P."""
+        _, garner_p = self.special_basis()
+        rem = garner_p.lift(poly[self.k:], self.q_primes)
+        return mul_mod(sub_mod(poly[: self.k], rem, self.q_arr), self._p_inv_mod_q, self.q_arr)
+
     # -- small helpers ------------------------------------------------------
 
-    def rns_from_small(self, coeffs: np.ndarray) -> np.ndarray:
-        """Residues of an int64 coefficient vector (values within +-2^62)."""
-        return (coeffs[None, :] % self.q_arr.astype(np.int64)).astype(np.uint64)
+    def rns_from_small(self, coeffs: np.ndarray, moduli: np.ndarray | None = None) -> np.ndarray:
+        """Residues of an int64 coefficient vector (values within +-2^62)
+        modulo each row of ``moduli``, a (R, 1) column (default: the q primes)."""
+        moduli = self.q_arr if moduli is None else moduli
+        return (coeffs[None, :] % moduli.astype(np.int64)).astype(np.uint64)
 
     def scale_plaintext(self, poly_mod_t: np.ndarray) -> np.ndarray:
         """Residues of round(q * m / t) for a plaintext coefficient vector.

@@ -7,6 +7,13 @@ scaling, so the message-dependent noise stays below t/2), and
 ciphertext-ciphertext products are computed exactly over the integers (via
 a wide auxiliary prime basis) before scaling back by t/q.
 
+Relinearization, rotations and the row swap keyswitch in the hybrid form
+(Gentry-Halevi-Smart 2012; RNS form per Han-Ki 2020): each key is one RLWE
+pair mod qP encrypting P*s', where P is the product of the ring's special
+primes (P > q).  A keyswitch lifts its input to qP, multiplies it by the
+pair and divides by P with rounding, which leaves less noise than a fresh
+encryption carries.
+
 Slot geometry: the N slots form two rotation rows of N/2 (see ring.py).
 ``rotate`` shifts both rows cyclically left by ``steps``; ``swap_rows``
 exchanges them; ``sum_slots`` composes the two so that power-of-two block
@@ -35,9 +42,9 @@ from .errors import (
     NoiseBudgetError,
     ParamError,
 )
-from .ntt import add_mod, sub_mod
+from .ntt import add_mod, mul_mod, sub_mod
 from .params import HeParams
-from .ring import RingContext, get_ring
+from .ring import get_ring
 
 _CBD_BITS = 20  # centered binomial width; sigma = sqrt(20/2) ~ 3.16
 _CBD_MASK = np.uint64((1 << _CBD_BITS) - 1)
@@ -68,10 +75,10 @@ class Prg:
         raw = self.bytes(label, count * 8)
         return np.frombuffer(raw, dtype="<u8").copy()
 
-    def uniform_rns(self, label: str, ring: RingContext) -> np.ndarray:
-        """Uniform element of R_q: independent uniform residues per prime."""
-        w = self.words(label, ring.k * ring.n).reshape(ring.k, ring.n)
-        return w % ring.q_arr
+    def uniform_rns(self, label: str, moduli: np.ndarray, n: int) -> np.ndarray:
+        """Independent uniform residues, n per row of the (R, 1) ``moduli``."""
+        w = self.words(label, moduli.shape[0] * n).reshape(-1, n)
+        return w % moduli
 
     def ternary(self, label: str, n: int) -> np.ndarray:
         w = self.words(label, n)
@@ -158,7 +165,7 @@ class PublicKey(ParamsKey):
     a_ntt: np.ndarray
 
 
-KeySwitchKey = tuple  # tuple of (b_ntt, a_ntt) pairs, one per RNS digit
+KeySwitchKey = tuple  # (b_ntt, a_ntt): one pair of (K+L, N) polys mod qP, NTT domain
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,33 +212,31 @@ def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None
     ring = get_ring(params)
     prg = Prg(seed)
     n, k = ring.n, ring.k
+    plan_qp, _ = ring.special_basis()
 
     s_small = prg.ternary("sk", n)
     s = ring.rns_from_small(s_small)
     s_ntt = ring.plan_q.forward(s)
+    s_qp_ntt = plan_qp.forward(ring.rns_from_small(s_small, plan_qp.p))
 
-    def rlwe_pair(label: str, payload_ntt: np.ndarray | None):
-        """(b, a) with b = -(a*s + e) + payload, all in NTT domain."""
-        a = prg.uniform_rns(label + ".a", ring)
-        e = ring.rns_from_small(prg.cbd(label + ".e", n))
-        a_ntt = ring.plan_q.forward(a)
-        b = add_mod(ring.plan_q.pointwise(a_ntt, s_ntt), ring.plan_q.forward(e), ring.q_arr)
-        b = sub_mod(0, b, ring.q_arr)
-        if payload_ntt is not None:
-            b = add_mod(b, payload_ntt, ring.q_arr)
-        return b, a_ntt
+    def rlwe_b(label: str, plan, s_ntt: np.ndarray, a_ntt: np.ndarray) -> np.ndarray:
+        """b = -(a*s + e) over ``plan``'s moduli, NTT domain: (b, a) is an
+        encryption of zero."""
+        e = ring.rns_from_small(prg.cbd(label + ".e", n), plan.p)
+        b = add_mod(plan.pointwise(a_ntt, s_ntt), plan.forward(e), plan.p)
+        return sub_mod(0, b, plan.p)
 
-    pk_b, pk_a = rlwe_pair("pk", None)
+    pk_a = ring.plan_q.forward(prg.uniform_rns("pk.a", ring.q_arr, n))
+    pk_b = rlwe_b("pk", ring.plan_q, s_ntt, pk_a)
 
     def keyswitch_key(label: str, target_ntt: np.ndarray) -> KeySwitchKey:
-        """Digit j encrypts the target times the CRT unit of q_j (1 mod q_j,
-        0 mod the other primes): the target's row j, zero elsewhere."""
-        digits = []
-        for j in range(k):
-            payload = np.zeros_like(target_ntt)
-            payload[j] = target_ntt[j]
-            digits.append(rlwe_pair(f"{label}.{j}", payload))
-        return tuple(digits)
+        """One pair mod qP with b + a*s = P*target - e.  P*target is 0 mod
+        every special prime, so only the q rows carry it; a is uniform, so it
+        is drawn directly in the NTT domain."""
+        a_ntt = prg.uniform_rns(label + ".a", plan_qp.p, n)
+        b = rlwe_b(label, plan_qp, s_qp_ntt, a_ntt)
+        b[:k] = add_mod(b[:k], mul_mod(target_ntt, ring.p_mod_q, ring.q_arr), ring.q_arr)
+        return b, a_ntt
 
     relin = keyswitch_key("rlk", ring.plan_q.pointwise(s_ntt, s_ntt))
 
@@ -451,9 +456,7 @@ class HeBackend(Backend):
         wide_primes, plan_w, garner_w = ring.wide_basis()
 
         def lift(part: np.ndarray) -> np.ndarray:
-            digits = ring.garner_q.to_digits(part)
-            neg = ring.garner_q.negative_mask(digits)
-            return plan_w.forward(ring.garner_q.digits_to_residues(digits, neg, wide_primes))
+            return plan_w.forward(ring.garner_q.lift(part, wide_primes))
 
         a0, a1 = (lift(p) for p in a.parts)
         b0, b1 = (lift(p) for p in b.parts)
@@ -493,12 +496,11 @@ class HeBackend(Backend):
         )
 
     def _keyswitch(self, poly: np.ndarray, key: KeySwitchKey):
-        """Per-prime digit keyswitch of a coefficient-domain polynomial."""
+        """Hybrid keyswitch of a coefficient-domain polynomial c mod q: the
+        pair (k0, k1) mod q with k0 + k1*s = c*s' + small, for the s' the key
+        encrypts.  c is lifted to qP, multiplied by the key pair, and each
+        product divided by P with rounding."""
         ring = self.ring
-        plan = ring.plan_q
-        acc0 = acc1 = np.zeros((ring.k, ring.n), dtype=np.uint64)
-        for j in range(ring.k):
-            dig_ntt = plan.forward(poly[j][None, :] % ring.q_arr)
-            acc0 = add_mod(acc0, plan.pointwise(dig_ntt, key[j][0]), ring.q_arr)
-            acc1 = add_mod(acc1, plan.pointwise(dig_ntt, key[j][1]), ring.q_arr)
-        return plan.inverse(acc0), plan.inverse(acc1)
+        plan, _ = ring.special_basis()
+        c = plan.forward(ring.mod_up(poly))
+        return tuple(ring.mod_down(plan.inverse(plan.pointwise(c, part))) for part in key)

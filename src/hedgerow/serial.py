@@ -1,6 +1,6 @@
 """Binary containers for keys and ciphertexts.
 
-Layout: magic ``HEGR``, version byte (2), type-tag byte, the 32-byte params
+Layout: magic ``HEGR``, version byte (3), type-tag byte, the 32-byte params
 fingerprint, then a stream of little-endian 64-bit words.  Every polynomial
 is written as its residue limbs in (prime-index-major, coefficient-minor)
 order.  Word streams per type:
@@ -8,17 +8,20 @@ order.  Word streams per type:
 * ciphertext : part count (=2), level, then per part K*N limbs
 * secret key : part count (=1), K*N limbs (coefficient domain)
 * public key : part count (=2), 2 * K*N limbs (NTT domain, as held in memory)
-* eval keys  : digit count K; relin digits (K * 2 polys); Galois entry count,
-  then per entry the effective step followed by K * 2 polys, in strictly
-  increasing step order; a row-swap flag (0 or 1) and, when 1, its K * 2
-  polys.
+* eval keys  : each key is one pair (b, a) of polys mod qP, 2 * (K+L)*N limbs
+  in the NTT domain, the K coefficient-prime rows first and then the L
+  special-prime rows (see ring.py).  The relinearization key; the Galois
+  entry count, then per entry the effective step followed by its key, in
+  strictly increasing step order; a row-swap flag (0 or 1) and, when 1,
+  its key.  The whole container is 38 + 8 * (2 + G) + (1 + G + S) * 16 *
+  (K+L) * N bytes for G Galois keys and S row-swap keys.
 
 Deserialization always validates the fingerprint against the caller's
 parameters and fails on truncation, bad magic, or version mismatch (so a
 container written by another version is refused, not misread).  Every
-residue limb must lie below its row's prime, a ciphertext level at most the
-depth budget, and every Galois step in (0, N/2), so no out-of-range word
-reaches the arithmetic.
+residue limb must lie below its own row's prime (q_i or p_j), a ciphertext
+level at most the depth budget, and every Galois step in (0, N/2), so no
+out-of-range word reaches the arithmetic.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ import numpy as np
 
 from .errors import FingerprintMismatchError, SerializationError
 from .params import HeParams
+from .ring import get_ring
 from .scheme import Ciphertext, EvalKeys, PublicKey, SecretKey
 
 MAGIC = b"HEGR"
-VERSION = 2
+VERSION = 3
 
 TAG_CIPHERTEXT = 2
 TAG_SECRET_KEY = 3
@@ -83,12 +87,13 @@ class _Reader:
     def u64(self) -> int:
         return int(self.words(1)[0])
 
-    def rns_poly(self) -> np.ndarray:
-        """One (K, N) residue polynomial, every limb below its row's prime."""
-        primes = self._params.coeff_modulus
+    def rns_poly(self, primes: tuple[int, ...] | None = None) -> np.ndarray:
+        """One residue polynomial with a row per prime (by default the
+        coefficient primes), every limb below its row's prime."""
+        primes = self._params.coeff_modulus if primes is None else primes
         poly = self.words(len(primes) * self._params.ring_degree).reshape(len(primes), -1)
         if (poly >= np.array(primes, dtype=np.uint64)[:, None]).any():
-            raise SerializationError("residue limb not below its coefficient prime")
+            raise SerializationError("residue limb not below its row's prime")
         return poly.astype(np.uint64, copy=False)
 
     def finish(self) -> None:
@@ -160,19 +165,12 @@ def deserialize_public_key(data: bytes, params: HeParams) -> PublicKey:
 
 
 def _write_ksk(out: bytearray, ksk) -> None:
-    for b_ntt, a_ntt in ksk:
-        out += _poly_bytes(b_ntt)
-        out += _poly_bytes(a_ntt)
-
-
-def _read_ksk(r: _Reader, digits: int) -> tuple:
-    return tuple((r.rns_poly(), r.rns_poly()) for _ in range(digits))
+    for poly in ksk:
+        out += _poly_bytes(poly)
 
 
 def serialize_eval_keys(ek: EvalKeys) -> bytes:
     out = _header(TAG_EVAL_KEYS, ek.fingerprint)
-    digits = len(ek.relin)
-    out += _words([digits])
     _write_ksk(out, ek.relin)
     steps = sorted(ek.galois)
     out += _words([len(steps)])
@@ -187,11 +185,12 @@ def serialize_eval_keys(ek: EvalKeys) -> bytes:
 
 def deserialize_eval_keys(data: bytes, params: HeParams) -> EvalKeys:
     r = _Reader(data, TAG_EVAL_KEYS, params)
-    k = len(params.coeff_modulus)
-    digits = r.u64()
-    if digits != k:
-        raise SerializationError(f"eval keys carry {digits} digits, parameters need {k}")
-    relin = _read_ksk(r, digits)
+    qp_primes = get_ring(params).qp_primes
+
+    def read_ksk() -> tuple:
+        return r.rns_poly(qp_primes), r.rns_poly(qp_primes)
+
+    relin = read_ksk()
     galois = {}
     previous = 0
     for _ in range(r.u64()):
@@ -201,11 +200,11 @@ def deserialize_eval_keys(data: bytes, params: HeParams) -> EvalKeys:
                 f"Galois step {step} is not above {previous} and below "
                 f"{params.rotation_group_size}"
             )
-        galois[step] = _read_ksk(r, digits)
+        galois[step] = read_ksk()
         previous = step
     flag = r.u64()
     if flag > 1:
         raise SerializationError(f"row-swap flag {flag} is neither 0 nor 1")
-    row_swap = _read_ksk(r, digits) if flag else None
+    row_swap = read_ksk() if flag else None
     r.finish()
     return EvalKeys(params, relin, galois, row_swap)

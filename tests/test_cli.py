@@ -258,6 +258,7 @@ _DROP = object()
         pytest.param("decrypt", "samples", _DROP, id="decrypt-no-samples"),
         pytest.param("decrypt", "samples", "abc", id="decrypt-samples-abc"),
         pytest.param("decrypt", "samples", -3, id="decrypt-samples-negative"),
+        pytest.param("decrypt", "samples", 2**62, id="decrypt-samples-huge"),
         pytest.param("decrypt", "scale_bits", -1, id="decrypt-scale_bits-negative"),
         pytest.param("decrypt", "class_positions", [[0, 99999]] * 3, id="decrypt-slot-outside"),
         pytest.param("decrypt", "class_positions", [[1, 0]] * 3, id="decrypt-output-outside"),
@@ -288,6 +289,19 @@ def test_hostile_manifest_exits_format(workspace, xgb_scores, tmp_path, role, fi
         argv = ["infer", "--mode", mode, "--model", str(model), "--in", str(enc),
                 "--keys", str(workspace["server"]), "--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_FORMAT
+
+
+def test_zero_sample_manifest_writes_header_only(workspace, xgb_scores, tmp_path):
+    scores, report = tmp_path / "scores", tmp_path / "r.csv"
+    shutil.copytree(xgb_scores, scores)
+    doc = json.loads((scores / "manifest.json").read_text())
+    doc["samples"] = 0
+    (scores / "manifest.json").write_text(json.dumps(doc))
+    argv = ["decrypt", "--in", str(scores), "--keys", str(workspace["keydir"]),
+            "--report", str(report)]
+    assert main(argv) == EXIT_OK
+    header = "sample,pred," + ",".join(f"conf_{c}" for c in range(doc["classes"]))
+    assert report.read_text().splitlines() == [header]
 
 
 def test_svm_infer_ignores_the_block_count(workspace, tmp_path):

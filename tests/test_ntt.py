@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from hedgerow.ntt import (
+    MODULUS_BITS,
     NttPlan,
+    add_mod,
     find_ntt_primes,
     is_prime,
     primitive_root,
     root_of_unity,
+    sub_mod,
 )
 from hedgerow.params import PRESET_NAMES, gen_params
 
@@ -80,6 +83,39 @@ def test_ntt_multiplication_matches_schoolbook(n, rng):
         for row, p in enumerate(primes):
             expect = schoolbook_negacyclic(a[row], b[row], p)
             assert np.array_equal(got[row], expect)
+
+
+@pytest.mark.parametrize("shape", ["scalar", "column"])
+def test_add_sub_mod_match_the_compare_and_select_form(shape, rng):
+    # min(s, s - p) against the np.where reduction it replaced, at the edges
+    # and on random residues, for a scalar modulus and a (K, 1) column
+    top = find_ntt_primes(MODULUS_BITS, 1, 2)[0]  # a 31-bit prime
+    if shape == "scalar":
+        p = np.uint64(top)
+        mods = np.full((1, 1), top, dtype=np.uint64)
+    else:
+        mods = np.array([top, *find_ntt_primes(29, 2, 128), 97], dtype=np.uint64).reshape(-1, 1)
+        p = mods
+    n = 64
+    a = rng.integers(0, 2**62, (mods.shape[0], n), dtype=np.uint64) % mods
+    b = rng.integers(0, 2**62, (mods.shape[0], n), dtype=np.uint64) % mods
+    edge = mods - np.uint64(1)
+    a[:, :4] = np.hstack((0 * edge, edge, edge, 0 * edge))
+    b[:, :4] = np.hstack((edge, 0 * edge, edge, 0 * edge))  # ..., both p-1, then 0 - 0
+
+    def where_add(x, y):
+        s = x + y
+        return np.where(s >= p, s - p, s)
+
+    def where_sub(x, y):
+        d = x + (p - y)
+        return np.where(d >= p, d - p, d)
+
+    assert np.array_equal(add_mod(a, b, p), where_add(a, b))
+    assert np.array_equal(sub_mod(a, b, p), where_sub(a, b))
+    assert np.array_equal(sub_mod(0, b, p), where_sub(0, b))
+    assert not sub_mod(0, np.zeros_like(b), p).any()
+    assert (add_mod(a, b, p) < mods).all() and (sub_mod(a, b, p) < mods).all()
 
 
 def test_negacyclic_wraparound_sign():

@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from math import prod
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from hedgerow import (
     DepthExhaustedError,
     FingerprintMismatchError,
     HeBackend,
+    HeParams,
     MissingGaloisKeyError,
     ParamError,
     make_test_params,
 )
-from hedgerow.ring import RingContext
+from hedgerow.ntt import MODULUS_BITS, find_ntt_primes, is_prime, ntt_primes
+from hedgerow.params import PRESET_NAMES, default_plaintext_modulus, gen_params
+from hedgerow.ring import RingContext, special_primes
 from hedgerow.serial import serialize_public_key, serialize_secret_key
 
 
@@ -159,23 +163,116 @@ def test_mul_ct_random_binary_vs_and(he64, keys64, rng):
         assert np.array_equal(dec(he64, sk, he64.mul_ct(a, b, ek)), u & v)
 
 
-def test_racing_threads_build_one_wide_basis(params64, rng):
-    # wide_basis takes no lock: threads racing on a cold ring may each build
-    # the basis, and every build must be the same one
-    ring = RingContext(params64)
+def _racing_builds(build) -> list:
+    """``build`` called from 8 threads at once on a short switch interval."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(ring.wide_basis) for _ in range(8)]
-            builds = [f.result(timeout=120) for f in futures]
+            futures = [pool.submit(build) for _ in range(8)]
+            return [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_racing_threads_build_one_wide_basis(params64, rng):
+    # wide_basis takes no lock: threads racing on a cold ring may each build
+    # the basis, and every build must be the same one
+    ring = RingContext(params64)
+    builds = _racing_builds(ring.wide_basis)
     primes, plan, _ = ring.wide_basis()
     x = rng.integers(0, 2**62, (len(primes), ring.n), dtype=np.uint64) % plan.p
     for p, other_plan, garner in builds:
         assert p == primes and garner.primes == primes
         assert np.array_equal(other_plan.forward(x), plan.forward(x))
+
+
+def test_racing_threads_build_one_special_basis(params64, rng):
+    ring = RingContext(params64)
+    builds = _racing_builds(ring.special_basis)
+    plan, _ = ring.special_basis()
+    x = rng.integers(0, 2**62, (len(ring.qp_primes), ring.n), dtype=np.uint64) % plan.p
+    for other_plan, garner in builds:
+        assert other_plan.moduli == ring.qp_primes and garner.primes == ring.p_primes
+        assert np.array_equal(other_plan.forward(x), plan.forward(x))
+
+
+# ---------------------------------------------------------------------------
+# hybrid keyswitching: special primes, qP basis changes, keyswitch noise
+# ---------------------------------------------------------------------------
+
+
+def _top_prime_params():
+    """Coefficient primes that are themselves the largest word-sized NTT
+    primes after t, so the special primes must skip all of them."""
+    t = default_plaintext_modulus(64)
+    q = [p for p in find_ntt_primes(MODULUS_BITS, 5, 128) if p != t][:4]
+    return HeParams(64, tuple(q), t, 1)
+
+
+@pytest.mark.parametrize("name", ["test64", "top-primes", *PRESET_NAMES])
+def test_special_primes(name, params64):
+    params = {"test64": params64, "top-primes": _top_prime_params()}.get(name) or gen_params(name)
+    chosen = special_primes(params)
+    two_n = 2 * params.ring_degree
+    taken = {*params.coeff_modulus, params.plaintext_modulus}
+    assert not taken & set(chosen) and len(set(chosen)) == len(chosen)
+    for p in chosen:
+        assert is_prime(p) and p < 1 << MODULUS_BITS and (p - 1) % two_n == 0
+    q = params.coeff_modulus_product
+    assert prod(chosen) > q >= prod(chosen[:-1])  # the product clears q, one fewer does not
+    free = (p for p in ntt_primes(MODULUS_BITS, two_n) if p not in taken)
+    assert chosen == tuple(next(free) for _ in chosen)  # the largest ones left
+    if name in PRESET_NAMES:
+        assert len(chosen) == len(params.coeff_modulus)
+
+
+def test_special_primes_refuse_when_too_few_remain():
+    # at N = 2^20 there are 99 31-bit NTT primes; with 60 taken by q and t the
+    # rest multiply to less than q
+    primes = list(ntt_primes(MODULUS_BITS, 2 ** 21))
+    params = HeParams(2 ** 20, tuple(primes[1:60]), primes[0], 1)
+    with pytest.raises(ParamError):
+        special_primes(params)
+
+
+def _crt(residues, primes) -> int:
+    m = prod(primes)
+    return sum(int(r) * (m // p) * pow(m // p, -1, p) for r, p in zip(residues, primes)) % m
+
+
+def test_mod_up_and_mod_down_match_integer_arithmetic(params64, rng):
+    ring = RingContext(params64)
+    q, big_p = ring.q, prod(ring.p_primes)
+    x = rng.integers(0, 2**62, (ring.k, ring.n), dtype=np.uint64) % ring.q_arr
+    for col, edge in enumerate((0, q // 2, q // 2 + 1, q - 1)):  # centred 0, max, min, -1
+        x[:, col] = [edge % p for p in ring.q_primes]
+    up = ring.mod_up(x)
+    assert up.shape == (ring.k + len(ring.p_primes), ring.n)
+    for col in range(ring.n):
+        v = _crt(x[:, col], ring.q_primes)
+        v = v - q if v > q // 2 else v
+        assert [int(r) for r in up[:, col]] == [v % p for p in ring.qp_primes]
+
+    qp_arr = np.array(ring.qp_primes, dtype=np.uint64).reshape(-1, 1)
+    y = rng.integers(0, 2**62, up.shape, dtype=np.uint64) % qp_arr
+    down = ring.mod_down(y)
+    assert down.shape == (ring.k, ring.n)
+    for col in range(ring.n):
+        v = _crt(y[:, col], ring.qp_primes)
+        rounded = (2 * v + big_p) // (2 * big_p)  # round(v / P); P is odd, so no ties
+        assert [int(r) for r in down[:, col]] == [rounded % p for p in ring.q_primes]
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_keyswitch_noise_stays_at_fresh(he64, keys64, rng, seed):
+    # hybrid keyswitching adds less noise than a fresh encryption holds, so
+    # a rotation or row swap leaves the margin within a bit of a fresh one
+    sk, pk, ek = keys64
+    a = enc(he64, pk, rng.integers(0, 100, 64, dtype=np.int64), seed=seed)
+    fresh = he64.noise_budget(sk, a)
+    for ct in (he64.rotate(a, 1, ek), he64.rotate(a, 16, ek), he64.swap_rows(a, ek)):
+        assert abs(he64.noise_budget(sk, ct) - fresh) <= 1
 
 
 # ---------------------------------------------------------------------------

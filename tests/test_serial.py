@@ -6,6 +6,7 @@ import pytest
 from hedgerow import FingerprintMismatchError, SerializationError, make_test_params
 from hedgerow.scheme import HeBackend
 from hedgerow import serial
+from hedgerow.ring import get_ring
 
 
 @pytest.fixture(scope="module")
@@ -130,12 +131,41 @@ def test_three_part_ciphertext_raises(setup, params64):
 def test_bad_galois_entry_raises(setup, params64, entry, value):
     *_, ek, _, _ = setup
     blob = serial.serialize_eval_keys(ek)
-    k = len(params64.coeff_modulus)
-    ksk_bytes = k * 2 * k * params64.ring_degree * 8  # K digits of two (K, N) polys
-    first = 38 + 8 + ksk_bytes + 8  # header, digit count, relin key, entry count
+    rows = len(get_ring(params64).qp_primes)
+    ksk_bytes = 2 * rows * params64.ring_degree * 8  # two (K+L, N) polys mod qP
+    first = 38 + ksk_bytes + 8  # header, relin key, entry count
     offset = first + (len(ek.galois) if entry == "swap" else entry) * (8 + ksk_bytes)
     expected = 1 if entry == "swap" else sorted(ek.galois)[entry]  # steps 1..16; N/2 = 32
     assert int.from_bytes(blob[offset:offset + 8], "little") == expected
     bad = blob[:offset] + value.to_bytes(8, "little") + blob[offset + 8:]
     with pytest.raises(SerializationError):
         serial.deserialize_eval_keys(bad, params64)
+
+
+def test_eval_key_length_formula(setup, params64):
+    *_, ek, _, _ = setup
+    ring = get_ring(params64)
+    g, swap = len(ek.galois), ek.row_swap is not None
+    key_bytes = 2 * (ring.k + len(ring.p_primes)) * ring.n * 8
+    expected = 38 + 8 * (2 + g) + (1 + g + swap) * key_bytes
+    assert len(serial.serialize_eval_keys(ek)) == expected
+    no_swap = type(ek)(params64, ek.relin, {}, None)
+    assert len(serial.serialize_eval_keys(no_swap)) == 38 + 16 + key_bytes
+
+
+def test_special_prime_rows_check_their_own_prime(setup, params64):
+    *_, ek, _, _ = setup
+    ring = get_ring(params64)
+    blob = serial.serialize_eval_keys(ek)
+    high, low = 0, len(ring.p_primes) - 1  # special primes run largest first
+
+    def with_limb(j, value):
+        # the relin key's b poly follows the header; its row K + j is mod p_j
+        offset = 38 + (ring.k + j) * ring.n * 8
+        assert int.from_bytes(blob[offset:offset + 8], "little") == ek.relin[0][ring.k + j, 0]
+        return blob[:offset] + value.to_bytes(8, "little") + blob[offset + 8:]
+
+    serial.deserialize_eval_keys(with_limb(high, ring.p_primes[low]), params64)
+    for value in (ring.p_primes[low], (1 << 31) - 1):
+        with pytest.raises(SerializationError):
+            serial.deserialize_eval_keys(with_limb(low, value), params64)
