@@ -2,15 +2,15 @@
 
 A :class:`RingContext` owns, for one parameter set:
 
-* batched NTT plans for the coefficient primes, the plaintext modulus, and
-  (built on first use) a wide auxiliary basis large enough to hold exact
-  integer tensor products of two ciphertext parts;
-* the special primes P of hybrid keyswitching (Gentry-Halevi-Smart 2012,
-  in the RNS form of Han-Ki 2020): the fewest of the largest word-sized NTT
-  primes, other than t and the coefficient primes, whose product exceeds q.
-  Switching keys live mod qP; ``mod_up`` lifts a polynomial from q to qP
-  and ``mod_down`` divides one mod qP by P with rounding, back to q.  The
-  qP plan is built on first use;
+* batched NTT plans for the coefficient primes and the plaintext modulus;
+* the bases outside q: q followed by the shortest prefix, with product
+  above a bound, of the largest word-sized NTT primes other than t and the
+  q_i.  The special primes P of hybrid keyswitching (Gentry-Halevi-Smart
+  2012, in the RNS form of Han-Ki 2020) are the prefix above q: switching
+  keys live mod qP, ``mod_up`` lifts a polynomial from q to qP and
+  ``mod_down`` divides one mod qP by P with rounding, back to q.  The
+  tensor basis of exact ciphertext products starts with qP and is qP itself
+  where qP holds the tensor.  Both NTT plans are built on first use;
 * the slot permutation realizing full-N batching.  Slots form two rotation
   rows of N/2: slot j < N/2 is the evaluation at psi^(3^j mod 2N), slot
   N/2+j at psi^(-3^j mod 2N).  The automorphism x -> x^(3^r) rotates both
@@ -18,10 +18,10 @@ A :class:`RingContext` owns, for one parameter set:
 * the two scalings between Z_t and Z_q: round(q*m/t) for a plaintext and
   round(t*x/q) for a product or a decrypted phase;
 * Garner mixed-radix conversion between RNS residues, other prime bases,
-  and centered big integers (used for exact multiply scaling, the qP basis
-  changes, decryption, and noise measurement).
+  and centered big integers (used for exact multiply scaling, the lifts
+  from q, decryption, and noise measurement).
 
-A context holds no lock and no cache but the wide and qP bases: an
+A context holds no lock and no cache but the qP and tensor bases: an
 automorphism's index map is recomputed per call (microseconds, against
 milliseconds for the keyswitch that follows it), and threads that race to
 build a basis build the same one.
@@ -35,10 +35,8 @@ from math import prod
 import numpy as np
 
 from .errors import ParamError
-from .ntt import MODULUS_BITS, NttPlan, add_mod, find_ntt_primes, mul_mod, ntt_primes, sub_mod
+from .ntt import MODULUS_BITS, NttPlan, add_mod, mul_mod, ntt_primes, sub_mod
 from .params import HeParams
-
-_WIDE_PRIME_BITS = 30
 
 
 class GarnerBasis:
@@ -124,18 +122,31 @@ class GarnerBasis:
         return self.digits_to_ints(digits, self.negative_mask(digits))
 
 
-def special_primes(params: HeParams) -> tuple[int, ...]:
-    """The fewest of the largest MODULUS_BITS-bit primes = 1 mod 2N, other
-    than t and the coefficient primes, whose product exceeds q."""
+def prefix_above(params: HeParams, bound: int) -> tuple[int, ...]:
+    """The shortest prefix of the largest MODULUS_BITS-bit primes = 1 mod 2N,
+    other than t and the coefficient primes, whose product exceeds ``bound``."""
     taken = {*params.coeff_modulus, params.plaintext_modulus}
     chosen, product = [], 1
     for p in ntt_primes(MODULUS_BITS, 2 * params.ring_degree):
         if p not in taken:
             chosen.append(p)
             product *= p
-            if product > params.coeff_modulus_product:
+            if product > bound:
                 return tuple(chosen)
-    raise ParamError("too few word-sized NTT primes for a special modulus above q")
+    raise ParamError(f"too few word-sized NTT primes for a modulus above {bound.bit_length()} bits")
+
+
+def special_primes(params: HeParams) -> tuple[int, ...]:
+    """The special primes P of hybrid keyswitching: the prefix above q."""
+    return prefix_above(params, params.coeff_modulus_product)
+
+
+def tensor_primes(params: HeParams) -> tuple[int, ...]:
+    """q's primes, then the prefix above need // q: their product exceeds need."""
+    q = params.coeff_modulus_product
+    # d1 = a0*b1 + a1*b0 is bounded by 2*N*(q/2)^2 in magnitude
+    need = 4 * 2 * params.ring_degree * (q // 2 + 1) ** 2
+    return params.coeff_modulus + prefix_above(params, need // q)
 
 
 class RingContext:
@@ -209,36 +220,27 @@ class RingContext:
     # -- bases --------------------------------------------------------------
 
     def wide_basis(self) -> tuple[tuple[int, ...], NttPlan, GarnerBasis]:
-        """Auxiliary prime basis holding exact ciphertext tensor products.
-
-        Built on first use.  Threads that race here each build the same
-        deterministic basis, so whichever assignment lands last is harmless.
-        """
+        """The tensor basis, its NTT plan (the qP plan where the basis is qP)
+        and its Garner basis, built on first use."""
         if self._wide is None:
-            # d1 = a0*b1 + a1*b0 is bounded by 2*N*(q/2)^2 in magnitude
-            need = 4 * 2 * self.n * (self.q // 2 + 1) ** 2
-            count = (need.bit_length() + _WIDE_PRIME_BITS - 2) // (_WIDE_PRIME_BITS - 1)
-            primes = find_ntt_primes(_WIDE_PRIME_BITS, count, self.two_n)
-            while prod(primes) <= need:
-                count += 1
-                primes = find_ntt_primes(_WIDE_PRIME_BITS, count, self.two_n)
-            # a prime shared with q is harmless: values enter and leave this
-            # basis as Garner digits, which need only distinct primes whose
-            # product exceeds `need`
-            wide = tuple(primes)
-            self._wide = (wide, NttPlan(self.n, wide), GarnerBasis(wide))
+            primes = tensor_primes(self.params)
+            plan_qp, _ = self.special_basis()
+            plan = plan_qp if primes == self.qp_primes else NttPlan(self.n, primes)
+            self._wide = (primes, plan, GarnerBasis(primes))
         return self._wide
 
     def special_basis(self) -> tuple[NttPlan, GarnerBasis]:
         """The NTT plan over qP (the q rows first) and the Garner basis of P,
-        built on first use like ``wide_basis``."""
+        built on first use."""
         if self._special is None:
             self._special = (NttPlan(self.n, self.qp_primes), GarnerBasis(self.p_primes))
         return self._special
 
-    def mod_up(self, poly: np.ndarray) -> np.ndarray:
-        """The centred lift of a (K, N) polynomial mod q, as (K+L, N) residues mod qP."""
-        return np.concatenate((poly, self.garner_q.lift(poly, self.p_primes)))
+    def mod_up(self, poly: np.ndarray, basis: tuple[int, ...] | None = None) -> np.ndarray:
+        """The centred lift of a (K, N) polynomial mod q to ``basis`` (default
+        qP), whose first K primes are q's, so the K input rows are kept."""
+        extension = (basis or self.qp_primes)[self.k :]
+        return np.concatenate((poly, self.garner_q.lift(poly, extension)))
 
     def mod_down(self, poly: np.ndarray) -> np.ndarray:
         """round(x / P) mod q of a (K+L, N) polynomial x mod qP, as the exact

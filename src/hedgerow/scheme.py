@@ -4,8 +4,9 @@ Plaintexts are vectors of N slots mod t; ciphertexts are pairs of RNS
 residue polynomials mod q = prod(coeff primes).  Multiplication follows the
 scale-invariant construction: messages enter as round(q*m/t) (exact
 scaling, so the message-dependent noise stays below t/2), and
-ciphertext-ciphertext products are computed exactly over the integers (via
-a wide auxiliary prime basis) before scaling back by t/q.
+ciphertext-ciphertext products are computed exactly over the integers (on
+the qP basis of the keyswitch, extended where it is too small) before
+scaling back by t/q.
 
 Relinearization, rotations and the row swap keyswitch in the hybrid form
 (Gentry-Halevi-Smart 2012; RNS form per Han-Ki 2020): each key is one RLWE
@@ -453,13 +454,8 @@ class HeBackend(Backend):
     def mul_ct(self, a: Ciphertext, b: Ciphertext, ek: EvalKeys) -> Ciphertext:
         level = self._product_level(a, b, ek)
         ring = self.ring
-        wide_primes, plan_w, garner_w = ring.wide_basis()
-
-        def lift(part: np.ndarray) -> np.ndarray:
-            return plan_w.forward(ring.garner_q.lift(part, wide_primes))
-
-        a0, a1 = (lift(p) for p in a.parts)
-        b0, b1 = (lift(p) for p in b.parts)
+        primes, plan_w, garner_w = ring.wide_basis()
+        a0, a1, b0, b1 = (plan_w.forward(ring.mod_up(p, primes)) for p in a.parts + b.parts)
         d0 = plan_w.pointwise(a0, b0)
         d1 = add_mod(plan_w.pointwise(a0, b1), plan_w.pointwise(a1, b0), plan_w.p)
         d2 = plan_w.pointwise(a1, b1)

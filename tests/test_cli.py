@@ -465,7 +465,7 @@ def test_cli_synth_layout_roundtrip(tmp_path):
     samples = load_dataset(synth / "data.csv", labeled=True).samples
     ref = ensemble_scores_clear_batch(ens, normalize_samples(samples))
     primes = tuple(find_ntt_primes(29, 5, 128))
-    # the second set holds a 30-bit prime that the wide basis also picks
+    # the second set adds a 30-bit coefficient prime to the 29-bit ones
     for case, coeff in enumerate((primes, primes + (1073741441,))):
         work = tmp_path / f"case{case}"
         keys, server = work / "keys", work / "server"

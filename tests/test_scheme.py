@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hedgerow import (
+    Ciphertext,
     ClearBackend,
     DepthExhaustedError,
     FingerprintMismatchError,
@@ -20,7 +21,7 @@ from hedgerow import (
 )
 from hedgerow.ntt import MODULUS_BITS, find_ntt_primes, is_prime, ntt_primes
 from hedgerow.params import PRESET_NAMES, default_plaintext_modulus, gen_params
-from hedgerow.ring import RingContext, special_primes
+from hedgerow.ring import RingContext, special_primes, tensor_primes
 from hedgerow.serial import serialize_public_key, serialize_secret_key
 
 
@@ -198,7 +199,8 @@ def test_racing_threads_build_one_special_basis(params64, rng):
 
 
 # ---------------------------------------------------------------------------
-# hybrid keyswitching: special primes, qP basis changes, keyswitch noise
+# hybrid keyswitching and exact products: special primes, the tensor basis,
+# qP basis changes, keyswitch noise
 # ---------------------------------------------------------------------------
 
 
@@ -234,6 +236,40 @@ def test_special_primes_refuse_when_too_few_remain():
     params = HeParams(2 ** 20, tuple(primes[1:60]), primes[0], 1)
     with pytest.raises(ParamError):
         special_primes(params)
+    # with 48 taken the rest clear q but not the tensor bound, so the
+    # sequence runs out while the tensor basis is built
+    params = HeParams(2 ** 20, tuple(primes[1:48]), primes[0], 1)
+    assert special_primes(params)
+    with pytest.raises(ParamError):
+        tensor_primes(params)
+
+
+def _tensor_case_params(name, params64):
+    """test64 and the top primes hold the tensor in qP; three 29-bit primes
+    leave P too little room above q, so their tensor basis extends qP."""
+    cases = {"test64": params64, "top-primes": _top_prime_params()}
+    cases["short-q"] = make_test_params(64, num_primes=3, depth_budget=1)
+    return cases.get(name) or gen_params(name)
+
+
+@pytest.mark.parametrize("name", ["test64", "top-primes", "short-q", *PRESET_NAMES])
+def test_tensor_basis_is_the_shortest_extension_of_qp(name, params64):
+    params = _tensor_case_params(name, params64)
+    ring = RingContext(params)
+    primes, plan, garner = ring.wide_basis()
+    assert primes[: len(ring.qp_primes)] == ring.qp_primes
+    assert plan.moduli == primes and garner.primes == primes
+    need = 8 * ring.n * (ring.q // 2 + 1) ** 2
+    assert prod(primes) > need >= prod(primes[:-1])  # one prime fewer is too small
+    taken = {*params.coeff_modulus, params.plaintext_modulus}
+    free = (p for p in ntt_primes(MODULUS_BITS, ring.two_n) if p not in taken)
+    extension = primes[ring.k :]
+    assert extension == tuple(next(free) for _ in extension)  # a prefix of the sequence
+    extra = len(primes) - len(ring.qp_primes)
+    if name in ("test64", "top-primes", "xgb-d2", "xgb-encmodel-d3"):
+        assert extra == 0 and plan is ring.special_basis()[0]
+    else:
+        assert extra == 1
 
 
 def _crt(residues, primes) -> int:
@@ -262,6 +298,59 @@ def test_mod_up_and_mod_down_match_integer_arithmetic(params64, rng):
         v = _crt(y[:, col], ring.qp_primes)
         rounded = (2 * v + big_p) // (2 * big_p)  # round(v / P); P is odd, so no ties
         assert [int(r) for r in down[:, col]] == [rounded % p for p in ring.q_primes]
+
+
+def _negacyclic(x, y):
+    n = len(x)
+    out = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i + j < n:
+                out[i + j] += x[i] * y[j]
+            else:
+                out[i + j - n] -= x[i] * y[j]
+    return out
+
+
+@pytest.mark.parametrize("name", ["test64", "top-primes", "short-q"])
+def test_mul_ct_matches_python_int_arithmetic(name, params64, rng):
+    # the tensor computed in Python ints, then round(t*d/q) and relinearized
+    params = _tensor_case_params(name, params64)
+    he = HeBackend(params)
+    _, pk, ek = he.keygen(seed=0x70B)
+    primes, q = params.coeff_modulus, params.coeff_modulus_product
+    t, n = params.plaintext_modulus, params.ring_degree
+    q_arr = np.array(primes, dtype=np.uint64).reshape(-1, 1)
+    half = (q - 1) // 2  # the largest centred coefficient
+
+    def rns(values):
+        return np.array([[v % p for v in values] for p in primes], dtype=np.uint64)
+
+    def ct(parts):
+        return Ciphertext(params.fingerprint, params.depth_budget, tuple(rns(vs) for vs in parts))
+
+    def centred(poly):
+        vs = [_crt(poly[:, i], primes) for i in range(n)]
+        return [v - q if v > q // 2 else v for v in vs]
+
+    top, bottom = [half] * n, [-half] * n
+    rand = [[int(v) for v in rng.integers(-(2 ** 62), 2 ** 62, n)] for _ in range(4)]
+    # a third of the coefficients at +(q-1)/2, a third at -(q-1)/2, the rest uniform
+    mixed = [[(half, -half, v % q - half)[v % 3] for v in r] for r in rand]
+    cases = [((top, top), (top, top)), ((top, bottom), (bottom, top)), (mixed[:2], mixed[2:])]
+    fresh = [he.encrypt(pk, he.encode(rng.integers(0, t, n)), seed=s) for s in (1, 2)]
+    cases.append(tuple(tuple(centred(p) for p in c.parts) for c in fresh))
+    for a_vals, b_vals in cases:
+        (a0, a1), (b0, b1) = a_vals, b_vals
+        cross = [u + v for u, v in zip(_negacyclic(a0, b1), _negacyclic(a1, b0))]
+        tensor = (_negacyclic(a0, b0), cross, _negacyclic(a1, b1))
+        # q is odd, so round(t*d/q) has no ties
+        c0, c1, c2 = (rns([(2 * t * v + q) // (2 * q) for v in d]) for d in tensor)
+        k0, k1 = he._keyswitch(c2, ek.relin)
+        got = he.mul_ct(ct(a_vals), ct(b_vals), ek)
+        assert got.level == params.depth_budget - 1
+        assert np.array_equal(got.parts[0], (c0 + k0) % q_arr)
+        assert np.array_equal(got.parts[1], (c1 + k1) % q_arr)
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
