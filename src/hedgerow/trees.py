@@ -9,7 +9,13 @@ Scoring uses the simplified polynomial
 over the node comparison bits z1 (root), z2 (left), z3 (right), where the
 transformed leaves are l1 = c1-c2, l2 = c2-c4, l3 = c4-c3, l4 = c4.  This
 equals the sum of the four path terms z1*z2*c1 + z1*(1-z2)*c2 +
-(1-z1)*z3*c3 + (1-z1)*(1-z3)*c4 for every z in {0,1}^3.
+(1-z1)*z3*c3 + (1-z1)*(1-z3)*c4 for every z in {0,1}^3.  The encrypted
+evaluation factors it around z1,
+
+    score = z1*(z2*l1 + z3*l3 + l2) - z3*l3 + l4,
+
+so z3*l3 is computed once and used twice, and each tree costs one
+ciphertext-ciphertext multiply and one level.
 
 Slot layout: three parallel node streams (root / left / right) indexed by
 tree, so the score polynomial applies slot-wise with zero rotations.  Trees
@@ -24,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compare import encode_ones
 from .errors import ModelFormatError
 
 
@@ -142,16 +147,14 @@ def tree_scores_encrypted(backend, zs: NodeStreams, l_streams, ek):
     """Slot-wise tree scores with public leaf streams.
 
     ``l_streams`` holds four packed plaintexts carrying tree t's l1..l4 at
-    slot t.  Consumes one multiplicative level: z1*z2 and (z1-1)*z3 are the
-    only ciphertext-ciphertext products and sit on independent operands.
+    slot t.  Evaluates the factored form z1*(z2*l1 + z3*l3 + l2) - z3*l3 + l4:
+    r = z3*l3 is computed once and used twice, and the single ``mul_ct``
+    (z1 times the bracket) consumes the one multiplicative level.
     """
     l1, l2, l3, l4 = l_streams
-    ones = encode_ones(backend)
-    left_pair = backend.mul_ct(backend.sub_pt(zs.root, ones), zs.right, ek)  # (z1-1)*z3
-    top_pair = backend.mul_ct(zs.root, zs.left, ek)  # z1*z2
-    acc = backend.add_ct(backend.mul_pt(left_pair, l3), backend.mul_pt(top_pair, l1))
-    acc = backend.add_ct(acc, backend.mul_pt(zs.root, l2))
-    return backend.add_pt(acc, l4)
+    r = backend.mul_pt(zs.right, l3)
+    u = backend.add_pt(backend.add_ct(backend.mul_pt(zs.left, l1), r), l2)
+    return backend.add_pt(backend.sub_ct(backend.mul_ct(zs.root, u, ek), r), l4)
 
 
 def class_sums(backend, scores, trees_per_class: int, num_classes: int, ek):

@@ -96,12 +96,12 @@ def test_comp_scales_with_block_count():
 
 
 @pytest.mark.parametrize(
-    "encrypted_model, mul_ct, mul_pt", [(False, 2, 6), (True, 5, 3)]
+    "encrypted_model, mul_ct, mul_pt", [(False, 1, 5), (True, 4, 2)]
 )
 def test_xgb_block_cost_contract(encrypted_model, mul_ct, mul_pt, params256, clear256,
                                  clear_keys256):
     # per block: 3 comparisons (1 mul_pt, or 1 mul_ct with encrypted split
-    # codes) + tree scoring (2 mul_ct, 3 mul_pt) + log2(k) class-sum rotations
+    # codes) + tree scoring (1 mul_ct, 2 mul_pt) + log2(k) class-sum rotations
     counting = CountingBackend(clear256)
     _, cpk, cek = clear_keys256
     ens, _, ds = gen_synthetic(seed=8, s=2, k=8, d=24, n_samples=1)

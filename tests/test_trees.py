@@ -7,6 +7,7 @@ import pytest
 
 from hedgerow import ModelFormatError
 from hedgerow.modelio import ensemble_scores_clear_batch
+from hedgerow.svm import check_aggregate_bound
 from hedgerow.trees import (
     Depth2Tree,
     Ensemble,
@@ -196,6 +197,40 @@ def test_tree_scores_encrypted_level_consumption(he256, keys256, rng):
     ls = [he256.encode(np.zeros(n, dtype=np.int64)) for _ in range(4)]
     out = tree_scores_encrypted(he256, zs, ls, ek)
     assert out.level == zs.root.level - 1
+
+
+@pytest.mark.parametrize("backend_name, keys_name", [("he256", "keys256"),
+                                                     ("clear256", "clear_keys256")])
+@pytest.mark.parametrize("deep", [False, True], ids=["fresh", "deep"])
+def test_tree_scores_encrypted_all_patterns_extreme_leaves(request, backend_name, keys_name,
+                                                           deep):
+    backend = request.getfixturevalue(backend_name)
+    sk, pk, ek = request.getfixturevalue(keys_name)
+    n = backend.params.slot_count
+    t = backend.params.plaintext_modulus
+    # the largest |leaf| a loaded single-tree class admits: l1 = c1 - c2 and
+    # l3 = c4 - c3 reach t - 1 in magnitude and so leave the signed range mod t
+    top = (t - 1) // 2
+    check_aggregate_bound(top, t)
+    with pytest.raises(ModelFormatError):
+        check_aggregate_bound(top + 1, t)
+    extremes = [(top, -top, top, -top), (-top, top, -top, top), (top, -top, -top, top)]
+    # period 8 for z and 3 for leaves: every pattern meets every leaf tuple
+    zs_clear = [ALL_Z[slot % 8] for slot in range(n)]
+    leaves = [extremes[slot % 3] for slot in range(n)]
+    z_vecs = [np.array([z[i] for z in zs_clear], dtype=np.int64) for i in range(3)]
+    zs = _encrypt_streams(backend, pk, z_vecs, seed=700)
+    if deep:
+        # as in the encrypted-model path, z arrives one product below fresh
+        ones = backend.encrypt(pk, backend.encode(np.ones(n, dtype=np.int64)), seed=710)
+        zs = NodeStreams(*(backend.mul_ct(z, ones, ek) for z in (zs.root, zs.left, zs.right)))
+        assert zs.root.level == backend.params.depth_budget - 1
+    ls = [backend.encode(v) for v in _l_vectors(n, [transform_leaves(c) for c in leaves])]
+    out_ct = tree_scores_encrypted(backend, zs, ls, ek)
+    assert out_ct.level == zs.root.level - 1
+    out = backend.decode(backend.decrypt(sk, out_ct))
+    for slot in range(n):
+        assert int(out[slot]) == brute_force_path_sum(zs_clear[slot], leaves[slot]) % t
 
 
 def test_class_sums_small_example(he256, keys256):
