@@ -31,8 +31,8 @@ from .modelio import (
 )
 from .params import PRESET_NAMES, gen_params, load_params
 from .pipeline import (
-    MODES, export_public_keyset, format_bench_table, load_keyset, run_bench, run_decrypt,
-    run_encrypt, run_infer, write_keyset,
+    MODES, PARAMS_FILE, export_public_keyset, format_bench_table, load_keyset, run_bench,
+    run_decrypt, run_encrypt, run_infer, write_keyset,
 )
 
 EXIT_OK = 0
@@ -87,7 +87,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_layout(args) -> int:
-    params = load_params(Path(args.keys) / "params.txt")
+    params = load_params(Path(args.keys) / PARAMS_FILE)
     ens = load_ensemble(args.model, params.plaintext_modulus)
     svm_features = None
     if args.svm:

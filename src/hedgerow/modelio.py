@@ -329,7 +329,10 @@ def build_layout(ens: Ensemble, slot_count: int, svm_features: int | None = None
     """Slot layout for an ensemble on a given slot capacity.
 
     A block holds as many whole classes as fit the slots, so no class ever
-    straddles blocks; larger ensembles spill into further blocks.
+    straddles blocks; larger ensembles spill into further blocks.  The SVM
+    vector defaults to the ensemble's features, capped at the slot count:
+    trees read only the features they name, so an ensemble over more
+    features than slots still fits.
     """
     if ens.trees_per_class > slot_count:
         raise ModelFormatError(
@@ -341,7 +344,7 @@ def build_layout(ens: Ensemble, slot_count: int, svm_features: int | None = None
         num_classes=ens.num_classes,
         trees_per_class=ens.trees_per_class,
         num_features=ens.num_features,
-        svm_features=ens.num_features if svm_features is None else svm_features,
+        svm_features=min(ens.num_features, slot_count) if svm_features is None else svm_features,
         tree_features=tuple(tree.features for tree in ens.trees),
     )
 

@@ -145,8 +145,10 @@ class NttPlan:
     One plan covers a fixed transform size ``n`` and a fixed tuple of
     moduli, each of which must be a prime of at most ``MODULUS_BITS`` bits
     congruent to 1 mod 2n.  Arrays passed to :meth:`forward` /
-    :meth:`inverse` have shape (K, n) with row k reduced modulo
-    ``moduli[k]``.
+    :meth:`inverse` / :meth:`pointwise` have shape (K, n) for any K up to
+    the number of moduli, row k reduced modulo ``moduli[k]``: each row's
+    tables depend on its own prime only, so K rows are transformed exactly
+    as a plan over the first K moduli would transform them.
     """
 
     def __init__(self, n: int, moduli: tuple[int, ...]):
@@ -188,13 +190,13 @@ class NttPlan:
     def _cyclic(self, a: np.ndarray, powers: np.ndarray) -> np.ndarray:
         """Cyclic NTT of bit-reversed input; ``powers`` are psi^j (or psi^-j)."""
         k, n = a.shape
-        p3 = self.p.reshape(k, 1, 1)
+        p3 = self.p[:k].reshape(k, 1, 1)
         x = a[:, self._bitrev]
         half = 1
         while half < n:
             size = 2 * half
             # the stage of block size `size` multiplies by omega^(n/size * j) = psi^(n/half * j)
-            tw = powers[:, :: n // half].reshape(k, 1, half)
+            tw = powers[:k, :: n // half].reshape(k, 1, half)
             x = x.reshape(k, n // size, size)
             lo = x[:, :, :half]
             hi = mul_mod(x[:, :, half:], tw, p3)
@@ -204,17 +206,19 @@ class NttPlan:
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         """Negacyclic NTT: out[k][j] = a_k(psi^(2j+1)) in natural order."""
-        twisted = mul_mod(a, self._psi_pow, self.p)
+        k = len(a)
+        twisted = mul_mod(a, self._psi_pow[:k], self.p[:k])
         return self._cyclic(twisted, self._psi_pow)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward` (exact)."""
+        k = len(a)
         x = self._cyclic(a, self._psi_inv_pow)
-        x = mul_mod(x, self._n_inv, self.p)
-        return mul_mod(x, self._psi_inv_pow, self.p)
+        x = mul_mod(x, self._n_inv[:k], self.p[:k])
+        return mul_mod(x, self._psi_inv_pow[:k], self.p[:k])
 
     def pointwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return mul_mod(a, b, self.p)
+        return mul_mod(a, b, self.p[: len(a)])
 
     def negacyclic_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Negacyclic product of coefficient-domain inputs."""

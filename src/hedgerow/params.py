@@ -7,9 +7,9 @@ Three presets cover the shipped circuits:
                         ciphertext); no ciphertext-ciphertext product;
                         depth budget 1.
 * ``xgb-d2``          - comparison plus tree scoring with plaintext split
-                        codes and leaves: 2 ciphertext-ciphertext products
+                        codes and leaves: 1 ciphertext-ciphertext product
                         per slot block, circuit depth 1; depth budget 2.
-* ``xgb-encmodel-d3`` - same circuit with encrypted split codes: 5 products
+* ``xgb-encmodel-d3`` - same circuit with encrypted split codes: 4 products
                         per block, circuit depth 2; depth budget 3.
 
 The name suffixes and depth budgets date from the paper's comparison form,

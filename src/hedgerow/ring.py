@@ -2,7 +2,6 @@
 
 A :class:`RingContext` owns, for one parameter set:
 
-* batched NTT plans for the coefficient primes and the plaintext modulus;
 * the bases outside q: q followed by the shortest prefix, with product
   above a bound, of the largest word-sized NTT primes other than t and the
   q_i.  The special primes P of hybrid keyswitching (Gentry-Halevi-Smart
@@ -10,7 +9,10 @@ A :class:`RingContext` owns, for one parameter set:
   keys live mod qP, ``mod_up`` lifts a polynomial from q to qP and
   ``mod_down`` divides one mod qP by P with rounding, back to q.  The
   tensor basis of exact ciphertext products starts with qP and is qP itself
-  where qP holds the tensor.  Both NTT plans are built on first use;
+  where qP holds the tensor;
+* one batched NTT plan over the tensor basis, and one for the plaintext
+  modulus.  A plan transforms as many rows as its input has, so q, qP and
+  the tensor basis are its first K, K+L and all of its rows;
 * the slot permutation realizing full-N batching.  Slots form two rotation
   rows of N/2: slot j < N/2 is the evaluation at psi^(3^j mod 2N), slot
   N/2+j at psi^(-3^j mod 2N).  The automorphism x -> x^(3^r) rotates both
@@ -21,10 +23,9 @@ A :class:`RingContext` owns, for one parameter set:
   and centered big integers (used for exact multiply scaling, the lifts
   from q, decryption, and noise measurement).
 
-A context holds no lock and no cache but the qP and tensor bases: an
+Everything is built with the context, which holds no lock and no cache: an
 automorphism's index map is recomputed per call (microseconds, against
-milliseconds for the keyswitch that follows it), and threads that race to
-build a basis build the same one.
+milliseconds for the keyswitch that follows it).
 """
 
 from __future__ import annotations
@@ -162,11 +163,25 @@ class RingContext:
         self.q = params.coeff_modulus_product
         self.t = params.plaintext_modulus
 
-        self.plan_q = NttPlan(self.n, self.q_primes)
+        # hybrid keyswitching: keys live mod qP; mod_down divides by P > q
+        self.p_primes = special_primes(params)
+        self.qp_primes = self.q_primes + self.p_primes
+        self.tensor_primes = tensor_primes(params)
+        # one plan over the tensor basis: its first K rows are q's, its first
+        # K+L qP's
+        self.plan_q = NttPlan(self.n, self.tensor_primes)
         self.plan_t = NttPlan(self.n, (self.t,))
         self.garner_q = GarnerBasis(self.q_primes)
+        self.garner_p = GarnerBasis(self.p_primes)
+        self.garner_tensor = GarnerBasis(self.tensor_primes)
+        self.q_arr = self.plan_q.p[: self.k]
+        self.p_mod_q = np.array(
+            [self.garner_p.product % q for q in self.q_primes], dtype=np.uint64
+        ).reshape(self.k, 1)
+        self._p_inv_mod_q = np.array(
+            [pow(self.garner_p.product, -1, q) for q in self.q_primes], dtype=np.uint64
+        ).reshape(self.k, 1)
 
-        self.q_arr = np.array(self.q_primes, dtype=np.uint64).reshape(self.k, 1)
         # exact message scaling round(q*m/t): since q = 0 mod q_i, the residue
         # is ((t//2 - (q*m + t//2) mod t) * t^-1) mod q_i, all in 64-bit
         self._q_mod_t = np.uint64(self.q % self.t)
@@ -184,20 +199,6 @@ class RingContext:
             exps[self.row + j] = self.two_n - e
             e = e * 3 % self.two_n
         self.slot_to_eval = ((exps - 1) // 2).astype(np.intp)
-
-        # hybrid keyswitching: keys live mod qP; mod_down divides by P > q
-        self.p_primes = special_primes(params)
-        self.qp_primes = self.q_primes + self.p_primes
-        p_prod = prod(self.p_primes)
-        self.p_mod_q = np.array(
-            [p_prod % q for q in self.q_primes], dtype=np.uint64
-        ).reshape(self.k, 1)
-        self._p_inv_mod_q = np.array(
-            [pow(p_prod, -1, q) for q in self.q_primes], dtype=np.uint64
-        ).reshape(self.k, 1)
-
-        self._wide: tuple[tuple[int, ...], NttPlan, GarnerBasis] | None = None
-        self._special: tuple[NttPlan, GarnerBasis] | None = None
 
     # -- galois -------------------------------------------------------------
 
@@ -220,21 +221,9 @@ class RingContext:
     # -- bases --------------------------------------------------------------
 
     def wide_basis(self) -> tuple[tuple[int, ...], NttPlan, GarnerBasis]:
-        """The tensor basis, its NTT plan (the qP plan where the basis is qP)
-        and its Garner basis, built on first use."""
-        if self._wide is None:
-            primes = tensor_primes(self.params)
-            plan_qp, _ = self.special_basis()
-            plan = plan_qp if primes == self.qp_primes else NttPlan(self.n, primes)
-            self._wide = (primes, plan, GarnerBasis(primes))
-        return self._wide
-
-    def special_basis(self) -> tuple[NttPlan, GarnerBasis]:
-        """The NTT plan over qP (the q rows first) and the Garner basis of P,
-        built on first use."""
-        if self._special is None:
-            self._special = (NttPlan(self.n, self.qp_primes), GarnerBasis(self.p_primes))
-        return self._special
+        """The tensor basis, its NTT plan (``plan_q`` itself) and its Garner
+        basis."""
+        return self.tensor_primes, self.plan_q, self.garner_tensor
 
     def mod_up(self, poly: np.ndarray, basis: tuple[int, ...] | None = None) -> np.ndarray:
         """The centred lift of a (K, N) polynomial mod q to ``basis`` (default
@@ -245,8 +234,7 @@ class RingContext:
     def mod_down(self, poly: np.ndarray) -> np.ndarray:
         """round(x / P) mod q of a (K+L, N) polynomial x mod qP, as the exact
         (x - [x]_P) / P with [x]_P the centred residue of x mod P."""
-        _, garner_p = self.special_basis()
-        rem = garner_p.lift(poly[self.k:], self.q_primes)
+        rem = self.garner_p.lift(poly[self.k:], self.q_primes)
         return mul_mod(sub_mod(poly[: self.k], rem, self.q_arr), self._p_inv_mod_q, self.q_arr)
 
     # -- small helpers ------------------------------------------------------

@@ -213,39 +213,40 @@ def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None
     ring = get_ring(params)
     prg = Prg(seed)
     n, k = ring.n, ring.k
-    plan_qp, _ = ring.special_basis()
+    plan = ring.plan_q
+    qp_arr = plan.p[: len(ring.qp_primes)]
 
     s_small = prg.ternary("sk", n)
     s = ring.rns_from_small(s_small)
-    s_ntt = ring.plan_q.forward(s)
-    s_qp_ntt = plan_qp.forward(ring.rns_from_small(s_small, plan_qp.p))
+    s_qp_ntt = plan.forward(ring.rns_from_small(s_small, qp_arr))
+    s_ntt = s_qp_ntt[:k]
 
-    def rlwe_b(label: str, plan, s_ntt: np.ndarray, a_ntt: np.ndarray) -> np.ndarray:
-        """b = -(a*s + e) over ``plan``'s moduli, NTT domain: (b, a) is an
-        encryption of zero."""
-        e = ring.rns_from_small(prg.cbd(label + ".e", n), plan.p)
-        b = add_mod(plan.pointwise(a_ntt, s_ntt), plan.forward(e), plan.p)
-        return sub_mod(0, b, plan.p)
+    def rlwe_b(label: str, moduli: np.ndarray, s_ntt: np.ndarray, a_ntt: np.ndarray) -> np.ndarray:
+        """b = -(a*s + e) modulo each row of the (R, 1) column ``moduli``, NTT
+        domain: (b, a) is an encryption of zero."""
+        e = ring.rns_from_small(prg.cbd(label + ".e", n), moduli)
+        b = add_mod(plan.pointwise(a_ntt, s_ntt), plan.forward(e), moduli)
+        return sub_mod(0, b, moduli)
 
-    pk_a = ring.plan_q.forward(prg.uniform_rns("pk.a", ring.q_arr, n))
-    pk_b = rlwe_b("pk", ring.plan_q, s_ntt, pk_a)
+    pk_a = plan.forward(prg.uniform_rns("pk.a", ring.q_arr, n))
+    pk_b = rlwe_b("pk", ring.q_arr, s_ntt, pk_a)
 
     def keyswitch_key(label: str, target_ntt: np.ndarray) -> KeySwitchKey:
         """One pair mod qP with b + a*s = P*target - e.  P*target is 0 mod
         every special prime, so only the q rows carry it; a is uniform, so it
         is drawn directly in the NTT domain."""
-        a_ntt = prg.uniform_rns(label + ".a", plan_qp.p, n)
-        b = rlwe_b(label, plan_qp, s_qp_ntt, a_ntt)
+        a_ntt = prg.uniform_rns(label + ".a", qp_arr, n)
+        b = rlwe_b(label, qp_arr, s_qp_ntt, a_ntt)
         b[:k] = add_mod(b[:k], mul_mod(target_ntt, ring.p_mod_q, ring.q_arr), ring.q_arr)
         return b, a_ntt
 
-    relin = keyswitch_key("rlk", ring.plan_q.pointwise(s_ntt, s_ntt))
+    relin = keyswitch_key("rlk", plan.pointwise(s_ntt, s_ntt))
 
     galois = {}
     for eff in galois_steps(params, rotation_steps):
-        s_tau = ring.plan_q.forward(ring.apply_automorphism(s, ring.galois_element(eff)))
+        s_tau = plan.forward(ring.apply_automorphism(s, ring.galois_element(eff)))
         galois[eff] = keyswitch_key(f"gk.{eff}", s_tau)
-    s_swap = ring.plan_q.forward(ring.apply_automorphism(s, ring.row_swap_element))
+    s_swap = plan.forward(ring.apply_automorphism(s, ring.row_swap_element))
     row_swap = keyswitch_key("gk.swap", s_swap)
 
     sk = SecretKey(params, s)
@@ -497,6 +498,6 @@ class HeBackend(Backend):
         encrypts.  c is lifted to qP, multiplied by the key pair, and each
         product divided by P with rounding."""
         ring = self.ring
-        plan, _ = ring.special_basis()
+        plan = ring.plan_q
         c = plan.forward(ring.mod_up(poly))
         return tuple(ring.mod_down(plan.inverse(plan.pointwise(c, part))) for part in key)

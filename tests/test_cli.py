@@ -489,6 +489,36 @@ def test_cli_synth_layout_roundtrip(tmp_path):
         assert np.array_equal(conf * ens.quant_scale, ref.astype(np.float64))
 
 
+def test_xgb_round_trip_with_more_features_than_slots(tmp_path):
+    # trees read only the features they name, so a 100-feature ensemble runs
+    # on 64 slots; the layout command needs no --svm for it
+    params = make_test_params(64, num_primes=6, depth_budget=2)
+    keys, server = tmp_path / "keys", tmp_path / "server"
+    write_keyset(keys, params, seed=1)
+    export_public_keyset(keys, server)
+    ens, _, ds = gen_synthetic(1, 2, 4, 100, 3)
+    assert ens.num_features == 100
+    save_ensemble(ens, tmp_path / "ensemble.json")
+    save_dataset(ds, tmp_path / "data.csv", include_labels=True)
+    steps = [
+        ["layout", "--model", str(tmp_path / "ensemble.json"), "--keys", str(keys),
+         "--out", str(tmp_path / "layout.json")],
+        ["encrypt", "--model-layout", str(tmp_path / "layout.json"), "--data",
+         str(tmp_path / "data.csv"), "--labeled", "--keys", str(keys), "--seed", "7",
+         "--out", str(tmp_path / "enc")],
+        ["infer", "--mode", "xgb", "--model", str(tmp_path / "ensemble.json"), "--in",
+         str(tmp_path / "enc"), "--keys", str(server), "--out", str(tmp_path / "scores")],
+    ]
+    for argv in steps:
+        assert main(argv) == EXIT_OK, argv[0]
+    assert json.loads((tmp_path / "layout.json").read_text())["svm_features"] == 64
+    _, preds, conf = run_decrypt(tmp_path / "scores", keys, None)
+    ref = ensemble_scores_clear_batch(ens, normalize_samples(ds.samples))
+    assert conf.shape == (3, 2)
+    assert np.array_equal(conf * ens.quant_scale, ref.astype(np.float64))
+    assert np.array_equal(preds, np.argmax(ref, axis=1))
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["keygen", "--preset", "svm-d1"])  # missing --seed/--out

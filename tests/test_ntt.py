@@ -72,6 +72,24 @@ def test_forward_inverse_identity(n, rng):
         assert np.array_equal(plan.inverse(plan.forward(a)), a)
 
 
+@pytest.mark.parametrize("n", [8, 64])
+def test_plan_rows_are_prefix_plans(n, rng):
+    # the first k rows through an R-row plan are word for word what a plan
+    # over the first k moduli makes of them, for every k
+    primes = tuple(find_ntt_primes(MODULUS_BITS, 3, 2 * n)) + tuple(find_ntt_primes(29, 3, 2 * n))
+    plan = NttPlan(n, primes)
+    a = np.stack([rng.integers(0, p, n, dtype=np.uint64) for p in primes])
+    b = np.stack([rng.integers(0, p, n, dtype=np.uint64) for p in primes])
+    for k in range(1, len(primes) + 1):
+        own = NttPlan(n, primes[:k])
+        for op in ("forward", "inverse"):
+            got = getattr(plan, op)(a[:k])
+            assert got.shape == (k, n)
+            assert np.array_equal(got, getattr(own, op)(a[:k])), (op, k)
+        assert np.array_equal(plan.pointwise(a[:k], b[:k]), own.pointwise(a[:k], b[:k]))
+        assert np.array_equal(plan.negacyclic_mul(a[:k], b[:k]), own.negacyclic_mul(a[:k], b[:k]))
+
+
 @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
 def test_ntt_multiplication_matches_schoolbook(n, rng):
     primes = tuple(find_ntt_primes(29, 2, 2 * n))

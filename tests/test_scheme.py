@@ -1,8 +1,7 @@
 """Scheme-level behaviour: roundtrips, operation semantics, the clear mirror."""
 
 import dataclasses
-import sys
-from concurrent.futures import ThreadPoolExecutor
+import hashlib
 from math import prod
 
 import numpy as np
@@ -164,38 +163,45 @@ def test_mul_ct_random_binary_vs_and(he64, keys64, rng):
         assert np.array_equal(dec(he64, sk, he64.mul_ct(a, b, ek)), u & v)
 
 
-def _racing_builds(build) -> list:
-    """``build`` called from 8 threads at once on a short switch interval."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(build) for _ in range(8)]
-            return [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
+def _digest(params, seed=0xD16E57) -> str:
+    """SHA-256 over the residue arrays of the keys, of one encrypt, mul_ct,
+    rotate, swap_rows and mul_pt output, and of each output's decrypted
+    slots and noise budget."""
+    he = HeBackend(params)
+    sk, pk, ek = he.keygen(seed, rotation_steps=(1,))
+    h = hashlib.sha256()
+
+    def put(arr):
+        arr = np.ascontiguousarray(arr, dtype="<u8")
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+
+    for arr in (sk.s, pk.b_ntt, pk.a_ntt, *ek.relin, *ek.galois[1], *ek.row_swap):
+        put(arr)
+    n, t = params.slot_count, params.plaintext_modulus
+    rng = np.random.default_rng(7)
+    x = enc(he, pk, rng.integers(0, t, n), seed + 1)
+    y = enc(he, pk, rng.integers(0, 2, n), seed + 2)
+    pt = he.encode(rng.integers(0, t, n))
+    for ct in (x, he.mul_ct(x, y, ek), he.rotate(x, 1, ek), he.swap_rows(x, ek), he.mul_pt(x, pt)):
+        for part in ct.parts:
+            put(part)
+        put(he.decode(he.decrypt(sk, ct)))
+        h.update(str(he.noise_budget(sk, ct)).encode())
+    return h.hexdigest()
 
 
-def test_racing_threads_build_one_wide_basis(params64, rng):
-    # wide_basis takes no lock: threads racing on a cold ring may each build
-    # the basis, and every build must be the same one
-    ring = RingContext(params64)
-    builds = _racing_builds(ring.wide_basis)
-    primes, plan, _ = ring.wide_basis()
-    x = rng.integers(0, 2**62, (len(primes), ring.n), dtype=np.uint64) % plan.p
-    for p, other_plan, garner in builds:
-        assert p == primes and garner.primes == primes
-        assert np.array_equal(other_plan.forward(x), plan.forward(x))
+# A change that alters these bytes on purpose updates the digest and says why.
+PINNED_DIGESTS = {
+    "svm-d1": "e40eb6410463dfcaab459dde0a4734aa80c2277050b863b7639b0ab54615a1b9",
+    "xgb-d2": "5b5b531dc05bd1c08d5b76df112593d788a138a10d875b98f4ed483bf771e556",
+    "xgb-encmodel-d3": "34532fb31df513df03a79d8c595a6eb3a2edc40178331ca2d5b1cc4b85fe3382",
+}
 
 
-def test_racing_threads_build_one_special_basis(params64, rng):
-    ring = RingContext(params64)
-    builds = _racing_builds(ring.special_basis)
-    plan, _ = ring.special_basis()
-    x = rng.integers(0, 2**62, (len(ring.qp_primes), ring.n), dtype=np.uint64) % plan.p
-    for other_plan, garner in builds:
-        assert other_plan.moduli == ring.qp_primes and garner.primes == ring.p_primes
-        assert np.array_equal(other_plan.forward(x), plan.forward(x))
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_keys_and_outputs_match_the_pinned_digest(name):
+    assert _digest(gen_params(name)) == PINNED_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +271,33 @@ def test_tensor_basis_is_the_shortest_extension_of_qp(name, params64):
     free = (p for p in ntt_primes(MODULUS_BITS, ring.two_n) if p not in taken)
     extension = primes[ring.k :]
     assert extension == tuple(next(free) for _ in extension)  # a prefix of the sequence
+    assert plan is ring.plan_q
     extra = len(primes) - len(ring.qp_primes)
     if name in ("test64", "top-primes", "xgb-d2", "xgb-encmodel-d3"):
-        assert extra == 0 and plan is ring.special_basis()[0]
+        assert extra == 0
     else:
         assert extra == 1
+
+
+@pytest.mark.parametrize("name", ["test64", "short-q", *PRESET_NAMES])
+def test_one_plan_serves_every_basis(name, params64):
+    # q, qP and the tensor basis are the first K, K+L and all rows of plan_q,
+    # built with the ring: every wide_basis call returns those same objects
+    ring = RingContext(_tensor_case_params(name, params64))
+    first = ring.wide_basis()
+    assert first[1] is ring.plan_q
+    assert all(a is b for a, b in zip(ring.wide_basis(), first))
+    assert ring.plan_q.moduli[: ring.k] == ring.q_primes
+    assert ring.plan_q.moduli[: len(ring.qp_primes)] == ring.qp_primes
+    assert np.array_equal(ring.q_arr[:, 0], ring.q_primes)
+
+
+def test_ring_refuses_params_whose_tensor_basis_runs_out():
+    # the 48-prime case of test_special_primes_refuse_when_too_few_remain:
+    # P exists but the tensor basis does not, so the ring is never built
+    primes = list(ntt_primes(MODULUS_BITS, 2 ** 21))
+    with pytest.raises(ParamError):
+        RingContext(HeParams(2 ** 20, tuple(primes[1:48]), primes[0], 1))
 
 
 def _crt(residues, primes) -> int:
