@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import secrets
 import sys
 from pathlib import Path
 
@@ -102,7 +103,8 @@ def _cmd_encrypt(args) -> int:
     layout = load_layout(args.model_layout)
     dataset = load_dataset(args.data, labeled=args.labeled)
     keyset = load_keyset(args.keys)
-    seconds = run_encrypt(layout, dataset, keyset, _parse_seed(args.seed), args.out)
+    seed = secrets.token_bytes(32) if args.seed is None else _parse_seed(args.seed)
+    seconds = run_encrypt(layout, dataset, keyset, seed, args.out)
     print(f"encrypt: {dataset.num_samples} sample bundle(s) in {seconds:.3f}s -> {args.out}")
     return EXIT_OK
 
@@ -173,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--labeled", action="store_true", help="last CSV column is a label")
     p.add_argument("--keys", required=True)
-    p.add_argument("--seed", default="0")
+    p.add_argument("--seed", help="encryption seed (decimal or 0x hex) for reproducible output; "
+                   "never reuse one across datasets (default: fresh random)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_encrypt)
 

@@ -129,6 +129,22 @@ def sub_mod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     return np.minimum(d, d - p)
 
 
+def power_table(bases, moduli, count: int) -> np.ndarray:
+    """table[r, j] = bases[r]^j mod moduli[r] (< 2^32) for j < count, filled
+    by doubling: with the first f powers known, the next f are those times base^f."""
+    m = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+    step = np.array(bases, dtype=np.uint64).reshape(-1, 1) % m
+    table = np.empty((len(m), count), dtype=np.uint64)
+    table[:, :1] = 1
+    f = 1
+    while f < count:
+        g = min(f, count - f)
+        table[:, f : f + g] = table[:, :g] * step % m
+        step = step * step % m
+        f *= 2
+    return table
+
+
 def _bit_reverse_indices(n: int) -> np.ndarray:
     bits = n.bit_length() - 1
     idx = np.arange(n, dtype=np.uint64)
@@ -171,18 +187,10 @@ class NttPlan:
         for i, m in enumerate(self.moduli):
             assert pow(psis[i], n, m) == m - 1
 
-        def power_table(bases: list[int], count: int) -> np.ndarray:
-            tbl = np.empty((k, count), dtype=np.uint64)
-            for row, (base, m) in enumerate(zip(bases, self.moduli)):
-                acc = 1
-                for j in range(count):
-                    tbl[row, j] = acc
-                    acc = acc * base % m
-            return tbl
-
         # omega = psi^2, so every stage twiddle is a strided slice of these
-        self._psi_pow = power_table(psis, n)
-        self._psi_inv_pow = power_table([pow(s, -1, m) for s, m in zip(psis, self.moduli)], n)
+        self._psi_pow = power_table(psis, self.moduli, n)
+        psi_invs = [pow(s, -1, m) for s, m in zip(psis, self.moduli)]
+        self._psi_inv_pow = power_table(psi_invs, self.moduli, n)
         self._n_inv = np.array(
             [pow(n, -1, m) for m in self.moduli], dtype=np.uint64
         ).reshape(k, 1)

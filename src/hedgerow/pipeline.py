@@ -169,7 +169,11 @@ def write_keyset(outdir, params: HeParams, seed) -> float:
     sk, pk, ek = keygen(params, seed)
     elapsed = time.perf_counter() - t0
     save_params(params, out / PARAMS_FILE)
-    (out / SECRET_FILE).write_bytes(serial.serialize_secret_key(sk))
+    # owner-only from its creation, not after a chmod; an old file goes, mode and all
+    (out / SECRET_FILE).unlink(missing_ok=True)
+    fd = os.open(out / SECRET_FILE, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    with os.fdopen(fd, "wb") as f:
+        f.write(serial.serialize_secret_key(sk))
     (out / PUBLIC_FILE).write_bytes(serial.serialize_public_key(pk))
     (out / EVAL_FILE).write_bytes(serial.serialize_eval_keys(ek))
     return elapsed

@@ -19,9 +19,10 @@ A :class:`RingContext` owns, for one parameter set:
   rows left by r; x -> x^(2N-1) swaps the rows;
 * the two scalings between Z_t and Z_q: round(q*m/t) for a plaintext and
   round(t*x/q) for a product or a decrypted phase;
-* Garner mixed-radix conversion between RNS residues, other prime bases,
-  and centered big integers (used for exact multiply scaling, the lifts
-  from q, decryption, and noise measurement).
+* Garner mixed-radix conversion between RNS residues, other prime bases
+  and centred big integers (exact multiply scaling, the lifts from q and
+  P, decryption, noise measurement): like the plan, one table over the
+  tensor basis serves q and the tensor basis as its first K and all rows.
 
 Everything is built with the context, which holds no lock and no cache: an
 automorphism's index map is recomputed per call (microseconds, against
@@ -31,96 +32,77 @@ milliseconds for the keyswitch that follows it).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
 
 import numpy as np
 
 from .errors import ParamError
-from .ntt import MODULUS_BITS, NttPlan, add_mod, mul_mod, ntt_primes, sub_mod
+from .ntt import MODULUS_BITS, NttPlan, add_mod, mul_mod, ntt_primes, power_table, sub_mod
 from .params import HeParams
 
 
 class GarnerBasis:
-    """Mixed-radix conversion for a fixed RNS prime basis."""
+    """Mixed-radix conversion of the first R rows of an RNS prime basis (row
+    i's tables depend on primes[:i+1] only).  Values are centred in [-h, h],
+    h = (Q_R - 1)/2 for the odd product Q_R, by converting x + h and then
+    subtracting h: no sign test."""
 
     def __init__(self, primes: tuple[int, ...]):
         self.primes = tuple(int(p) for p in primes)
-        self.count = len(self.primes)
-        self.product = prod(self.primes)
-        self.half = (self.product - 1) // 2  # product is odd: x > half <=> centered negative
-
-        # prefix[i] = product of primes[:i]; digits v satisfy x = sum v_i * prefix_i
+        # prefix[i] = product of primes[:i]; digits v of y satisfy
+        # y = sum v_i * prefix[i], and the R-row product is prefix[R]
         self.prefix = [1]
-        for p in self.primes[:-1]:
-            self.prefix.append(self.prefix[-1] * p)
-        self._inv = [
-            pow(self.prefix[i] % p, -1, p) for i, p in enumerate(self.primes)
-        ]
-        # prefix_mod[i][j] = prefix[i] mod primes[j]
-        self._prefix_mod = [
-            [pf % p for p in self.primes] for pf in self.prefix
-        ]
-        self._half_digits = self._int_digits(self.half)
-
-    def _int_digits(self, x: int) -> list[int]:
-        digits = []
         for p in self.primes:
-            digits.append(x % p)
-            x //= p
-        return digits
+            self.prefix.append(self.prefix[-1] * p)
+        self.product = self.prefix[-1]
+        self.half = [(q - 1) // 2 for q in self.prefix]
+        self._inv = [
+            np.uint64(pow(self.prefix[i] % p, -1, p)) for i, p in enumerate(self.primes)
+        ]
+        # prefix_mod[j][i] = prefix[j] mod primes[i]
+        self._prefix_mod = [
+            [np.uint64(pf % p) for p in self.primes] for pf in self.prefix[:-1]
+        ]
 
     def to_digits(self, residues: np.ndarray) -> np.ndarray:
-        """Garner digits of the values whose RNS residues are given, shape (K, N)."""
-        k = self.count
+        """Garner digits of x + h for the centred values x whose RNS
+        residues are given, shape (R, N)."""
+        h = self.half[len(residues)]
         v = np.empty_like(residues)
-        for i in range(k):
-            p = np.uint64(self.primes[i])
-            acc = residues[i] % p
+        for i, prime in enumerate(self.primes[: len(residues)]):
+            p = np.uint64(prime)
+            acc = (residues[i] + np.uint64(h % prime)) % p
             for j in range(i):
-                sub = v[j] * np.uint64(self._prefix_mod[j][i]) % p
+                sub = v[j] * self._prefix_mod[j][i] % p
                 acc = (acc + p - sub) % p
-            v[i] = acc * np.uint64(self._inv[i]) % p
+            v[i] = acc * self._inv[i] % p
         return v
 
-    def negative_mask(self, digits: np.ndarray) -> np.ndarray:
-        """True where the represented value exceeds product/2 (centered negative)."""
-        ge = np.zeros(digits.shape[1], dtype=bool)
-        for i in range(self.count):  # least significant digit first; MSD decides
-            h = np.uint64(self._half_digits[i])
-            ge = (digits[i] > h) | ((digits[i] == h) & ge)
-        return ge
-
-    def digits_to_residues(
-        self, digits: np.ndarray, negative: np.ndarray, target_primes: tuple[int, ...]
-    ) -> np.ndarray:
-        """Centered values reduced modulo each target prime, shape (L, N)."""
-        n = digits.shape[1]
+    def digits_to_residues(self, digits: np.ndarray, target_primes: tuple[int, ...]) -> np.ndarray:
+        """Centred values reduced modulo each target prime, shape (L, N)."""
+        r, n = digits.shape
         out = np.empty((len(target_primes), n), dtype=np.uint64)
         for row, w in enumerate(target_primes):
             wp = np.uint64(w)
             acc = np.zeros(n, dtype=np.uint64)
-            for i in range(self.count):
+            for i in range(r):
                 acc = (acc + digits[i] * np.uint64(self.prefix[i] % w)) % wp
-            correction = np.where(negative, np.uint64(self.product % w), np.uint64(0))
-            out[row] = (acc + wp - correction) % wp
+            out[row] = sub_mod(acc, np.uint64(self.half[r] % w), wp)
         return out
 
     def lift(self, residues: np.ndarray, target_primes: tuple[int, ...]) -> np.ndarray:
         """The centred values whose residues are given, reduced modulo each
         target prime: the exact change of basis from this one."""
-        digits = self.to_digits(residues)
-        return self.digits_to_residues(digits, self.negative_mask(digits), target_primes)
+        return self.digits_to_residues(self.to_digits(residues), target_primes)
 
-    def digits_to_ints(self, digits: np.ndarray, negative: np.ndarray) -> np.ndarray:
-        """Centered Python-int values as an object array of shape (N,)."""
+    def digits_to_ints(self, digits: np.ndarray) -> np.ndarray:
+        """Centred Python-int values as an object array of shape (N,)."""
         acc = digits[0].astype(object)
-        for i in range(1, self.count):
+        for i in range(1, len(digits)):
             acc = acc + digits[i].astype(object) * self.prefix[i]
-        return acc - negative.astype(object) * self.product
+        return acc - self.half[len(digits)]
 
     def residues_to_ints(self, residues: np.ndarray) -> np.ndarray:
-        digits = self.to_digits(residues)
-        return self.digits_to_ints(digits, self.negative_mask(digits))
+        return self.digits_to_ints(self.to_digits(residues))
 
 
 def prefix_above(params: HeParams, bound: int) -> tuple[int, ...]:
@@ -171,9 +153,9 @@ class RingContext:
         # K+L qP's
         self.plan_q = NttPlan(self.n, self.tensor_primes)
         self.plan_t = NttPlan(self.n, (self.t,))
-        self.garner_q = GarnerBasis(self.q_primes)
+        # one Garner table too; P, no prefix of it, has its own
+        self.garner = GarnerBasis(self.tensor_primes)
         self.garner_p = GarnerBasis(self.p_primes)
-        self.garner_tensor = GarnerBasis(self.tensor_primes)
         self.q_arr = self.plan_q.p[: self.k]
         self.p_mod_q = np.array(
             [self.garner_p.product % q for q in self.q_primes], dtype=np.uint64
@@ -192,12 +174,8 @@ class RingContext:
 
         # slot j < N/2 evaluates at psi^(3^j); slot N/2+j at psi^(-3^j); the
         # forward NTT emits evaluation at psi^(2k+1) in position k
-        exps = np.empty(self.n, dtype=np.int64)
-        e = 1
-        for j in range(self.row):
-            exps[j] = e
-            exps[self.row + j] = self.two_n - e
-            e = e * 3 % self.two_n
+        exps = power_table([3], [self.two_n], self.row)[0].astype(np.int64)
+        exps = np.concatenate((exps, self.two_n - exps))
         self.slot_to_eval = ((exps - 1) // 2).astype(np.intp)
 
     # -- galois -------------------------------------------------------------
@@ -221,15 +199,15 @@ class RingContext:
     # -- bases --------------------------------------------------------------
 
     def wide_basis(self) -> tuple[tuple[int, ...], NttPlan, GarnerBasis]:
-        """The tensor basis, its NTT plan (``plan_q`` itself) and its Garner
-        basis."""
-        return self.tensor_primes, self.plan_q, self.garner_tensor
+        """The tensor basis, its NTT plan and its Garner table (``plan_q``
+        and ``garner`` themselves)."""
+        return self.tensor_primes, self.plan_q, self.garner
 
     def mod_up(self, poly: np.ndarray, basis: tuple[int, ...] | None = None) -> np.ndarray:
         """The centred lift of a (K, N) polynomial mod q to ``basis`` (default
         qP), whose first K primes are q's, so the K input rows are kept."""
         extension = (basis or self.qp_primes)[self.k :]
-        return np.concatenate((poly, self.garner_q.lift(poly, extension)))
+        return np.concatenate((poly, self.garner.lift(poly, extension)))
 
     def mod_down(self, poly: np.ndarray) -> np.ndarray:
         """round(x / P) mod q of a (K+L, N) polynomial x mod qP, as the exact

@@ -397,7 +397,7 @@ class HeBackend(Backend):
         ring = self.ring
         acc = ring.plan_q.pointwise(ring.plan_q.forward(ct.parts[1]), sk._s_ntt)
         phase = add_mod(ct.parts[0], ring.plan_q.inverse(acc), ring.q_arr)
-        x = ring.garner_q.residues_to_ints(phase)
+        x = ring.garner.residues_to_ints(phase)
         r = ring.scale_round(x)
         return r, ring.t * x - ring.q * r
 

@@ -1,6 +1,7 @@
 """CLI flows: file-based phases, role separation, exit codes, determinism."""
 
 import json
+import os
 import shutil
 import time
 
@@ -32,6 +33,7 @@ from hedgerow.pipeline import (
 from hedgerow.ntt import find_ntt_primes
 from hedgerow.params import default_plaintext_modulus
 from hedgerow.ring import get_ring
+from hedgerow.serial import deserialize_ciphertext
 from hedgerow.svm import svm_scores_clear
 
 
@@ -180,6 +182,36 @@ def test_encrypt_deterministic_bytes(workspace, tmp_path):
             for f in sorted(sample_dir.iterdir()):
                 twin = tmp_path / "enc2" / sample_dir.name / f.name
                 assert f.read_bytes() == twin.read_bytes()
+
+
+def test_encrypt_draws_a_fresh_seed_unless_one_is_given(workspace, tmp_path):
+    # two uploads under one seed share their encryption randomness (equal c1),
+    # so without --seed every run draws its own; --seed reproduces the bytes
+    base = workspace["base"]
+    argv = ["encrypt", "--model-layout", str(base / "layout.json"), "--data",
+            str(base / "data.csv"), "--labeled", "--keys", str(workspace["keydir"])]
+    runs = {"a": [], "b": [], "c": ["--seed", "7"], "d": ["--seed", "7"]}
+    for name, seed in runs.items():
+        assert main(argv + seed + ["--out", str(tmp_path / name)]) == EXIT_OK
+
+    def upload(name):
+        return (tmp_path / name / "sample_00000" / "block_000.root.x2.ct").read_bytes()
+
+    c1a, c1b = (deserialize_ciphertext(upload(n), workspace["params"]).parts[1] for n in "ab")
+    assert not np.array_equal(c1a, c1b)
+    assert upload("c") == upload("d") == (
+        base / "enc" / "sample_00000" / "block_000.root.x2.ct").read_bytes()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+def test_secret_key_is_written_owner_only(tmp_path):
+    keydir = tmp_path / "keys"
+    keydir.mkdir()
+    (keydir / "secret.key").write_bytes(b"old")
+    (keydir / "secret.key").chmod(0o644)  # an older, world-readable key is replaced
+    write_keyset(keydir, make_test_params(64, num_primes=6, depth_budget=2), seed=5)
+    assert (keydir / "secret.key").stat().st_mode & 0o077 == 0
+    assert (keydir / "secret.key").read_bytes() != b"old"
 
 
 @pytest.fixture(scope="module")

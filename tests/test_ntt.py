@@ -9,6 +9,7 @@ from hedgerow.ntt import (
     add_mod,
     find_ntt_primes,
     is_prime,
+    power_table,
     primitive_root,
     root_of_unity,
     sub_mod,
@@ -88,6 +89,17 @@ def test_plan_rows_are_prefix_plans(n, rng):
             assert np.array_equal(got, getattr(own, op)(a[:k])), (op, k)
         assert np.array_equal(plan.pointwise(a[:k], b[:k]), own.pointwise(a[:k], b[:k]))
         assert np.array_equal(plan.negacyclic_mul(a[:k], b[:k]), own.negacyclic_mul(a[:k], b[:k]))
+
+
+@pytest.mark.parametrize("count", [1, 5, 2048])
+def test_power_table_matches_pow(count):
+    # psi and psi^-1 tables mod each prime, and 3^j mod 2N for the slots
+    moduli = (4096, 97, *find_ntt_primes(29, 2, 4096), *PRESET_TS)
+    bases = (3, 2**31 + 11, 0, moduli[3] - 1, *(m // 3 for m in PRESET_TS))
+    table = power_table(bases, moduli, count)
+    assert table.shape == (len(moduli), count) and table.dtype == np.uint64
+    for row, (b, m) in enumerate(zip(bases, moduli)):
+        assert [int(v) for v in table[row]] == [pow(b, j, m) for j in range(count)], (b, m)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])

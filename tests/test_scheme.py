@@ -20,7 +20,7 @@ from hedgerow import (
 )
 from hedgerow.ntt import MODULUS_BITS, find_ntt_primes, is_prime, ntt_primes
 from hedgerow.params import PRESET_NAMES, default_plaintext_modulus, gen_params
-from hedgerow.ring import RingContext, special_primes, tensor_primes
+from hedgerow.ring import GarnerBasis, RingContext, special_primes, tensor_primes
 from hedgerow.serial import serialize_public_key, serialize_secret_key
 
 
@@ -326,6 +326,34 @@ def test_mod_up_and_mod_down_match_integer_arithmetic(params64, rng):
         v = _crt(y[:, col], ring.qp_primes)
         rounded = (2 * v + big_p) // (2 * big_p)  # round(v / P); P is odd, so no ties
         assert [int(r) for r in down[:, col]] == [rounded % p for p in ring.q_primes]
+
+
+@pytest.mark.parametrize("name", ["test64", "short-q", *PRESET_NAMES])
+def test_one_garner_table_serves_q_and_the_tensor_basis(name, params64, rng):
+    # q and the tensor basis are the first K and all rows of ring.garner;
+    # each prefix centres its own product Q_R, edges 0, +-1 and +-h included
+    ring = RingContext(_tensor_case_params(name, params64))
+    garner = ring.garner
+    assert garner.primes == ring.tensor_primes
+    targets = (ring.p_primes, ring.tensor_primes[ring.k :], (ring.t,))
+    for rows in (ring.k, len(garner.primes)):
+        primes = garner.primes[:rows]
+        m = prod(primes)
+        h = (m - 1) // 2
+        x = rng.integers(0, 2**62, (rows, 16), dtype=np.uint64) % ring.plan_q.p[:rows]
+        for col, edge in enumerate((0, 1, -1, h, -h)):
+            x[:, col] = [edge % p for p in primes]
+        want = [_crt(x[:, col], primes) for col in range(x.shape[1])]
+        want = [v - m if v > h else v for v in want]
+        assert want[:5] == [0, 1, -1, h, -h]
+        assert list(garner.residues_to_ints(x)) == want
+        for target in targets:
+            got = garner.lift(x, target)
+            assert [[int(r) for r in row] for row in got] == [[v % w for v in want] for w in target]
+    own = GarnerBasis(ring.q_primes)
+    x = rng.integers(0, 2**62, (ring.k, ring.n), dtype=np.uint64) % ring.q_arr
+    assert np.array_equal(own.to_digits(x), garner.to_digits(x))
+    assert np.array_equal(own.residues_to_ints(x), garner.residues_to_ints(x))
 
 
 def _negacyclic(x, y):
