@@ -57,6 +57,7 @@ class ClearBackend(Backend):
 
     def encrypt(self, pk: ParamsKey, pt: ClearPlaintext, seed=None) -> ClearCiphertext:
         self._check_fp(pk.fingerprint)
+        self._check_fp(pt.params.fingerprint)
         return ClearCiphertext(
             self.params.fingerprint, self.params.depth_budget, pt.slots.copy()
         )

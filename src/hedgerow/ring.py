@@ -8,8 +8,8 @@ A :class:`RingContext` owns, for one parameter set:
   2012, in the RNS form of Han-Ki 2020) are the prefix above q: switching
   keys live mod qP, ``mod_up`` lifts a polynomial from q to qP and
   ``mod_down`` divides one mod qP by P with rounding, back to q.  The
-  tensor basis of exact ciphertext products starts with qP and is qP itself
-  where qP holds the tensor;
+  tensor basis of exact ciphertext products is q followed by the prefix
+  above t*N*q + 1, so it starts with qP and extends it;
 * one batched NTT plan over the tensor basis, and one for the plaintext
   modulus.  A plan transforms as many rows as its input has, so q, qP and
   the tensor basis are its first K, K+L and all of its rows;
@@ -18,11 +18,11 @@ A :class:`RingContext` owns, for one parameter set:
   N/2+j at psi^(-3^j mod 2N).  The automorphism x -> x^(3^r) rotates both
   rows left by r; x -> x^(2N-1) swaps the rows;
 * the two scalings between Z_t and Z_q: round(q*m/t) for a plaintext and
-  round(t*x/q) for a product or a decrypted phase;
-* Garner mixed-radix conversion between RNS residues, other prime bases
-  and centred big integers (exact multiply scaling, the lifts from q and
-  P, decryption, noise measurement): like the plan, one table over the
-  tensor basis serves q and the tensor basis as its first K and all rows.
+  round(t*x/q) for a product, ``mod_down`` with q in P's place;
+* Garner conversion from RNS residues to other prime bases, and to centred
+  big integers for decryption's noise only.  Like the plan, a table serves
+  every prefix of its primes: ``garner`` (the tensor basis) lifts from q,
+  ``garner_aux`` (the primes beyond q) from P and back to q from them all.
 
 Everything is built with the context, which holds no lock and no cache: an
 automorphism's index map is recomputed per call (microseconds, against
@@ -32,6 +32,7 @@ milliseconds for the keyswitch that follows it).
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -53,7 +54,6 @@ class GarnerBasis:
         self.prefix = [1]
         for p in self.primes:
             self.prefix.append(self.prefix[-1] * p)
-        self.product = self.prefix[-1]
         self.half = [(q - 1) // 2 for q in self.prefix]
         self._inv = [
             np.uint64(pow(self.prefix[i] % p, -1, p)) for i, p in enumerate(self.primes)
@@ -125,11 +125,15 @@ def special_primes(params: HeParams) -> tuple[int, ...]:
 
 
 def tensor_primes(params: HeParams) -> tuple[int, ...]:
-    """q's primes, then the prefix above need // q: their product exceeds need."""
-    q = params.coeff_modulus_product
-    # d1 = a0*b1 + a1*b0 is bounded by 2*N*(q/2)^2 in magnitude
-    need = 4 * 2 * params.ring_degree * (q // 2 + 1) ** 2
-    return params.coeff_modulus + prefix_above(params, need // q)
+    """q's primes, then the prefix above t*N*q + 1: it holds round(t*d/q)
+    centred for every product coefficient, since |d| <= N*q^2/2."""
+    bound = params.plaintext_modulus * params.ring_degree * params.coeff_modulus_product + 1
+    return params.coeff_modulus + prefix_above(params, bound)
+
+
+def _column(values) -> np.ndarray:
+    """One uint64 per row of a residue array, as a (R, 1) column."""
+    return np.array(list(values), dtype=np.uint64).reshape(-1, 1)
 
 
 class RingContext:
@@ -153,24 +157,22 @@ class RingContext:
         # K+L qP's
         self.plan_q = NttPlan(self.n, self.tensor_primes)
         self.plan_t = NttPlan(self.n, (self.t,))
-        # one Garner table too; P, no prefix of it, has its own
+        # q is the first K rows of one Garner table, P the first L of the other
         self.garner = GarnerBasis(self.tensor_primes)
-        self.garner_p = GarnerBasis(self.p_primes)
+        self.garner_aux = GarnerBasis(self.tensor_primes[self.k :])
         self.q_arr = self.plan_q.p[: self.k]
-        self.p_mod_q = np.array(
-            [self.garner_p.product % q for q in self.q_primes], dtype=np.uint64
-        ).reshape(self.k, 1)
-        self._p_inv_mod_q = np.array(
-            [pow(self.garner_p.product, -1, q) for q in self.q_primes], dtype=np.uint64
-        ).reshape(self.k, 1)
+        big_p = prod(self.p_primes)
+        self.p_mod_q = _column(big_p % q for q in self.q_primes)
+        self._p_inv_mod_q = _column(pow(big_p, -1, q) for q in self.q_primes)
+        # scale_down multiplies by t on every row and divides by q beyond q
+        self.t_mod_tensor = _column(self.t % p for p in self.tensor_primes)
+        self._q_inv_mod_aux = _column(pow(self.q, -1, p) for p in self.garner_aux.primes)
 
         # exact message scaling round(q*m/t): since q = 0 mod q_i, the residue
         # is ((t//2 - (q*m + t//2) mod t) * t^-1) mod q_i, all in 64-bit
         self._q_mod_t = np.uint64(self.q % self.t)
         self._t_half = np.uint64(self.t // 2)
-        self._t_inv_mod_q = np.array(
-            [pow(self.t % p, -1, p) for p in self.q_primes], dtype=np.uint64
-        ).reshape(self.k, 1)
+        self._t_inv_mod_q = _column(pow(self.t, -1, p) for p in self.q_primes)
 
         # slot j < N/2 evaluates at psi^(3^j); slot N/2+j at psi^(-3^j); the
         # forward NTT emits evaluation at psi^(2k+1) in position k
@@ -212,8 +214,18 @@ class RingContext:
     def mod_down(self, poly: np.ndarray) -> np.ndarray:
         """round(x / P) mod q of a (K+L, N) polynomial x mod qP, as the exact
         (x - [x]_P) / P with [x]_P the centred residue of x mod P."""
-        rem = self.garner_p.lift(poly[self.k:], self.q_primes)
+        rem = self.garner_aux.lift(poly[self.k :], self.q_primes)
         return mul_mod(sub_mod(poly[: self.k], rem, self.q_arr), self._p_inv_mod_q, self.q_arr)
+
+    def scale_down(self, x: np.ndarray) -> np.ndarray:
+        """round(t*x/q) mod q of a polynomial x over the tensor basis: mod_down
+        with q in P's place.  The exact (y - [y]_q)/q for y = t*x is formed on
+        the rows beyond q, then lifted back to q (q is odd: no rounding ties)."""
+        k, aux = self.k, self.plan_q.p[self.k :]
+        y = mul_mod(x, self.t_mod_tensor, self.plan_q.p)
+        rem = self.garner.lift(y[:k], self.garner_aux.primes)
+        r = mul_mod(sub_mod(y[k:], rem, aux), self._q_inv_mod_aux, aux)
+        return self.garner_aux.lift(r, self.q_primes)
 
     # -- small helpers ------------------------------------------------------
 
@@ -237,11 +249,6 @@ class RingContext:
             np.int64
         )
         return mul_mod(diff.astype(np.uint64), self._t_inv_mod_q, self.q_arr)
-
-    def scale_round(self, x: np.ndarray) -> np.ndarray:
-        """round(t * x / q), halves rounded up, of centred integers x (an
-        object array): the scale-down of a product and of a decrypted phase."""
-        return (2 * self.t * x + self.q) // (2 * self.q)
 
 
 @lru_cache(maxsize=8)

@@ -5,8 +5,9 @@ residue polynomials mod q = prod(coeff primes).  Multiplication follows the
 scale-invariant construction: messages enter as round(q*m/t) (exact
 scaling, so the message-dependent noise stays below t/2), and
 ciphertext-ciphertext products are computed exactly over the integers (on
-the qP basis of the keyswitch, extended where it is too small) before
-scaling back by t/q.
+the qP basis of the keyswitch, extended by the primes that hold t*d/q) and
+scaled back by t/q in RNS the way a keyswitch divides by P, which is the
+scale-and-round of Halevi-Polyakov-Shoup (2019).
 
 Relinearization, rotations and the row swap keyswitch in the hybrid form
 (Gentry-Halevi-Smart 2012; RNS form per Han-Ki 2020): each key is one RLWE
@@ -377,6 +378,7 @@ class HeBackend(Backend):
 
     def encrypt(self, pk: PublicKey, pt: PackedPlaintext, seed) -> Ciphertext:
         self._check_fp(pk.fingerprint)
+        self._check_fp(pt.params.fingerprint)
         ring = self.ring
         prg = Prg(seed)
         u_ntt = ring.plan_q.forward(ring.rns_from_small(prg.ternary("enc.u", ring.n)))
@@ -389,17 +391,15 @@ class HeBackend(Backend):
         c1 = add_mod(c1, e2, ring.q_arr)
         return Ciphertext(self.params.fingerprint, self.params.depth_budget, (c0, c1))
 
-    def _scaled_phase(self, sk: SecretKey, ct: Ciphertext):
-        """(r, w) with t*x = q*r + w for the phase x = c0 + c1*s lifted to the
-        integers: r = round(t*x/q) and the noise w lies in (-q/2, q/2)."""
+    def _noise(self, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
+        """The noise w = [t*x]_q of the phase x = c0 + c1*s, as centred Python
+        ints: t*x = q*r + w for the message r = round(t*x/q), |w| < q/2."""
         self._check_fp(sk.fingerprint)
         self._check_fp(ct.params_fingerprint)
         ring = self.ring
         acc = ring.plan_q.pointwise(ring.plan_q.forward(ct.parts[1]), sk._s_ntt)
         phase = add_mod(ct.parts[0], ring.plan_q.inverse(acc), ring.q_arr)
-        x = ring.garner.residues_to_ints(phase)
-        r = ring.scale_round(x)
-        return r, ring.t * x - ring.q * r
+        return ring.garner.residues_to_ints(mul_mod(phase, ring.t_mod_tensor[: ring.k], ring.q_arr))
 
     def _margin_bits(self, w: np.ndarray) -> int:
         q = self.ring.q
@@ -409,14 +409,16 @@ class HeBackend(Backend):
 
     def decrypt(self, sk: SecretKey, ct: Ciphertext) -> PackedPlaintext:
         """The slots of ct; raises NoiseBudgetError when no margin is left."""
-        r, w = self._scaled_phase(sk, ct)
+        w = self._noise(sk, ct)
         if self._margin_bits(w) <= 0:
             raise NoiseBudgetError("noise budget exhausted; decryption unreliable")
-        return PackedPlaintext(self.params, (r % self.ring.t).astype(np.uint64))
+        # q*r = t*x - w, so r = -w/q mod t
+        r = -w * pow(self.ring.q, -1, self.ring.t) % self.ring.t
+        return PackedPlaintext(self.params, r.astype(np.uint64))
 
     def noise_budget(self, sk: SecretKey, ct: Ciphertext) -> int:
         """Estimated bits of margin before decryption can fail (0 = exhausted)."""
-        return self._margin_bits(self._scaled_phase(sk, ct)[1])
+        return self._margin_bits(self._noise(sk, ct))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -455,17 +457,12 @@ class HeBackend(Backend):
     def mul_ct(self, a: Ciphertext, b: Ciphertext, ek: EvalKeys) -> Ciphertext:
         level = self._product_level(a, b, ek)
         ring = self.ring
-        primes, plan_w, garner_w = ring.wide_basis()
-        a0, a1, b0, b1 = (plan_w.forward(ring.mod_up(p, primes)) for p in a.parts + b.parts)
-        d0 = plan_w.pointwise(a0, b0)
-        d1 = add_mod(plan_w.pointwise(a0, b1), plan_w.pointwise(a1, b0), plan_w.p)
-        d2 = plan_w.pointwise(a1, b1)
-
-        def scale_down(d_ntt: np.ndarray) -> np.ndarray:
-            r = ring.scale_round(garner_w.residues_to_ints(plan_w.inverse(d_ntt)))
-            return np.stack([(r % p).astype(np.uint64) for p in ring.q_primes])
-
-        c0, c1, c2 = (scale_down(d) for d in (d0, d1, d2))
+        plan = ring.plan_q
+        a0, a1, b0, b1 = (plan.forward(ring.mod_up(p, ring.tensor_primes)) for p in a.parts + b.parts)
+        d0 = plan.pointwise(a0, b0)
+        d1 = add_mod(plan.pointwise(a0, b1), plan.pointwise(a1, b0), plan.p)
+        d2 = plan.pointwise(a1, b1)
+        c0, c1, c2 = (ring.scale_down(plan.inverse(d)) for d in (d0, d1, d2))
         r0, r1 = self._keyswitch(c2, ek.relin)
         parts = (add_mod(c0, r0, ring.q_arr), add_mod(c1, r1, ring.q_arr))
         return Ciphertext(a.params_fingerprint, level, parts)

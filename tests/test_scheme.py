@@ -251,8 +251,8 @@ def test_special_primes_refuse_when_too_few_remain():
 
 
 def _tensor_case_params(name, params64):
-    """test64 and the top primes hold the tensor in qP; three 29-bit primes
-    leave P too little room above q, so their tensor basis extends qP."""
+    """test64 and the top primes need one prime beyond qP; three 29-bit
+    primes leave P too little room above q, so they need two."""
     cases = {"test64": params64, "top-primes": _top_prime_params()}
     cases["short-q"] = make_test_params(64, num_primes=3, depth_budget=1)
     return cases.get(name) or gen_params(name)
@@ -265,18 +265,18 @@ def test_tensor_basis_is_the_shortest_extension_of_qp(name, params64):
     primes, plan, garner = ring.wide_basis()
     assert primes[: len(ring.qp_primes)] == ring.qp_primes
     assert plan.moduli == primes and garner.primes == primes
-    need = 8 * ring.n * (ring.q // 2 + 1) ** 2
-    assert prod(primes) > need >= prod(primes[:-1])  # one prime fewer is too small
+    # the extension holds round(t*d/q) centred for any |d| <= N*q^2/2
+    extension = primes[ring.k :]
+    need = ring.t * ring.n * ring.q + 1
+    assert prod(extension) > need >= prod(extension[:-1])  # one prime fewer is too small
+    assert extension[: len(ring.p_primes)] == ring.p_primes
+    assert ring.garner_aux.primes == extension
     taken = {*params.coeff_modulus, params.plaintext_modulus}
     free = (p for p in ntt_primes(MODULUS_BITS, ring.two_n) if p not in taken)
-    extension = primes[ring.k :]
     assert extension == tuple(next(free) for _ in extension)  # a prefix of the sequence
     assert plan is ring.plan_q
     extra = len(primes) - len(ring.qp_primes)
-    if name in ("test64", "top-primes", "xgb-d2", "xgb-encmodel-d3"):
-        assert extra == 0
-    else:
-        assert extra == 1
+    assert extra == (2 if name in ("short-q", "svm-d1") else 1)
 
 
 @pytest.mark.parametrize("name", ["test64", "short-q", *PRESET_NAMES])
@@ -407,6 +407,42 @@ def test_mul_ct_matches_python_int_arithmetic(name, params64, rng):
         assert got.level == params.depth_budget - 1
         assert np.array_equal(got.parts[0], (c0 + k0) % q_arr)
         assert np.array_equal(got.parts[1], (c1 + k1) % q_arr)
+
+
+@pytest.mark.parametrize("name", ["test64", "xgb-d2"])
+def test_server_ops_convert_no_residues_to_ints(name, params64, monkeypatch):
+    # every server op stays in word-sized residues; only decrypt, on the
+    # client, builds Python ints, for the exact noise margin
+    params = _tensor_case_params(name, params64)
+    he, clear = HeBackend(params), ClearBackend(params)
+    (sk, pk, ek), (csk, cpk, cek) = (be.keygen(seed=0x1D) for be in (he, clear))
+    rng = np.random.default_rng(0x1D)
+    u, v, w = rng.integers(0, params.plaintext_modulus, (3, params.slot_count))
+
+    def circuit(be, pk, ek):
+        a, b = (be.encrypt(pk, be.encode(x), seed=s) for s, x in ((1, u), (2, v)))
+        prod_ct = be.mul_ct(a, b, ek)
+        moved = be.swap_rows(be.rotate(prod_ct, 1, ek), ek)
+        return prod_ct, moved, be.sum_slots(be.mul_pt(moved, be.encode(w)), params.slot_count, ek)
+
+    to_ints = GarnerBasis.digits_to_ints
+
+    def refuse(self, digits):
+        raise AssertionError("a server op converted residues to Python ints")
+
+    monkeypatch.setattr(GarnerBasis, "digits_to_ints", refuse)
+    outputs = circuit(he, pk, ek)
+    calls = []
+
+    def counted(self, digits):
+        calls.append(len(digits))
+        return to_ints(self, digits)
+
+    monkeypatch.setattr(GarnerBasis, "digits_to_ints", counted)
+    for got, want in zip(outputs, circuit(clear, cpk, cek)):
+        assert np.array_equal(dec(he, sk, got), dec(clear, csk, want))
+        assert he.noise_budget(sk, got) >= 10
+    assert calls == [len(params.coeff_modulus)] * 6  # a decrypt and a margin per output
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
@@ -690,6 +726,7 @@ def test_backends_share_one_contract(name, request):
         lambda: be.mul_pt(a, other.encode([1])),
         lambda: be.mul_ct(a, a, oek),
         lambda: be.decrypt(sk, foreign),
+        lambda: be.encrypt(pk, other.encode([1]), seed=2),
     ):
         with pytest.raises(FingerprintMismatchError):
             call()
