@@ -161,10 +161,10 @@ class NttPlan:
     One plan covers a fixed transform size ``n`` and a fixed tuple of
     moduli, each of which must be a prime of at most ``MODULUS_BITS`` bits
     congruent to 1 mod 2n.  Arrays passed to :meth:`forward` /
-    :meth:`inverse` / :meth:`pointwise` have shape (K, n) for any K up to
-    the number of moduli, row k reduced modulo ``moduli[k]``: each row's
-    tables depend on its own prime only, so K rows are transformed exactly
-    as a plan over the first K moduli would transform them.
+    :meth:`inverse` / :meth:`pointwise` have shape (K, n), row k reduced
+    modulo ``moduli[start + k]``; the transforms take ``start`` (default 0),
+    ``pointwise`` always starts at 0.  Each row's tables depend on its own
+    prime only, so any run of rows transforms as a plan over it would.
     """
 
     def __init__(self, n: int, moduli: tuple[int, ...]):
@@ -195,16 +195,16 @@ class NttPlan:
             [pow(n, -1, m) for m in self.moduli], dtype=np.uint64
         ).reshape(k, 1)
 
-    def _cyclic(self, a: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    def _cyclic(self, a: np.ndarray, powers: np.ndarray, rows: slice) -> np.ndarray:
         """Cyclic NTT of bit-reversed input; ``powers`` are psi^j (or psi^-j)."""
         k, n = a.shape
-        p3 = self.p[:k].reshape(k, 1, 1)
+        p3 = self.p[rows].reshape(k, 1, 1)
         x = a[:, self._bitrev]
         half = 1
         while half < n:
             size = 2 * half
             # the stage of block size `size` multiplies by omega^(n/size * j) = psi^(n/half * j)
-            tw = powers[:k, :: n // half].reshape(k, 1, half)
+            tw = powers[rows, :: n // half].reshape(k, 1, half)
             x = x.reshape(k, n // size, size)
             lo = x[:, :, :half]
             hi = mul_mod(x[:, :, half:], tw, p3)
@@ -212,18 +212,18 @@ class NttPlan:
             half = size
         return x.reshape(k, n)
 
-    def forward(self, a: np.ndarray) -> np.ndarray:
+    def forward(self, a: np.ndarray, start: int = 0) -> np.ndarray:
         """Negacyclic NTT: out[k][j] = a_k(psi^(2j+1)) in natural order."""
-        k = len(a)
-        twisted = mul_mod(a, self._psi_pow[:k], self.p[:k])
-        return self._cyclic(twisted, self._psi_pow)
+        rows = slice(start, start + len(a))
+        twisted = mul_mod(a, self._psi_pow[rows], self.p[rows])
+        return self._cyclic(twisted, self._psi_pow, rows)
 
-    def inverse(self, a: np.ndarray) -> np.ndarray:
+    def inverse(self, a: np.ndarray, start: int = 0) -> np.ndarray:
         """Inverse of :meth:`forward` (exact)."""
-        k = len(a)
-        x = self._cyclic(a, self._psi_inv_pow)
-        x = mul_mod(x, self._n_inv[:k], self.p[:k])
-        return mul_mod(x, self._psi_inv_pow[:k], self.p[:k])
+        rows = slice(start, start + len(a))
+        x = self._cyclic(a, self._psi_inv_pow, rows)
+        x = mul_mod(x, self._n_inv[rows], self.p[rows])
+        return mul_mod(x, self._psi_inv_pow[rows], self.p[rows])
 
     def pointwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return mul_mod(a, b, self.p[: len(a)])

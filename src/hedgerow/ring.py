@@ -7,7 +7,8 @@ A :class:`RingContext` owns, for one parameter set:
   q_i.  The special primes P of hybrid keyswitching (Gentry-Halevi-Smart
   2012, in the RNS form of Han-Ki 2020) are the prefix above q: switching
   keys live mod qP, ``mod_up`` lifts a polynomial from q to qP and
-  ``mod_down`` divides one mod qP by P with rounding, back to q.  The
+  ``mod_down`` divides one mod qP by P with rounding, back to q.  Both take
+  and return evaluation form and transform only the rows they change.  The
   tensor basis of exact ciphertext products is q followed by the prefix
   above t*N*q + 1, so it starts with qP and extends it;
 * one batched NTT plan over the tensor basis, and one for the plaintext
@@ -191,12 +192,9 @@ class RingContext:
         return self.two_n - 1
 
     def apply_automorphism(self, poly: np.ndarray, g: int) -> np.ndarray:
-        """x -> x^g on a (K, N) residue array in coefficient domain: coefficient
-        i moves to i*g mod 2N, negated where that exponent wraps past N."""
-        e = np.arange(self.n, dtype=np.int64) * g % self.two_n
-        out = np.empty_like(poly)
-        out[:, e % self.n] = np.where(e >= self.n, sub_mod(0, poly, self.q_arr), poly)
-        return out
+        """x -> x^g on a (R, N) residue array in evaluation form, any rows of
+        plan_q: the value at psi^(2j+1) takes the one at psi^(g(2j+1))."""
+        return poly[:, np.arange(1, self.two_n, 2, dtype=np.int64) * g % self.two_n // 2]
 
     # -- bases --------------------------------------------------------------
 
@@ -205,16 +203,18 @@ class RingContext:
         and ``garner`` themselves)."""
         return self.tensor_primes, self.plan_q, self.garner
 
-    def mod_up(self, poly: np.ndarray, basis: tuple[int, ...] | None = None) -> np.ndarray:
-        """The centred lift of a (K, N) polynomial mod q to ``basis`` (default
-        qP), whose first K primes are q's, so the K input rows are kept."""
-        extension = (basis or self.qp_primes)[self.k :]
-        return np.concatenate((poly, self.garner.lift(poly, extension)))
+    def mod_up(self, coeffs: np.ndarray, evals: np.ndarray, basis: tuple | None = None) -> np.ndarray:
+        """The centred lift of a (K, N) polynomial mod q, given in both forms,
+        to ``basis`` (default qP) in evaluation form: the K rows of ``evals``,
+        then the forward transform of the lifted extension rows only."""
+        extension = self.garner.lift(coeffs, (basis or self.qp_primes)[self.k :])
+        return np.concatenate((evals, self.plan_q.forward(extension, self.k)))
 
     def mod_down(self, poly: np.ndarray) -> np.ndarray:
         """round(x / P) mod q of a (K+L, N) polynomial x mod qP, as the exact
         (x - [x]_P) / P with [x]_P the centred residue of x mod P."""
-        rem = self.garner_aux.lift(poly[self.k :], self.q_primes)
+        rem = self.garner_aux.lift(self.plan_q.inverse(poly[self.k :], self.k), self.q_primes)
+        rem = self.plan_q.forward(rem)
         return mul_mod(sub_mod(poly[: self.k], rem, self.q_arr), self._p_inv_mod_q, self.q_arr)
 
     def scale_down(self, x: np.ndarray) -> np.ndarray:

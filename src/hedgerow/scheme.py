@@ -1,7 +1,10 @@
 """Exact leveled RLWE scheme with full-N slot batching.
 
 Plaintexts are vectors of N slots mod t; ciphertexts are pairs of RNS
-residue polynomials mod q = prod(coeff primes).  Multiplication follows the
+residue polynomials mod q = prod(coeff primes), held like every key in
+evaluation (NTT) form: only encryption, decryption and the ring's basis
+changes (``mod_up``, ``mod_down``, ``scale_down``) transform; additions and
+``mul_pt`` are pointwise, an automorphism a gather.  Multiplication follows the
 scale-invariant construction: messages enter as round(q*m/t) (exact
 scaling, so the message-dependent noise stays below t/2), and
 ciphertext-ciphertext products are computed exactly over the integers (on
@@ -117,10 +120,16 @@ class PackedPlaintext:
         ring = get_ring(self.params)
         return ring.plan_q.forward(ring.rns_from_small(self.poly.astype(np.int64)))
 
+    @cached_property
+    def _scaled_ntt_q(self) -> np.ndarray:
+        """round(q*m/t) mod q in evaluation form, as ``add_pt`` adds it."""
+        ring = get_ring(self.params)
+        return ring.plan_q.forward(ring.scale_plaintext(self.poly))
+
 
 @dataclass(frozen=True, eq=False)
 class Ciphertext:
-    """RLWE ciphertext (c0, c1), decrypting as c0 + c1*s.
+    """RLWE ciphertext (c0, c1) in evaluation form, decrypting as c0 + c1*s.
 
     Always two parts: ``mul_ct`` relinearizes its three-part product before
     returning, so no other part count exists outside it.
@@ -128,7 +137,7 @@ class Ciphertext:
 
     params_fingerprint: bytes
     level: int
-    parts: tuple[np.ndarray, np.ndarray]  # each (K, N) uint64 residues, coefficient domain
+    parts: tuple[np.ndarray, np.ndarray]  # each (K, N) uint64 residues, NTT domain
 
     def __post_init__(self):
         if len(self.parts) != 2:
@@ -154,11 +163,9 @@ class ParamsKey:
 
 @dataclass(frozen=True, eq=False)
 class SecretKey(ParamsKey):
-    s: np.ndarray  # (K, N) residues of the ternary secret, coefficient domain
+    """The ternary secret s, held in evaluation form over q like every key."""
 
-    @cached_property
-    def _s_ntt(self) -> np.ndarray:
-        return get_ring(self.params).plan_q.forward(self.s)
+    s: np.ndarray  # (K, N) residues, NTT domain
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,9 +224,7 @@ def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None
     plan = ring.plan_q
     qp_arr = plan.p[: len(ring.qp_primes)]
 
-    s_small = prg.ternary("sk", n)
-    s = ring.rns_from_small(s_small)
-    s_qp_ntt = plan.forward(ring.rns_from_small(s_small, qp_arr))
+    s_qp_ntt = plan.forward(ring.rns_from_small(prg.ternary("sk", n), qp_arr))
     s_ntt = s_qp_ntt[:k]
 
     def rlwe_b(label: str, moduli: np.ndarray, s_ntt: np.ndarray, a_ntt: np.ndarray) -> np.ndarray:
@@ -245,12 +250,12 @@ def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None
 
     galois = {}
     for eff in galois_steps(params, rotation_steps):
-        s_tau = plan.forward(ring.apply_automorphism(s, ring.galois_element(eff)))
+        s_tau = ring.apply_automorphism(s_ntt, ring.galois_element(eff))
         galois[eff] = keyswitch_key(f"gk.{eff}", s_tau)
-    s_swap = plan.forward(ring.apply_automorphism(s, ring.row_swap_element))
+    s_swap = ring.apply_automorphism(s_ntt, ring.row_swap_element)
     row_swap = keyswitch_key("gk.swap", s_swap)
 
-    sk = SecretKey(params, s)
+    sk = SecretKey(params, s_ntt)
     pk = PublicKey(params, pk_b, pk_a)
     ek = EvalKeys(params, relin, galois, row_swap)
     return sk, pk, ek
@@ -379,16 +384,14 @@ class HeBackend(Backend):
     def encrypt(self, pk: PublicKey, pt: PackedPlaintext, seed) -> Ciphertext:
         self._check_fp(pk.fingerprint)
         self._check_fp(pt.params.fingerprint)
-        ring = self.ring
+        ring, plan = self.ring, self.ring.plan_q
         prg = Prg(seed)
-        u_ntt = ring.plan_q.forward(ring.rns_from_small(prg.ternary("enc.u", ring.n)))
+        u_ntt = plan.forward(ring.rns_from_small(prg.ternary("enc.u", ring.n)))
         e1 = ring.rns_from_small(prg.cbd("enc.e1", ring.n))
         e2 = ring.rns_from_small(prg.cbd("enc.e2", ring.n))
-        c0 = ring.plan_q.inverse(ring.plan_q.pointwise(pk.b_ntt, u_ntt))
-        c0 = add_mod(c0, e1, ring.q_arr)
-        c0 = add_mod(c0, ring.scale_plaintext(pt.poly), ring.q_arr)
-        c1 = ring.plan_q.inverse(ring.plan_q.pointwise(pk.a_ntt, u_ntt))
-        c1 = add_mod(c1, e2, ring.q_arr)
+        m = plan.forward(add_mod(e1, ring.scale_plaintext(pt.poly), ring.q_arr))
+        c0 = add_mod(plan.pointwise(pk.b_ntt, u_ntt), m, ring.q_arr)
+        c1 = add_mod(plan.pointwise(pk.a_ntt, u_ntt), plan.forward(e2), ring.q_arr)
         return Ciphertext(self.params.fingerprint, self.params.depth_budget, (c0, c1))
 
     def _noise(self, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
@@ -397,8 +400,8 @@ class HeBackend(Backend):
         self._check_fp(sk.fingerprint)
         self._check_fp(ct.params_fingerprint)
         ring = self.ring
-        acc = ring.plan_q.pointwise(ring.plan_q.forward(ct.parts[1]), sk._s_ntt)
-        phase = add_mod(ct.parts[0], ring.plan_q.inverse(acc), ring.q_arr)
+        acc = add_mod(ct.parts[0], ring.plan_q.pointwise(ct.parts[1], sk.s), ring.q_arr)
+        phase = ring.plan_q.inverse(acc)
         return ring.garner.residues_to_ints(mul_mod(phase, ring.t_mod_tensor[: ring.k], ring.q_arr))
 
     def _margin_bits(self, w: np.ndarray) -> int:
@@ -438,33 +441,32 @@ class HeBackend(Backend):
 
     def add_pt(self, a: Ciphertext, pt: PackedPlaintext) -> Ciphertext:
         self._check_pt(a, pt)
-        c0 = add_mod(a.parts[0], self.ring.scale_plaintext(pt.poly), self.ring.q_arr)
+        c0 = add_mod(a.parts[0], pt._scaled_ntt_q, self.ring.q_arr)
         return Ciphertext(a.params_fingerprint, a.level, (c0, a.parts[1]))
 
     def sub_pt(self, a: Ciphertext, pt: PackedPlaintext) -> Ciphertext:
         self._check_pt(a, pt)
-        c0 = sub_mod(a.parts[0], self.ring.scale_plaintext(pt.poly), self.ring.q_arr)
+        c0 = sub_mod(a.parts[0], pt._scaled_ntt_q, self.ring.q_arr)
         return Ciphertext(a.params_fingerprint, a.level, (c0, a.parts[1]))
 
     def mul_pt(self, a: Ciphertext, pt: PackedPlaintext) -> Ciphertext:
         self._check_pt(a, pt)
-        plan = self.ring.plan_q
-        parts = tuple(
-            plan.inverse(plan.pointwise(plan.forward(p), pt._ntt_q)) for p in a.parts
-        )
+        parts = tuple(self.ring.plan_q.pointwise(p, pt._ntt_q) for p in a.parts)
         return Ciphertext(a.params_fingerprint, a.level, parts)
 
     def mul_ct(self, a: Ciphertext, b: Ciphertext, ek: EvalKeys) -> Ciphertext:
         level = self._product_level(a, b, ek)
-        ring = self.ring
-        plan = ring.plan_q
-        a0, a1, b0, b1 = (plan.forward(ring.mod_up(p, ring.tensor_primes)) for p in a.parts + b.parts)
+        ring, plan = self.ring, self.ring.plan_q
+        a0, a1, b0, b1 = (
+            ring.mod_up(plan.inverse(p), p, ring.tensor_primes) for p in a.parts + b.parts
+        )
         d0 = plan.pointwise(a0, b0)
         d1 = add_mod(plan.pointwise(a0, b1), plan.pointwise(a1, b0), plan.p)
         d2 = plan.pointwise(a1, b1)
+        # scale_down returns coefficient form: c2 is lifted from it directly
         c0, c1, c2 = (ring.scale_down(plan.inverse(d)) for d in (d0, d1, d2))
-        r0, r1 = self._keyswitch(c2, ek.relin)
-        parts = (add_mod(c0, r0, ring.q_arr), add_mod(c1, r1, ring.q_arr))
+        r0, r1 = self._keyswitch(ring.mod_up(c2, plan.forward(c2)), ek.relin)
+        parts = (add_mod(plan.forward(c0), r0, ring.q_arr), add_mod(plan.forward(c1), r1, ring.q_arr))
         return Ciphertext(a.params_fingerprint, level, parts)
 
     # -- slot permutations ----------------------------------------------------
@@ -482,19 +484,15 @@ class HeBackend(Backend):
 
     def _apply_galois(self, a: Ciphertext, g: int, key: KeySwitchKey) -> Ciphertext:
         ring = self.ring
-        c0 = ring.apply_automorphism(a.parts[0], g)
-        c1 = ring.apply_automorphism(a.parts[1], g)
-        k0, k1 = self._keyswitch(c1, key)
+        c0, c1 = (ring.apply_automorphism(p, g) for p in a.parts)
+        k0, k1 = self._keyswitch(ring.mod_up(ring.plan_q.inverse(c1), c1), key)
         return Ciphertext(
             a.params_fingerprint, a.level, (add_mod(c0, k0, ring.q_arr), k1)
         )
 
-    def _keyswitch(self, poly: np.ndarray, key: KeySwitchKey):
-        """Hybrid keyswitch of a coefficient-domain polynomial c mod q: the
+    def _keyswitch(self, lifted: np.ndarray, key: KeySwitchKey):
+        """Hybrid keyswitch of c mod q, given as its ``mod_up`` lift to qP: the
         pair (k0, k1) mod q with k0 + k1*s = c*s' + small, for the s' the key
-        encrypts.  c is lifted to qP, multiplied by the key pair, and each
-        product divided by P with rounding."""
-        ring = self.ring
-        plan = ring.plan_q
-        c = plan.forward(ring.mod_up(poly))
-        return tuple(ring.mod_down(plan.inverse(plan.pointwise(c, part))) for part in key)
+        encrypts.  The lift times each key part is divided by P with rounding,
+        in evaluation form: the lift and ``mod_down`` are the only transforms."""
+        return tuple(self.ring.mod_down(self.ring.plan_q.pointwise(lifted, part)) for part in key)

@@ -1,20 +1,21 @@
 """Binary containers for keys and ciphertexts.
 
-Layout: magic ``HEGR``, version byte (3), type-tag byte, the 32-byte params
+Layout: magic ``HEGR``, version byte (4), type-tag byte, the 32-byte params
 fingerprint, then a stream of little-endian 64-bit words.  Every polynomial
-is written as its residue limbs in (prime-index-major, coefficient-minor)
-order.  Word streams per type:
+is written as its residue limbs in (prime-index-major, evaluation-point-minor)
+order, in the NTT domain they are held in; versions 1-3 held ciphertexts and
+secret keys in coefficient form and are refused.  Word streams per type:
 
 * ciphertext : part count (=2), level, then per part K*N limbs
-* secret key : part count (=1), K*N limbs (coefficient domain)
-* public key : part count (=2), 2 * K*N limbs (NTT domain, as held in memory)
-* eval keys  : each key is one pair (b, a) of polys mod qP, 2 * (K+L)*N limbs
-  in the NTT domain, the K coefficient-prime rows first and then the L
-  special-prime rows (see ring.py).  The relinearization key; the Galois
-  entry count, then per entry the effective step followed by its key, in
-  strictly increasing step order; a row-swap flag (0 or 1) and, when 1,
-  its key.  The whole container is 38 + 8 * (2 + G) + (1 + G + S) * 16 *
-  (K+L) * N bytes for G Galois keys and S row-swap keys.
+* secret key : part count (=1), K*N limbs
+* public key : part count (=2), 2 * K*N limbs
+* eval keys  : each key is one pair (b, a) of polys mod qP, 2 * (K+L)*N limbs,
+  the K coefficient-prime rows first and then the L special-prime rows (see
+  ring.py).  The relinearization key; the Galois entry count, then per entry
+  the effective step followed by its key, in strictly increasing step order;
+  a row-swap flag (0 or 1) and, when 1, its key.  The whole container is
+  38 + 8 * (2 + G) + (1 + G + S) * 16 * (K+L) * N bytes for G Galois keys
+  and S row-swap keys.
 
 Deserialization always validates the fingerprint against the caller's
 parameters and fails on truncation, bad magic, or version mismatch (so a
@@ -34,7 +35,7 @@ from .ring import get_ring
 from .scheme import Ciphertext, EvalKeys, PublicKey, SecretKey
 
 MAGIC = b"HEGR"
-VERSION = 3
+VERSION = 4
 
 TAG_CIPHERTEXT = 2
 TAG_SECRET_KEY = 3

@@ -91,6 +91,21 @@ def test_plan_rows_are_prefix_plans(n, rng):
         assert np.array_equal(plan.negacyclic_mul(a[:k], b[:k]), own.negacyclic_mul(a[:k], b[:k]))
 
 
+@pytest.mark.parametrize("n", [8, 64])
+def test_transforms_start_at_any_plan_row(n, rng):
+    # rows j..j+k-1 passed with start=j transform exactly as they do inside
+    # the whole array, so a basis extension transforms on its own
+    primes = tuple(find_ntt_primes(MODULUS_BITS, 3, 2 * n)) + tuple(find_ntt_primes(29, 3, 2 * n))
+    plan = NttPlan(n, primes)
+    a = np.stack([rng.integers(0, p, n, dtype=np.uint64) for p in primes])
+    whole = {"forward": plan.forward(a), "inverse": plan.inverse(a)}
+    for j in range(len(primes)):
+        for k in range(1, len(primes) - j + 1):
+            for op, want in whole.items():
+                got = getattr(plan, op)(a[j : j + k], j)
+                assert np.array_equal(got, want[j : j + k]), (op, j, k)
+
+
 @pytest.mark.parametrize("count", [1, 5, 2048])
 def test_power_table_matches_pow(count):
     # psi and psi^-1 tables mod each prime, and 3^j mod 2N for the slots

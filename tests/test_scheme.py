@@ -18,7 +18,7 @@ from hedgerow import (
     ParamError,
     make_test_params,
 )
-from hedgerow.ntt import MODULUS_BITS, find_ntt_primes, is_prime, ntt_primes
+from hedgerow.ntt import MODULUS_BITS, NttPlan, find_ntt_primes, is_prime, ntt_primes
 from hedgerow.params import PRESET_NAMES, default_plaintext_modulus, gen_params
 from hedgerow.ring import GarnerBasis, RingContext, special_primes, tensor_primes
 from hedgerow.serial import serialize_public_key, serialize_secret_key
@@ -166,8 +166,11 @@ def test_mul_ct_random_binary_vs_and(he64, keys64, rng):
 def _digest(params, seed=0xD16E57) -> str:
     """SHA-256 over the residue arrays of the keys, of one encrypt, mul_ct,
     rotate, swap_rows and mul_pt output, and of each output's decrypted
-    slots and noise budget."""
+    slots and noise budget.  The secret key and ciphertext parts are hashed
+    in coefficient form, so the digest names the polynomials, not their
+    representation."""
     he = HeBackend(params)
+    to_coeffs = he.ring.plan_q.inverse
     sk, pk, ek = he.keygen(seed, rotation_steps=(1,))
     h = hashlib.sha256()
 
@@ -176,7 +179,7 @@ def _digest(params, seed=0xD16E57) -> str:
         h.update(repr(arr.shape).encode())
         h.update(arr.tobytes())
 
-    for arr in (sk.s, pk.b_ntt, pk.a_ntt, *ek.relin, *ek.galois[1], *ek.row_swap):
+    for arr in (to_coeffs(sk.s), pk.b_ntt, pk.a_ntt, *ek.relin, *ek.galois[1], *ek.row_swap):
         put(arr)
     n, t = params.slot_count, params.plaintext_modulus
     rng = np.random.default_rng(7)
@@ -185,7 +188,7 @@ def _digest(params, seed=0xD16E57) -> str:
     pt = he.encode(rng.integers(0, t, n))
     for ct in (x, he.mul_ct(x, y, ek), he.rotate(x, 1, ek), he.swap_rows(x, ek), he.mul_pt(x, pt)):
         for part in ct.parts:
-            put(part)
+            put(to_coeffs(part))
         put(he.decode(he.decrypt(sk, ct)))
         h.update(str(he.noise_budget(sk, ct)).encode())
     return h.hexdigest()
@@ -311,7 +314,8 @@ def test_mod_up_and_mod_down_match_integer_arithmetic(params64, rng):
     x = rng.integers(0, 2**62, (ring.k, ring.n), dtype=np.uint64) % ring.q_arr
     for col, edge in enumerate((0, q // 2, q // 2 + 1, q - 1)):  # centred 0, max, min, -1
         x[:, col] = [edge % p for p in ring.q_primes]
-    up = ring.mod_up(x)
+    plan = ring.plan_q  # mod_up and mod_down take and return evaluation form
+    up = plan.inverse(ring.mod_up(x, plan.forward(x)))
     assert up.shape == (ring.k + len(ring.p_primes), ring.n)
     for col in range(ring.n):
         v = _crt(x[:, col], ring.q_primes)
@@ -320,7 +324,7 @@ def test_mod_up_and_mod_down_match_integer_arithmetic(params64, rng):
 
     qp_arr = np.array(ring.qp_primes, dtype=np.uint64).reshape(-1, 1)
     y = rng.integers(0, 2**62, up.shape, dtype=np.uint64) % qp_arr
-    down = ring.mod_down(y)
+    down = plan.inverse(ring.mod_down(plan.forward(y)))
     assert down.shape == (ring.k, ring.n)
     for col in range(ring.n):
         v = _crt(y[:, col], ring.qp_primes)
@@ -373,6 +377,7 @@ def test_mul_ct_matches_python_int_arithmetic(name, params64, rng):
     # the tensor computed in Python ints, then round(t*d/q) and relinearized
     params = _tensor_case_params(name, params64)
     he = HeBackend(params)
+    plan = he.ring.plan_q  # ciphertext parts and keyswitch outputs are in evaluation form
     _, pk, ek = he.keygen(seed=0x70B)
     primes, q = params.coeff_modulus, params.coeff_modulus_product
     t, n = params.plaintext_modulus, params.ring_degree
@@ -383,9 +388,11 @@ def test_mul_ct_matches_python_int_arithmetic(name, params64, rng):
         return np.array([[v % p for v in values] for p in primes], dtype=np.uint64)
 
     def ct(parts):
-        return Ciphertext(params.fingerprint, params.depth_budget, tuple(rns(vs) for vs in parts))
+        parts = tuple(plan.forward(rns(vs)) for vs in parts)
+        return Ciphertext(params.fingerprint, params.depth_budget, parts)
 
     def centred(poly):
+        poly = plan.inverse(poly)
         vs = [_crt(poly[:, i], primes) for i in range(n)]
         return [v - q if v > q // 2 else v for v in vs]
 
@@ -402,11 +409,11 @@ def test_mul_ct_matches_python_int_arithmetic(name, params64, rng):
         tensor = (_negacyclic(a0, b0), cross, _negacyclic(a1, b1))
         # q is odd, so round(t*d/q) has no ties
         c0, c1, c2 = (rns([(2 * t * v + q) // (2 * q) for v in d]) for d in tensor)
-        k0, k1 = he._keyswitch(c2, ek.relin)
+        k0, k1 = map(plan.inverse, he._keyswitch(he.ring.mod_up(c2, plan.forward(c2)), ek.relin))
         got = he.mul_ct(ct(a_vals), ct(b_vals), ek)
         assert got.level == params.depth_budget - 1
-        assert np.array_equal(got.parts[0], (c0 + k0) % q_arr)
-        assert np.array_equal(got.parts[1], (c1 + k1) % q_arr)
+        assert np.array_equal(plan.inverse(got.parts[0]), (c0 + k0) % q_arr)
+        assert np.array_equal(plan.inverse(got.parts[1]), (c1 + k1) % q_arr)
 
 
 @pytest.mark.parametrize("name", ["test64", "xgb-d2"])
@@ -443,6 +450,46 @@ def test_server_ops_convert_no_residues_to_ints(name, params64, monkeypatch):
         assert np.array_equal(dec(he, sk, got), dec(clear, csk, want))
         assert he.noise_budget(sk, got) >= 10
     assert calls == [len(params.coeff_modulus)] * 6  # a decrypt and a margin per output
+
+
+@pytest.mark.parametrize("name", ["test64", "xgb-d2"])
+def test_ops_transform_only_to_change_basis(name, params64, monkeypatch):
+    # ciphertexts and keys stay in evaluation form: an op transforms only the
+    # rows a basis change needs, counted through every NttPlan transform
+    params = _tensor_case_params(name, params64)
+    he = HeBackend(params)
+    ring = he.ring
+    k, kl, t = ring.k, len(ring.qp_primes), len(ring.tensor_primes)
+    sk, pk, ek = he.keygen(seed=0x12, rotation_steps=(1,))
+    rng = np.random.default_rng(0x12)
+    x, y, w = rng.integers(0, params.plaintext_modulus, (3, params.slot_count))
+    a, b = enc(he, pk, x, 1), enc(he, pk, y, 2)
+    pt = he.encode(w)
+    he.add_pt(a, pt)  # the first use caches the plaintext's evaluation forms
+    he.mul_pt(a, pt)
+    rows = []
+    for method in ("forward", "inverse"):
+
+        def counted(self, arr, *start, _original=getattr(NttPlan, method)):
+            rows.append(len(arr))
+            return _original(self, arr, *start)
+
+        monkeypatch.setattr(NttPlan, method, counted)
+
+    def transformed(op, *args):
+        rows.clear()
+        op(*args)
+        return sum(rows)
+
+    for op, args in (
+        (he.mul_pt, (a, pt)), (he.add_pt, (a, pt)), (he.sub_pt, (a, pt)),
+        (he.add_ct, (a, b)), (he.sub_ct, (a, b)), (he.negate, (a,)),
+    ):
+        assert transformed(op, *args) == 0, op.__name__
+    assert transformed(he.rotate, a, 1, ek) == 3 * kl
+    assert transformed(he.swap_rows, a, ek) == 3 * kl
+    assert transformed(he.mul_ct, a, b, ek) <= 7 * t + 3 * kl + 2 * k
+    assert transformed(he.decrypt, sk, a) == k
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])

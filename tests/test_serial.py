@@ -78,9 +78,10 @@ def test_bad_magic_and_version(setup, params64):
     wrong_magic = b"NOPE" + bytes(blob[4:])
     with pytest.raises(SerializationError):
         serial.deserialize_ciphertext(wrong_magic, params64)
-    blob[4] = 99
-    with pytest.raises(SerializationError):
-        serial.deserialize_ciphertext(bytes(blob), params64)
+    for version in (99, 3):  # 3 held coefficient-form ciphertext limbs
+        blob[4] = version
+        with pytest.raises(SerializationError):
+            serial.deserialize_ciphertext(bytes(blob), params64)
 
 
 def test_wrong_type_tag_raises(setup, params64):
