@@ -140,6 +140,7 @@ class CountingBackend:
     """
 
     _COUNTED = (
+        "encode",
         "encrypt",
         "decrypt",
         "add_ct",

@@ -135,6 +135,7 @@ def _cmd_bench(args) -> int:
                          "accuracy": evals.accuracy}
     print(format_bench_table(rows))
     if args.json:
+        Path(args.json).parent.mkdir(parents=True, exist_ok=True)
         Path(args.json).write_text(json.dumps(reports, indent=2), encoding="utf-8")
         print(f"bench json -> {args.json}")
     return EXIT_OK

@@ -11,19 +11,18 @@ which needs neither x1 nor any comparison circuit.  ``compare_clear``
 evaluates that form and is the oracle.  Because the code is one-hot,
 x0 * x2 = 0, and the same form equals the identity
 
-    z = 1 - x2 + y * (x0 + x2 - 1)
+    z = x0 + ybar - ybar * (x0 + x2),    ybar = 1 - y
 
-which is affine in the feature bits.  The encrypted comparisons evaluate
-this identity: with a public split code it costs one plaintext multiply and
-no multiplicative level, with an encrypted split code one
-ciphertext-ciphertext product.  Smaller-than routes to the left child.
+which is affine in the feature bits and holds no constant: the encrypted
+comparisons read ybar (``split_plane``) from the model and take four ops,
+one plaintext multiply and no level with a public split code, one
+ciphertext-ciphertext product with an encrypted one.  Smaller-than routes
+to the left child.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ModelFormatError
 
@@ -91,30 +90,25 @@ def compare_boolean(code: FeatureCode, y: int) -> int:
     return int((not code.x2) and ((not y) or code.x0))
 
 
-def encode_ones(backend):
-    """The all-ones slot vector, encoded."""
-    return backend.encode(np.ones(backend.params.slot_count, dtype=np.int64))
+def split_plane(y):
+    """The model plane the encrypted comparisons read: ybar = 1 - y per slot."""
+    return 1 - y
 
 
-def _compare_linear(backend, ct_x0, ct_x2, times_y):
-    """1 - x2 + y * (x0 + x2 - 1), with ``times_y`` applying the product by y."""
-    ones = encode_ones(backend)
-    inner = backend.sub_pt(backend.add_ct(ct_x0, ct_x2), ones)
-    return backend.add_pt(backend.sub_ct(times_y(inner), ct_x2), ones)
-
-
-def compare_encrypted(backend, ct_x0, ct_x2, y_plain, ek):
+def compare_encrypted(backend, ct_x0, ct_x2, ybar_plain, ek):
     """Slot-wise comparison with public split codes.
 
     Slot i of ct_x0 / ct_x2 carries the x0 / x2 bit of the feature routed to
-    node-slot i, and slot i of y_plain that node's split code.  The returned
-    ciphertext decrypts to the comparison bit per slot.  The only multiply
-    is by the plaintext y_plain, so no level is consumed and ``ek`` is not
-    used; it is accepted so both comparisons share one call shape.
+    node-slot i, and slot i of ybar_plain that node's ``split_plane``.  The
+    returned ciphertext decrypts to the comparison bit per slot.  The only
+    multiply is by the plaintext ybar_plain, so no level is consumed and ``ek``
+    is not used; it is accepted so both comparisons share one call shape.
     """
-    return _compare_linear(backend, ct_x0, ct_x2, lambda ct: backend.mul_pt(ct, y_plain))
+    inner = backend.mul_pt(backend.add_ct(ct_x0, ct_x2), ybar_plain)
+    return backend.add_pt(backend.sub_ct(ct_x0, inner), ybar_plain)
 
 
-def compare_encrypted_model(backend, ct_x0, ct_x2, ct_y, ek):
-    """Slot-wise comparison with encrypted split codes (one ct-ct product)."""
-    return _compare_linear(backend, ct_x0, ct_x2, lambda ct: backend.mul_ct(ct, ct_y, ek))
+def compare_encrypted_model(backend, ct_x0, ct_x2, ct_ybar, ek):
+    """Slot-wise comparison with encrypted ``split_plane`` codes (one ct-ct product)."""
+    inner = backend.mul_ct(backend.add_ct(ct_x0, ct_x2), ct_ybar, ek)
+    return backend.add_ct(backend.sub_ct(ct_x0, inner), ct_ybar)

@@ -22,6 +22,7 @@ File formats (all diffable and hand-writable):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import warnings
 from dataclasses import dataclass
@@ -319,6 +320,12 @@ class FeatureLayout:
             for g, feats in enumerate(self.tree_features)
             for stream, feature in zip(STREAMS, feats)
         )
+
+    @property
+    def tree_digest(self) -> str:
+        """SHA-256 of the tree slot map (not ``svm_features``: the client's --svm sets it)."""
+        doc = [self.slot_count, self.num_classes, self.trees_per_class, self.tree_features]
+        return hashlib.sha256(json.dumps(doc, default=int).encode("ascii")).hexdigest()
 
     def class_position(self, c: int) -> tuple[int, int]:
         """(block, slot) where class c's summed score lands."""

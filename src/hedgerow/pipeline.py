@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import time
 from collections.abc import Callable
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import serial
-from .compare import compare_encrypted, compare_encrypted_model
+from .compare import compare_encrypted, compare_encrypted_model, split_plane
 from .errors import ModelFormatError
 from .metrics import accuracy, micro_auc
 from .modelio import (
@@ -69,7 +70,7 @@ MANIFEST_FILE = "manifest.json"
 PLANES = ("x0", "x2")
 SCORE_FILE = "score_{:03d}.ct"
 # Integer fields of the manifests run_encrypt and run_infer write.
-BUNDLE_COUNTS = ("samples", "blocks", "slot_count", "svm_features")
+BUNDLE_COUNTS = ("samples", "slot_count", "svm_features")
 SCORE_COUNTS = ("samples", "classes", "scale_bits", "outputs")
 
 
@@ -222,32 +223,27 @@ def encrypt_bundle(backend, pk, bundle: ClientBundle, seed) -> dict:
 
 
 def model_plane_plaintexts(backend, planes: list[dict]) -> list[dict]:
-    """Encode the server model streams (split codes, leaf streams) per block."""
-    out = []
-    for block in planes:
-        out.append(
-            {
-                "y": {s: backend.encode(block["y"][s]) for s in STREAMS},
-                "l": [backend.encode(v) for v in block["l"]],
-            }
-        )
-    return out
+    """Encode the server model streams (split planes, leaf streams) per block."""
+    return [
+        {
+            "ybar": {s: backend.encode(split_plane(block["y"][s])) for s in STREAMS},
+            "l": [backend.encode(v) for v in block["l"]],
+        }
+        for block in planes
+    ]
 
 
 def encrypt_split_planes(backend, pk, planes: list[dict], seed) -> list[dict]:
-    """Encrypt only the split-code planes (the encrypted-model mode)."""
+    """Encrypt only the split planes (the encrypted-model mode)."""
     prg = Prg(seed)
-    out = []
-    for b, block in enumerate(planes):
-        out.append(
-            {
-                s: backend.encrypt(
-                    pk, backend.encode(block["y"][s]), prg.bytes(f"model.b{b}.{s}.y", 32)
-                )
-                for s in STREAMS
-            }
-        )
-    return out
+    return [
+        {
+            s: backend.encrypt(pk, backend.encode(split_plane(block["y"][s])),
+                               prg.bytes(f"model.b{b}.{s}.y", 32))
+            for s in STREAMS
+        }
+        for b, block in enumerate(planes)
+    ]
 
 
 def infer_xgb_sample(
@@ -258,23 +254,19 @@ def infer_xgb_sample(
     ek,
     encrypted_split_blocks: list[dict] | None = None,
 ) -> list:
-    """Per-block encrypted class sums for one sample.
+    """Per-block encrypted class sums for one sample; nothing is encoded.
 
-    With ``encrypted_split_blocks`` given, comparisons run against encrypted
-    split codes (one ct-ct product per node stream) instead of public ones.
+    Comparisons read the model's ``split_plane``; with ``encrypted_split_blocks``
+    given, encrypted split planes (one ct-ct product per node stream) replace public ones.
     """
     out = []
     for b, enc in enumerate(bundle_blocks):
         planes = model_plaintexts[b]
-        zs = {}
-        for stream in STREAMS:
-            ct_x0, ct_x2 = enc[stream]
-            if encrypted_split_blocks is None:
-                zs[stream] = compare_encrypted(backend, ct_x0, ct_x2, planes["y"][stream], ek)
-            else:
-                zs[stream] = compare_encrypted_model(
-                    backend, ct_x0, ct_x2, encrypted_split_blocks[b][stream], ek
-                )
+        compare, ybars = (
+            (compare_encrypted, planes["ybar"]) if encrypted_split_blocks is None
+            else (compare_encrypted_model, encrypted_split_blocks[b])
+        )
+        zs = {s: compare(backend, *enc[s], ybars[s], ek) for s in STREAMS}
         streams = NodeStreams(zs["root"], zs["left"], zs["right"])
         scores = tree_scores_encrypted(backend, streams, planes["l"], ek)
         classes_in_block = layout.trees_per_block // layout.trees_per_class
@@ -313,8 +305,8 @@ def upload_name(key) -> str:
 
 def read_manifest(directory, counts: tuple[str, ...], slot_count: int) -> dict:
     """A bundle or score directory's manifest with each field in ``counts``
-    a non-negative integer, checked against the keys' ``slot_count``; a score
-    manifest's mode, scale and class positions are checked too."""
+    a non-negative integer, checked against the keys' ``slot_count``; a bundle's
+    layout digest and a score manifest's mode, scale and class positions too."""
     path = Path(directory) / MANIFEST_FILE
     doc = read_json(path)
     for key in counts:
@@ -323,6 +315,9 @@ def read_manifest(directory, counts: tuple[str, ...], slot_count: int) -> dict:
     if counts == BUNDLE_COUNTS:
         if doc["slot_count"] != slot_count:
             raise ModelFormatError("input bundles were packed for different parameters")
+        digest = doc.get("layout_digest")
+        if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+            raise ModelFormatError(f"{path}: layout_digest is not a SHA-256 hex digest")
         return doc
     if not isinstance(doc.get("mode"), str) or doc["mode"] not in MODES:
         raise ModelFormatError(f"{path}: unknown mode {doc.get('mode')!r}")
@@ -372,9 +367,9 @@ def run_encrypt(layout: FeatureLayout, dataset, keyset: KeySet, seed, outdir) ->
     elapsed = time.perf_counter() - t0
     manifest = {
         "samples": dataset.num_samples,
-        "blocks": layout.num_blocks,
         "slot_count": layout.slot_count,
         "svm_features": layout.svm_features,
+        "layout_digest": layout.tree_digest,
     }
     (out / MANIFEST_FILE).write_text(json.dumps(manifest), encoding="utf-8")
     return elapsed
@@ -413,10 +408,8 @@ def server_model(mode, model_path, backend, keyset: KeySet, bundles: dict, seed)
         )
     ens = load_ensemble(model_path, params.plaintext_modulus)
     layout = build_layout(ens, params.slot_count)
-    if layout.num_blocks != bundles["blocks"]:
-        raise ModelFormatError(
-            f"model needs {layout.num_blocks} blocks, bundles carry {bundles['blocks']}"
-        )
+    if layout.tree_digest != bundles["layout_digest"]:
+        raise ModelFormatError("bundles were packed for another tree layout than this model's")
     planes = ensemble_slot_streams(ens, layout)
     plane_pts = model_plane_plaintexts(backend, planes)
     enc_split = None

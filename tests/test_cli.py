@@ -287,6 +287,9 @@ _DROP = object()
         pytest.param("infer", "svm_features", _DROP, id="infer-no-svm_features"),
         pytest.param("infer", "samples", "abc", id="infer-samples-abc"),
         pytest.param("infer", "samples", -3, id="infer-samples-negative"),
+        pytest.param("infer", "layout_digest", _DROP, id="infer-no-layout_digest"),
+        pytest.param("infer", "layout_digest", "ab" * 31, id="infer-layout_digest-short"),
+        pytest.param("infer", "layout_digest", "AB" * 32, id="infer-layout_digest-upper"),
         pytest.param("decrypt", "samples", _DROP, id="decrypt-no-samples"),
         pytest.param("decrypt", "samples", "abc", id="decrypt-samples-abc"),
         pytest.param("decrypt", "samples", -3, id="decrypt-samples-negative"),
@@ -336,13 +339,29 @@ def test_zero_sample_manifest_writes_header_only(workspace, xgb_scores, tmp_path
     assert report.read_text().splitlines() == [header]
 
 
+@pytest.mark.parametrize("mode", ["xgb", "xgb-encmodel"])
+def test_infer_refuses_bundles_packed_for_another_ensemble(workspace, tmp_path, mode):
+    # same shape, other features: without the layout digest the server would
+    # read each upload as another tree's feature and decrypt to wrong scores
+    other, _, _ = gen_synthetic(seed=22, s=3, k=8, d=32, n_samples=1)
+    assert other.trees[0].features != workspace["ens"].trees[0].features
+    save_ensemble(other, tmp_path / "other.json")
+    argv = ["infer", "--mode", mode, "--model", str(tmp_path / "other.json"), "--in",
+            str(workspace["base"] / "enc"), "--keys", str(workspace["server"]),
+            "--out", str(tmp_path / "scores")]
+    assert main(argv) == EXIT_FORMAT
+    assert not (tmp_path / "scores").exists()
+
+
 def test_svm_infer_ignores_the_block_count(workspace, tmp_path):
-    # svm mode reads one upload per sample, so no block count may size anything
+    # svm mode reads one upload per sample, so no block count may size
+    # anything and the tree layout's digest is not checked
     base = workspace["base"]
     hostile = tmp_path / "hostile"
     shutil.copytree(base / "enc", hostile)
     doc = json.loads((hostile / "manifest.json").read_text())
     doc["blocks"] = 2**62
+    doc["layout_digest"] = "0" * 64
     (hostile / "manifest.json").write_text(json.dumps(doc))
     reports = []
     for enc, scores in ((base / "enc", tmp_path / "scores"),
@@ -549,6 +568,15 @@ def test_xgb_round_trip_with_more_features_than_slots(tmp_path):
     assert conf.shape == (3, 2)
     assert np.array_equal(conf * ens.quant_scale, ref.astype(np.float64))
     assert np.array_equal(preds, np.argmax(ref, axis=1))
+
+
+def test_bench_json_into_missing_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["bench", "--mode", "xgb", "--samples", "2", "--classes", "2", "--trees", "4",
+            "--features", "16", "--json", "work/bench/bench.json"]
+    assert main(argv) == EXIT_OK
+    report = json.loads((tmp_path / "work/bench/bench.json").read_text())
+    assert {"KeyGen", "Enc", "Comp", "Dec", "EndtoEnd", "microAUC"} <= set(report["xgb"])
 
 
 def test_usage_errors_exit_two():

@@ -13,6 +13,7 @@ from hedgerow.compare import (
     encode_feature,
     encode_split,
     normalize_copy_number,
+    split_plane,
 )
 
 FEATURE_VALUES = (-1, 0, 1)
@@ -139,7 +140,7 @@ def test_compare_encrypted_all_deletions(he256, keys256):
         he256,
         he256.encrypt(pk, he256.encode(x0), seed=1),
         he256.encrypt(pk, he256.encode(x2), seed=2),
-        he256.encode(y),
+        he256.encode(split_plane(y)),
         ek,
     )
     out = he256.decode(he256.decrypt(sk, ct)).astype(np.int64)
@@ -154,7 +155,7 @@ def test_compare_encrypted_zero_feature_zero_split(he256, keys256):
         he256,
         he256.encrypt(pk, he256.encode(zeros), seed=3),
         he256.encrypt(pk, he256.encode(zeros), seed=4),
-        he256.encode(zeros),
+        he256.encode(split_plane(zeros)),
         ek,
     )
     out = he256.decode(he256.decrypt(sk, ct)).astype(np.int64)
@@ -172,7 +173,7 @@ def test_compare_encrypted_random_slots_match_oracle(he256, keys256, rng):
             he256,
             he256.encrypt(pk, he256.encode(x0), seed=10 + trial),
             he256.encrypt(pk, he256.encode(x2), seed=20 + trial),
-            he256.encode(y),
+            he256.encode(split_plane(y)),
             ek,
         )
         out = he256.decode(he256.decrypt(sk, ct)).astype(np.int64)
@@ -186,7 +187,7 @@ def test_compare_encrypted_consumes_no_level(he256, keys256):
     zeros = np.zeros(n, dtype=np.int64)
     a = he256.encrypt(pk, he256.encode(zeros), seed=5)
     b = he256.encrypt(pk, he256.encode(zeros), seed=6)
-    ct = compare_encrypted(he256, a, b, he256.encode(zeros), ek)
+    ct = compare_encrypted(he256, a, b, he256.encode(split_plane(zeros)), ek)
     assert ct.level == a.level  # affine in the ciphertexts: no ct-ct product
 
 
@@ -198,9 +199,9 @@ def test_compare_encrypted_model_matches_plain_variant(he256, keys256, rng):
     x0, x2, y = _pack_cases(he256, feats, ys)
     ct_x0 = he256.encrypt(pk, he256.encode(x0), seed=30)
     ct_x2 = he256.encrypt(pk, he256.encode(x2), seed=31)
-    plain = compare_encrypted(he256, ct_x0, ct_x2, he256.encode(y), ek)
-    ct_y = he256.encrypt(pk, he256.encode(y), seed=32)
-    encm = compare_encrypted_model(he256, ct_x0, ct_x2, ct_y, ek)
+    plain = compare_encrypted(he256, ct_x0, ct_x2, he256.encode(split_plane(y)), ek)
+    ct_ybar = he256.encrypt(pk, he256.encode(split_plane(y)), seed=32)
+    encm = compare_encrypted_model(he256, ct_x0, ct_x2, ct_ybar, ek)
     a = he256.decode(he256.decrypt(sk, plain))
     b = he256.decode(he256.decrypt(sk, encm))
     assert np.array_equal(a, b)
@@ -217,7 +218,7 @@ def test_compare_encrypted_model_amplification_forces_zero(he256, keys256, rng):
         he256,
         he256.encrypt(pk, he256.encode(x0), seed=40),
         he256.encrypt(pk, he256.encode(x2), seed=41),
-        he256.encrypt(pk, he256.encode(y), seed=42),
+        he256.encrypt(pk, he256.encode(split_plane(y)), seed=42),
         ek,
     )
     out = he256.decode(he256.decrypt(sk, ct)).astype(np.int64)
@@ -235,14 +236,14 @@ def test_gadget_backend_invariance(he256, clear256, keys256, clear_keys256, rng)
         he256,
         he256.encrypt(pk, he256.encode(x0), seed=50),
         he256.encrypt(pk, he256.encode(x2), seed=51),
-        he256.encode(y),
+        he256.encode(split_plane(y)),
         ek,
     )
     clr = compare_encrypted(
         clear256,
         clear256.encrypt(cpk, clear256.encode(x0), seed=None),
         clear256.encrypt(cpk, clear256.encode(x2), seed=None),
-        clear256.encode(y),
+        clear256.encode(split_plane(y)),
         cek,
     )
     assert np.array_equal(
@@ -264,11 +265,11 @@ def test_encrypted_comparisons_match_oracle_on_all_cases(
     x0, x2, y = _pack_cases(backend, feats, ys)
     ct_x0 = backend.encrypt(pk, backend.encode(x0), 60)
     ct_x2 = backend.encrypt(pk, backend.encode(x2), 61)
-    ct_y = backend.encrypt(pk, backend.encode(y), 62)
+    ct_ybar = backend.encrypt(pk, backend.encode(split_plane(y)), 62)
     expect = _expected(feats, ys, len(cases))
     for ct in (
-        compare_encrypted(backend, ct_x0, ct_x2, backend.encode(y), ek),
-        compare_encrypted_model(backend, ct_x0, ct_x2, ct_y, ek),
+        compare_encrypted(backend, ct_x0, ct_x2, backend.encode(split_plane(y)), ek),
+        compare_encrypted_model(backend, ct_x0, ct_x2, ct_ybar, ek),
     ):
         out = backend.decode(backend.decrypt(sk, ct)).astype(np.int64)
         assert np.array_equal(out[: len(cases)], expect)

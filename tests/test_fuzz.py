@@ -76,7 +76,7 @@ VALID_MODELS = {
     },
     "svm": {"classes": 2, "features": 3, "scale_bits": 20,
             "weights": [0.5, -0.25, 1, 0, 2, -3], "bias": [0.125, -1]},
-    "bundle": {"samples": 2, "blocks": 1, "slot_count": 8, "svm_features": 4},
+    "bundle": {"samples": 2, "slot_count": 8, "svm_features": 4, "layout_digest": "0" * 64},
     "scores": {"mode": "xgb", "samples": 2, "classes": 2, "scale_bits": 20, "outputs": 1,
                "class_positions": [[0, 0], [0, 4]]},
 }

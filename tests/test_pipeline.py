@@ -101,7 +101,8 @@ def test_comp_scales_with_block_count():
 def test_xgb_block_cost_contract(encrypted_model, mul_ct, mul_pt, params256, clear256,
                                  clear_keys256):
     # per block: 3 comparisons (1 mul_pt, or 1 mul_ct with encrypted split
-    # codes) + tree scoring (1 mul_ct, 2 mul_pt) + log2(k) class-sum rotations
+    # codes) + tree scoring (1 mul_ct, 2 mul_pt) + log2(k) class-sum rotations;
+    # the comparisons read the model's split planes and encode no constant
     counting = CountingBackend(clear256)
     _, cpk, cek = clear_keys256
     ens, _, ds = gen_synthetic(seed=8, s=2, k=8, d=24, n_samples=1)
@@ -116,6 +117,8 @@ def test_xgb_block_cost_contract(encrypted_model, mul_ct, mul_pt, params256, cle
     assert counting.ops.get("mul_ct") == mul_ct
     assert counting.ops.get("mul_pt") == mul_pt
     assert counting.ops.get("rotate") == 3  # log2(8)
+    assert counting.ops.get("encode") == 0
+    assert counting.ops.get("sub_pt") == 0
 
 
 def test_clear_backend_runs_full_program(params256, clear256, clear_keys256):
