@@ -15,7 +15,9 @@ File formats (all diffable and hand-writable):
   slot map a client packs by, with the trees class-major and padded.  Tree
   g sits at slot g mod trees_per_block of block g div trees_per_block in
   every stream, where a block holds as many whole classes as fit
-  slot_count.  Every count and index must be a JSON integer.  Publishing
+  slot_count; ``FeatureLayout.scatter`` is the one place that applies this
+  rule, for the client's planes and the server's alike.  Every count and
+  index must be a JSON integer.  Publishing
   it reveals which feature indices the model consults (the evaluation
   protocol leaks the same); no feature *values* are revealed.
 """
@@ -267,7 +269,8 @@ class FeatureLayout:
 
     Tree g (class-major, padded) sits at slot g mod ``trees_per_block`` of
     block g div ``trees_per_block`` in every stream, so the layout stores
-    no block, slot or stream of its own.
+    no block, slot or stream of its own.  ``scatter`` is the one method
+    that applies this rule to slot vectors.
     """
 
     slot_count: int
@@ -327,9 +330,23 @@ class FeatureLayout:
         doc = [self.slot_count, self.num_classes, self.trees_per_class, self.tree_features]
         return hashlib.sha256(json.dumps(doc, default=int).encode("ascii")).hexdigest()
 
-    def class_position(self, c: int) -> tuple[int, int]:
-        """(block, slot) where class c's summed score lands."""
-        return divmod(c * self.trees_per_class, self.trees_per_block)
+    @property
+    def class_positions(self) -> list[tuple[int, int]]:
+        """(block, slot) where each class's summed score lands."""
+        k, tpb = self.trees_per_class, self.trees_per_block
+        return [divmod(c * k, tpb) for c in range(self.num_classes)]
+
+    def scatter(self, rows) -> np.ndarray:
+        """Slot vectors from one row per tree (layout order), shape
+        (blocks, columns, slot_count): column j of tree g's row sits at the
+        tree's slot, and every slot that holds no tree is 0."""
+        rows = np.asarray(rows, dtype=np.int64)
+        tpb, blocks = self.trees_per_block, self.num_blocks
+        padded = np.zeros((blocks * tpb, rows.shape[1]), dtype=np.int64)
+        padded[: len(rows)] = rows
+        out = np.zeros((blocks, rows.shape[1], self.slot_count), dtype=np.int64)
+        out[:, :, :tpb] = padded.reshape(blocks, tpb, -1).transpose(0, 2, 1)
+        return out
 
 
 def build_layout(ens: Ensemble, slot_count: int, svm_features: int | None = None) -> FeatureLayout:
@@ -405,20 +422,12 @@ def pack_client_input(sample_raw, layout: FeatureLayout) -> ClientBundle:
         )
     ternary = normalize_samples(sample)
 
-    # node values per (tree, stream), zero-padded to whole blocks; a zero
-    # sets neither plane, like a slot that holds no tree
-    tpb = layout.trees_per_block
-    values = np.zeros((layout.num_blocks * tpb, 3), dtype=np.int64)
-    values[: len(layout.tree_features)] = ternary[np.array(layout.tree_features, dtype=np.int64)]
-
-    def plane(v: np.ndarray, bit: int) -> np.ndarray:
-        out = np.zeros(layout.slot_count, dtype=np.int64)
-        out[:tpb] = v == bit
-        return out
-
+    # a zero value sets neither plane, like a slot that holds no tree
+    values = layout.scatter(ternary[np.array(layout.tree_features, dtype=np.int64)])
+    x0, x2 = (values == -1).astype(np.int64), (values == 1).astype(np.int64)
     blocks = tuple(
-        {stream: (plane(v, -1), plane(v, 1)) for stream, v in zip(STREAMS, block.T)}
-        for block in values.reshape(layout.num_blocks, tpb, 3)
+        {stream: (x0[b, i], x2[b, i]) for i, stream in enumerate(STREAMS)}
+        for b in range(layout.num_blocks)
     )
     svm_vec = np.zeros(layout.slot_count, dtype=np.int64)
     svm_vec[: layout.svm_features] = ternary[: layout.svm_features]
@@ -431,21 +440,14 @@ def ensemble_slot_streams(ens: Ensemble, layout: FeatureLayout) -> list[dict]:
     Slots beyond the last tree keep zero leaves, so whatever comparison bits
     land there contribute nothing to class sums.
     """
-    out = [
-        {
-            "y": {s: np.zeros(layout.slot_count, dtype=np.int64) for s in STREAMS},
-            "l": [np.zeros(layout.slot_count, dtype=np.int64) for _ in range(4)],
-        }
-        for _ in range(layout.num_blocks)
-    ]
-    for g, tree in enumerate(ens.trees):
-        planes, slot = out[g // layout.trees_per_block], g % layout.trees_per_block
-        for stream, y in zip(STREAMS, tree.splits):
-            planes["y"][stream][slot] = y
+    rows = []
+    for tree in ens.trees:
         tl = transform_leaves(tree.leaves)
-        for leaf, val in zip(planes["l"], (tl.l1, tl.l2, tl.l3, tl.l4)):
-            leaf[slot] = val
-    return out
+        rows.append((*tree.splits, tl.l1, tl.l2, tl.l3, tl.l4))
+    return [
+        {"y": dict(zip(STREAMS, block[:3])), "l": list(block[3:])}
+        for block in layout.scatter(rows)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,13 @@ from math import prod
 from .errors import ParamError
 from .ntt import MODULUS_BITS, find_ntt_primes, is_prime
 
-PRESET_NAMES = ("svm-d1", "xgb-d2", "xgb-encmodel-d3")
-
 # (ring degree, number of 29-bit coefficient primes, depth budget)
 _PRESET_SHAPES = {
     "svm-d1": (4096, 5, 1),
     "xgb-d2": (2048, 10, 2),
     "xgb-encmodel-d3": (2048, 11, 3),
 }
+PRESET_NAMES = tuple(_PRESET_SHAPES)
 
 _COEFF_PRIME_BITS = 29
 
@@ -119,6 +118,17 @@ def default_plaintext_modulus(ring_degree: int) -> int:
     return find_ntt_primes(MODULUS_BITS, 1, 2 * ring_degree)[0]
 
 
+def _build_params(n: int, num_primes: int, depth: int, name: str) -> HeParams:
+    """The first ``num_primes`` 29-bit NTT primes for degree n and the default t."""
+    return HeParams(
+        ring_degree=n,
+        coeff_modulus=tuple(find_ntt_primes(_COEFF_PRIME_BITS, num_primes, 2 * n)),
+        plaintext_modulus=default_plaintext_modulus(n),
+        depth_budget=depth,
+        preset_name=name,
+    )
+
+
 def gen_params(preset: str) -> HeParams:
     """Parameters for one of the named presets.
 
@@ -127,27 +137,12 @@ def gen_params(preset: str) -> HeParams:
     """
     if preset not in _PRESET_SHAPES:
         raise ParamError(f"unknown preset {preset!r}; expected one of {PRESET_NAMES}")
-    n, num_primes, depth = _PRESET_SHAPES[preset]
-    primes = find_ntt_primes(_COEFF_PRIME_BITS, num_primes, 2 * n)
-    return HeParams(
-        ring_degree=n,
-        coeff_modulus=tuple(primes),
-        plaintext_modulus=default_plaintext_modulus(n),
-        depth_budget=depth,
-        preset_name=preset,
-    )
+    return _build_params(*_PRESET_SHAPES[preset], preset)
 
 
 def make_test_params(ring_degree: int, num_primes: int = 6, depth_budget: int = 2) -> HeParams:
     """Small custom parameters for exercising the scheme off the presets."""
-    primes = find_ntt_primes(_COEFF_PRIME_BITS, num_primes, 2 * ring_degree)
-    return HeParams(
-        ring_degree=ring_degree,
-        coeff_modulus=tuple(primes),
-        plaintext_modulus=default_plaintext_modulus(ring_degree),
-        depth_budget=depth_budget,
-        preset_name="custom",
-    )
+    return _build_params(ring_degree, num_primes, depth_budget, "custom")
 
 
 def save_params(params: HeParams, path) -> None:

@@ -278,11 +278,7 @@ def infer_xgb_sample(
 
 def decrypt_class_scores(backend, sk, block_cts: list, layout: FeatureLayout) -> np.ndarray:
     """Signed fixed-point class sums recovered from per-block score ciphertexts."""
-    return decrypt_scores(backend, sk, block_cts, _class_positions(layout))
-
-
-def _class_positions(layout: FeatureLayout) -> list[tuple[int, int]]:
-    return [layout.class_position(c) for c in range(layout.num_classes)]
+    return decrypt_scores(backend, sk, block_cts, layout.class_positions)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +423,7 @@ def server_model(mode, model_path, backend, keyset: KeySet, bundles: dict, seed)
         [(b, s, p) for b in range(layout.num_blocks) for s in STREAMS for p in PLANES],
         evaluate,
         {"classes": layout.num_classes, "scale_bits": ens.scale_bits,
-         "outputs": layout.num_blocks, "class_positions": _class_positions(layout)},
+         "outputs": layout.num_blocks, "class_positions": layout.class_positions},
     )
 
 

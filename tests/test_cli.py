@@ -136,7 +136,7 @@ def test_infer_thread_count_invariance(workspace, monkeypatch, mode, model):
     for threads in ("1", "3"):
         monkeypatch.setenv("HEDGEROW_THREADS", threads)
         if threads == "3":
-            get_ring.cache_clear()  # the threads race to build the wide basis
+            get_ring.cache_clear()  # a fresh ring, built before the pool starts
         out = runs[threads] = base / f"threads{threads}-{mode}"
         run_infer(mode, base / model, base / "enc", workspace["server"], out)
         run_decrypt(out, workspace["keydir"], out / "report.csv")

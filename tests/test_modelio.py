@@ -7,6 +7,7 @@ import pytest
 
 from hedgerow import ModelFormatError
 from hedgerow.modelio import (
+    STREAMS,
     Dataset,
     build_layout,
     ensemble_agreement,
@@ -192,7 +193,7 @@ def test_layout_spill_block_count_formula():
         assert layout.num_blocks == -(-s * k // tpb)  # ceil
         # classes never straddle blocks
         for c in range(s):
-            b0, _ = layout.class_position(c)
+            b0, _ = layout.class_positions[c]
             bl, _ = divmod((c + 1) * k - 1, tpb)
             assert b0 == bl
 
@@ -273,6 +274,52 @@ def test_slot_streams_hold_split_codes_and_leaves():
     assert planes[0]["l"][3][3] == tl.l4
     # slots past the last tree stay zero-leaf
     assert planes[-1]["l"][3][ens.num_classes * ens.trees_per_class :].sum() == 0
+
+
+# 2- and 3-block spills: (classes, trees per class, slots)
+SPILLS = [pytest.param(3, 16, 32, id="2-blocks"), pytest.param(5, 8, 16, id="3-blocks")]
+
+
+@pytest.mark.parametrize("s, k, slots", SPILLS)
+def test_scatter_places_row_g_at_its_block_and_slot(s, k, slots):
+    layout = build_layout(_small_ensemble(s=s, k=k, d=16), slots)
+    tpb, trees = layout.trees_per_block, s * k
+    rows = np.arange(1, 2 * trees + 1).reshape(trees, 2) * [1, -1]
+    out = layout.scatter(rows)
+    assert out.shape == (layout.num_blocks, 2, slots) and out.dtype == np.int64
+    expected = np.zeros_like(out)
+    for g in range(trees):
+        expected[g // tpb, :, g % tpb] = rows[g]
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("s, k, slots", SPILLS)
+def test_every_node_plane_on_a_spill(s, k, slots, rng):
+    from hedgerow.trees import transform_leaves
+
+    ens = _small_ensemble(s=s, k=k, d=16)
+    layout = build_layout(ens, slots)
+    raw = rng.integers(-2, 3, 16)
+    ternary = normalize_samples(raw)
+    bundle = pack_client_input(raw, layout)
+    planes = ensemble_slot_streams(ens, layout)
+    assert len(bundle.xgb_planes) == len(planes) == layout.num_blocks > 1
+    held = set()
+    for node, (block, stream, slot, feature) in enumerate(layout.entries):
+        code = encode_feature(int(ternary[feature]))
+        x0, x2 = bundle.xgb_planes[block][stream]
+        assert (x0[slot], x2[slot]) == (code.x0, code.x2)
+        tree = ens.trees[node // 3]  # entries list each tree's three nodes in turn
+        assert planes[block]["y"][stream][slot] == tree.splits[STREAMS.index(stream)]
+        tl = transform_leaves(tree.leaves)
+        assert [v[slot] for v in planes[block]["l"]] == [tl.l1, tl.l2, tl.l3, tl.l4]
+        held.add((block, slot))
+    assert len(held) < layout.num_blocks * slots  # the last block has empty slots
+    for block in range(layout.num_blocks):
+        empty = [sl for sl in range(slots) if (block, sl) not in held]
+        vectors = [v for pair in bundle.xgb_planes[block].values() for v in pair]
+        vectors += [*planes[block]["y"].values(), *planes[block]["l"]]
+        assert not any(v[empty].any() for v in vectors)
 
 
 # ---------------------------------------------------------------------------
