@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ModelFormatError
 
 THRESHOLD_LOW = -0.5
@@ -69,15 +71,16 @@ def encode_feature(value: int) -> FeatureCode:
     raise ModelFormatError(f"feature value must be ternary, got {value}")
 
 
-def encode_split(threshold: float) -> int:
-    """Split code y: -0.5 -> 1, +0.5 -> 0.  Other thresholds are inadmissible."""
-    if threshold == THRESHOLD_LOW:
-        return 1
-    if threshold == THRESHOLD_HIGH:
-        return 0
-    raise ModelFormatError(
-        f"split threshold must be -0.5 or +0.5 after normalization, got {threshold}"
-    )
+def encode_split(threshold):
+    """Split code y: -0.5 -> 1, +0.5 -> 0, for one threshold or elementwise
+    over an array of them.  Other thresholds are inadmissible."""
+    t = np.asarray(threshold, dtype=np.float64)
+    bad = t[(t != THRESHOLD_LOW) & (t != THRESHOLD_HIGH)]
+    if bad.size:
+        raise ModelFormatError(
+            f"split threshold must be -0.5 or +0.5 after normalization, got {bad[0]}"
+        )
+    return (t == THRESHOLD_LOW).astype(np.int64)[()]
 
 
 def compare_clear(code: FeatureCode, y: int) -> int:

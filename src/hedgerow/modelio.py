@@ -4,9 +4,12 @@ File formats (all diffable and hand-writable):
 
 * Ensemble JSON: ``{classes, trees_per_class, features, scale_bits,
   trees: [{feat: [3 ints], thresh: [3 of +-0.5], leaves: [4 reals]}, ...]}``
-  in class-major order.  Loading normalizes: thresholds become split codes,
-  leaves are quantized at 2^scale_bits, and each class is padded with
-  zero-leaf trees to a power-of-two count.
+  in class-major order.  Loading reads each field of every tree as one
+  column and normalizes: thresholds become split codes, leaves are
+  quantized at 2^scale_bits, and each class is padded with zero-leaf trees
+  to a power-of-two count (``Ensemble.quantize``).  A model whose
+  worst-case class sum reaches 2^62, or whose feature indices int64 cannot
+  hold, is refused.
 * SVM JSON: ``{classes, features, scale_bits, weights (row-major), bias}``.
 * Dataset CSV: headerless integers in -2..2, one sample per row, optional
   final label column selected by flag.
@@ -28,13 +31,14 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .compare import encode_split
 from .errors import ModelFormatError
-from .svm import MAX_SCALE_BITS, SvmModel, check_aggregate_bound, next_pow2, quantize_model
-from .trees import Depth2Tree, Ensemble, transform_leaves
+from .svm import SvmModel, check_aggregate_bound, quantize_model
+from .trees import Ensemble, transform_leaves
 
 STREAMS = ("root", "left", "right")
 
@@ -125,77 +129,70 @@ def is_int(value) -> bool:
     return type(value) is int
 
 
-def _reals(values, what: str, scale: int = 1) -> np.ndarray:
-    """A JSON list of numbers (never a bool or a string) times ``scale`` as
-    float64; every product must be finite."""
-    if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+def _reals(values, what: str) -> np.ndarray:
+    """A JSON list of finite numbers (never a bool or a string) as float64."""
+    if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
         raise ModelFormatError(f"{what} must be a list of numbers")
     try:
-        with np.errstate(over="ignore"):
-            arr = np.array(values, dtype=np.float64) * scale
+        arr = np.array(values, dtype=np.float64)
     except OverflowError as exc:
         raise ModelFormatError(f"{what}: {exc}") from exc
     if not np.isfinite(arr).all():
-        raise ModelFormatError(f"{what} must stay finite when scaled by {scale}")
+        raise ModelFormatError(f"{what} must be finite")
     return arr
+
+
+def _tree_fields(raw_trees: list, key: str, width: int) -> list:
+    """Every tree entry's ``key`` list, concatenated in tree order; each
+    entry must hold a list of ``width`` values."""
+    rows = list(map(dict.get, raw_trees, repeat(key)))
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {width}:
+        raise ModelFormatError(f"every tree needs a {key} list of {width} values")
+    return list(chain.from_iterable(rows))
 
 
 def load_ensemble(path, plaintext_modulus: int | None = None) -> Ensemble:
     """Load and normalize a tree-ensemble model file.
 
-    Normalization quantizes leaves, encodes thresholds, and pads each class
-    to a power-of-two tree count with zero-leaf trees.  With a plaintext
-    modulus given, rejects models whose class sums could wrap.
+    Normalization encodes thresholds as split codes, quantizes leaves, and
+    pads each class to a power-of-two tree count with zero-leaf trees
+    (``Ensemble.quantize``), all column-wise.  With a plaintext modulus
+    given, rejects models whose class sums could wrap.
     """
     doc = read_json(path)
     classes, k_raw, scale_bits = (doc.get(k) for k in ("classes", "trees_per_class", "scale_bits"))
     raw_trees = doc.get("trees")
     if not all(map(is_int, (classes, k_raw, scale_bits))):
         raise ModelFormatError("ensemble classes, trees_per_class and scale_bits must be integers")
-    if not (isinstance(raw_trees, list) and all(isinstance(e, dict) for e in raw_trees)):
+    if not (isinstance(raw_trees, list) and set(map(type, raw_trees)) <= {dict}):
         raise ModelFormatError("ensemble trees must be a list of objects")
     if classes < 1 or k_raw < 1:
         raise ModelFormatError("ensemble needs positive class and tree counts")
-    if not 0 <= scale_bits <= MAX_SCALE_BITS:
-        raise ModelFormatError(f"scale_bits out of range: {scale_bits}")
     if len(raw_trees) != classes * k_raw:
         raise ModelFormatError(
             f"expected {classes * k_raw} trees, file holds {len(raw_trees)}"
         )
 
-    scale = 1 << scale_bits
-    k_padded = next_pow2(k_raw)
-    max_feature = -1
-    trees: list[Depth2Tree] = []
-    for c in range(classes):
-        for j in range(k_raw):
-            entry = raw_trees[c * k_raw + j]
-            feats = entry.get("feat")
-            if not (isinstance(feats, list) and all(map(is_int, feats))):
-                raise ModelFormatError(f"tree feature indices must be integers, got {feats!r}")
-            splits = tuple(encode_split(v) for v in _reals(entry.get("thresh"), "thresholds"))
-            leaves = _reals(entry.get("leaves"), "leaves", scale)
-            tree = Depth2Tree(tuple(feats), splits, tuple(int(np.round(v)) for v in leaves))
-            max_feature = max(max_feature, *tree.features)
-            trees.append(tree)
-        trees.extend(
-            Depth2Tree((0, 0, 0), (0, 0, 0), (0, 0, 0, 0)) for _ in range(k_padded - k_raw)
-        )
+    feats = _tree_fields(raw_trees, "feat", 3)
+    if not set(map(type, feats)) <= {int}:
+        raise ModelFormatError("tree feature indices must be integers")
+    try:
+        features = np.array(feats, dtype=np.int64).reshape(-1, 3)
+    except OverflowError as exc:
+        raise ModelFormatError(f"tree feature index beyond int64: {exc}") from exc
+    thresholds = _reals(_tree_fields(raw_trees, "thresh", 3), "thresholds")
+    splits = encode_split(thresholds).reshape(-1, 3)
+    leaves = _reals(_tree_fields(raw_trees, "leaves", 4), "leaves").reshape(-1, 4)
 
+    max_feature = int(features.max())
     num_features = doc.get("features", max_feature + 1)
     if not is_int(num_features):
         raise ModelFormatError(f"ensemble features={num_features!r} is not an integer")
-    if num_features <= max_feature:
+    if not max_feature < num_features < 2**63:
         raise ModelFormatError(
-            f"feature count {num_features} below max used index {max_feature}"
+            f"feature count {num_features} must lie in {max_feature + 1}..2^63 - 1"
         )
-    ens = Ensemble(
-        num_classes=classes,
-        trees_per_class=k_padded,
-        num_features=num_features,
-        scale_bits=scale_bits,
-        trees=tuple(trees),
-    )
+    ens = Ensemble.quantize(classes, num_features, scale_bits, features, splits, leaves)
     if plaintext_modulus is not None:
         check_aggregate_bound(ens.worst_case_aggregate(), plaintext_modulus)
     return ens
@@ -203,19 +200,16 @@ def load_ensemble(path, plaintext_modulus: int | None = None) -> Ensemble:
 
 def save_ensemble(ens: Ensemble, path) -> None:
     """Write the normalized ensemble; loading it back is a fixed point."""
-    scale = float(ens.quant_scale)
+    thresh = np.where(ens.splits == 1, -0.5, 0.5).tolist()
+    leaves = (ens.leaves / float(ens.quant_scale)).tolist()
     doc = {
         "classes": ens.num_classes,
         "trees_per_class": ens.trees_per_class,
         "features": ens.num_features,
         "scale_bits": ens.scale_bits,
         "trees": [
-            {
-                "feat": list(t.features),
-                "thresh": [-0.5 if y else 0.5 for y in t.splits],
-                "leaves": [c / scale for c in t.leaves],
-            }
-            for t in ens.trees
+            {"feat": f, "thresh": t, "leaves": c}
+            for f, t, c in zip(ens.features.tolist(), thresh, leaves)
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -369,7 +363,7 @@ def build_layout(ens: Ensemble, slot_count: int, svm_features: int | None = None
         trees_per_class=ens.trees_per_class,
         num_features=ens.num_features,
         svm_features=min(ens.num_features, slot_count) if svm_features is None else svm_features,
-        tree_features=tuple(tree.features for tree in ens.trees),
+        tree_features=tuple(map(tuple, ens.features.tolist())),
     )
 
 
@@ -440,10 +434,7 @@ def ensemble_slot_streams(ens: Ensemble, layout: FeatureLayout) -> list[dict]:
     Slots beyond the last tree keep zero leaves, so whatever comparison bits
     land there contribute nothing to class sums.
     """
-    rows = []
-    for tree in ens.trees:
-        tl = transform_leaves(tree.leaves)
-        rows.append((*tree.splits, tl.l1, tl.l2, tl.l3, tl.l4))
+    rows = np.column_stack((ens.splits, *transform_leaves(ens.leaves)))
     return [
         {"y": dict(zip(STREAMS, block[:3])), "l": list(block[3:])}
         for block in layout.scatter(rows)
@@ -474,10 +465,9 @@ def ensemble_scores_clear_batch(ens: Ensemble, ternary_matrix: np.ndarray) -> np
     """Fixed-point class sums for every sample row, shape (n, s)."""
     n = ternary_matrix.shape[0]
     scores = np.zeros((n, ens.num_classes), dtype=np.int64)
-    for g, tree in enumerate(ens.trees):
-        c = g // ens.trees_per_class
-        idx = _tree_leaf_indices(tree.features, tree.splits, ternary_matrix)
-        scores[:, c] += np.asarray(tree.leaves, dtype=np.int64)[idx]
+    for g, (feats, splits, leaves) in enumerate(zip(ens.features, ens.splits, ens.leaves)):
+        idx = _tree_leaf_indices(feats, splits, ternary_matrix)
+        scores[:, g // ens.trees_per_class] += leaves[idx]
     return scores
 
 
@@ -503,7 +493,6 @@ def gen_synthetic(seed: int, s: int, k: int, d: int, n_samples: int):
         raise ModelFormatError("synthetic dimensions must be positive")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), s, k, d, n_samples]))
     scale_bits = 20
-    scale = 1 << scale_bits
     marker_bonus = 0.8
 
     feats = rng.integers(0, d, size=(s * k, 3))
@@ -572,22 +561,7 @@ def gen_synthetic(seed: int, s: int, k: int, d: int, n_samples: int):
             lo = scores[grids[fi] == -1].mean()
             weights[c, f] += (hi - lo) / 2.0
 
-    k_padded = next_pow2(k)
-    trees = []
-    for c in range(s):
-        for j in range(k):
-            g = c * k + j
-            trees.append(
-                Depth2Tree(
-                    tuple(int(f) for f in feats[g]),
-                    tuple(int(y) for y in splits[g]),
-                    tuple(int(np.round(v * scale)) for v in leaves[g]),
-                )
-            )
-        trees.extend(
-            Depth2Tree((0, 0, 0), (0, 0, 0), (0, 0, 0, 0)) for _ in range(k_padded - k)
-        )
-    ens = Ensemble(s, k_padded, d, scale_bits, tuple(trees))
+    ens = Ensemble.quantize(s, d, scale_bits, feats, splits, leaves)
     model = quantize_model(weights, bias, scale_bits)
     return ens, model, Dataset(samples, labels)
 

@@ -2,6 +2,7 @@
 
 Trees are complete depth-2: a root and two children, each holding a feature
 index and a split code, with four leaf scores held as fixed-point integers.
+An ``Ensemble`` holds them as three int64 tables with one row per tree.
 Scoring uses the simplified polynomial
 
     score = (z1 - 1)*l3*z3 + (z2*l1 + l2)*z1 + l4
@@ -27,40 +28,27 @@ results land at slots c*k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ModelFormatError
+from .svm import MAX_SCALE_BITS, next_pow2
 
 
-@dataclass(frozen=True)
-class Depth2Tree:
-    """One tree: (root, left, right) nodes and quantized leaf scores c1..c4."""
+class TransformedLeaves(NamedTuple):
+    """Score coefficients: one tree's integers, or one column per table."""
 
-    features: tuple[int, int, int]
-    splits: tuple[int, int, int]  # split codes y, 1 for threshold -0.5
-    leaves: tuple[int, int, int, int]  # fixed-point integers
-
-    def __post_init__(self):
-        if len(self.features) != 3 or any(f < 0 for f in self.features):
-            raise ModelFormatError(f"tree needs 3 non-negative feature indices, got {self.features}")
-        if len(self.splits) != 3 or any(y not in (0, 1) for y in self.splits):
-            raise ModelFormatError(f"tree needs 3 split codes in {{0,1}}, got {self.splits}")
-        if len(self.leaves) != 4:
-            raise ModelFormatError("tree needs exactly 4 leaf scores")
-
-
-@dataclass(frozen=True)
-class TransformedLeaves:
-    l1: int
-    l2: int
-    l3: int
-    l4: int
+    l1: object
+    l2: object
+    l3: object
+    l4: object
 
 
 def transform_leaves(leaves) -> TransformedLeaves:
-    """Change of basis from path leaves c1..c4 to score coefficients l1..l4."""
-    c1, c2, c3, c4 = (int(c) for c in leaves)
+    """Change of basis from path leaves c1..c4 to score coefficients l1..l4,
+    for one tree's four leaves or column-wise for a (trees, 4) table."""
+    c1, c2, c3, c4 = np.asarray(leaves, dtype=np.int64).T
     return TransformedLeaves(c1 - c2, c2 - c4, c4 - c3, c4)
 
 
@@ -90,15 +78,25 @@ def route_leaf(z) -> int:
     return 2 if z3 else 3
 
 
-@dataclass(frozen=True)
+def _worst_class_sum(leaves):
+    """Largest per-class sum of each tree's largest |leaf| over a
+    (classes, trees, 4) table: a bound on every class score."""
+    return np.abs(leaves).max(axis=2).sum(axis=1).max()
+
+
+@dataclass(frozen=True, eq=False)
 class Ensemble:
-    """class-major list of s*k depth-2 trees with a shared fixed-point scale."""
+    """s*k depth-2 trees as three int64 tables, one row per tree, class-major
+    and padded, with a shared fixed-point scale.  ``Ensemble.quantize``
+    builds one from real leaves; its worst-case class sum stays below 2^62."""
 
     num_classes: int
     trees_per_class: int
     num_features: int
     scale_bits: int
-    trees: tuple[Depth2Tree, ...]
+    features: np.ndarray  # (T, 3) (root, left, right) feature indices
+    splits: np.ndarray  # (T, 3) split codes y, 1 for threshold -0.5
+    leaves: np.ndarray  # (T, 4) fixed-point leaf scores c1..c4
 
     def __post_init__(self):
         s, k = self.num_classes, self.trees_per_class
@@ -106,32 +104,55 @@ class Ensemble:
             raise ModelFormatError("ensemble needs at least one class")
         if k < 1 or k & (k - 1):
             raise ModelFormatError(f"trees per class must be a power of two, got {k}")
-        if len(self.trees) != s * k:
-            raise ModelFormatError(
-                f"expected {s * k} trees (class-major, padded), got {len(self.trees)}"
-            )
-        for tree in self.trees:
-            if any(f >= self.num_features for f in tree.features):
+        for name, width in (("features", 3), ("splits", 3), ("leaves", 4)):
+            table = getattr(self, name)
+            if not (isinstance(table, np.ndarray) and table.dtype == np.int64
+                    and table.shape == (s * k, width)):
                 raise ModelFormatError(
-                    f"tree feature index {max(tree.features)} out of range "
-                    f"(model has {self.num_features} features)"
+                    f"ensemble {name} must be an int64 ({s * k}, {width}) table "
+                    "(class-major, padded)"
                 )
+        if self.features.min() < 0 or self.features.max() >= self.num_features:
+            raise ModelFormatError(
+                f"tree feature indices must lie in 0..{self.num_features - 1} "
+                f"(model has {self.num_features} features)"
+            )
+        if not np.isin(self.splits, (0, 1)).all():
+            raise ModelFormatError("tree split codes must lie in {0, 1}")
+
+    @classmethod
+    def quantize(cls, num_classes: int, num_features: int, scale_bits: int,
+                 features, splits, leaves) -> Ensemble:
+        """The ensemble of unpadded class-major tables (the same count of
+        trees per class) with real leaves: leaves are rounded at
+        2^scale_bits and each class is padded with zero-leaf trees to a
+        power-of-two count.  The worst-case class sum must stay below 2^62,
+        checked in float64 before the int64 cast, so every aggregate fits
+        int64."""
+        if not 0 <= scale_bits <= MAX_SCALE_BITS:
+            raise ModelFormatError(f"scale_bits out of range: {scale_bits}")
+        s, k = num_classes, len(leaves) // num_classes
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.round(np.asarray(leaves, dtype=np.float64) * float(1 << scale_bits))
+            bound = _worst_class_sum(q.reshape(s, k, 4))
+        if not bound < 2.0**62:  # nan and inf fail too
+            raise ModelFormatError("leaves must be finite, their worst-case class sum below 2^62")
+        k_padded = next_pow2(k)
+
+        def padded(table):
+            table = np.asarray(table).astype(np.int64).reshape(s, k, -1)
+            return np.pad(table, ((0, 0), (0, k_padded - k), (0, 0))).reshape(s * k_padded, -1)
+
+        return cls(s, k_padded, num_features, scale_bits, padded(features), padded(splits), padded(q))
 
     @property
     def quant_scale(self) -> int:
         return 1 << self.scale_bits
 
-    def class_trees(self, c: int) -> tuple[Depth2Tree, ...]:
-        k = self.trees_per_class
-        return self.trees[c * k : (c + 1) * k]
-
     def worst_case_aggregate(self) -> int:
         """Largest possible |class sum|, used to bound the plaintext modulus."""
-        worst = 0
-        for c in range(self.num_classes):
-            total = sum(max(abs(l) for l in t.leaves) for t in self.class_trees(c))
-            worst = max(worst, total)
-        return worst
+        s, k = self.num_classes, self.trees_per_class
+        return int(_worst_class_sum(self.leaves.reshape(s, k, 4)))
 
 
 @dataclass(frozen=True)

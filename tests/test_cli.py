@@ -344,7 +344,7 @@ def test_infer_refuses_bundles_packed_for_another_ensemble(workspace, tmp_path, 
     # same shape, other features: without the layout digest the server would
     # read each upload as another tree's feature and decrypt to wrong scores
     other, _, _ = gen_synthetic(seed=22, s=3, k=8, d=32, n_samples=1)
-    assert other.trees[0].features != workspace["ens"].trees[0].features
+    assert (other.features[0] != workspace["ens"].features[0]).any()
     save_ensemble(other, tmp_path / "other.json")
     argv = ["infer", "--mode", mode, "--model", str(tmp_path / "other.json"), "--in",
             str(workspace["base"] / "enc"), "--keys", str(workspace["server"]),

@@ -13,7 +13,8 @@ from hedgerow import (
     HedgerowError, HeParams, ModelFormatError, ParamError, load_params, make_test_params, serial,
 )
 from hedgerow.modelio import (
-    Dataset, FeatureLayout, load_dataset, load_ensemble, load_layout, load_svm, pack_client_input,
+    Dataset, FeatureLayout, build_layout, ensemble_slot_streams, load_dataset, load_ensemble,
+    load_layout, load_svm, pack_client_input,
 )
 from hedgerow.pipeline import BUNDLE_COUNTS, SCORE_COUNTS, read_manifest
 from hedgerow.scheme import HeBackend
@@ -161,12 +162,17 @@ T = make_test_params(8, num_primes=2, depth_budget=1).plaintext_modulus
 @FUZZ
 @given(data=st.data())
 def test_model_loaders_load_or_refuse(layout_path, kind, data):
+    """With and without a plaintext modulus; an ensemble that loads also
+    lays out and yields its model planes."""
     path = layout_path.with_name(f"{kind}.json")
     path.write_text(json.dumps(data.draw(model_docs(kind))), encoding="utf-8")
-    try:
-        (load_ensemble if kind == "ensemble" else load_svm)(path, T)
-    except HedgerowError:
-        pass
+    for modulus in (T, None):
+        try:
+            model = (load_ensemble if kind == "ensemble" else load_svm)(path, modulus)
+            if kind == "ensemble":
+                ensemble_slot_streams(model, build_layout(model, 8))
+        except HedgerowError:
+            pass
 
 
 @pytest.mark.parametrize("kind, counts", [("bundle", BUNDLE_COUNTS), ("scores", SCORE_COUNTS)])

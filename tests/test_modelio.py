@@ -1,5 +1,6 @@
 """Model files, layouts, client packing, synthetic generation."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -51,6 +52,14 @@ def tree_doc(feat, thresh, leaves):
     return {"feat": feat, "thresh": thresh, "leaves": leaves}
 
 
+def same_ensemble(a, b):
+    """Equal counts, scale and tables."""
+    counts = ("num_classes", "trees_per_class", "num_features", "scale_bits")
+    return all(getattr(a, n) == getattr(b, n) for n in counts) and all(
+        np.array_equal(getattr(a, t), getattr(b, t)) for t in ("features", "splits", "leaves")
+    )
+
+
 # ---------------------------------------------------------------------------
 # ensemble files
 # ---------------------------------------------------------------------------
@@ -64,9 +73,9 @@ def test_load_ensemble_normalizes_fig2_style_root(tmp_path):
         [tree_doc([25486, 3, 4], [-0.5, 0.5, 0.5], [0.1, -0.2, 0.3, -0.4])],
     )
     ens = load_ensemble(path)
-    assert ens.trees[0].splits == (1, 0, 0)
-    assert ens.trees[0].features[0] == 25486
-    assert ens.trees[0].leaves[0] == round(0.1 * (1 << 20))
+    assert ens.splits[0].tolist() == [1, 0, 0]
+    assert ens.features[0, 0] == 25486
+    assert ens.leaves[0, 0] == round(0.1 * (1 << 20))
 
 
 def test_load_ensemble_pads_to_power_of_two(tmp_path):
@@ -75,8 +84,60 @@ def test_load_ensemble_pads_to_power_of_two(tmp_path):
     write_ensemble_json(path, 1, 100, trees)
     ens = load_ensemble(path)
     assert ens.trees_per_class == 128
-    assert len(ens.trees) == 128
-    assert all(t.leaves == (0, 0, 0, 0) for t in ens.trees[100:])
+    assert len(ens.leaves) == 128
+    assert not ens.leaves[100:].any()
+
+
+def test_load_ensemble_pads_every_class_after_its_own_trees(tmp_path):
+    # 2 classes x 100 hand-written trees: tree j of class c lands in row
+    # 128 c + j, and each class's rows 100..127 are zero-leaf trees
+    path = tmp_path / "ens.json"
+    trees = [tree_doc([c, j % 7, 6], [-0.5, 0.5, -0.5], [c + 1, -(j + 1), 0.5, 0.25])
+             for c in range(2) for j in range(100)]
+    write_ensemble_json(path, 2, 100, trees, scale_bits=2, features=7)
+    ens = load_ensemble(path)
+    assert (ens.num_classes, ens.trees_per_class, ens.leaves.shape) == (2, 128, (256, 4))
+    for c in range(2):
+        rows = slice(128 * c, 128 * c + 100)
+        assert (ens.features[rows, 0] == c).all()
+        assert ens.features[rows, 1].tolist() == [j % 7 for j in range(100)]
+        assert (ens.splits[rows] == [1, 0, 1]).all()
+        assert ens.leaves[rows, 1].tolist() == [-4 * (j + 1) for j in range(100)]
+        assert (ens.leaves[rows, [0, 2, 3]] == [4 * (c + 1), 2, 1]).all()
+        pad = slice(128 * c + 100, 128 * (c + 1))
+        assert not ens.leaves[pad].any() and not ens.splits[pad].any()
+    # class 1: tree 0's largest |leaf| is c1 = 2, every other tree's is j + 1
+    assert ens.worst_case_aggregate() == 4 * (2 + sum(range(2, 101)))
+
+
+# seed-1 ensemble at 2048 slots: SHA-256 of save_ensemble's bytes, the
+# layout's tree_digest, and SHA-256 of the model planes' dtypes and bytes
+PINNED_SEED1_SAVE_SHA256 = "f7f75ac441edeaaf865a961719adfc686227fe7bd2ca79753d8fdaf15a54e8c0"
+PINNED_SEED1_TREE_DIGEST = "1ef2cd9e704c656ba8cd2862ac992c9304a1585bdbacd11bd07783ddf813c561"
+PINNED_SEED1_PLANES_SHA256 = "5e5ba2e4d97257446d968538f2ec26ee54f737396faa198377fee1a0aa935ee1"
+
+
+def test_seed1_wire_forms_are_pinned(tmp_path):
+    # the benchmark's ensemble: its saved file, layout digest and model
+    # planes (values and dtype) must not move with the container
+    ens, _, _ = gen_synthetic(seed=1, s=11, k=128, d=256, n_samples=1024)
+    save_ensemble(ens, tmp_path / "xgb.json")
+    assert hashlib.sha256((tmp_path / "xgb.json").read_bytes()).hexdigest() == \
+        PINNED_SEED1_SAVE_SHA256
+    layout = build_layout(ens, 2048)
+    assert layout.tree_digest == PINNED_SEED1_TREE_DIGEST
+    planes = hashlib.sha256()
+    for vector in (v for block in ensemble_slot_streams(ens, layout)
+                   for v in (*(block["y"][s] for s in STREAMS), *block["l"])):
+        planes.update(str(vector.dtype).encode() + vector.tobytes())
+    assert planes.hexdigest() == PINNED_SEED1_PLANES_SHA256
+    assert same_ensemble(load_ensemble(tmp_path / "xgb.json"), ens)
+    # the table reduction against a per-tree loop in Python ints
+    k = ens.trees_per_class
+    assert ens.worst_case_aggregate() == max(
+        sum(max(abs(int(v)) for v in ens.leaves[g]) for g in range(c * k, (c + 1) * k))
+        for c in range(ens.num_classes)
+    )
 
 
 def test_load_ensemble_rejects_bad_threshold(tmp_path):
@@ -108,8 +169,29 @@ def test_load_ensemble_checks_aggregate_bound(tmp_path):
     save_svm(svm_model, tmp_path / "svm.json")
     for preset in ("xgb-d2", "xgb-encmodel-d3"):
         t = gen_params(preset).plaintext_modulus
-        assert load_ensemble(tmp_path / "xgb.json", plaintext_modulus=t >> 3) == ens
+        assert same_ensemble(load_ensemble(tmp_path / "xgb.json", plaintext_modulus=t >> 3), ens)
     load_svm(tmp_path / "svm.json", plaintext_modulus=gen_params("svm-d1").plaintext_modulus >> 3)
+
+
+@pytest.mark.parametrize("leaf", [1e300, 2.0**42, -(2.0**42)])
+def test_load_ensemble_refuses_leaves_beyond_int64_without_a_modulus(tmp_path, leaf):
+    # quantized at 2^20, a class sum of 2^62 or more cannot be held in int64:
+    # refused at load, before any table or slot vector is built
+    path = tmp_path / "ens.json"
+    write_ensemble_json(path, 1, 2, [tree_doc([0, 0, 0], [0.5, 0.5, 0.5], [0, 0, 0, leaf]),
+                                     tree_doc([0, 0, 0], [0.5, 0.5, 0.5], [leaf, 0, 0, 0])])
+    with pytest.raises(ModelFormatError, match="2\\^62"):
+        load_ensemble(path)
+
+
+@pytest.mark.parametrize("feat, features", [([0, 2**70, 1], None), ([0, 2**63, 1], None),
+                                            ([0, 1, 2], 2**70), ([0, 1, 2], 2**63)])
+def test_load_ensemble_refuses_feature_indices_beyond_int64(tmp_path, feat, features):
+    path = tmp_path / "ens.json"
+    write_ensemble_json(path, 1, 1, [tree_doc(feat, [0.5, 0.5, 0.5], [0, 0, 0, 0])],
+                        features=features)
+    with pytest.raises(ModelFormatError):
+        load_ensemble(path)
 
 
 def test_ensemble_roundtrip_fixed_point(tmp_path, rng):
@@ -118,7 +200,7 @@ def test_ensemble_roundtrip_fixed_point(tmp_path, rng):
     p2 = tmp_path / "b.json"
     save_ensemble(ens, p1)
     again = load_ensemble(p1)
-    assert again == ens
+    assert same_ensemble(again, ens)
     save_ensemble(again, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -180,8 +262,8 @@ def test_layout_two_trees_one_class():
     layout = build_layout(ens, 64)
     roots = sorted(e for e in layout.entries if e[1] == "root")
     assert [(b, sl) for b, _, sl, _ in roots] == [(0, 0), (0, 1)]
-    assert roots[0][3] == ens.trees[0].features[0]
-    assert roots[1][3] == ens.trees[1].features[0]
+    assert roots[0][3] == ens.features[0, 0]
+    assert roots[1][3] == ens.features[1, 0]
 
 
 def test_layout_spill_block_count_formula():
@@ -267,9 +349,8 @@ def test_slot_streams_hold_split_codes_and_leaves():
     planes = ensemble_slot_streams(ens, layout)
     from hedgerow.trees import transform_leaves
 
-    tree3 = ens.trees[3]
-    assert planes[0]["y"]["left"][3] == tree3.splits[1]
-    tl = transform_leaves(tree3.leaves)
+    assert planes[0]["y"]["left"][3] == ens.splits[3, 1]
+    tl = transform_leaves(ens.leaves[3])
     assert planes[0]["l"][0][3] == tl.l1
     assert planes[0]["l"][3][3] == tl.l4
     # slots past the last tree stay zero-leaf
@@ -309,9 +390,9 @@ def test_every_node_plane_on_a_spill(s, k, slots, rng):
         code = encode_feature(int(ternary[feature]))
         x0, x2 = bundle.xgb_planes[block][stream]
         assert (x0[slot], x2[slot]) == (code.x0, code.x2)
-        tree = ens.trees[node // 3]  # entries list each tree's three nodes in turn
-        assert planes[block]["y"][stream][slot] == tree.splits[STREAMS.index(stream)]
-        tl = transform_leaves(tree.leaves)
+        g = node // 3  # entries list each tree's three nodes in turn
+        assert planes[block]["y"][stream][slot] == ens.splits[g, STREAMS.index(stream)]
+        tl = transform_leaves(ens.leaves[g])
         assert [v[slot] for v in planes[block]["l"]] == [tl.l1, tl.l2, tl.l3, tl.l4]
         held.add((block, slot))
     assert len(held) < layout.num_blocks * slots  # the last block has empty slots
@@ -362,7 +443,7 @@ def test_normalize_samples_matches_scalar_rule(rng):
 def test_gen_synthetic_deterministic():
     a = gen_synthetic(seed=12, s=3, k=4, d=20, n_samples=30)
     b = gen_synthetic(seed=12, s=3, k=4, d=20, n_samples=30)
-    assert a[0] == b[0]
+    assert same_ensemble(a[0], b[0])
     assert np.array_equal(a[1].weights, b[1].weights)
     assert np.array_equal(a[2].samples, b[2].samples)
     assert np.array_equal(a[2].labels, b[2].labels)
@@ -378,8 +459,7 @@ def test_gen_synthetic_agreement_about_ninety_percent():
 
 def test_gen_synthetic_thresholds_admissible():
     ens, _, _ = gen_synthetic(seed=3, s=2, k=4, d=10, n_samples=5)
-    for tree in ens.trees:
-        assert all(y in (0, 1) for y in tree.splits)
+    assert np.isin(ens.splits, (0, 1)).all()
 
 
 def test_batch_scores_match_scalar_path(rng, params256, clear256, clear_keys256):

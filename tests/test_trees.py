@@ -9,7 +9,6 @@ from hedgerow import ModelFormatError
 from hedgerow.modelio import ensemble_scores_clear_batch
 from hedgerow.svm import check_aggregate_bound
 from hedgerow.trees import (
-    Depth2Tree,
     Ensemble,
     NodeStreams,
     class_sums,
@@ -118,25 +117,26 @@ def test_predict_class_random_vs_reference(rng):
 # ---------------------------------------------------------------------------
 
 
-def _toy_tree(f=0, y=0, leaves=(0, 0, 0, 0)):
-    return Depth2Tree((f, f, f), (y, y, y), leaves)
+def _toy_tables(n, f=0, y=0, leaves=(0, 0, 0, 0)):
+    """features, splits and leaves of n identical trees that test feature f."""
+    return np.full((n, 3), f), np.full((n, 3), y), np.tile(leaves, (n, 1))
 
 
 def test_ensemble_validation():
     with pytest.raises(ModelFormatError):
-        Ensemble(1, 3, 4, 20, (_toy_tree(), _toy_tree(), _toy_tree()))  # 3 not pow2
+        Ensemble(1, 3, 4, 20, *_toy_tables(3))  # 3 not pow2
     with pytest.raises(ModelFormatError):
-        Ensemble(1, 2, 4, 20, (_toy_tree(),))  # wrong count
+        Ensemble(1, 2, 4, 20, *_toy_tables(1))  # wrong count
     with pytest.raises(ModelFormatError):
-        Ensemble(1, 1, 1, 20, (_toy_tree(f=5),))  # feature out of range
-    ens = Ensemble(2, 2, 4, 20, tuple(_toy_tree(leaves=(1, 2, 3, 4)) for _ in range(4)))
+        Ensemble(1, 1, 1, 20, *_toy_tables(1, f=5))  # feature out of range
+    ens = Ensemble(2, 2, 4, 20, *_toy_tables(4, leaves=(1, 2, 3, 4)))
     assert ens.worst_case_aggregate() == 8
     assert ens.quant_scale == 1 << 20
 
 
 def test_ensemble_scores_clear_single_tree():
-    tree = Depth2Tree((0, 1, 2), (1, 0, 1), (5, 6, 7, 8))
-    ens = Ensemble(1, 1, 3, 20, (tree,))
+    ens = Ensemble(1, 1, 3, 20, np.array([[0, 1, 2]]), np.array([[1, 0, 1]]),
+                   np.array([[5, 6, 7, 8]]))
     # features: -1 < -0.5 -> 1; 0 < 0.5 -> 1; 1 < -0.5 -> 0
     # z = (1,1,0) routes to c1 = 5
     assert ensemble_scores_clear_batch(ens, np.array([[-1, 0, 1]]))[0, 0] == 5
