@@ -20,9 +20,10 @@ File formats (all diffable and hand-writable):
   every stream, where a block holds as many whole classes as fit
   slot_count; ``FeatureLayout.scatter`` is the one place that applies this
   rule, for the client's planes and the server's alike.  Every count and
-  index must be a JSON integer.  Publishing
-  it reveals which feature indices the model consults (the evaluation
-  protocol leaks the same); no feature *values* are revealed.
+  index must be a JSON integer, each index below ``features`` < 2^63 as in
+  an ensemble file.  Publishing it reveals which feature indices the model
+  consults (the evaluation protocol leaks the same); no feature *values*
+  are revealed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from .compare import encode_split
 from .errors import ModelFormatError
 from .svm import SvmModel, check_aggregate_bound, quantize_model
-from .trees import Ensemble, transform_leaves
+from .trees import Ensemble, check_feature_table, route, transform_leaves
 
 STREAMS = ("root", "left", "right")
 
@@ -142,13 +143,24 @@ def _reals(values, what: str) -> np.ndarray:
     return arr
 
 
-def _tree_fields(raw_trees: list, key: str, width: int) -> list:
-    """Every tree entry's ``key`` list, concatenated in tree order; each
-    entry must hold a list of ``width`` values."""
-    rows = list(map(dict.get, raw_trees, repeat(key)))
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {width}:
-        raise ModelFormatError(f"every tree needs a {key} list of {width} values")
+def _flat_rows(rows, width: int, what: str) -> list:
+    """A JSON list of ``width``-value lists, concatenated in row order."""
+    if not (isinstance(rows, list) and set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {width}):
+        raise ModelFormatError(f"{what} must be a list of {width}-value lists")
     return list(chain.from_iterable(rows))
+
+
+def _feature_table(rows) -> np.ndarray:
+    """A JSON list of (root, left, right) integer triples as an int64
+    (trees, 3) table; an ensemble's and a layout's are read alike."""
+    flat = _flat_rows(rows, 3, "tree feature indices")
+    if not set(map(type, flat)) <= {int}:
+        raise ModelFormatError("tree feature indices must be integers")
+    try:
+        return np.array(flat, dtype=np.int64).reshape(-1, 3)
+    except OverflowError as exc:
+        raise ModelFormatError(f"tree feature index beyond int64: {exc}") from exc
 
 
 def load_ensemble(path, plaintext_modulus: int | None = None) -> Ensemble:
@@ -169,29 +181,18 @@ def load_ensemble(path, plaintext_modulus: int | None = None) -> Ensemble:
     if classes < 1 or k_raw < 1:
         raise ModelFormatError("ensemble needs positive class and tree counts")
     if len(raw_trees) != classes * k_raw:
-        raise ModelFormatError(
-            f"expected {classes * k_raw} trees, file holds {len(raw_trees)}"
-        )
+        raise ModelFormatError(f"expected {classes * k_raw} trees, file holds {len(raw_trees)}")
 
-    feats = _tree_fields(raw_trees, "feat", 3)
-    if not set(map(type, feats)) <= {int}:
-        raise ModelFormatError("tree feature indices must be integers")
-    try:
-        features = np.array(feats, dtype=np.int64).reshape(-1, 3)
-    except OverflowError as exc:
-        raise ModelFormatError(f"tree feature index beyond int64: {exc}") from exc
-    thresholds = _reals(_tree_fields(raw_trees, "thresh", 3), "thresholds")
+    feat, thresh, leaf = (list(map(dict.get, raw_trees, repeat(key)))
+                          for key in ("feat", "thresh", "leaves"))
+    features = _feature_table(feat)
+    thresholds = _reals(_flat_rows(thresh, 3, "tree thresholds"), "thresholds")
     splits = encode_split(thresholds).reshape(-1, 3)
-    leaves = _reals(_tree_fields(raw_trees, "leaves", 4), "leaves").reshape(-1, 4)
+    leaves = _reals(_flat_rows(leaf, 4, "tree leaves"), "leaves").reshape(-1, 4)
 
-    max_feature = int(features.max())
-    num_features = doc.get("features", max_feature + 1)
+    num_features = doc.get("features", int(features.max()) + 1)
     if not is_int(num_features):
         raise ModelFormatError(f"ensemble features={num_features!r} is not an integer")
-    if not max_feature < num_features < 2**63:
-        raise ModelFormatError(
-            f"feature count {num_features} must lie in {max_feature + 1}..2^63 - 1"
-        )
     ens = Ensemble.quantize(classes, num_features, scale_bits, features, splits, leaves)
     if plaintext_modulus is not None:
         check_aggregate_bound(ens.worst_case_aggregate(), plaintext_modulus)
@@ -257,9 +258,10 @@ _LAYOUT_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureLayout:
-    """Public slot map: the (root, left, right) feature indices of each tree.
+    """Public slot map: the ensemble's int64 (T, 3) table of (root, left,
+    right) feature indices, bounded by ``check_feature_table`` as there.
 
     Tree g (class-major, padded) sits at slot g mod ``trees_per_block`` of
     block g div ``trees_per_block`` in every stream, so the layout stores
@@ -272,7 +274,7 @@ class FeatureLayout:
     trees_per_class: int
     num_features: int
     svm_features: int
-    tree_features: tuple  # (root, left, right) feature indices per tree
+    tree_features: np.ndarray  # (T, 3) (root, left, right) feature indices
 
     def __post_init__(self):
         for name in _LAYOUT_COUNTS.values():
@@ -287,15 +289,7 @@ class FeatureLayout:
             raise ModelFormatError(
                 f"SVM vector of {self.svm_features} features exceeds {self.slot_count} slots"
             )
-        if len(self.tree_features) != self.num_classes * k:
-            raise ModelFormatError(
-                f"layout must list {self.num_classes * k} trees, holds {len(self.tree_features)}"
-            )
-        for feats in self.tree_features:
-            if len(feats) != 3 or not all(0 <= f < self.num_features for f in feats):
-                raise ModelFormatError(
-                    f"tree features {feats} are not 3 indices below {self.num_features}"
-                )
+        check_feature_table(self.tree_features, self.num_classes * k, self.num_features)
 
     @property
     def trees_per_block(self) -> int:
@@ -314,14 +308,14 @@ class FeatureLayout:
         tpb = self.trees_per_block
         return tuple(
             (g // tpb, stream, g % tpb, feature)
-            for g, feats in enumerate(self.tree_features)
+            for g, feats in enumerate(self.tree_features.tolist())
             for stream, feature in zip(STREAMS, feats)
         )
 
     @property
     def tree_digest(self) -> str:
         """SHA-256 of the tree slot map (not ``svm_features``: the client's --svm sets it)."""
-        doc = [self.slot_count, self.num_classes, self.trees_per_class, self.tree_features]
+        doc = [self.slot_count, self.num_classes, self.trees_per_class, self.tree_features.tolist()]
         return hashlib.sha256(json.dumps(doc, default=int).encode("ascii")).hexdigest()
 
     @property
@@ -363,13 +357,13 @@ def build_layout(ens: Ensemble, slot_count: int, svm_features: int | None = None
         trees_per_class=ens.trees_per_class,
         num_features=ens.num_features,
         svm_features=min(ens.num_features, slot_count) if svm_features is None else svm_features,
-        tree_features=tuple(map(tuple, ens.features.tolist())),
+        tree_features=ens.features,
     )
 
 
 def save_layout(layout: FeatureLayout, path) -> None:
     doc = {key: getattr(layout, name) for key, name in _LAYOUT_COUNTS.items()}
-    doc["tree_features"] = [list(f) for f in layout.tree_features]
+    doc["tree_features"] = layout.tree_features.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
@@ -377,14 +371,9 @@ def save_layout(layout: FeatureLayout, path) -> None:
 def load_layout(path) -> FeatureLayout:
     doc = read_json(path)
     counts = {name: doc.get(key) for key, name in _LAYOUT_COUNTS.items()}
-    trees = doc.get("tree_features")
-    if not (
-        all(map(is_int, counts.values()))
-        and isinstance(trees, list)
-        and all(isinstance(t, list) and all(map(is_int, t)) for t in trees)
-    ):
-        raise ModelFormatError("layout counts and feature indices must be integers")
-    return FeatureLayout(**counts, tree_features=tuple(tuple(t) for t in trees))
+    if not all(map(is_int, counts.values())):
+        raise ModelFormatError("layout counts must be integers")
+    return FeatureLayout(**counts, tree_features=_feature_table(doc.get("tree_features")))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +406,7 @@ def pack_client_input(sample_raw, layout: FeatureLayout) -> ClientBundle:
     ternary = normalize_samples(sample)
 
     # a zero value sets neither plane, like a slot that holds no tree
-    values = layout.scatter(ternary[np.array(layout.tree_features, dtype=np.int64)])
+    values = layout.scatter(ternary[layout.tree_features])
     x0, x2 = (values == -1).astype(np.int64), (values == 1).astype(np.int64)
     blocks = tuple(
         {stream: (x0[b, i], x2[b, i]) for i, stream in enumerate(STREAMS)}
@@ -449,26 +438,20 @@ _STATE_PROBS = (0.10, 0.15, 0.50, 0.15, 0.10)  # -2..2, mass concentrated at 0
 _LABEL_NOISE = 0.10
 
 
-def _tree_leaf_indices(feats, splits, ternary_matrix: np.ndarray) -> np.ndarray:
-    """Routed leaf index of one tree for every row of a ternary sample matrix."""
-    zs = []
-    for f, y in zip(feats, splits):
-        v = ternary_matrix[:, f]
-        x0 = (v == -1).astype(np.int64)
-        x2 = (v == 1).astype(np.int64)
-        zs.append((1 - x0) * (x2 * (y - 1) - y) + 1)
-    z1, z2, z3 = zs
-    return np.where(z1 == 1, np.where(z2 == 1, 0, 1), np.where(z3 == 1, 2, 3))
+def _class_leaves(ternary_matrix: np.ndarray, features, splits, leaves, k: int):
+    """Per class of k class-major trees, the (n, k) leaves they route every
+    sample row to; node values are int8, so each (n, k, 3) gather is small."""
+    ternary = np.asarray(ternary_matrix, dtype=np.int8)
+    for c in range(len(leaves) // k):
+        trees = slice(c * k, (c + 1) * k)
+        idx = route(ternary[:, features[trees]], splits[trees])
+        yield leaves[trees][np.arange(k), idx]
 
 
 def ensemble_scores_clear_batch(ens: Ensemble, ternary_matrix: np.ndarray) -> np.ndarray:
     """Fixed-point class sums for every sample row, shape (n, s)."""
-    n = ternary_matrix.shape[0]
-    scores = np.zeros((n, ens.num_classes), dtype=np.int64)
-    for g, (feats, splits, leaves) in enumerate(zip(ens.features, ens.splits, ens.leaves)):
-        idx = _tree_leaf_indices(feats, splits, ternary_matrix)
-        scores[:, g // ens.trees_per_class] += leaves[idx]
-    return scores
+    routed = _class_leaves(ternary_matrix, ens.features, ens.splits, ens.leaves, ens.trees_per_class)
+    return np.column_stack([class_leaves.sum(axis=1) for class_leaves in routed])
 
 
 def gen_synthetic(seed: int, s: int, k: int, d: int, n_samples: int):
@@ -499,37 +482,31 @@ def gen_synthetic(seed: int, s: int, k: int, d: int, n_samples: int):
     splits = rng.integers(0, 2, size=(s * k, 3))  # y bits directly
     leaves = np.round(rng.normal(0.0, 0.25, size=(s * k, 4)), 6)
 
-    # class markers: marker trees pay marker_bonus iff their marker feature
-    # is amplified (root split +0.5 routes x=+1 to the right leaves)
+    # class markers: the first k // 2 trees of class c pay marker_bonus iff
+    # their root's feature, one of c's markers, is amplified (root split
+    # +0.5 routes x=+1 to the right leaves)
     markers_per_class = max(1, min(4, d // (2 * s))) if d >= s else 0
-    marker_features = {
-        c: list(range(c * markers_per_class, (c + 1) * markers_per_class))
-        for c in range(s)
-    } if markers_per_class else {c: [] for c in range(s)}
-    n_marker_trees = k // 2 if markers_per_class else 0
-    for c in range(s):
-        for j in range(n_marker_trees):
-            g = c * k + j
-            feats[g, 0] = rng.choice(marker_features[c])
-            splits[g, 0] = 0  # threshold +0.5
-            leaves[g] = (0.0, 0.0, marker_bonus, marker_bonus)
+    marker_features = np.arange(s * markers_per_class).reshape(s, markers_per_class)
+    if markers_per_class:
+        marker_trees = (np.arange(s)[:, None] * k + np.arange(k // 2)).ravel()
+        picks = rng.integers(0, markers_per_class, marker_trees.size)
+        feats[marker_trees, 0] = marker_features[marker_trees // k, picks]
+        splits[marker_trees, 0] = 0  # threshold +0.5
+        leaves[marker_trees] = (0.0, 0.0, marker_bonus, marker_bonus)
 
     samples = rng.choice(np.arange(-2, 3), size=(n_samples, d), p=_STATE_PROBS).astype(np.int64)
     if markers_per_class:
         true_class = rng.integers(0, s, n_samples)
         amplify = rng.random((n_samples, markers_per_class)) < 0.9
-        for i in range(n_samples):
-            cols = marker_features[int(true_class[i])]
-            values = rng.choice([1, 2], size=markers_per_class)
-            samples[i, cols] = np.where(amplify[i], values, samples[i, cols])
+        values = rng.choice([1, 2], size=(n_samples, markers_per_class))
+        rows, cols = np.arange(n_samples)[:, None], marker_features[true_class]
+        samples[rows, cols] = np.where(amplify, values, samples[rows, cols])
     ternary = np.sign(samples)
 
-    # float class scores of the raw ensemble
-    float_scores = np.zeros((n_samples, s))
-    for g in range(s * k):
-        c = g // k
-        idx = _tree_leaf_indices(feats[g], splits[g], ternary)
-        float_scores[:, c] += leaves[g][idx]
+    # float class scores of the raw ensemble, each summed in tree order (a
+    # copy of the running sum's last column, so no running sum stays alive)
+    routed = _class_leaves(ternary, feats, splits, leaves, k)
+    float_scores = np.column_stack([np.cumsum(v, axis=1)[:, -1].copy() for v in routed])
 
     labels = np.argmax(float_scores, axis=1).astype(np.int64)
     flip = rng.random(n_samples) < _LABEL_NOISE
@@ -537,33 +514,40 @@ def gen_synthetic(seed: int, s: int, k: int, d: int, n_samples: int):
         offsets = rng.integers(1, s, size=n_samples)
         labels[flip] = (labels[flip] + offsets[flip]) % s
 
-    # per-feature linear skeleton of the ensemble: conditional-mean effects
-    # under a uniform ternary input model
-    weights = np.zeros((s, d))
-    bias = np.zeros(s)
-    ternary_values = (-1, 0, 1)
-    for g in range(s * k):
-        c = g // k
-        f3 = tuple(int(f) for f in feats[g])
-        y3 = tuple(int(y) for y in splits[g])
-        c4 = leaves[g]
-        distinct = sorted(set(f3))
-        grids = np.array(
-            np.meshgrid(*[ternary_values] * len(distinct), indexing="ij")
-        ).reshape(len(distinct), -1)
-        probes = np.zeros((grids.shape[1], d), dtype=np.int64)
-        for fi, f in enumerate(distinct):
-            probes[:, f] = grids[fi]
-        scores = c4[_tree_leaf_indices(f3, y3, probes)]
-        bias[c] += scores.mean()
-        for fi, f in enumerate(distinct):
-            hi = scores[grids[fi] == 1].mean()
-            lo = scores[grids[fi] == -1].mean()
-            weights[c, f] += (hi - lo) / 2.0
-
+    weights, bias = _linear_skeleton(d, k, feats, splits, leaves)
     ens = Ensemble.quantize(s, d, scale_bits, feats, splits, leaves)
     model = quantize_model(weights, bias, scale_bits)
     return ens, model, Dataset(samples, labels)
+
+
+def _linear_skeleton(d: int, k: int, feats, splits, leaves):
+    """Per-feature linear skeleton of the raw ensemble: conditional-mean
+    effects under a uniform ternary input model.  Trees are probed on every
+    ternary assignment of their m distinct features (sorted, the first
+    varying slowest), grouped by m; the means are added in tree order, so
+    every float sum is the one a tree-by-tree walk makes."""
+    trees = len(leaves)
+    ordered = np.sort(feats, axis=1)
+    new = np.diff(ordered, axis=1, prepend=-1) != 0  # first of each distinct feature
+    distinct = new.sum(axis=1)
+    means, effects = np.zeros(trees), np.zeros((trees, 3))
+    for m in (1, 2, 3):
+        group = np.flatnonzero(distinct == m)
+        grid = np.array(np.meshgrid(*[(-1, 0, 1)] * m, indexing="ij")).reshape(m, -1)
+        # node j reads the grid row of its feature among the tree's distinct ones
+        rows = (feats[group][:, :, None] == ordered[group][new[group]].reshape(-1, 1, m)).argmax(2)
+        values = grid[rows].transpose(0, 2, 1)
+        scores = np.take_along_axis(leaves[group], route(values, splits[group][:, None]), axis=1)
+        means[group] = scores.mean(axis=1)
+        # contiguous rows, so each mean sums its probes in the 1-d order
+        hi, lo = (np.ascontiguousarray(scores[:, np.nonzero(grid == v)[1].reshape(m, -1)])
+                  .mean(axis=2) for v in (1, -1))
+        effects[group, :m] = (hi - lo) / 2.0
+    # bincount adds in index order: the (class, feature) cell of each effect
+    held = np.arange(3) < distinct[:, None]
+    cells = np.nonzero(held)[0] // k * d + ordered[new]
+    weights = np.bincount(cells, effects[held], minlength=trees // k * d).reshape(-1, d)
+    return weights, np.bincount(np.arange(trees) // k, means)
 
 
 def ensemble_agreement(ens: Ensemble, ds: Dataset) -> float:

@@ -78,6 +78,30 @@ def route_leaf(z) -> int:
     return 2 if z3 else 3
 
 
+def route(values, splits) -> np.ndarray:
+    """Leaf index of every tree, from ternary node values and split codes,
+    both (..., 3) in (root, left, right) order over any leading axes.  A
+    node's bit is value < threshold = 0.5 - y, which for an integer value
+    is ``value <= -y``: the bits ``compare_clear`` computes."""
+    z = np.asarray(values) <= -np.asarray(splits)
+    return np.where(z[..., 0], 1 - z[..., 1], 3 - z[..., 2])
+
+
+def check_feature_table(features, trees: int, num_features: int) -> None:
+    """The one rule for a (root, left, right) feature table, an ensemble's
+    or a layout's: int64 (trees, 3), every index in 0..num_features - 1,
+    and num_features < 2^63 so that the count fits int64 too."""
+    _check_table(features, "tree features", (trees, 3))
+    if not (num_features < 2**63 and features.min() >= 0 and features.max() < num_features):
+        raise ModelFormatError(f"tree feature indices must lie in 0..{num_features - 1}, "
+                               "with a feature count below 2^63")
+
+
+def _check_table(table, what: str, shape: tuple) -> None:
+    if not (isinstance(table, np.ndarray) and table.dtype == np.int64 and table.shape == shape):
+        raise ModelFormatError(f"{what} must be an int64 {shape} table (class-major, padded)")
+
+
 def _worst_class_sum(leaves):
     """Largest per-class sum of each tree's largest |leaf| over a
     (classes, trees, 4) table: a bound on every class score."""
@@ -104,19 +128,9 @@ class Ensemble:
             raise ModelFormatError("ensemble needs at least one class")
         if k < 1 or k & (k - 1):
             raise ModelFormatError(f"trees per class must be a power of two, got {k}")
-        for name, width in (("features", 3), ("splits", 3), ("leaves", 4)):
-            table = getattr(self, name)
-            if not (isinstance(table, np.ndarray) and table.dtype == np.int64
-                    and table.shape == (s * k, width)):
-                raise ModelFormatError(
-                    f"ensemble {name} must be an int64 ({s * k}, {width}) table "
-                    "(class-major, padded)"
-                )
-        if self.features.min() < 0 or self.features.max() >= self.num_features:
-            raise ModelFormatError(
-                f"tree feature indices must lie in 0..{self.num_features - 1} "
-                f"(model has {self.num_features} features)"
-            )
+        _check_table(self.splits, "ensemble splits", (s * k, 3))
+        _check_table(self.leaves, "ensemble leaves", (s * k, 4))
+        check_feature_table(self.features, s * k, self.num_features)
         if not np.isin(self.splits, (0, 1)).all():
             raise ModelFormatError("tree split codes must lie in {0, 1}")
 

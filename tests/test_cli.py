@@ -395,6 +395,9 @@ def test_unreadable_manifest_exits_format(workspace, xgb_scores, tmp_path, conte
                      id="feature-equal-features"),
         pytest.param(lambda d: {"tree_features": [[0, 0]] + d["tree_features"][1:]},
                      id="tree-of-two-features"),
+        pytest.param(lambda d: {"features": 2**71,
+                                "tree_features": [[0, 2**70, 1]] + d["tree_features"][1:]},
+                     id="feature-beyond-int64"),
         pytest.param(lambda d: {"tree_features": d["tree_features"][:-1]}, id="tree-count"),
         pytest.param(lambda d: {"trees_per_class": 3, "tree_features": d["tree_features"][:9]},
                      id="trees_per_class-3"),

@@ -37,6 +37,8 @@ _non_ints = st.one_of(
 )
 _values = st.one_of(_ints, _non_ints)
 _trees = st.lists(st.lists(_values, min_size=2, max_size=4), max_size=10)
+# only in tree entries, so that a layout that loads keeps a small feature count
+_beyond_int64 = st.integers(2**63, 2**80)
 
 
 @st.composite
@@ -49,7 +51,7 @@ def layout_docs(draw):
     doc["tree_features"] = [list(t) for t in VALID_LAYOUT["tree_features"]]
     for tree in doc["tree_features"]:
         if draw(st.booleans()):
-            tree[draw(st.integers(0, 2))] = draw(_values)
+            tree[draw(st.integers(0, 2))] = draw(st.one_of(_values, _beyond_int64))
     for key in VALID_LAYOUT:
         if draw(st.booleans()):
             doc[key] = draw(st.one_of(_values, _trees) if key == "tree_features" else _values)
@@ -92,21 +94,26 @@ def _paths(value, path=()):
         yield from _paths(inner, path + (key,))
 
 
+# finite reals whose fixed-point form reaches int64 (leaves and weights
+# quantize at 2^20), either sign
+_large_reals = st.floats(2.0**40, 2.0**80).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
 @st.composite
-def model_docs(draw, kind):
+def model_docs(draw, kind, values=_values):
     """A valid model or manifest with one to three of its fields, list
-    entries or tree entries replaced by any value (the whole document being
-    one of them), and sometimes a field dropped."""
+    entries or tree entries replaced by any of ``values`` (the whole
+    document being one of them), and sometimes a field dropped."""
     doc = json.loads(json.dumps(VALID_MODELS[kind]))
     edits = draw(st.lists(st.sampled_from(list(_paths(doc))), min_size=1, max_size=3))
     for path in sorted(edits, key=len, reverse=True):  # inner edits before outer ones
         if not path:
-            return draw(_values)
+            return draw(values)
         *outer, last = path
         parent = doc
         for key in outer:
             parent = parent[key]
-        parent[last] = draw(_values)
+        parent[last] = draw(values)
     if draw(st.integers(0, 9)) == 0:
         del doc[draw(st.sampled_from(sorted(doc)))]
     return doc
@@ -165,12 +172,14 @@ def test_model_loaders_load_or_refuse(layout_path, kind, data):
     """With and without a plaintext modulus; an ensemble that loads also
     lays out and yields its model planes."""
     path = layout_path.with_name(f"{kind}.json")
-    path.write_text(json.dumps(data.draw(model_docs(kind))), encoding="utf-8")
+    doc = data.draw(model_docs(kind, st.one_of(_values, _large_reals)))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     for modulus in (T, None):
-        try:
-            model = (load_ensemble if kind == "ensemble" else load_svm)(path, modulus)
-            if kind == "ensemble":
-                ensemble_slot_streams(model, build_layout(model, 8))
+        try:  # a float that int64 cannot hold is refused, never cast
+            with np.errstate(over="raise", invalid="raise"):
+                model = (load_ensemble if kind == "ensemble" else load_svm)(path, modulus)
+                if kind == "ensemble":
+                    ensemble_slot_streams(model, build_layout(model, 8))
         except HedgerowError:
             pass
 

@@ -140,6 +140,25 @@ def test_seed1_wire_forms_are_pinned(tmp_path):
     )
 
 
+# SHA-256 of the rest of the seed-1 draw: the quantized SVM weights and
+# bias, then the dataset's samples and labels (dtype, shape and bytes each)
+PINNED_SEED1_DRAW_SHA256 = {
+    256: "27355f3a886b349e89bd0529b24a384541f004f061d4be4fde155f6abc795a90",
+    2048: "7f2597e67c2569baa15a6426091168793019d265e5a9ba29f32318a716284bbb",
+}
+
+
+@pytest.mark.parametrize("d", sorted(PINNED_SEED1_DRAW_SHA256))
+def test_seed1_synthetic_draw_is_pinned(d):
+    # the float scores behind the labels and the skeleton behind the SVM are
+    # summed in a fixed order: a reordered float sum moves these bytes
+    _, model, ds = gen_synthetic(seed=1, s=11, k=128, d=d, n_samples=1024)
+    digest = hashlib.sha256()
+    for array in (model.weights, model.bias, ds.samples, ds.labels):
+        digest.update(str(array.dtype).encode() + str(array.shape).encode() + array.tobytes())
+    assert digest.hexdigest() == PINNED_SEED1_DRAW_SHA256[d]
+
+
 def test_load_ensemble_rejects_bad_threshold(tmp_path):
     path = tmp_path / "ens.json"
     write_ensemble_json(path, 1, 1, [tree_doc([0, 0, 0], [0.3, 0.5, 0.5], [0, 0, 0, 0])])
@@ -192,6 +211,19 @@ def test_load_ensemble_refuses_feature_indices_beyond_int64(tmp_path, feat, feat
                         features=features)
     with pytest.raises(ModelFormatError):
         load_ensemble(path)
+
+
+@pytest.mark.parametrize("feat, features", [([0, 2**70, 1], 2**71), ([0, 2**63, 1], 2**64),
+                                            ([0, 1, 2], 2**63)])
+def test_load_layout_refuses_feature_indices_beyond_int64(tmp_path, feat, features):
+    # the ensemble's bound: every index and the feature count below 2^63
+    path = tmp_path / "layout.json"
+    save_layout(build_layout(_small_ensemble(s=1, k=1, d=4), 8), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc.update(features=features, tree_features=[feat])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFormatError):
+        load_layout(path)
 
 
 def test_ensemble_roundtrip_fixed_point(tmp_path, rng):
@@ -288,13 +320,15 @@ def test_layout_rejects_oversize_class():
 
 def test_layout_deterministic_and_roundtrips(tmp_path):
     ens = _small_ensemble(s=3, k=8, d=32)
-    a = build_layout(ens, 128)
-    b = build_layout(ens, 128)
-    assert a == b
-    p1, p2 = tmp_path / "l1.json", tmp_path / "l2.json"
-    save_layout(a, p1)
-    save_layout(load_layout(p1), p2)
+    p1, p2, p3 = tmp_path / "l1.json", tmp_path / "l2.json", tmp_path / "l3.json"
+    save_layout(build_layout(ens, 128), p1)
+    save_layout(build_layout(ens, 128), p2)
     assert p1.read_bytes() == p2.read_bytes()
+    loaded = load_layout(p1)
+    assert loaded.tree_features.dtype == np.int64
+    assert np.array_equal(loaded.tree_features, ens.features)
+    save_layout(loaded, p3)
+    assert p1.read_bytes() == p3.read_bytes()
 
 
 # ---------------------------------------------------------------------------

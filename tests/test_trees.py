@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hedgerow import ModelFormatError
+from hedgerow.compare import compare_clear, encode_feature
 from hedgerow.modelio import ensemble_scores_clear_batch
 from hedgerow.svm import check_aggregate_bound
 from hedgerow.trees import (
@@ -14,6 +15,7 @@ from hedgerow.trees import (
     class_sums,
     path_score_clear,
     predict_class,
+    route,
     route_leaf,
     transform_leaves,
     tree_score_clear,
@@ -96,6 +98,18 @@ def test_route_leaf_enumeration():
     for z in ALL_Z:
         leaves = (100, 200, 300, 400)
         assert leaves[route_leaf(z)] == brute_force_path_sum(z, leaves)
+
+
+def test_route_matches_the_scalar_oracles():
+    # every ternary node-value triple against every split-code triple, in
+    # one call over two leading axes
+    values = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+    splits = np.array(ALL_Z)
+    leaf = route(values[:, None, :], splits[None, :, :])
+    assert leaf.shape == (27, 8)
+    for (i, v), (j, y) in itertools.product(enumerate(values), enumerate(splits)):
+        z = [compare_clear(encode_feature(int(f)), int(b)) for f, b in zip(v, y)]
+        assert leaf[i, j] == route_leaf(z)
 
 
 def test_predict_class():
