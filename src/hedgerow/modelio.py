@@ -41,7 +41,10 @@ from .errors import ModelFormatError
 from .svm import SvmModel, check_aggregate_bound, quantize_model
 from .trees import Ensemble, check_feature_table, route, transform_leaves
 
+# The node streams, in the order of every plane table's stream axis, and
+# the one-hot planes a client uploads per stream (x1 is never needed).
 STREAMS = ("root", "left", "right")
+PLANES = ("x0", "x2")
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +388,12 @@ def load_layout(path) -> FeatureLayout:
 class ClientBundle:
     """Packed slot vectors for one sample: one-hot planes plus the SVM vector.
 
-    ``xgb_planes[block][stream]`` is the (x0, x2) pair of int64 slot vectors;
-    the x1 plane is never materialized (the comparison does not read it).
+    ``xgb_planes`` is an int64 (blocks, 3, 2, slot_count) table: ``[b, i]``
+    is the (x0, x2) pair of ``STREAMS[i]`` in block b.  The x1 plane is
+    never materialized (the comparison does not read it).
     """
 
-    xgb_planes: tuple  # per block: {stream: (x0_vec, x2_vec)}
+    xgb_planes: np.ndarray  # (blocks, 3, 2, N): per stream, the x0 and x2 planes
     svm_vector: np.ndarray
 
 
@@ -407,27 +411,21 @@ def pack_client_input(sample_raw, layout: FeatureLayout) -> ClientBundle:
 
     # a zero value sets neither plane, like a slot that holds no tree
     values = layout.scatter(ternary[layout.tree_features])
-    x0, x2 = (values == -1).astype(np.int64), (values == 1).astype(np.int64)
-    blocks = tuple(
-        {stream: (x0[b, i], x2[b, i]) for i, stream in enumerate(STREAMS)}
-        for b in range(layout.num_blocks)
-    )
+    planes = np.stack((values == -1, values == 1), axis=2).astype(np.int64)
     svm_vec = np.zeros(layout.slot_count, dtype=np.int64)
     svm_vec[: layout.svm_features] = ternary[: layout.svm_features]
-    return ClientBundle(blocks, svm_vec)
+    return ClientBundle(planes, svm_vec)
 
 
-def ensemble_slot_streams(ens: Ensemble, layout: FeatureLayout) -> list[dict]:
-    """Server-side model planes per block: split codes y and leaf streams l1..l4.
+def ensemble_slot_streams(ens: Ensemble, layout: FeatureLayout) -> np.ndarray:
+    """Server-side model planes: an int64 (blocks, 7, slot_count) table
+    whose rows are the split codes y of ``STREAMS`` (y_root, y_left,
+    y_right), then the leaf streams l1, l2, l3, l4.
 
     Slots beyond the last tree keep zero leaves, so whatever comparison bits
     land there contribute nothing to class sums.
     """
-    rows = np.column_stack((ens.splits, *transform_leaves(ens.leaves)))
-    return [
-        {"y": dict(zip(STREAMS, block[:3])), "l": list(block[3:])}
-        for block in layout.scatter(rows)
-    ]
+    return layout.scatter(np.column_stack((ens.splits, *transform_leaves(ens.leaves))))
 
 
 # ---------------------------------------------------------------------------

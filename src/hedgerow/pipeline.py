@@ -38,6 +38,7 @@ from .compare import compare_encrypted, compare_encrypted_model, split_plane
 from .errors import ModelFormatError
 from .metrics import accuracy, micro_auc
 from .modelio import (
+    PLANES,
     STREAMS,
     ClientBundle,
     FeatureLayout,
@@ -55,7 +56,7 @@ from .modelio import (
 from .params import HeParams, gen_params, load_params, save_params
 from .scheme import HeBackend, Prg, decrypt_scores, keygen
 from .svm import MAX_SCALE_BITS, encoded_planes, infer_encrypted
-from .trees import NodeStreams, class_sums, tree_scores_encrypted
+from .trees import class_sums, tree_scores_encrypted
 
 # mode -> (the preset ``run_bench`` runs it at, its ciphertext-ciphertext
 # multiplication depth).  A public split code makes the comparison affine, so
@@ -67,7 +68,6 @@ SECRET_FILE = "secret.key"
 PUBLIC_FILE = "public.key"
 EVAL_FILE = "eval.key"
 MANIFEST_FILE = "manifest.json"
-PLANES = ("x0", "x2")
 SCORE_FILE = "score_{:03d}.ct"
 # Integer fields of the manifests run_encrypt and run_infer write.
 BUNDLE_COUNTS = ("samples", "slot_count", "svm_features")
@@ -207,41 +207,40 @@ def load_keyset(keydir, need_secret: bool = False, forbid_secret: bool = False) 
 
 
 def encrypt_bundle(backend, pk, bundle: ClientBundle, seed) -> dict:
-    """Encrypt one packed sample: 6 stream ciphertexts per block + SVM vector."""
+    """Encrypt one packed sample: per block, {stream: (x0 ct, x2 ct)} for
+    each of ``STREAMS``, plus the SVM vector."""
     prg = Prg(seed)
-    blocks = []
-    for b, planes in enumerate(bundle.xgb_planes):
-        blocks.append({
+    blocks = [
+        {
             stream: tuple(
                 backend.encrypt(pk, backend.encode(x), prg.bytes(f"b{b}.{stream}.{p}", 32))
-                for p, x in zip(PLANES, planes[stream])
+                for p, x in zip(PLANES, pair)
             )
-            for stream in STREAMS
-        })
+            for stream, pair in zip(STREAMS, planes)
+        }
+        for b, planes in enumerate(bundle.xgb_planes)
+    ]
     svm_ct = backend.encrypt(pk, backend.encode(bundle.svm_vector), prg.bytes("svm.x", 32))
     return {"xgb": blocks, "svm": svm_ct}
 
 
-def model_plane_plaintexts(backend, planes: list[dict]) -> list[dict]:
-    """Encode the server model streams (split planes, leaf streams) per block."""
-    return [
-        {
-            "ybar": {s: backend.encode(split_plane(block["y"][s])) for s in STREAMS},
-            "l": [backend.encode(v) for v in block["l"]],
-        }
-        for block in planes
-    ]
+def model_plane_plaintexts(backend, planes: np.ndarray) -> list[list]:
+    """Encode an ``ensemble_slot_streams`` table: per block, a list of 7
+    plaintexts, the ``split_plane`` of y_root, y_left and y_right, then
+    l1, l2, l3, l4."""
+    return [[backend.encode(v) for v in (*split_plane(block[:3]), *block[3:])]
+            for block in planes]
 
 
-def encrypt_split_planes(backend, pk, planes: list[dict], seed) -> list[dict]:
-    """Encrypt only the split planes (the encrypted-model mode)."""
+def encrypt_split_planes(backend, pk, planes: np.ndarray, seed) -> list[list]:
+    """Encrypt only the split planes (the encrypted-model mode): per block,
+    the ``split_plane`` ciphertexts of ``STREAMS`` in order."""
     prg = Prg(seed)
     return [
-        {
-            s: backend.encrypt(pk, backend.encode(split_plane(block["y"][s])),
-                               prg.bytes(f"model.b{b}.{s}.y", 32))
-            for s in STREAMS
-        }
+        [
+            backend.encrypt(pk, backend.encode(ybar), prg.bytes(f"model.b{b}.{s}.y", 32))
+            for s, ybar in zip(STREAMS, split_plane(block[:3]))
+        ]
         for b, block in enumerate(planes)
     ]
 
@@ -249,30 +248,31 @@ def encrypt_split_planes(backend, pk, planes: list[dict], seed) -> list[dict]:
 def infer_xgb_sample(
     backend,
     bundle_blocks: list[dict],
-    model_plaintexts: list[dict],
+    model_plaintexts: list[list],
     layout: FeatureLayout,
     ek,
-    encrypted_split_blocks: list[dict] | None = None,
+    encrypted_split_blocks: list[list] | None = None,
 ) -> list:
     """Per-block encrypted class sums for one sample; nothing is encoded.
 
-    Comparisons read the model's ``split_plane``; with ``encrypted_split_blocks``
-    given, encrypted split planes (one ct-ct product per node stream) replace public ones.
+    ``bundle_blocks[b][stream]`` is the (x0, x2) ciphertext pair of a
+    stream, as ``encrypt_bundle`` returns it; ``model_plaintexts[b]`` is
+    ``model_plane_plaintexts``' list, whose first 3 entries the comparisons
+    read and whose last 4 are the leaf streams.  With
+    ``encrypted_split_blocks`` given, its 3 encrypted split planes per block
+    (one ct-ct product per node stream) replace the public ones.
     """
+    classes_in_block = layout.trees_per_block // layout.trees_per_class
     out = []
     for b, enc in enumerate(bundle_blocks):
         planes = model_plaintexts[b]
         compare, ybars = (
-            (compare_encrypted, planes["ybar"]) if encrypted_split_blocks is None
+            (compare_encrypted, planes[:3]) if encrypted_split_blocks is None
             else (compare_encrypted_model, encrypted_split_blocks[b])
         )
-        zs = {s: compare(backend, *enc[s], ybars[s], ek) for s in STREAMS}
-        streams = NodeStreams(zs["root"], zs["left"], zs["right"])
-        scores = tree_scores_encrypted(backend, streams, planes["l"], ek)
-        classes_in_block = layout.trees_per_block // layout.trees_per_class
-        out.append(
-            class_sums(backend, scores, layout.trees_per_class, classes_in_block, ek)
-        )
+        zs = [compare(backend, *enc[s], ybar, ek) for s, ybar in zip(STREAMS, ybars)]
+        scores = tree_scores_encrypted(backend, zs, planes[3:], ek)
+        out.append(class_sums(backend, scores, layout.trees_per_class, classes_in_block, ek))
     return out
 
 
@@ -414,7 +414,7 @@ def server_model(mode, model_path, backend, keyset: KeySet, bundles: dict, seed)
 
     def evaluate(cts: dict) -> list:
         blocks = [
-            {s: (cts[b, s, "x0"], cts[b, s, "x2"]) for s in STREAMS}
+            {s: tuple(cts[b, s, p] for p in PLANES) for s in STREAMS}
             for b in range(layout.num_blocks)
         ]
         return infer_xgb_sample(backend, blocks, plane_pts, layout, ek, enc_split)

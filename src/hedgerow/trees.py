@@ -169,27 +169,21 @@ class Ensemble:
         return int(_worst_class_sum(self.leaves.reshape(s, k, 4)))
 
 
-@dataclass(frozen=True)
-class NodeStreams:
-    """Aligned per-tree comparison streams: slot t of each refers to tree t."""
-
-    root: object
-    left: object
-    right: object
-
-
-def tree_scores_encrypted(backend, zs: NodeStreams, l_streams, ek):
+def tree_scores_encrypted(backend, zs, l_streams, ek):
     """Slot-wise tree scores with public leaf streams.
 
-    ``l_streams`` holds four packed plaintexts carrying tree t's l1..l4 at
-    slot t.  Evaluates the factored form z1*(z2*l1 + z3*l3 + l2) - z3*l3 + l4:
-    r = z3*l3 is computed once and used twice, and the single ``mul_ct``
-    (z1 times the bracket) consumes the one multiplicative level.
+    ``zs`` holds the comparison-bit ciphertexts z1, z2, z3 of the root, left
+    and right streams, and ``l_streams`` four packed plaintexts l1..l4; slot
+    t of each refers to tree t.  Evaluates the factored form
+    z1*(z2*l1 + z3*l3 + l2) - z3*l3 + l4: r = z3*l3 is computed once and
+    used twice, and the single ``mul_ct`` (z1 times the bracket) consumes
+    the one multiplicative level.
     """
+    z1, z2, z3 = zs
     l1, l2, l3, l4 = l_streams
-    r = backend.mul_pt(zs.right, l3)
-    u = backend.add_pt(backend.add_ct(backend.mul_pt(zs.left, l1), r), l2)
-    return backend.add_pt(backend.sub_ct(backend.mul_ct(zs.root, u, ek), r), l4)
+    r = backend.mul_pt(z3, l3)
+    u = backend.add_pt(backend.add_ct(backend.mul_pt(z2, l1), r), l2)
+    return backend.add_pt(backend.sub_ct(backend.mul_ct(z1, u, ek), r), l4)
 
 
 def class_sums(backend, scores, trees_per_class: int, num_classes: int, ek):

@@ -127,8 +127,7 @@ def test_seed1_wire_forms_are_pinned(tmp_path):
     layout = build_layout(ens, 2048)
     assert layout.tree_digest == PINNED_SEED1_TREE_DIGEST
     planes = hashlib.sha256()
-    for vector in (v for block in ensemble_slot_streams(ens, layout)
-                   for v in (*(block["y"][s] for s in STREAMS), *block["l"])):
+    for vector in ensemble_slot_streams(ens, layout).reshape(-1, layout.slot_count):
         planes.update(str(vector.dtype).encode() + vector.tobytes())
     assert planes.hexdigest() == PINNED_SEED1_PLANES_SHA256
     assert same_ensemble(load_ensemble(tmp_path / "xgb.json"), ens)
@@ -340,10 +339,8 @@ def test_pack_all_zero_sample(rng):
     ens = _small_ensemble(s=2, k=4, d=16)
     layout = build_layout(ens, 64)
     bundle = pack_client_input(np.zeros(16, dtype=np.int64), layout)
-    for block in bundle.xgb_planes:
-        for stream in ("root", "left", "right"):
-            x0, x2 = block[stream]
-            assert not x0.any() and not x2.any()
+    assert bundle.xgb_planes.shape == (layout.num_blocks, 3, 2, 64)
+    assert bundle.xgb_planes.dtype == np.int64 and not bundle.xgb_planes.any()
     assert not bundle.svm_vector.any()
 
 
@@ -352,7 +349,7 @@ def test_pack_all_deletion_sample():
     layout = build_layout(ens, 64)
     bundle = pack_client_input(np.full(16, -1, dtype=np.int64), layout)
     for block, stream, slot, _ in layout.entries:
-        x0, x2 = bundle.xgb_planes[block][stream]
+        x0, x2 = bundle.xgb_planes[block, STREAMS.index(stream)]
         assert x0[slot] == 1 and x2[slot] == 0
     assert (bundle.svm_vector[:16] == -1).all()
 
@@ -364,7 +361,7 @@ def test_pack_unpack_recovers_one_hot_codes(rng):
     bundle = pack_client_input(raw, layout)
     ternary = normalize_samples(raw)
     for block, stream, slot, feature in layout.entries:
-        x0, x2 = bundle.xgb_planes[block][stream]
+        x0, x2 = bundle.xgb_planes[block, STREAMS.index(stream)]
         code = encode_feature(int(ternary[feature]))
         assert x0[slot] == code.x0
         assert x2[slot] == code.x2
@@ -383,12 +380,14 @@ def test_slot_streams_hold_split_codes_and_leaves():
     planes = ensemble_slot_streams(ens, layout)
     from hedgerow.trees import transform_leaves
 
-    assert planes[0]["y"]["left"][3] == ens.splits[3, 1]
+    assert planes.shape == (layout.num_blocks, 7, 64) and planes.dtype == np.int64
+    # rows: y_root, y_left, y_right, l1, l2, l3, l4
+    assert planes[0, 1, 3] == ens.splits[3, 1]
     tl = transform_leaves(ens.leaves[3])
-    assert planes[0]["l"][0][3] == tl.l1
-    assert planes[0]["l"][3][3] == tl.l4
+    assert planes[0, 3, 3] == tl.l1
+    assert planes[0, 6, 3] == tl.l4
     # slots past the last tree stay zero-leaf
-    assert planes[-1]["l"][3][ens.num_classes * ens.trees_per_class :].sum() == 0
+    assert planes[-1, 6, ens.num_classes * ens.trees_per_class :].sum() == 0
 
 
 # 2- and 3-block spills: (classes, trees per class, slots)
@@ -422,19 +421,19 @@ def test_every_node_plane_on_a_spill(s, k, slots, rng):
     held = set()
     for node, (block, stream, slot, feature) in enumerate(layout.entries):
         code = encode_feature(int(ternary[feature]))
-        x0, x2 = bundle.xgb_planes[block][stream]
+        i = STREAMS.index(stream)
+        x0, x2 = bundle.xgb_planes[block, i]
         assert (x0[slot], x2[slot]) == (code.x0, code.x2)
         g = node // 3  # entries list each tree's three nodes in turn
-        assert planes[block]["y"][stream][slot] == ens.splits[g, STREAMS.index(stream)]
+        assert planes[block, i, slot] == ens.splits[g, i]
         tl = transform_leaves(ens.leaves[g])
-        assert [v[slot] for v in planes[block]["l"]] == [tl.l1, tl.l2, tl.l3, tl.l4]
+        assert planes[block, 3:, slot].tolist() == [tl.l1, tl.l2, tl.l3, tl.l4]
         held.add((block, slot))
     assert len(held) < layout.num_blocks * slots  # the last block has empty slots
     for block in range(layout.num_blocks):
         empty = [sl for sl in range(slots) if (block, sl) not in held]
-        vectors = [v for pair in bundle.xgb_planes[block].values() for v in pair]
-        vectors += [*planes[block]["y"].values(), *planes[block]["l"]]
-        assert not any(v[empty].any() for v in vectors)
+        assert not bundle.xgb_planes[block][..., empty].any()
+        assert not planes[block][:, empty].any()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Pipeline-level properties: bench determinism, comp scaling, reports."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -14,7 +15,7 @@ from hedgerow.modelio import (
     normalize_samples,
     pack_client_input,
 )
-from hedgerow import pipeline
+from hedgerow import pipeline, serial
 from hedgerow.pipeline import (
     EvalReport,
     TimingReport,
@@ -25,6 +26,7 @@ from hedgerow.pipeline import (
     model_plane_plaintexts,
     run_bench,
 )
+from hedgerow.svm import infer_encrypted
 
 
 def test_timing_report_invariants():
@@ -119,6 +121,33 @@ def test_xgb_block_cost_contract(encrypted_model, mul_ct, mul_pt, params256, cle
     assert counting.ops.get("rotate") == 3  # log2(8)
     assert counting.ops.get("encode") == 0
     assert counting.ops.get("sub_pt") == 0
+    # and every addition: (add_ct, sub_ct, add_pt)
+    adds = (10, 4, 2) if encrypted_model else (7, 4, 5)
+    assert tuple(map(counting.ops.get, ("add_ct", "sub_ct", "add_pt"))) == adds
+
+
+# SHA-256 over the serialized output ciphertexts of test_server_outputs_are_pinned;
+# a change that alters these bytes on purpose updates the digest and says why
+PINNED_OUTPUTS_SHA256 = "b704a244c239893dde27c85404ec98eefe750e059ea7a0490a42eefabb90a2b0"
+
+
+def test_server_outputs_are_pinned(he256, keys256):
+    # both tree modes on a 1-block (2 x 4) and a 2-block (3 x 128) ensemble,
+    # then the SVM: a circuit that reorders its ops changes these bytes
+    _, pk, ek = keys256
+    outputs = []
+    for s, k in ((2, 4), (3, 128)):
+        ens, model, ds = gen_synthetic(seed=9, s=s, k=k, d=32, n_samples=1)
+        layout = build_layout(ens, he256.params.slot_count)
+        planes = ensemble_slot_streams(ens, layout)
+        pts = model_plane_plaintexts(he256, planes)
+        cts = encrypt_bundle(he256, pk, pack_client_input(ds.samples[0], layout), seed=s)
+        for enc_split in (None, encrypt_split_planes(he256, pk, planes, seed=k)):
+            outputs += infer_xgb_sample(he256, cts["xgb"], pts, layout, ek, enc_split)
+    assert len(outputs) == 6
+    outputs += infer_encrypted(he256, cts["svm"], model, ek)
+    digest = hashlib.sha256(b"".join(map(serial.serialize_ciphertext, outputs)))
+    assert digest.hexdigest() == PINNED_OUTPUTS_SHA256
 
 
 def test_clear_backend_runs_full_program(params256, clear256, clear_keys256):

@@ -11,7 +11,6 @@ from hedgerow.modelio import ensemble_scores_clear_batch
 from hedgerow.svm import check_aggregate_bound
 from hedgerow.trees import (
     Ensemble,
-    NodeStreams,
     class_sums,
     path_score_clear,
     predict_class,
@@ -162,8 +161,7 @@ def test_ensemble_scores_clear_single_tree():
 
 
 def _encrypt_streams(backend, pk, z_vectors, seed):
-    zc = [backend.encrypt(pk, backend.encode(z), seed + i) for i, z in enumerate(z_vectors)]
-    return NodeStreams(*zc)
+    return [backend.encrypt(pk, backend.encode(z), seed + i) for i, z in enumerate(z_vectors)]
 
 
 def _l_vectors(n, tl_list):
@@ -210,7 +208,7 @@ def test_tree_scores_encrypted_level_consumption(he256, keys256, rng):
     )
     ls = [he256.encode(np.zeros(n, dtype=np.int64)) for _ in range(4)]
     out = tree_scores_encrypted(he256, zs, ls, ek)
-    assert out.level == zs.root.level - 1
+    assert out.level == zs[0].level - 1
 
 
 @pytest.mark.parametrize("backend_name, keys_name", [("he256", "keys256"),
@@ -237,11 +235,11 @@ def test_tree_scores_encrypted_all_patterns_extreme_leaves(request, backend_name
     if deep:
         # as in the encrypted-model path, z arrives one product below fresh
         ones = backend.encrypt(pk, backend.encode(np.ones(n, dtype=np.int64)), seed=710)
-        zs = NodeStreams(*(backend.mul_ct(z, ones, ek) for z in (zs.root, zs.left, zs.right)))
-        assert zs.root.level == backend.params.depth_budget - 1
+        zs = [backend.mul_ct(z, ones, ek) for z in zs]
+        assert zs[0].level == backend.params.depth_budget - 1
     ls = [backend.encode(v) for v in _l_vectors(n, [transform_leaves(c) for c in leaves])]
     out_ct = tree_scores_encrypted(backend, zs, ls, ek)
-    assert out_ct.level == zs.root.level - 1
+    assert out_ct.level == zs[0].level - 1
     out = backend.decode(backend.decrypt(sk, out_ct))
     for slot in range(n):
         assert int(out[slot]) == brute_force_path_sum(zs_clear[slot], leaves[slot]) % t
