@@ -88,11 +88,6 @@ def compare_clear(code: FeatureCode, y: int) -> int:
     return (1 - code.x0) * (code.x2 * (y - 1) - y) + 1
 
 
-def compare_boolean(code: FeatureCode, y: int) -> int:
-    """Boolean form of the same test: not x2 and (not y or x0)."""
-    return int((not code.x2) and ((not y) or code.x0))
-
-
 def split_plane(y):
     """The model plane the encrypted comparisons read: ybar = 1 - y per slot."""
     return 1 - y

@@ -546,11 +546,3 @@ def _linear_skeleton(d: int, k: int, feats, splits, leaves):
     cells = np.nonzero(held)[0] // k * d + ordered[new]
     weights = np.bincount(cells, effects[held], minlength=trees // k * d).reshape(-1, d)
     return weights, np.bincount(np.arange(trees) // k, means)
-
-
-def ensemble_agreement(ens: Ensemble, ds: Dataset) -> float:
-    """Fraction of samples where the quantized ensemble's argmax matches labels."""
-    if ds.labels is None:
-        raise ModelFormatError("dataset carries no labels")
-    scores = ensemble_scores_clear_batch(ens, normalize_samples(ds.samples))
-    return float(np.mean(np.argmax(scores, axis=1) == ds.labels))

@@ -52,30 +52,10 @@ def transform_leaves(leaves) -> TransformedLeaves:
     return TransformedLeaves(c1 - c2, c2 - c4, c4 - c3, c4)
 
 
-def path_score_clear(z, leaves) -> int:
-    """Sum of the four path terms; exactly one is active for bit-valued z."""
-    z1, z2, z3 = z
-    c1, c2, c3, c4 = (int(c) for c in leaves)
-    return (
-        z1 * z2 * c1
-        + z1 * (1 - z2) * c2
-        + (1 - z1) * z3 * c3
-        + (1 - z1) * (1 - z3) * c4
-    )
-
-
 def tree_score_clear(z, tl: TransformedLeaves) -> int:
     """The simplified score polynomial on comparison bits."""
     z1, z2, z3 = z
     return (z1 - 1) * tl.l3 * z3 + (z2 * tl.l1 + tl.l2) * z1 + tl.l4
-
-
-def route_leaf(z) -> int:
-    """Index (0-based) of the leaf selected by the comparison bits."""
-    z1, z2, z3 = z
-    if z1:
-        return 0 if z2 else 1
-    return 2 if z3 else 3
 
 
 def route(values, splits) -> np.ndarray:
@@ -201,11 +181,3 @@ def class_sums(backend, scores, trees_per_class: int, num_classes: int, ek):
             "evaluate per block and combine"
         )
     return backend.sum_slots(scores, k, ek)
-
-
-def predict_class(class_scores) -> int:
-    """Argmax class index; ties break toward the lowest index."""
-    arr = np.asarray(class_scores)
-    if arr.size == 0:
-        raise ModelFormatError("cannot predict from an empty score vector")
-    return int(np.argmax(arr))

@@ -1,0 +1,51 @@
+"""Clear oracles that only the tests read: the boolean comparison, the
+path-sum and routing forms of a tree's score, argmax prediction and the
+synthetic ensemble's label agreement."""
+
+import numpy as np
+
+from hedgerow import ModelFormatError
+from hedgerow.compare import FeatureCode
+from hedgerow.modelio import Dataset, ensemble_scores_clear_batch, normalize_samples
+from hedgerow.trees import Ensemble
+
+
+def compare_boolean(code: FeatureCode, y: int) -> int:
+    """Boolean form of ``compare_clear``: not x2 and (not y or x0)."""
+    return int((not code.x2) and ((not y) or code.x0))
+
+
+def path_score_clear(z, leaves) -> int:
+    """Sum of the four path terms; exactly one is active for bit-valued z."""
+    z1, z2, z3 = z
+    c1, c2, c3, c4 = (int(c) for c in leaves)
+    return (
+        z1 * z2 * c1
+        + z1 * (1 - z2) * c2
+        + (1 - z1) * z3 * c3
+        + (1 - z1) * (1 - z3) * c4
+    )
+
+
+def route_leaf(z) -> int:
+    """Index (0-based) of the leaf selected by the comparison bits."""
+    z1, z2, z3 = z
+    if z1:
+        return 0 if z2 else 1
+    return 2 if z3 else 3
+
+
+def predict_class(class_scores) -> int:
+    """Argmax class index; ties break toward the lowest index."""
+    arr = np.asarray(class_scores)
+    if arr.size == 0:
+        raise ModelFormatError("cannot predict from an empty score vector")
+    return int(np.argmax(arr))
+
+
+def ensemble_agreement(ens: Ensemble, ds: Dataset) -> float:
+    """Fraction of samples where the quantized ensemble's argmax matches labels."""
+    if ds.labels is None:
+        raise ModelFormatError("dataset carries no labels")
+    scores = ensemble_scores_clear_batch(ens, normalize_samples(ds.samples))
+    return float(np.mean(np.argmax(scores, axis=1) == ds.labels))

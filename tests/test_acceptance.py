@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hedgerow import ClearBackend, CountingBackend, HeBackend, gen_params, make_test_params
-from hedgerow.compare import compare_boolean, compare_clear, encode_feature, encode_split
+from hedgerow.compare import compare_clear, encode_feature, encode_split
 from hedgerow.metrics import micro_auc
 from hedgerow.modelio import (
     build_layout,
@@ -37,6 +37,8 @@ from hedgerow.pipeline import (
 from hedgerow.modelio import ensemble_slot_streams
 from hedgerow.svm import confidence_integers, infer_encrypted, quantize_model, svm_scores_clear
 from hedgerow.trees import transform_leaves, tree_score_clear
+
+from oracles import compare_boolean
 
 SEED = 2026
 
@@ -239,7 +241,7 @@ def test_criterion_6_svm_end_to_end():
         he.ops.reset()
         outs = infer_encrypted(he, ct, model, ek)
         assert he.ops.get("mul_pt") == 16  # g = next_pow2(11) planes
-        assert he.ops.get("rotate") == 22  # 15 in the tree + the fold 1024..16
+        assert he.ops.get("rotate") == 13  # b = 4: 3 baby, 3 giant, the fold 1024..16
         assert he.ops.get("add_pt") == 1
         assert he.ops.get("mul_ct") == 0
         got = confidence_integers(he, sk, outs, model)
@@ -249,7 +251,7 @@ def test_criterion_6_svm_end_to_end():
     assert elapsed < 120.0
     _report(
         6,
-        f"d=2048 s=11, {n_samples} samples exact; per sample 16 mul_pt + 22 rot + "
+        f"d=2048 s=11, {n_samples} samples exact; per sample 16 mul_pt + 13 rot + "
         f"1 add_pt, 1 output ({elapsed:.1f}s)",
     )
 

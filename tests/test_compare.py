@@ -6,7 +6,6 @@ import pytest
 from hedgerow import ModelFormatError
 from hedgerow.compare import (
     FeatureCode,
-    compare_boolean,
     compare_clear,
     compare_encrypted,
     compare_encrypted_model,
@@ -15,6 +14,8 @@ from hedgerow.compare import (
     normalize_copy_number,
     split_plane,
 )
+
+from oracles import compare_boolean
 
 FEATURE_VALUES = (-1, 0, 1)
 THRESHOLDS = (-0.5, 0.5)

@@ -11,7 +11,6 @@ from hedgerow.modelio import (
     STREAMS,
     Dataset,
     build_layout,
-    ensemble_agreement,
     ensemble_scores_clear_batch,
     ensemble_slot_streams,
     gen_synthetic,
@@ -34,6 +33,8 @@ from hedgerow.pipeline import (
     infer_xgb_sample,
     model_plane_plaintexts,
 )
+
+from oracles import ensemble_agreement
 
 
 def write_ensemble_json(path, classes, k, trees, scale_bits=20, features=None):

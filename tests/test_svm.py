@@ -14,7 +14,8 @@ from hedgerow.svm import (
     quantize_model,
     svm_scores_clear,
 )
-from hedgerow.trees import predict_class
+
+from oracles import predict_class
 
 
 def random_model(rng, s=3, d=40, scale_bits=20):
@@ -149,13 +150,76 @@ def test_cost_contract_counts(params256, clear_keys256, rng):
     ct = counting.encrypt(cpk, counting.encode(x), None)
     counting.ops.reset()
     infer_encrypted(counting, ct, model, cek)
-    # g = 4 planes; rotation tree 1, 2, 1 (3) plus the row fold 64..4 (5)
+    # g = 4 planes, b = 2: one baby step by 1, one giant step by 2, plus
+    # the row fold 64..4 (5)
     assert counting.ops.get("mul_pt") == 4
-    assert counting.ops.get("rotate") == 8
+    assert counting.ops.get("rotate") == 7
     assert counting.ops.get("add_ct") == 8
     assert counting.ops.get("add_pt") == 1
     assert counting.ops.get("mul_ct") == 0
     assert counting.ops.get("swap_rows") == 0
+
+
+@pytest.mark.parametrize("d", [100, 200], ids=["one-row", "swap-path"])
+@pytest.mark.parametrize("g", [1, 2, 4, 8, 16, 32, 128])
+def test_rotations_are_baby_giant_and_fold_steps(params256, clear_keys256, rng, g, d):
+    counting = CountingBackend(ClearBackend(params256))
+    _, cpk, cek = clear_keys256
+    model, _, _ = random_model(rng, s=g // 2 + 1, d=d)
+    ct = counting.encrypt(cpk, counting.encode(_pack_x(counting, rng.integers(-1, 2, d))), None)
+    counting.ops.reset()
+    infer_encrypted(counting, ct, model, cek)
+    row = params256.rotation_group_size
+    b = 1 << int(np.log2(g)) // 2
+    fold = sum(1 for step in fold_steps(row) if step >= g)
+    assert counting.ops.get("rotate") == (b - 1) + (g // b - 1) + fold
+    assert counting.ops.get("swap_rows") == int(d > row)
+    assert counting.ops.get("mul_pt") == g
+
+
+def diagonal_product_slots(model, v, row, t):
+    """Every slot of the plain diagonal product, from the unrotated planes:
+    sum_k rot(v * plane_k, k), folded by the steps >= g within each row,
+    plus the other row when d > row, plus the bias at the class slots."""
+    n = len(v)
+    g = 1 << (model.num_classes - 1).bit_length()
+    w = np.zeros((g, n), dtype=np.int64)
+    w[: model.num_classes, : model.num_features] = model.weights
+
+    def rot(u, k):
+        return np.roll(u.reshape(2, row), -k, axis=1).reshape(-1)
+
+    cols = np.arange(n)
+    z = sum(rot(v * w[(cols - k) % g, cols], k) for k in range(g))
+    step = g
+    while step < row:
+        z = z + rot(z, step)
+        step *= 2
+    if model.num_features > row:
+        z = z + z.reshape(2, row)[::-1].reshape(-1)
+    z[: model.num_classes] += model.bias
+    return (z % t).astype(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "d, s",
+    [(200, 5), (100, 128), (256, 11), (40, 1)],
+    ids=["swap-path", "row-of-classes", "full-ring", "one-class"],
+)
+def test_every_output_slot_matches_the_plain_diagonal_product(
+    he256, keys256, clear256, clear_keys256, rng, d, s
+):
+    # the inputs hold ternary values beyond slot d too: the pre-rotated
+    # planes must cancel them and leave every non-class slot as before
+    params = he256.params
+    model, _, _ = random_model(rng, s=s, d=d)
+    v = rng.integers(-1, 2, params.slot_count)
+    expect = diagonal_product_slots(model, v, params.rotation_group_size, params.plaintext_modulus)
+    for backend, (sk, pk, ek) in ((he256, keys256), (clear256, clear_keys256)):
+        (out,) = infer_encrypted(backend, backend.encrypt(pk, backend.encode(v), 7), model, ek)
+        assert np.array_equal(backend.decode(backend.decrypt(sk, out)), expect)
+        assert np.array_equal(confidence_integers(backend, sk, [out], model), svm_scores_clear(model, v[:d]))
+        assert backend.noise_budget(sk, out) >= 10
 
 
 @pytest.mark.parametrize(

@@ -12,14 +12,13 @@ from hedgerow.svm import check_aggregate_bound
 from hedgerow.trees import (
     Ensemble,
     class_sums,
-    path_score_clear,
-    predict_class,
     route,
-    route_leaf,
     transform_leaves,
     tree_score_clear,
     tree_scores_encrypted,
 )
+
+from oracles import path_score_clear, predict_class, route_leaf
 
 ALL_Z = list(itertools.product((0, 1), repeat=3))
 
