@@ -135,24 +135,10 @@ class CountingBackend:
     """Backend wrapper tallying primitive-operation calls.
 
     It takes only ``sum_slots`` from :class:`Backend`, so the rotations and
-    additions inside it are counted like any direct call; any other op is
-    passed through to the inner backend and counted once, as itself.
+    additions inside it are counted like any direct call; every other public
+    method of the inner backend, including one added later, is passed through
+    and counted once, as itself.
     """
-
-    _COUNTED = (
-        "encode",
-        "encrypt",
-        "decrypt",
-        "add_ct",
-        "sub_ct",
-        "negate",
-        "add_pt",
-        "sub_pt",
-        "mul_pt",
-        "mul_ct",
-        "rotate",
-        "swap_rows",
-    )
 
     sum_slots = Backend.sum_slots
 
@@ -162,12 +148,12 @@ class CountingBackend:
         self.ops = OpCounts()
 
     def __getattr__(self, name):
-        if name in self._COUNTED:
-            target = getattr(self.inner, name)
+        target = getattr(self.inner, name)
+        if name.startswith("_") or not callable(target):
+            return target
 
-            def counted(*args, **kwargs):
-                self.ops.bump(name)
-                return target(*args, **kwargs)
+        def counted(*args, **kwargs):
+            self.ops.bump(name)
+            return target(*args, **kwargs)
 
-            return counted
-        return getattr(self.inner, name)
+        return counted

@@ -78,7 +78,7 @@ def test_bad_magic_and_version(setup, params64):
     wrong_magic = b"NOPE" + bytes(blob[4:])
     with pytest.raises(SerializationError):
         serial.deserialize_ciphertext(wrong_magic, params64)
-    for version in (99, 3):  # 3 held coefficient-form ciphertext limbs
+    for version in (99, 3, 4):  # 3 held coefficient-form limbs, 4 a part count
         blob[4] = version
         with pytest.raises(SerializationError):
             serial.deserialize_ciphertext(bytes(blob), params64)
@@ -110,18 +110,17 @@ def test_limb_above_its_prime_raises(setup, params64):
 def test_level_above_depth_budget_raises(setup, params64):
     *_, ct = setup
     blob = bytearray(serial.serialize_ciphertext(ct))
-    blob[46:54] = (99).to_bytes(8, "little")  # header (38) + part count (8)
+    blob[38:46] = (99).to_bytes(8, "little")  # the level, right after the header
     with pytest.raises(SerializationError):
         serial.deserialize_ciphertext(bytes(blob), params64)
 
 
 def test_three_part_ciphertext_raises(setup, params64):
     *_, ct = setup
-    blob = bytearray(serial.serialize_ciphertext(ct))
-    blob[38:46] = (3).to_bytes(8, "little")  # part count, after the header
+    blob = serial.serialize_ciphertext(ct)
     blob += blob[-len(ct.parts[1].tobytes()):]  # a third part, limbs in range
     with pytest.raises(SerializationError):
-        serial.deserialize_ciphertext(bytes(blob), params64)
+        serial.deserialize_ciphertext(blob, params64)
 
 
 @pytest.mark.parametrize(
@@ -132,10 +131,8 @@ def test_three_part_ciphertext_raises(setup, params64):
 def test_bad_galois_entry_raises(setup, params64, entry, value):
     *_, ek, _, _ = setup
     blob = serial.serialize_eval_keys(ek)
-    rows = len(get_ring(params64).qp_primes)
-    ksk_bytes = 2 * rows * params64.ring_degree * 8  # two (K+L, N) polys mod qP
-    first = 38 + ksk_bytes + 8  # header, relin key, entry count
-    offset = first + (len(ek.galois) if entry == "swap" else entry) * (8 + ksk_bytes)
+    # header (38) and G; step i at 46 + 8i, the flag after the G steps
+    offset = 46 + 8 * (len(ek.galois) if entry == "swap" else entry)
     expected = 1 if entry == "swap" else sorted(ek.galois)[entry]  # steps 1..16; N/2 = 32
     assert int.from_bytes(blob[offset:offset + 8], "little") == expected
     bad = blob[:offset] + value.to_bytes(8, "little") + blob[offset + 8:]
@@ -161,8 +158,9 @@ def test_special_prime_rows_check_their_own_prime(setup, params64):
     high, low = 0, len(ring.p_primes) - 1  # special primes run largest first
 
     def with_limb(j, value):
-        # the relin key's b poly follows the header; its row K + j is mod p_j
-        offset = 38 + (ring.k + j) * ring.n * 8
+        # the relin key's b poly follows the header and the 2 + G words; its
+        # row K + j is mod p_j
+        offset = 38 + 8 * (2 + len(ek.galois)) + (ring.k + j) * ring.n * 8
         assert int.from_bytes(blob[offset:offset + 8], "little") == ek.relin[0][ring.k + j, 0]
         return blob[:offset] + value.to_bytes(8, "little") + blob[offset + 8:]
 
