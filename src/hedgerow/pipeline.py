@@ -35,7 +35,7 @@ import numpy as np
 
 from . import serial
 from .compare import compare_encrypted, compare_encrypted_model, split_plane
-from .errors import ModelFormatError
+from .errors import FingerprintMismatchError, ModelFormatError, SerializationError
 from .metrics import accuracy, micro_auc
 from .modelio import (
     PLANES,
@@ -145,9 +145,17 @@ def format_bench_table(rows: list[tuple[str, TimingReport, float]]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _read_container(path: Path, load, params: HeParams):
+    """``load`` of the container at ``path``; a refusal names the file."""
+    try:
+        return load(path.read_bytes(), params)
+    except (SerializationError, FingerprintMismatchError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _key_file(name: str, load):
     """A KeySet attribute read from the container ``name`` on first use."""
-    return cached_property(lambda keys: load((keys.keydir / name).read_bytes(), keys.params))
+    return cached_property(lambda keys: _read_container(keys.keydir / name, load, keys.params))
 
 
 class KeySet:
@@ -372,7 +380,7 @@ def run_encrypt(layout: FeatureLayout, dataset, keyset: KeySet, seed, outdir) ->
 
 
 def _read_ct(path: Path, params: HeParams):
-    return serial.deserialize_ciphertext(path.read_bytes(), params)
+    return _read_container(path, serial.deserialize_ciphertext, params)
 
 
 class ServerModel(NamedTuple):

@@ -24,10 +24,18 @@ A :class:`RingContext` owns, for one parameter set:
   big integers for decryption's noise only.  Like the plan, a table serves
   every prefix of its primes: ``garner`` (the tensor basis) lifts from q,
   ``garner_aux`` (the primes beyond q) from P and back to q from them all.
+  Conversion is exact without big integers: every sum of products is one
+  float64 matrix product over the 16-bit halves of a residue table.  A
+  digit is below 2^31 and a half below 2^16, so each term is below 2^47,
+  and a basis of at most 64 primes keeps every partial sum an exact integer
+  below 2^53 on any BLAS.  A params set whose tensor basis needs more
+  primes is refused.
 
-Everything is built with the context, which holds no lock and no cache: an
-automorphism's index map is recomputed per call (microseconds, against
-milliseconds for the keyswitch that follows it).
+Everything is built with the context, the four conversion tables (q -> P,
+q -> extension, P -> q, extension -> q) included, and threads share it
+read-only: it holds no lock and no cache.  An automorphism's index map is
+recomputed per call (microseconds, against milliseconds for the keyswitch
+that follows it).
 """
 
 from __future__ import annotations
@@ -42,52 +50,110 @@ from .ntt import MODULUS_BITS, NttPlan, add_mod, mul_mod, ntt_primes, power_tabl
 from .params import HeParams
 
 
+def _column(values) -> np.ndarray:
+    """One uint64 per row of a residue array, as a (R, 1) column."""
+    return np.array(list(values), dtype=np.uint64).reshape(-1, 1)
+
+
+#: the most primes a basis may hold: 64 float64 terms below 2^47 keep every
+#: partial sum an exact integer below 2^53 (see GarnerBasis)
+MAX_BASIS_PRIMES = 64
+
+
+def _halves(table: np.ndarray) -> np.ndarray:
+    """A (L, R) table of residues below 2^31 as its 16-bit high halves
+    stacked above its low halves: a (2L, R) float64 matrix."""
+    return np.concatenate((table >> 16, table & 0xFFFF)).astype(np.float64)
+
+
+def _combine(sums: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """(hi mod m) * 2^16 + lo for the float64 product of a ``_halves``
+    table: a uint64 below 2^54, congruent to the full sum mod m."""
+    hi, lo = np.split(sums.astype(np.uint64), 2)
+    np.remainder(hi, moduli, out=hi)
+    hi <<= np.uint64(16)
+    hi += lo
+    return hi
+
+
 class GarnerBasis:
     """Mixed-radix conversion of the first R rows of an RNS prime basis (row
     i's tables depend on primes[:i+1] only).  Values are centred in [-h, h],
     h = (Q_R - 1)/2 for the odd product Q_R, by converting x + h and then
-    subtracting h: no sign test."""
+    subtracting h: no sign test.
 
-    def __init__(self, primes: tuple[int, ...]):
+    Every sum of products is one float64 matrix product over the 16-bit
+    halves of a residue table (``_halves``).  A digit is below 2^31 and a
+    half below 2^16, so each term is below 2^47, and a basis of at most
+    ``MAX_BASIS_PRIMES`` = 64 primes keeps every partial sum an exact
+    integer below 2^53, in whatever order a BLAS adds them.  Digit i is
+    ((x_i + h) c_i - sum_{j<i} v_j (prefix[j] c_i mod p_i)) mod p_i, with
+    c_i = prefix[i]^-1 mod p_i: one matvec and two ``%`` per row.  The
+    residues mod L targets w are the (2L, R) table prefix[i] mod w times the
+    digits, then two ``%`` over the (L, N) block.  The tables for the
+    ``targets`` given are built here, any other target's per call."""
+
+    def __init__(self, primes: tuple[int, ...], targets: tuple[tuple[int, ...], ...] = ()):
         self.primes = tuple(int(p) for p in primes)
+        r = len(self.primes)
+        if r > MAX_BASIS_PRIMES:
+            raise ParamError(f"a basis of {r} primes exceeds {MAX_BASIS_PRIMES}, the most "
+                             "an exact float64 base conversion allows")
         # prefix[i] = product of primes[:i]; digits v of y satisfy
         # y = sum v_i * prefix[i], and the R-row product is prefix[R]
         self.prefix = [1]
         for p in self.primes:
             self.prefix.append(self.prefix[-1] * p)
         self.half = [(q - 1) // 2 for q in self.prefix]
-        self._inv = [
-            np.uint64(pow(self.prefix[i] % p, -1, p)) for i, p in enumerate(self.primes)
-        ]
-        # prefix_mod[j][i] = prefix[j] mod primes[i]
-        self._prefix_mod = [
-            [np.uint64(pf % p) for p in self.primes] for pf in self.prefix[:-1]
-        ]
+        inv = [pow(pf % p, -1, p) for pf, p in zip(self.prefix, self.primes)]
+        self._p = _column(self.primes)
+        self._inv = _column(inv)
+        # p_i divides Q_R for every R > i, so h = (Q_R - 1)/2 = (p_i - 1)/2 mod p_i
+        self._half_mod = _column((p - 1) // 2 for p in self.primes)
+        # a multiple of p_i at least 2^54, above every hi * 2^16 + lo that a
+        # digit subtracts, so the difference stays unsigned
+        self._borrow = _column(p * -(-(1 << 54) // p) for p in self.primes)
+        # row i's matvec table is [:, i, :i]: prefix[j] * c_i mod p_i for j < i
+        self._steps = _halves(np.array(
+            [[pf % p * c % p for pf in self.prefix[:i]] + [0] * (r - i)
+             for i, (p, c) in enumerate(zip(self.primes, inv))], dtype=np.uint64,
+        ).reshape(r, r)).reshape(2, r, r)
+        self._tables = {tuple(w): self._conversion(w) for w in targets}
+
+    def _conversion(self, target_primes: tuple[int, ...]):
+        """For odd targets w: the (2L, R) halves of prefix[i] mod w, the
+        targets as a column, and in column R, -h_R = (1 - Q_R)/2 mod w."""
+        w = _column(target_primes)
+        table = np.array([[pf % t for pf in self.prefix] for t in target_primes],
+                         dtype=np.uint64).reshape(len(target_primes), -1)
+        neg_half = (w + np.uint64(1) - table) * ((w + np.uint64(1)) // np.uint64(2)) % w
+        return _halves(table[:, :-1]), w, neg_half
 
     def to_digits(self, residues: np.ndarray) -> np.ndarray:
         """Garner digits of x + h for the centred values x whose RNS
         residues are given, shape (R, N)."""
-        h = self.half[len(residues)]
+        r = len(residues)
+        p = self._p[:r]
+        # (x_i + h) * c_i, plus a multiple of p_i: below 2^63 + 2^55
+        u = residues + self._half_mod[:r]
+        u *= self._inv[:r]
+        u += self._borrow[:r]
         v = np.empty_like(residues)
-        for i, prime in enumerate(self.primes[: len(residues)]):
-            p = np.uint64(prime)
-            acc = (residues[i] + np.uint64(h % prime)) % p
-            for j in range(i):
-                sub = v[j] * self._prefix_mod[j][i] % p
-                acc = (acc + p - sub) % p
-            v[i] = acc * self._inv[i] % p
+        vf = np.empty(residues.shape)
+        for i in range(r):
+            (d,) = _combine(self._steps[:, i, :i] @ vf[:i], p[i])
+            np.remainder(np.subtract(u[i], d, out=d), p[i], out=v[i])
+            vf[i] = v[i]
         return v
 
     def digits_to_residues(self, digits: np.ndarray, target_primes: tuple[int, ...]) -> np.ndarray:
         """Centred values reduced modulo each target prime, shape (L, N)."""
-        r, n = digits.shape
-        out = np.empty((len(target_primes), n), dtype=np.uint64)
-        for row, w in enumerate(target_primes):
-            wp = np.uint64(w)
-            acc = np.zeros(n, dtype=np.uint64)
-            for i in range(r):
-                acc = (acc + digits[i] * np.uint64(self.prefix[i] % w)) % wp
-            out[row] = sub_mod(acc, np.uint64(self.half[r] % w), wp)
+        target_primes = tuple(target_primes)
+        table, w, neg_half = self._tables.get(target_primes) or self._conversion(target_primes)
+        r = len(digits)
+        out = _combine(table[:, :r] @ digits.astype(np.float64), w)
+        out += neg_half[:, r : r + 1]
+        out %= w
         return out
 
     def lift(self, residues: np.ndarray, target_primes: tuple[int, ...]) -> np.ndarray:
@@ -132,11 +198,6 @@ def tensor_primes(params: HeParams) -> tuple[int, ...]:
     return params.coeff_modulus + prefix_above(params, bound)
 
 
-def _column(values) -> np.ndarray:
-    """One uint64 per row of a residue array, as a (R, 1) column."""
-    return np.array(list(values), dtype=np.uint64).reshape(-1, 1)
-
-
 class RingContext:
     """Precomputed tables for one parameter set."""
 
@@ -154,13 +215,16 @@ class RingContext:
         self.p_primes = special_primes(params)
         self.qp_primes = self.q_primes + self.p_primes
         self.tensor_primes = tensor_primes(params)
+        # q is the first K rows of one Garner table, P the first L of the
+        # other; their conversions q -> P, q -> extension, P -> q and
+        # extension -> q are built here (refusing a basis too long to be exact)
+        extension = self.tensor_primes[self.k :]
+        self.garner = GarnerBasis(self.tensor_primes, (self.p_primes, extension))
+        self.garner_aux = GarnerBasis(extension, (self.q_primes,))
         # one plan over the tensor basis: its first K rows are q's, its first
         # K+L qP's
         self.plan_q = NttPlan(self.n, self.tensor_primes)
         self.plan_t = NttPlan(self.n, (self.t,))
-        # q is the first K rows of one Garner table, P the first L of the other
-        self.garner = GarnerBasis(self.tensor_primes)
-        self.garner_aux = GarnerBasis(self.tensor_primes[self.k :])
         self.q_arr = self.plan_q.p[: self.k]
         big_p = prod(self.p_primes)
         self.p_mod_q = _column(big_p % q for q in self.q_primes)

@@ -1,12 +1,15 @@
 """Clear oracles that only the tests read: the boolean comparison, the
-path-sum and routing forms of a tree's score, argmax prediction and the
-synthetic ensemble's label agreement."""
+path-sum and routing forms of a tree's score, argmax prediction, the
+synthetic ensemble's label agreement and Python-int base conversion."""
+
+from math import prod
 
 import numpy as np
 
 from hedgerow import ModelFormatError
 from hedgerow.compare import FeatureCode
 from hedgerow.modelio import Dataset, ensemble_scores_clear_batch, normalize_samples
+from hedgerow.ring import GarnerBasis
 from hedgerow.trees import Ensemble
 
 
@@ -49,3 +52,21 @@ def ensemble_agreement(ens: Ensemble, ds: Dataset) -> float:
         raise ModelFormatError("dataset carries no labels")
     scores = ensemble_scores_clear_batch(ens, normalize_samples(ds.samples))
     return float(np.mean(np.argmax(scores, axis=1) == ds.labels))
+
+
+def check_garner_conversions(basis, targets, values):
+    """Every GarnerBasis conversion of the centred ints ``values`` from
+    ``basis`` to ``targets``, against Python-int mixed radix and CRT."""
+    garner = GarnerBasis(basis)
+    m = prod(basis)
+    h = (m - 1) // 2
+    x = np.array([[v % p for v in values] for p in basis], dtype=np.uint64)
+    radix = [prod(basis[:i]) for i in range(len(basis))]
+    want_digits = [[(v + h) // r % p for v in values] for r, p in zip(radix, basis)]
+    digits = garner.to_digits(x)
+    assert digits.dtype == np.uint64
+    assert digits.tolist() == want_digits
+    want = [[v % w for v in values] for w in targets]
+    assert garner.digits_to_residues(digits, targets).tolist() == want
+    assert garner.lift(x, targets).tolist() == want
+    assert list(garner.residues_to_ints(x)) == list(values)

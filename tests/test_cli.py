@@ -607,3 +607,43 @@ def test_missing_model_file_exits_format(workspace, tmp_path):
         ]
     )
     assert rc == EXIT_FORMAT
+
+
+@pytest.mark.parametrize("damage, code", [("cut-upload", EXIT_FORMAT),
+                                           ("eval-key-version-4", EXIT_FORMAT),
+                                           ("eval-key-other-params", EXIT_CRYPTO)])
+def test_refused_container_names_its_file(workspace, tmp_path, capsys, damage, code):
+    enc, keys = tmp_path / "enc", tmp_path / "server"
+    shutil.copytree(workspace["base"] / "enc", enc)
+    shutil.copytree(workspace["server"], keys)
+    if damage == "cut-upload":
+        target = enc / "sample_00000" / "svm.ct"
+        target.write_bytes(target.read_bytes()[:-8])
+    else:
+        target = keys / "eval.key"
+        blob = bytearray(target.read_bytes())
+        if damage == "eval-key-version-4":
+            blob[4] = 4  # the version byte
+        else:
+            blob[6] ^= 1  # the first byte of the params fingerprint
+        target.write_bytes(bytes(blob))
+    argv = ["infer", "--mode", "svm", "--model", str(workspace["base"] / "svm.json"),
+            "--in", str(enc), "--keys", str(keys), "--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(f"error: {target}: ")
+
+
+def test_params_beyond_exact_base_conversion_exit_format(workspace, tmp_path, capsys):
+    # 33 coefficient primes are valid params, but their tensor basis holds
+    # more than the 64 primes an exact base conversion allows
+    keys = tmp_path / "server"
+    shutil.copytree(workspace["server"], keys)
+    n = workspace["params"].ring_degree
+    t, *primes = find_ntt_primes(31, 34, 2 * n)
+    (keys / "params.txt").write_text(
+        f"N={n}\nprimes={','.join(map(str, primes))}\nt={t}\ndepth=1\n", encoding="ascii")
+    argv = ["infer", "--mode", "svm", "--model", str(workspace["base"] / "svm.json"),
+            "--in", str(workspace["base"] / "enc"), "--keys", str(keys),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_FORMAT
+    assert "exceeds 64" in capsys.readouterr().err

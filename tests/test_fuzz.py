@@ -1,8 +1,10 @@
 """Hypothesis fuzz of the exchange-file, params, dataset and model loaders:
 every input either loads or raises a HedgerowError (which the CLI maps to
-exit 3 or 4)."""
+exit 3 or 4); and of exact base conversion against Python ints."""
 
 import json
+from itertools import islice
+from math import prod
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from hedgerow.modelio import (
     Dataset, FeatureLayout, build_layout, ensemble_slot_streams, load_dataset, load_ensemble,
     load_layout, load_svm, pack_client_input,
 )
+from hedgerow.ntt import MODULUS_BITS, ntt_primes
 from hedgerow.pipeline import BUNDLE_COUNTS, SCORE_COUNTS, read_manifest
 from hedgerow.scheme import HeBackend
+from oracles import check_garner_conversions
 
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -263,3 +267,25 @@ def test_load_dataset_loads_or_refuses(layout_path, rows, encoding, labeled):
         return
     assert isinstance(dataset, Dataset)
     assert dataset.num_samples > 0
+
+
+# 31-bit NTT primes: any 1 to 64 of them form a basis, and any of them a
+# target, above, below or among the basis primes
+_PRIMES = tuple(islice(ntt_primes(MODULUS_BITS, 2 * 64), 80))
+
+
+@st.composite
+def conversions(draw):
+    """A basis, targets, and centred values: edges 0, +-1 and +-h, or any."""
+    basis = draw(st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=64, unique=True))
+    targets = draw(st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=6))
+    h = (prod(basis) - 1) // 2
+    edges = st.sampled_from([0, 1, -1, h, -h])
+    values = draw(st.lists(st.one_of(edges, st.integers(-h, h)), min_size=1, max_size=6))
+    return basis, targets, values
+
+
+@FUZZ
+@given(case=conversions())
+def test_base_conversion_matches_python_ints(case):
+    check_garner_conversions(*case)

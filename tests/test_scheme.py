@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 from math import prod
 
 import numpy as np
@@ -22,6 +23,7 @@ from hedgerow.ntt import MODULUS_BITS, NttPlan, find_ntt_primes, is_prime, ntt_p
 from hedgerow.params import PRESET_NAMES, default_plaintext_modulus, gen_params
 from hedgerow.ring import GarnerBasis, RingContext, special_primes, tensor_primes
 from hedgerow.serial import serialize_public_key, serialize_secret_key
+from oracles import check_garner_conversions
 
 
 def enc(backend, pk, values, seed):
@@ -359,6 +361,62 @@ def test_one_garner_table_serves_q_and_the_tensor_basis(name, params64, rng):
     assert np.array_equal(own.to_digits(x), garner.to_digits(x))
     assert np.array_equal(own.residues_to_ints(x), garner.residues_to_ints(x))
 
+
+
+# 31-bit NTT primes, largest first: the basis comes from the middle, so the
+# targets can lie above and below all of its primes
+_POOL = tuple(itertools.islice(ntt_primes(MODULUS_BITS, 2 * 64), 72))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 12, 23, 33, 63, 64])
+def test_garner_is_exact_up_to_64_primes(rows, rng):
+    # x = h makes every digit p - 1, the largest float64 sums; residues all
+    # at p - 1 are x = -1
+    basis = _POOL[4 : 4 + rows]
+    m = prod(basis)
+    h = (m - 1) // 2
+    values = [0, 1, -1, h, -h, h - 1, -h + 1]
+    values += [int.from_bytes(rng.bytes(8 * rows), "little") % m - h for _ in range(8)]
+    assert GarnerBasis(basis).residues_to_ints(
+        np.array([[p - 1] for p in basis], dtype=np.uint64)).tolist() == [-1]
+    for targets in (_POOL[:4], _POOL[-4:], _POOL[:1] + _POOL[-1:], basis[:3]):
+        check_garner_conversions(basis, targets, values)
+
+
+def test_garner_digit_subtraction_borrows(rng):
+    # c_1 = p_0^-1 mod p_1 is 7070, so (x_1 + h) * c_1 can lie below the sum
+    # that digit 1 subtracts: the subtraction must borrow a multiple of p_1
+    basis = (2147166337, 2147470081)
+    assert pow(basis[0], -1, basis[1]) == 7070
+    m = prod(basis)
+    h = (m - 1) // 2
+    values = [0, 1, -1, h, -h] + [int.from_bytes(rng.bytes(8), "little") % m - h for _ in range(64)]
+    check_garner_conversions(basis, _POOL[:2], values)
+
+
+def test_garner_refuses_more_than_64_primes():
+    assert len(GarnerBasis(_POOL[:64]).primes) == 64
+    with pytest.raises(ParamError, match="65 primes exceeds 64"):
+        GarnerBasis(_POOL[:65])
+    # a q of 33 primes is allowed, but its tensor basis has more than 64
+    params = HeParams(64, _POOL[1:34], _POOL[0], 1)
+    assert len(tensor_primes(params)) > 64
+    with pytest.raises(ParamError, match="exceeds 64"):
+        RingContext(params)
+
+
+def test_ring_conversions_read_tables_built_with_the_ring(params64, rng, monkeypatch):
+    # q -> P, q -> extension, P -> q and extension -> q: no per-call table
+    ring = RingContext(params64)
+
+    def refuse(self, target_primes):
+        raise AssertionError("a conversion table was built per call")
+
+    monkeypatch.setattr(GarnerBasis, "_conversion", refuse)
+    plan = ring.plan_q
+    x = rng.integers(0, 2**62, (ring.k, ring.n), dtype=np.uint64) % ring.q_arr
+    ring.mod_down(ring.mod_up(x, plan.forward(x)))  # q -> P, then P -> q
+    ring.scale_down(ring.mod_up(x, plan.forward(x), ring.tensor_primes))  # and the other two
 
 def _negacyclic(x, y):
     n = len(x)
