@@ -3,9 +3,11 @@
 Every operation on :class:`HeBackend` exists here with the same signature
 and the same slot semantics mod t, so circuit code runs unchanged on either
 backend and the decoded outputs can be compared exactly.  Both subclass
-:class:`scheme.Backend`, which holds the fingerprint, slot-vector, depth
-and Galois-key rules once, so levels and errors match by construction.
-The mirror's secret and public keys are plain :class:`scheme.ParamsKey`.
+:class:`scheme.Backend`, which holds the operand check, ``encode``, the
+depth and the Galois-key rules once, so levels and errors match by
+construction.  The mirror shares :class:`scheme.PackedPlaintext` (it reads
+only the slots), and its secret and public keys are plain
+:class:`scheme.ParamsKey`.
 """
 
 from __future__ import annotations
@@ -16,18 +18,12 @@ import numpy as np
 
 from .ntt import add_mod, mul_mod, sub_mod
 from .params import HeParams
-from .scheme import Backend, ParamsKey, galois_steps
-
-
-@dataclass(frozen=True, eq=False)
-class ClearPlaintext:
-    params: HeParams
-    slots: np.ndarray  # (N,) uint64 mod t
+from .scheme import Backend, PackedPlaintext, ParamsKey, galois_steps
 
 
 @dataclass(frozen=True, eq=False)
 class ClearCiphertext:
-    params_fingerprint: bytes
+    params: HeParams
     level: int
     slots: np.ndarray  # (N,) uint64 mod t
 
@@ -46,73 +42,64 @@ class ClearBackend(Backend):
         self.t = np.uint64(params.plaintext_modulus)
         self.row = params.rotation_group_size
 
-    def encode(self, values) -> ClearPlaintext:
-        return ClearPlaintext(self.params, self._slot_vector(values))
-
     def keygen(self, seed, rotation_steps: tuple[int, ...] | None = None):
         """(secret, public, eval) keys; the first two are the same ParamsKey."""
         key = ParamsKey(self.params)
         steps = frozenset(galois_steps(self.params, rotation_steps))
         return key, key, ClearEvalKeys(self.params, steps)
 
-    def encrypt(self, pk: ParamsKey, pt: ClearPlaintext, seed=None) -> ClearCiphertext:
-        self._check_fp(pk.fingerprint)
-        self._check_fp(pt.params.fingerprint)
-        return ClearCiphertext(
-            self.params.fingerprint, self.params.depth_budget, pt.slots.copy()
-        )
+    def encrypt(self, pk: ParamsKey, pt: PackedPlaintext, seed=None) -> ClearCiphertext:
+        self._check(pk, pt)
+        return ClearCiphertext(self.params, self.params.depth_budget, pt.slots.copy())
 
-    def decrypt(self, sk: ParamsKey, ct: ClearCiphertext) -> ClearPlaintext:
-        self._check_fp(sk.fingerprint)
-        self._check_fp(ct.params_fingerprint)
-        return ClearPlaintext(self.params, ct.slots.copy())
+    def decrypt(self, sk: ParamsKey, ct: ClearCiphertext) -> PackedPlaintext:
+        self._check(sk, ct)
+        return PackedPlaintext(self.params, ct.slots.copy())
 
     def noise_budget(self, sk: ParamsKey, ct: ClearCiphertext) -> int:
         # the mirror carries no noise; report the fresh-ciphertext cap
+        self._check(sk, ct)
         return self.params.coeff_modulus_product.bit_length() - 1
 
     def add_ct(self, a: ClearCiphertext, b: ClearCiphertext) -> ClearCiphertext:
-        self._check_pair(a, b)
-        return ClearCiphertext(
-            a.params_fingerprint, min(a.level, b.level), add_mod(a.slots, b.slots, self.t)
-        )
+        self._check(a, b)
+        return ClearCiphertext(a.params, min(a.level, b.level), add_mod(a.slots, b.slots, self.t))
 
     def sub_ct(self, a: ClearCiphertext, b: ClearCiphertext) -> ClearCiphertext:
-        self._check_pair(a, b)
-        return ClearCiphertext(
-            a.params_fingerprint, min(a.level, b.level), sub_mod(a.slots, b.slots, self.t)
-        )
+        self._check(a, b)
+        return ClearCiphertext(a.params, min(a.level, b.level), sub_mod(a.slots, b.slots, self.t))
 
     def negate(self, a: ClearCiphertext) -> ClearCiphertext:
-        return ClearCiphertext(a.params_fingerprint, a.level, sub_mod(0, a.slots, self.t))
+        self._check(a)
+        return ClearCiphertext(a.params, a.level, sub_mod(0, a.slots, self.t))
 
-    def add_pt(self, a: ClearCiphertext, pt: ClearPlaintext) -> ClearCiphertext:
-        self._check_pt(a, pt)
-        return ClearCiphertext(a.params_fingerprint, a.level, add_mod(a.slots, pt.slots, self.t))
+    def add_pt(self, a: ClearCiphertext, pt: PackedPlaintext) -> ClearCiphertext:
+        self._check(a, pt)
+        return ClearCiphertext(a.params, a.level, add_mod(a.slots, pt.slots, self.t))
 
-    def sub_pt(self, a: ClearCiphertext, pt: ClearPlaintext) -> ClearCiphertext:
-        self._check_pt(a, pt)
-        return ClearCiphertext(a.params_fingerprint, a.level, sub_mod(a.slots, pt.slots, self.t))
+    def sub_pt(self, a: ClearCiphertext, pt: PackedPlaintext) -> ClearCiphertext:
+        self._check(a, pt)
+        return ClearCiphertext(a.params, a.level, sub_mod(a.slots, pt.slots, self.t))
 
-    def mul_pt(self, a: ClearCiphertext, pt: ClearPlaintext) -> ClearCiphertext:
-        self._check_pt(a, pt)
-        return ClearCiphertext(a.params_fingerprint, a.level, mul_mod(a.slots, pt.slots, self.t))
+    def mul_pt(self, a: ClearCiphertext, pt: PackedPlaintext) -> ClearCiphertext:
+        self._check(a, pt)
+        return ClearCiphertext(a.params, a.level, mul_mod(a.slots, pt.slots, self.t))
 
     def mul_ct(self, a: ClearCiphertext, b: ClearCiphertext, ek: ClearEvalKeys) -> ClearCiphertext:
         level = self._product_level(a, b, ek)
-        return ClearCiphertext(a.params_fingerprint, level, mul_mod(a.slots, b.slots, self.t))
+        return ClearCiphertext(a.params, level, mul_mod(a.slots, b.slots, self.t))
 
     def rotate(self, a: ClearCiphertext, steps: int, ek: ClearEvalKeys) -> ClearCiphertext:
         eff = self._rotation_step(a, steps, ek)
         if eff == 0:
             return a
         rows = a.slots.reshape(2, self.row)
-        return ClearCiphertext(a.params_fingerprint, a.level, np.roll(rows, -eff, axis=1).reshape(-1))
+        return ClearCiphertext(a.params, a.level, np.roll(rows, -eff, axis=1).reshape(-1))
 
     def swap_rows(self, a: ClearCiphertext, ek: ClearEvalKeys) -> ClearCiphertext:
         self._check_row_swap(a, ek)
         rows = a.slots.reshape(2, self.row)
-        return ClearCiphertext(a.params_fingerprint, a.level, rows[::-1].reshape(-1).copy())
+        return ClearCiphertext(a.params, a.level, rows[::-1].reshape(-1).copy())
 
 
 @dataclass

@@ -41,7 +41,7 @@ EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_CRYPTO = 4
 
-_FORMAT_ERRORS = (ModelFormatError, ParamError, SerializationError, OSError, json.JSONDecodeError)
+_FORMAT_ERRORS = (ModelFormatError, ParamError, SerializationError, OSError)
 _CRYPTO_ERRORS = (
     FingerprintMismatchError,
     DepthExhaustedError,
@@ -81,7 +81,7 @@ def _cmd_synth(args) -> int:
     )
     save_ensemble(ens, out / "ensemble.json")
     save_svm(svm_model, out / "svm.json")
-    save_dataset(dataset, out / "data.csv", include_labels=True)
+    save_dataset(dataset, out / "data.csv")
     print(f"synth: {args.classes} classes x {args.trees} trees, {args.features} features, "
           f"{args.samples} samples -> {out}")
     return EXIT_OK

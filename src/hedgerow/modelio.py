@@ -87,13 +87,11 @@ def normalize_samples(samples: np.ndarray) -> np.ndarray:
     return np.sign(arr)
 
 
-def save_dataset(ds: Dataset, path, include_labels: bool = True) -> None:
-    cols = ds.samples
-    if include_labels:
-        if ds.labels is None:
-            raise ModelFormatError("dataset has no labels to write")
-        cols = np.hstack([ds.samples, ds.labels[:, None]])
-    np.savetxt(path, cols, fmt="%d", delimiter=",")
+def save_dataset(ds: Dataset, path) -> None:
+    """The samples with their labels as the last column."""
+    if ds.labels is None:
+        raise ModelFormatError("dataset has no labels to write")
+    np.savetxt(path, np.hstack([ds.samples, ds.labels[:, None]]), fmt="%d", delimiter=",")
 
 
 def load_dataset(path, labeled: bool = False) -> Dataset:

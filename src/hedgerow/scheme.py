@@ -1,8 +1,9 @@
 """Exact leveled RLWE scheme with full-N slot batching.
 
-Plaintexts are vectors of N slots mod t; ciphertexts are pairs of RNS
-residue polynomials mod q = prod(coeff primes), held like every key in
-evaluation (NTT) form: only encryption, decryption and the ring's basis
+Plaintexts are vectors of N slots mod t (``PackedPlaintext``, which the
+clear mirror shares); ciphertexts are pairs of RNS residue polynomials mod
+q = prod(coeff primes), held like every key in evaluation (NTT) form: only
+encryption, decryption and the ring's basis
 changes (``mod_up``, ``mod_down``, ``scale_down``) transform; additions and
 ``mul_pt`` are pointwise, an automorphism a gather.  Multiplication follows the
 scale-invariant construction: messages enter as round(q*m/t) (exact
@@ -24,9 +25,11 @@ Slot geometry: the N slots form two rotation rows of N/2 (see ring.py).
 exchanges them; ``sum_slots`` composes the two so that power-of-two block
 sums land at the block-start slots.
 
-``Backend`` holds the rules ``HeBackend`` and the clear mirror share;
-every key type derives from ``ParamsKey``.  ``decrypt`` refuses a
-ciphertext whose noise margin is exhausted.
+Every value, plaintext, ciphertext or key, carries the ``HeParams`` it was
+made under; ``Backend`` holds the rules ``HeBackend`` and the clear mirror
+share, and each of its ops refuses a value of other parameters.  Every key
+type derives from ``ParamsKey``.  ``decrypt`` refuses a ciphertext whose
+noise margin is exhausted.
 
 Everything is deterministic given explicit seeds: randomness comes from
 SHAKE-256 expansion of (seed, domain label), nothing else.
@@ -104,16 +107,22 @@ class Prg:
 
 @dataclass(frozen=True, eq=False)
 class PackedPlaintext:
-    """N plaintext slots, stored as the coefficient vector of R_t."""
+    """N plaintext slots mod t, the one plaintext type of both backends.
+
+    The encrypted backend reads the coefficient vector of R_t and its
+    evaluation forms over q, each built on first use and kept.
+    """
 
     params: HeParams
-    poly: np.ndarray  # (N,) uint64 coefficients mod t
+    slots: np.ndarray  # (N,) uint64 mod t
 
     @cached_property
-    def slots(self) -> np.ndarray:
+    def poly(self) -> np.ndarray:
+        """The (N,) coefficients mod t whose evaluations are the slots."""
         ring = get_ring(self.params)
-        evals = ring.plan_t.forward(self.poly[None, :])[0]
-        return evals[ring.slot_to_eval]
+        evals = np.empty((1, ring.n), dtype=np.uint64)
+        evals[0, ring.slot_to_eval] = self.slots
+        return ring.plan_t.inverse(evals)[0]
 
     @cached_property
     def _ntt_q(self) -> np.ndarray:
@@ -135,7 +144,7 @@ class Ciphertext:
     returning, so no other part count exists outside it.
     """
 
-    params_fingerprint: bytes
+    params: HeParams
     level: int
     parts: tuple[np.ndarray, np.ndarray]  # each (K, N) uint64 residues, NTT domain
 
@@ -155,10 +164,6 @@ class ParamsKey:
     """
 
     params: HeParams
-
-    @property
-    def fingerprint(self) -> bytes:
-        return self.params.fingerprint
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,28 +274,23 @@ def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None
 class Backend:
     """The operation contract HeBackend and its clear mirror share.
 
-    Each rule both backends enforce is written here once: operands must
-    carry this backend's parameter fingerprint, a slot vector is 1-d and at
-    most N long, a product needs depth on both operands, a rotation or row
-    swap needs its Galois key.  ``sum_slots`` is built from the subclass's
-    own rotate/add/swap primitives.  Subclasses set ``params``.
+    Each rule both backends enforce is written here once: every value an op
+    takes carries its ``params``, and ``_check`` refuses one whose
+    fingerprint is not this backend's; a slot vector is 1-d and at most N
+    long; a product needs depth on both operands; a rotation or row swap
+    needs its Galois key.  ``encode`` and ``decode`` work on the one
+    plaintext type, and ``sum_slots`` is built from the subclass's own
+    rotate/add/swap primitives.  Subclasses set ``params``.
     """
 
-    def _check_fp(self, fingerprint: bytes) -> None:
-        if fingerprint != self.params.fingerprint:
-            raise FingerprintMismatchError("object belongs to different parameters")
+    def _check(self, *values) -> None:
+        """Each value (ciphertext, plaintext or key) must carry these parameters."""
+        for value in values:
+            if value.params.fingerprint != self.params.fingerprint:
+                raise FingerprintMismatchError("object belongs to different parameters")
 
-    def _check_pair(self, a, b) -> None:
-        self._check_fp(a.params_fingerprint)
-        if a.params_fingerprint != b.params_fingerprint:
-            raise FingerprintMismatchError("operands belong to different parameters")
-
-    def _check_pt(self, a, pt) -> None:
-        self._check_fp(a.params_fingerprint)
-        self._check_fp(pt.params.fingerprint)
-
-    def _slot_vector(self, values) -> np.ndarray:
-        """The N slots mod t that ``encode`` packs: ``values`` zero-padded."""
+    def encode(self, values) -> PackedPlaintext:
+        """``values`` mod t, zero-padded to N slots."""
         n = self.params.slot_count
         arr = np.asarray(values, dtype=np.int64)
         if arr.ndim != 1:
@@ -299,31 +299,28 @@ class Backend:
             raise ParamError(f"vector of length {arr.size} exceeds {n} slots")
         slots = np.zeros(n, dtype=np.uint64)
         slots[: arr.size] = (arr % np.int64(self.params.plaintext_modulus)).astype(np.uint64)
-        return slots
+        return PackedPlaintext(self.params, slots)
 
-    def decode(self, pt) -> np.ndarray:
+    def decode(self, pt: PackedPlaintext) -> np.ndarray:
         return pt.slots.copy()
 
     def _product_level(self, a, b, ek) -> int:
         """Level of the product a*b; raises when either operand has none left."""
-        self._check_pair(a, b)
-        self._check_fp(ek.fingerprint)
+        self._check(a, b, ek)
         if a.level < 1 or b.level < 1:
             raise DepthExhaustedError("no multiplicative depth remaining")
         return min(a.level, b.level) - 1
 
     def _rotation_step(self, a, steps: int, ek) -> int:
         """``steps`` mod the row size N/2 (0 is the identity), with its key in ek."""
-        self._check_fp(a.params_fingerprint)
-        self._check_fp(ek.fingerprint)
+        self._check(a, ek)
         eff = steps % self.params.rotation_group_size
         if eff and eff not in ek.galois:
             raise MissingGaloisKeyError(f"no Galois key for rotation step {steps}")
         return eff
 
     def _check_row_swap(self, a, ek) -> None:
-        self._check_fp(a.params_fingerprint)
-        self._check_fp(ek.fingerprint)
+        self._check(a, ek)
         if not ek.row_swap:
             raise MissingGaloisKeyError("no Galois key for the row swap")
 
@@ -368,13 +365,7 @@ class HeBackend(Backend):
         self.params = params
         self.ring = get_ring(params)
 
-    # -- plaintext side ----------------------------------------------------
-
-    def encode(self, values) -> PackedPlaintext:
-        ring = self.ring
-        evals = np.empty((1, ring.n), dtype=np.uint64)
-        evals[0, ring.slot_to_eval] = self._slot_vector(values)
-        return PackedPlaintext(self.params, ring.plan_t.inverse(evals)[0])
+    encode = Backend.encode  # bound here too, so a tracer can wrap HeBackend.encode
 
     # -- keys and encryption -------------------------------------------------
 
@@ -382,8 +373,7 @@ class HeBackend(Backend):
         return keygen(self.params, seed, rotation_steps)
 
     def encrypt(self, pk: PublicKey, pt: PackedPlaintext, seed) -> Ciphertext:
-        self._check_fp(pk.fingerprint)
-        self._check_fp(pt.params.fingerprint)
+        self._check(pk, pt)
         ring, plan = self.ring, self.ring.plan_q
         prg = Prg(seed)
         u_ntt = plan.forward(ring.rns_from_small(prg.ternary("enc.u", ring.n)))
@@ -392,13 +382,12 @@ class HeBackend(Backend):
         m = plan.forward(add_mod(e1, ring.scale_plaintext(pt.poly), ring.q_arr))
         c0 = add_mod(plan.pointwise(pk.b_ntt, u_ntt), m, ring.q_arr)
         c1 = add_mod(plan.pointwise(pk.a_ntt, u_ntt), plan.forward(e2), ring.q_arr)
-        return Ciphertext(self.params.fingerprint, self.params.depth_budget, (c0, c1))
+        return Ciphertext(self.params, self.params.depth_budget, (c0, c1))
 
     def _noise(self, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
         """The noise w = [t*x]_q of the phase x = c0 + c1*s, as centred Python
         ints: t*x = q*r + w for the message r = round(t*x/q), |w| < q/2."""
-        self._check_fp(sk.fingerprint)
-        self._check_fp(ct.params_fingerprint)
+        self._check(sk, ct)
         ring = self.ring
         acc = add_mod(ct.parts[0], ring.plan_q.pointwise(ct.parts[1], sk.s), ring.q_arr)
         phase = ring.plan_q.inverse(acc)
@@ -412,12 +401,13 @@ class HeBackend(Backend):
 
     def decrypt(self, sk: SecretKey, ct: Ciphertext) -> PackedPlaintext:
         """The slots of ct; raises NoiseBudgetError when no margin is left."""
+        ring = self.ring
         w = self._noise(sk, ct)
         if self._margin_bits(w) <= 0:
             raise NoiseBudgetError("noise budget exhausted; decryption unreliable")
         # q*r = t*x - w, so r = -w/q mod t
-        r = -w * pow(self.ring.q, -1, self.ring.t) % self.ring.t
-        return PackedPlaintext(self.params, r.astype(np.uint64))
+        r = (-w * pow(ring.q, -1, ring.t) % ring.t).astype(np.uint64)
+        return PackedPlaintext(self.params, ring.plan_t.forward(r[None, :])[0][ring.slot_to_eval])
 
     def noise_budget(self, sk: SecretKey, ct: Ciphertext) -> int:
         """Estimated bits of margin before decryption can fail (0 = exhausted)."""
@@ -426,33 +416,34 @@ class HeBackend(Backend):
     # -- arithmetic ----------------------------------------------------------
 
     def add_ct(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self._check_pair(a, b)
+        self._check(a, b)
         parts = tuple(add_mod(x, y, self.ring.q_arr) for x, y in zip(a.parts, b.parts))
-        return Ciphertext(a.params_fingerprint, min(a.level, b.level), parts)
+        return Ciphertext(a.params, min(a.level, b.level), parts)
 
     def sub_ct(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self._check_pair(a, b)
+        self._check(a, b)
         parts = tuple(sub_mod(x, y, self.ring.q_arr) for x, y in zip(a.parts, b.parts))
-        return Ciphertext(a.params_fingerprint, min(a.level, b.level), parts)
+        return Ciphertext(a.params, min(a.level, b.level), parts)
 
     def negate(self, a: Ciphertext) -> Ciphertext:
+        self._check(a)
         parts = tuple(sub_mod(0, p, self.ring.q_arr) for p in a.parts)
-        return Ciphertext(a.params_fingerprint, a.level, parts)
+        return Ciphertext(a.params, a.level, parts)
 
     def add_pt(self, a: Ciphertext, pt: PackedPlaintext) -> Ciphertext:
-        self._check_pt(a, pt)
+        self._check(a, pt)
         c0 = add_mod(a.parts[0], pt._scaled_ntt_q, self.ring.q_arr)
-        return Ciphertext(a.params_fingerprint, a.level, (c0, a.parts[1]))
+        return Ciphertext(a.params, a.level, (c0, a.parts[1]))
 
     def sub_pt(self, a: Ciphertext, pt: PackedPlaintext) -> Ciphertext:
-        self._check_pt(a, pt)
+        self._check(a, pt)
         c0 = sub_mod(a.parts[0], pt._scaled_ntt_q, self.ring.q_arr)
-        return Ciphertext(a.params_fingerprint, a.level, (c0, a.parts[1]))
+        return Ciphertext(a.params, a.level, (c0, a.parts[1]))
 
     def mul_pt(self, a: Ciphertext, pt: PackedPlaintext) -> Ciphertext:
-        self._check_pt(a, pt)
+        self._check(a, pt)
         parts = tuple(self.ring.plan_q.pointwise(p, pt._ntt_q) for p in a.parts)
-        return Ciphertext(a.params_fingerprint, a.level, parts)
+        return Ciphertext(a.params, a.level, parts)
 
     def mul_ct(self, a: Ciphertext, b: Ciphertext, ek: EvalKeys) -> Ciphertext:
         level = self._product_level(a, b, ek)
@@ -467,7 +458,7 @@ class HeBackend(Backend):
         c0, c1, c2 = (ring.scale_down(plan.inverse(d)) for d in (d0, d1, d2))
         r0, r1 = self._keyswitch(ring.mod_up(c2, plan.forward(c2)), ek.relin)
         parts = (add_mod(plan.forward(c0), r0, ring.q_arr), add_mod(plan.forward(c1), r1, ring.q_arr))
-        return Ciphertext(a.params_fingerprint, level, parts)
+        return Ciphertext(a.params, level, parts)
 
     # -- slot permutations ----------------------------------------------------
 
@@ -486,9 +477,7 @@ class HeBackend(Backend):
         ring = self.ring
         c0, c1 = (ring.apply_automorphism(p, g) for p in a.parts)
         k0, k1 = self._keyswitch(ring.mod_up(ring.plan_q.inverse(c1), c1), key)
-        return Ciphertext(
-            a.params_fingerprint, a.level, (add_mod(c0, k0, ring.q_arr), k1)
-        )
+        return Ciphertext(a.params, a.level, (add_mod(c0, k0, ring.q_arr), k1))
 
     def _keyswitch(self, lifted: np.ndarray, key: KeySwitchKey):
         """Hybrid keyswitch of c mod q, given as its ``mod_up`` lift to qP: the

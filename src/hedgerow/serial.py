@@ -46,9 +46,9 @@ TAG_PUBLIC_KEY = 4
 TAG_EVAL_KEYS = 5
 
 
-def _container(tag: int, fingerprint: bytes, words, polys) -> bytes:
+def _container(tag: int, value, words, polys) -> bytes:
     return b"".join([
-        MAGIC, bytes([VERSION, tag]), fingerprint,
+        MAGIC, bytes([VERSION, tag]), value.params.fingerprint,
         np.asarray(words, dtype="<u8").tobytes(),
         *(np.ascontiguousarray(poly, dtype="<u8").tobytes() for poly in polys),
     ])
@@ -106,7 +106,7 @@ class _Reader:
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
-    return _container(TAG_CIPHERTEXT, ct.params_fingerprint, [ct.level], ct.parts)
+    return _container(TAG_CIPHERTEXT, ct, [ct.level], ct.parts)
 
 
 def deserialize_ciphertext(data: bytes, params: HeParams) -> Ciphertext:
@@ -116,14 +116,14 @@ def deserialize_ciphertext(data: bytes, params: HeParams) -> Ciphertext:
         raise SerializationError(
             f"ciphertext level {level} exceeds the depth budget {params.depth_budget}"
         )
-    return Ciphertext(params.fingerprint, level, tuple(r.polys(2)))
+    return Ciphertext(params, level, tuple(r.polys(2)))
 
 
 # -- keys ------------------------------------------------------------------------
 
 
 def serialize_secret_key(sk: SecretKey) -> bytes:
-    return _container(TAG_SECRET_KEY, sk.fingerprint, [], [sk.s])
+    return _container(TAG_SECRET_KEY, sk, [], [sk.s])
 
 
 def deserialize_secret_key(data: bytes, params: HeParams) -> SecretKey:
@@ -132,7 +132,7 @@ def deserialize_secret_key(data: bytes, params: HeParams) -> SecretKey:
 
 
 def serialize_public_key(pk: PublicKey) -> bytes:
-    return _container(TAG_PUBLIC_KEY, pk.fingerprint, [], [pk.b_ntt, pk.a_ntt])
+    return _container(TAG_PUBLIC_KEY, pk, [], [pk.b_ntt, pk.a_ntt])
 
 
 def deserialize_public_key(data: bytes, params: HeParams) -> PublicKey:
@@ -145,7 +145,7 @@ def serialize_eval_keys(ek: EvalKeys) -> bytes:
     swap = [] if ek.row_swap is None else [ek.row_swap]
     keys = [ek.relin, *(ek.galois[step] for step in steps), *swap]
     words = [len(steps), *steps, len(swap)]
-    return _container(TAG_EVAL_KEYS, ek.fingerprint, words, [p for key in keys for p in key])
+    return _container(TAG_EVAL_KEYS, ek, words, [p for key in keys for p in key])
 
 
 def deserialize_eval_keys(data: bytes, params: HeParams) -> EvalKeys:

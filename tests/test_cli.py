@@ -50,7 +50,7 @@ def workspace(tmp_path_factory):
     ens, svm_model, ds = gen_synthetic(seed=21, s=3, k=8, d=32, n_samples=4)
     save_ensemble(ens, base / "ensemble.json")
     save_svm(svm_model, base / "svm.json")
-    save_dataset(ds, base / "data.csv", include_labels=True)
+    save_dataset(ds, base / "data.csv")
 
     layout = build_layout(ens, params.slot_count, svm_features=svm_model.num_features)
     save_layout(layout, base / "layout.json")
@@ -553,7 +553,7 @@ def test_xgb_round_trip_with_more_features_than_slots(tmp_path):
     ens, _, ds = gen_synthetic(1, 2, 4, 100, 3)
     assert ens.num_features == 100
     save_ensemble(ens, tmp_path / "ensemble.json")
-    save_dataset(ds, tmp_path / "data.csv", include_labels=True)
+    save_dataset(ds, tmp_path / "data.csv")
     steps = [
         ["layout", "--model", str(tmp_path / "ensemble.json"), "--keys", str(keys),
          "--out", str(tmp_path / "layout.json")],

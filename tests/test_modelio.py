@@ -447,12 +447,18 @@ def test_dataset_roundtrip(tmp_path, rng):
     labels = rng.integers(0, 3, 10)
     ds = Dataset(samples, labels)
     path = tmp_path / "d.csv"
-    save_dataset(ds, path, include_labels=True)
+    save_dataset(ds, path)
     again = load_dataset(path, labeled=True)
     assert np.array_equal(again.samples, samples)
     assert np.array_equal(again.labels, labels)
     unlabeled = load_dataset(path, labeled=False)
     assert unlabeled.samples.shape == (10, 7)  # labels kept as a data column
+
+
+def test_save_dataset_refuses_unlabeled(tmp_path):
+    with pytest.raises(ModelFormatError):
+        save_dataset(Dataset(np.zeros((2, 3), dtype=np.int64)), tmp_path / "d.csv")
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_dataset_rejects_out_of_range():

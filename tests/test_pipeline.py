@@ -133,7 +133,7 @@ def test_counting_backend_counts_every_public_op(clear256, clear_keys256):
     ct = counting.encrypt(pk, counting.encode([1, 2]), seed=0)
     counting.decode(counting.decrypt(sk, ct))
     counting.noise_budget(sk, ct)
-    counting._check_fp(ct.params_fingerprint)
+    counting._check(ct)
     assert counting.ops.counts == {
         "encode": 1, "encrypt": 1, "decrypt": 1, "decode": 1, "noise_budget": 1,
     }

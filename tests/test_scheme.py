@@ -447,7 +447,7 @@ def test_mul_ct_matches_python_int_arithmetic(name, params64, rng):
 
     def ct(parts):
         parts = tuple(plan.forward(rns(vs)) for vs in parts)
-        return Ciphertext(params.fingerprint, params.depth_budget, parts)
+        return Ciphertext(params, params.depth_budget, parts)
 
     def centred(poly):
         poly = plan.inverse(poly)
@@ -523,7 +523,7 @@ def test_ops_transform_only_to_change_basis(name, params64, monkeypatch):
     x, y, w = rng.integers(0, params.plaintext_modulus, (3, params.slot_count))
     a, b = enc(he, pk, x, 1), enc(he, pk, y, 2)
     pt = he.encode(w)
-    he.add_pt(a, pt)  # the first use caches the plaintext's evaluation forms
+    he.add_pt(a, pt)  # the first use caches the plaintext's coefficients and evaluation forms
     he.mul_pt(a, pt)
     rows = []
     for method in ("forward", "inverse"):
@@ -540,14 +540,15 @@ def test_ops_transform_only_to_change_basis(name, params64, monkeypatch):
         return sum(rows)
 
     for op, args in (
-        (he.mul_pt, (a, pt)), (he.add_pt, (a, pt)), (he.sub_pt, (a, pt)),
+        (he.encode, (w,)), (he.mul_pt, (a, pt)), (he.add_pt, (a, pt)), (he.sub_pt, (a, pt)),
         (he.add_ct, (a, b)), (he.sub_ct, (a, b)), (he.negate, (a,)),
     ):
         assert transformed(op, *args) == 0, op.__name__
     assert transformed(he.rotate, a, 1, ek) == 3 * kl
     assert transformed(he.swap_rows, a, ek) == 3 * kl
     assert transformed(he.mul_ct, a, b, ek) <= 7 * t + 3 * kl + 2 * k
-    assert transformed(he.decrypt, sk, a) == k
+    # decryption inverts the K rows mod q, decoding transforms the one row mod t
+    assert transformed(lambda: he.decode(he.decrypt(sk, a))) == k + 1
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
@@ -822,19 +823,28 @@ def test_backends_share_one_contract(name, request):
     # or a circuit proven on the mirror could fail differently when encrypted
     be = request.getfixturevalue(f"{name}64")
     sk, pk, ek = request.getfixturevalue("keys64" if name == "he" else "clear_keys64")
-    other = type(be)(make_test_params(64, num_primes=5, depth_budget=1))
-    _, opk, oek = other.keygen(seed=1, rotation_steps=())
+    # same shapes as params64, so only the fingerprint check can refuse
+    other = type(be)(make_test_params(64, num_primes=6, depth_budget=1))
+    osk, opk, oek = other.keygen(seed=1, rotation_steps=())
     a = enc(be, pk, [1, 2], seed=1)
-    foreign = enc(other, opk, [1, 2], seed=1)
-    for call in (
-        lambda: be.add_ct(a, foreign),
-        lambda: be.mul_pt(a, other.encode([1])),
-        lambda: be.mul_ct(a, a, oek),
-        lambda: be.decrypt(sk, foreign),
-        lambda: be.encrypt(pk, other.encode([1]), seed=2),
+    own = {"ct": a, "pt": be.encode([1]), "pk": pk, "sk": sk, "ek": ek}
+    foreign = {
+        "ct": enc(other, opk, [1, 2], seed=1), "pt": other.encode([1]),
+        "pk": opk, "sk": osk, "ek": oek,
+    }
+    for op, *signature in (
+        ("add_ct", "ct", "ct"), ("sub_ct", "ct", "ct"), ("negate", "ct"),
+        ("add_pt", "ct", "pt"), ("sub_pt", "ct", "pt"), ("mul_pt", "ct", "pt"),
+        ("mul_ct", "ct", "ct", "ek"), ("rotate", "ct", 0, "ek"), ("rotate", "ct", 1, "ek"),
+        ("swap_rows", "ct", "ek"), ("sum_slots", "ct", 2, "ek"),
+        ("encrypt", "pk", "pt", 2), ("decrypt", "sk", "ct"), ("noise_budget", "sk", "ct"),
     ):
-        with pytest.raises(FingerprintMismatchError):
-            call()
+        for i, kind in enumerate(signature):
+            if kind not in foreign:
+                continue
+            args = [foreign[k] if j == i else own.get(k, k) for j, k in enumerate(signature)]
+            with pytest.raises(FingerprintMismatchError):
+                getattr(be, op)(*args)
     for bad in (np.zeros((2, 2), dtype=np.int64), np.zeros(65, dtype=np.int64)):
         with pytest.raises(ParamError):
             be.encode(bad)
