@@ -7,14 +7,18 @@ evaluations at the odd powers of a primitive 2N-th root of unity psi:
 
 so pointwise multiplication in the transform domain is exactly negacyclic
 (x^N = -1) convolution.  Transforms are batched over a leading axis, one
-modulus per row, which keeps the per-stage work in a handful of vectorized
-uint64 operations.  A plan keeps one table of powers of psi and one of its
-inverse; each butterfly stage reads its twiddles (powers of omega = psi^2)
-as a strided slice of them.
+modulus per row, and each is the four-step transform (Bailey 1990) as two
+float64 matrix products, the way TensorFHE (Fan et al., HPCA 2023) runs
+NTTs as GEMMs (see :class:`NttPlan`).
 
 Every modulus, coefficient primes and plaintext modulus alike, has at most
 ``MODULUS_BITS`` = 31 bits, so the product of two residues fits one uint64
-and every modular multiply is a single ``(a * b) % p``.
+and every modular multiply is a single ``(a * b) % p``.  A matrix product
+is exact in float64 by splitting the matrix, never the data, into pieces
+(``split_pieces``): a piece of b bits times a residue is below 2^(b+31),
+and ``piece_bits`` chooses b so that a sum of ``inner`` such terms stays an
+exact integer below 2^53, whatever order a BLAS adds them in.
+``combine_pieces`` folds the piece products back into residues.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ import numpy as np
 
 # one word size for every modulus: two residues multiply within uint64
 MODULUS_BITS = 31
+
+# float64 holds every integer below 2^53 exactly
+_FLOAT_BITS = 53
 
 # deterministic Miller-Rabin witnesses for n < 2^64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -145,14 +152,36 @@ def power_table(bases, moduli, count: int) -> np.ndarray:
     return table
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.uint64)
-    rev = np.zeros(n, dtype=np.uint64)
-    for _ in range(bits):
-        rev = (rev << np.uint64(1)) | (idx & np.uint64(1))
-        idx >>= np.uint64(1)
-    return rev.astype(np.intp)
+def piece_bits(inner: int) -> int:
+    """Bits b per piece of a residue matrix multiplied by columns of
+    ``inner`` residues: inner * (2^b - 1) * (2^31 - 1) < 2^53, at most 16."""
+    return min(16, _FLOAT_BITS - MODULUS_BITS - (inner - 1).bit_length())
+
+
+def piece_count(bits: int) -> int:
+    """Pieces of ``bits`` bits that hold a residue: ceil(31 / bits)."""
+    return -(-MODULUS_BITS // bits)
+
+
+def split_pieces(table: np.ndarray, bits: int) -> np.ndarray:
+    """A (..., m, inner) uint64 table of residues as its ``bits``-bit pieces,
+    highest first, stacked along the rows: a (..., P*m, inner) float64
+    matrix, P = ``piece_count(bits)``."""
+    mask = np.uint64((1 << bits) - 1)
+    pieces = [table >> np.uint64(bits * i) & mask for i in reversed(range(piece_count(bits)))]
+    return np.ascontiguousarray(np.concatenate(pieces, axis=-2), dtype=np.float64)
+
+
+def combine_pieces(sums: np.ndarray, moduli, bits: int) -> np.ndarray:
+    """The float64 product of a ``split_pieces`` matrix folded by Horner's
+    rule, ((s_0 mod m) * 2^b + s_1) mod m ..., reducing every piece but the
+    last: a uint64 below 2^54, congruent to the whole product mod m."""
+    acc, *rest = np.split(sums.astype(np.uint64), piece_count(bits), axis=-2)
+    for s in rest:
+        acc %= moduli
+        acc <<= np.uint64(bits)
+        acc += s
+    return acc
 
 
 class NttPlan:
@@ -165,6 +194,19 @@ class NttPlan:
     modulo ``moduli[start + k]``; the transforms take ``start`` (default 0),
     ``pointwise`` always starts at 0.  Each row's tables depend on its own
     prime only, so any run of rows transforms as a plan over it would.
+
+    With n = n1*n2, n1 = 2^floor(log2(n) / 2), j = n2*j1 + j2 and
+    k = k1 + n1*k2, the forward transform reads a row as A[j1, j2] and
+    computes
+
+        B = M1 @ A,          M1[k1, j1] = psi^(n2*j1*(2k1+1))
+        C = B * T,            T[k1, j2] = psi^(j2*(2k1+1))
+        D = M2 @ C^T,        M2[k2, j2] = psi^(2*n1*j2*k2)
+
+    and D[k2, k1] is out[k1 + n1*k2]: D read row by row is natural order.
+    The inverse runs the mirror, M2^-1 @ X, the twiddle psi^(-j2(2k1+1))
+    and M1^-1 @ (.)^T, with n^-1 folded into M1^-1.  The matrices are
+    split into pieces once, with the plan.
     """
 
     def __init__(self, n: int, moduli: tuple[int, ...]):
@@ -180,50 +222,59 @@ class NttPlan:
 
         k = len(self.moduli)
         self.p = np.array(self.moduli, dtype=np.uint64).reshape(k, 1)
-        self._bitrev = _bit_reverse_indices(n)
+        n1 = 1 << (n.bit_length() - 1) // 2
+        n2 = n // n1
+        self.shape = (n1, n2)
+        self.bits = (piece_bits(n1), piece_bits(n2))
 
         psis = [root_of_unity(2 * n, m) for m in self.moduli]
         # pick the canonical psi with psi^n = -1 (any 2n-th primitive root works)
         for i, m in enumerate(self.moduli):
             assert pow(psis[i], n, m) == m - 1
+        # every table entry is a power psi^e, e < 2n, of its row's psi
+        powers = power_table(psis, self.moduli, 2 * n)
 
-        # omega = psi^2, so every stage twiddle is a strided slice of these
-        self._psi_pow = power_table(psis, self.moduli, n)
-        psi_invs = [pow(s, -1, m) for s, m in zip(psis, self.moduli)]
-        self._psi_inv_pow = power_table(psi_invs, self.moduli, n)
-        self._n_inv = np.array(
-            [pow(n, -1, m) for m in self.moduli], dtype=np.uint64
-        ).reshape(k, 1)
+        def table(exponents: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray(powers[:, exponents % (2 * n)])
 
-    def _cyclic(self, a: np.ndarray, powers: np.ndarray, rows: slice) -> np.ndarray:
-        """Cyclic NTT of bit-reversed input; ``powers`` are psi^j (or psi^-j)."""
-        k, n = a.shape
-        p3 = self.p[rows].reshape(k, 1, 1)
-        x = a[:, self._bitrev]
-        half = 1
-        while half < n:
-            size = 2 * half
-            # the stage of block size `size` multiplies by omega^(n/size * j) = psi^(n/half * j)
-            tw = powers[rows, :: n // half].reshape(k, 1, half)
-            x = x.reshape(k, n // size, size)
-            lo = x[:, :, :half]
-            hi = mul_mod(x[:, :, half:], tw, p3)
-            x = np.concatenate((add_mod(lo, hi, p3), sub_mod(lo, hi, p3)), axis=2)
-            half = size
-        return x.reshape(k, n)
+        odd = 2 * np.arange(n1) + 1
+        e1 = np.outer(odd, n2 * np.arange(n1))  # [k1, j1]
+        et = np.outer(odd, np.arange(n2))  # [k1, j2]
+        e2 = np.outer(np.arange(n2), 2 * n1 * np.arange(n2))  # [k2, j2] = [j2, k2]
+        n_inv = np.array([pow(n, -1, m) for m in self.moduli], dtype=np.uint64).reshape(k, 1, 1)
+        b1, b2 = self.bits
+        self._m1 = split_pieces(table(e1), b1)
+        self._m1_inv = split_pieces(table(-e1.T) * n_inv % self.p.reshape(k, 1, 1), b1)
+        self._m2 = split_pieces(table(e2), b2)
+        self._twiddle = table(et)
+        self._twiddle_inv = table(-et.T)
+        # M2^-1[j2, k2] = M2[j2, -k2 mod n2]: the inverse reflects its input's k2
+        self._reflect = -np.arange(n2) % n2
+
+    def _transform(self, x: np.ndarray, start: int, first, twiddle, second, bits) -> np.ndarray:
+        """second @ (twiddle * (first @ x))^T, mod each row's prime, for a
+        (R, m, n) block of plan rows from ``start``."""
+        rows = slice(start, start + len(x))
+        p = self.p[rows].reshape(-1, 1, 1)
+        y = combine_pieces(first[rows] @ x.astype(np.float64), p, bits[0])
+        y %= p
+        y *= twiddle[rows]
+        y %= p
+        y = combine_pieces(second[rows] @ y.transpose(0, 2, 1).astype(np.float64), p, bits[1])
+        return np.remainder(y, p)
 
     def forward(self, a: np.ndarray, start: int = 0) -> np.ndarray:
         """Negacyclic NTT: out[k][j] = a_k(psi^(2j+1)) in natural order."""
-        rows = slice(start, start + len(a))
-        twisted = mul_mod(a, self._psi_pow[rows], self.p[rows])
-        return self._cyclic(twisted, self._psi_pow, rows)
+        n1, n2 = self.shape
+        x = a.reshape(-1, n1, n2)
+        return self._transform(x, start, self._m1, self._twiddle, self._m2, self.bits).reshape(a.shape)
 
     def inverse(self, a: np.ndarray, start: int = 0) -> np.ndarray:
         """Inverse of :meth:`forward` (exact)."""
-        rows = slice(start, start + len(a))
-        x = self._cyclic(a, self._psi_inv_pow, rows)
-        x = mul_mod(x, self._n_inv[rows], self.p[rows])
-        return mul_mod(x, self._psi_inv_pow[rows], self.p[rows])
+        n1, n2 = self.shape
+        x = a.reshape(-1, n2, n1)[:, self._reflect]
+        return self._transform(x, start, self._m2, self._twiddle_inv, self._m1_inv,
+                               self.bits[::-1]).reshape(a.shape)
 
     def pointwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return mul_mod(a, b, self.p[: len(a)])

@@ -25,11 +25,9 @@ A :class:`RingContext` owns, for one parameter set:
   every prefix of its primes: ``garner`` (the tensor basis) lifts from q,
   ``garner_aux`` (the primes beyond q) from P and back to q from them all.
   Conversion is exact without big integers: every sum of products is one
-  float64 matrix product over the 16-bit halves of a residue table.  A
-  digit is below 2^31 and a half below 2^16, so each term is below 2^47,
-  and a basis of at most 64 primes keeps every partial sum an exact integer
-  below 2^53 on any BLAS.  A params set whose tensor basis needs more
-  primes is refused.
+  float64 matrix product over the 16-bit halves of a residue table, exact
+  by the NTT's piece rule (``ntt.piece_bits``) for a basis of at most 64
+  primes.  A params set whose tensor basis needs more primes is refused.
 
 Everything is built with the context, the four conversion tables (q -> P,
 q -> extension, P -> q, extension -> q) included, and threads share it
@@ -46,7 +44,10 @@ from math import prod
 import numpy as np
 
 from .errors import ParamError
-from .ntt import MODULUS_BITS, NttPlan, add_mod, mul_mod, ntt_primes, power_table, sub_mod
+from .ntt import (
+    MODULUS_BITS, NttPlan, add_mod, combine_pieces, mul_mod, ntt_primes, piece_bits, power_table,
+    split_pieces, sub_mod,
+)
 from .params import HeParams
 
 
@@ -55,25 +56,10 @@ def _column(values) -> np.ndarray:
     return np.array(list(values), dtype=np.uint64).reshape(-1, 1)
 
 
-#: the most primes a basis may hold: 64 float64 terms below 2^47 keep every
-#: partial sum an exact integer below 2^53 (see GarnerBasis)
+#: the most primes a basis may hold: sums of 64 terms stay exact with the
+#: 16-bit pieces (halves) of ``piece_bits(64)``
 MAX_BASIS_PRIMES = 64
-
-
-def _halves(table: np.ndarray) -> np.ndarray:
-    """A (L, R) table of residues below 2^31 as its 16-bit high halves
-    stacked above its low halves: a (2L, R) float64 matrix."""
-    return np.concatenate((table >> 16, table & 0xFFFF)).astype(np.float64)
-
-
-def _combine(sums: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    """(hi mod m) * 2^16 + lo for the float64 product of a ``_halves``
-    table: a uint64 below 2^54, congruent to the full sum mod m."""
-    hi, lo = np.split(sums.astype(np.uint64), 2)
-    np.remainder(hi, moduli, out=hi)
-    hi <<= np.uint64(16)
-    hi += lo
-    return hi
+_BITS = piece_bits(MAX_BASIS_PRIMES)
 
 
 class GarnerBasis:
@@ -83,10 +69,8 @@ class GarnerBasis:
     subtracting h: no sign test.
 
     Every sum of products is one float64 matrix product over the 16-bit
-    halves of a residue table (``_halves``).  A digit is below 2^31 and a
-    half below 2^16, so each term is below 2^47, and a basis of at most
-    ``MAX_BASIS_PRIMES`` = 64 primes keeps every partial sum an exact
-    integer below 2^53, in whatever order a BLAS adds them.  Digit i is
+    halves of a residue table (``ntt.split_pieces``), exact for a basis of
+    at most ``MAX_BASIS_PRIMES`` = 64 primes by ``ntt.piece_bits``.  Digit i is
     ((x_i + h) c_i - sum_{j<i} v_j (prefix[j] c_i mod p_i)) mod p_i, with
     c_i = prefix[i]^-1 mod p_i: one matvec and two ``%`` per row.  The
     residues mod L targets w are the (2L, R) table prefix[i] mod w times the
@@ -114,10 +98,10 @@ class GarnerBasis:
         # digit subtracts, so the difference stays unsigned
         self._borrow = _column(p * -(-(1 << 54) // p) for p in self.primes)
         # row i's matvec table is [:, i, :i]: prefix[j] * c_i mod p_i for j < i
-        self._steps = _halves(np.array(
+        self._steps = split_pieces(np.array(
             [[pf % p * c % p for pf in self.prefix[:i]] + [0] * (r - i)
              for i, (p, c) in enumerate(zip(self.primes, inv))], dtype=np.uint64,
-        ).reshape(r, r)).reshape(2, r, r)
+        ).reshape(r, r), _BITS).reshape(2, r, r)
         self._tables = {tuple(w): self._conversion(w) for w in targets}
 
     def _conversion(self, target_primes: tuple[int, ...]):
@@ -127,7 +111,7 @@ class GarnerBasis:
         table = np.array([[pf % t for pf in self.prefix] for t in target_primes],
                          dtype=np.uint64).reshape(len(target_primes), -1)
         neg_half = (w + np.uint64(1) - table) * ((w + np.uint64(1)) // np.uint64(2)) % w
-        return _halves(table[:, :-1]), w, neg_half
+        return split_pieces(table[:, :-1], _BITS), w, neg_half
 
     def to_digits(self, residues: np.ndarray) -> np.ndarray:
         """Garner digits of x + h for the centred values x whose RNS
@@ -141,7 +125,7 @@ class GarnerBasis:
         v = np.empty_like(residues)
         vf = np.empty(residues.shape)
         for i in range(r):
-            (d,) = _combine(self._steps[:, i, :i] @ vf[:i], p[i])
+            (d,) = combine_pieces(self._steps[:, i, :i] @ vf[:i], p[i], _BITS)
             np.remainder(np.subtract(u[i], d, out=d), p[i], out=v[i])
             vf[i] = v[i]
         return v
@@ -151,7 +135,7 @@ class GarnerBasis:
         target_primes = tuple(target_primes)
         table, w, neg_half = self._tables.get(target_primes) or self._conversion(target_primes)
         r = len(digits)
-        out = _combine(table[:, :r] @ digits.astype(np.float64), w)
+        out = combine_pieces(table[:, :r] @ digits.astype(np.float64), w, _BITS)
         out += neg_half[:, r : r + 1]
         out %= w
         return out

@@ -1,6 +1,7 @@
 """Clear oracles that only the tests read: the boolean comparison, the
 path-sum and routing forms of a tree's score, argmax prediction, the
-synthetic ensemble's label agreement and Python-int base conversion."""
+synthetic ensemble's label agreement, Python-int base conversion and the
+negacyclic transform's definition."""
 
 from math import prod
 
@@ -9,6 +10,7 @@ import numpy as np
 from hedgerow import ModelFormatError
 from hedgerow.compare import FeatureCode
 from hedgerow.modelio import Dataset, ensemble_scores_clear_batch, normalize_samples
+from hedgerow.ntt import NttPlan, root_of_unity
 from hedgerow.ring import GarnerBasis
 from hedgerow.trees import Ensemble
 
@@ -70,3 +72,22 @@ def check_garner_conversions(basis, targets, values):
     assert garner.digits_to_residues(digits, targets).tolist() == want
     assert garner.lift(x, targets).tolist() == want
     assert list(garner.residues_to_ints(x)) == list(values)
+
+
+def check_ntt_definition(plan: NttPlan, a: np.ndarray, start: int, ks) -> None:
+    """``plan.forward`` of the rows ``a`` (plan rows from ``start``) at the
+    positions ``ks`` against its definition a_r(psi^(2k+1)), evaluated by
+    Horner's rule in Python ints with psi = root_of_unity(2N, p) for the
+    row's prime p; and ``plan.inverse`` of the whole transform against ``a``."""
+    out = plan.forward(a, start)
+    assert out.dtype == np.uint64 and out.shape == a.shape
+    for row, p in enumerate(plan.moduli[start : start + len(a)]):
+        psi = root_of_unity(2 * plan.n, p)
+        coeffs = [int(c) for c in a[row, ::-1]]  # highest degree first
+        for k in ks:
+            x = pow(psi, 2 * k + 1, p)
+            value = 0
+            for c in coeffs:
+                value = (value * x + c) % p
+            assert int(out[row, k]) == value, (p, k)
+    assert np.array_equal(plan.inverse(out, start), a)

@@ -1,6 +1,7 @@
 """Hypothesis fuzz of the exchange-file, params, dataset and model loaders:
 every input either loads or raises a HedgerowError (which the CLI maps to
-exit 3 or 4); and of exact base conversion against Python ints."""
+exit 3 or 4); of exact base conversion against Python ints; and of every
+preset's transforms against their definition."""
 
 import json
 from itertools import islice
@@ -19,9 +20,11 @@ from hedgerow.modelio import (
     load_layout, load_svm, pack_client_input,
 )
 from hedgerow.ntt import MODULUS_BITS, ntt_primes
+from hedgerow.params import PRESET_NAMES, gen_params
 from hedgerow.pipeline import BUNDLE_COUNTS, SCORE_COUNTS, read_manifest
+from hedgerow.ring import get_ring
 from hedgerow.scheme import HeBackend
-from oracles import check_garner_conversions
+from oracles import check_garner_conversions, check_ntt_definition
 
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -289,3 +292,29 @@ def conversions(draw):
 @given(case=conversions())
 def test_base_conversion_matches_python_ints(case):
     check_garner_conversions(*case)
+
+
+@st.composite
+def transforms(draw):
+    """A preset's plan over its tensor basis, a run of rows ending at K, K+L
+    or the whole basis from any start, residues all 0, all p - 1 or random
+    with p - 1 and 0 pinned at drawn positions, and positions to check."""
+    ring = get_ring(gen_params(draw(st.sampled_from(PRESET_NAMES))))
+    stop = draw(st.sampled_from([ring.k, len(ring.qp_primes), len(ring.tensor_primes)]))
+    start = draw(st.integers(0, stop - 1))
+    p = ring.plan_q.p[start:stop]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, 2**62, (stop - start, ring.n), dtype=np.uint64) % p
+    fill = draw(st.sampled_from(["zero", "top", "random"]))
+    if fill != "random":
+        a[:] = 0 if fill == "zero" else p - np.uint64(1)
+    position = st.integers(0, ring.n - 1)
+    a[:, draw(st.lists(position, max_size=4))] = p - np.uint64(1)
+    a[:, draw(st.lists(position, max_size=4))] = 0
+    return ring.plan_q, a, start, draw(st.lists(position, min_size=1, max_size=3))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=transforms())
+def test_preset_transforms_match_their_definition(case):
+    check_ntt_definition(*case)

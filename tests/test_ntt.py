@@ -1,4 +1,5 @@
-"""Transform-level checks: the NTT against a schoolbook negacyclic oracle."""
+"""Transform-level checks: the NTT against its definition and a schoolbook
+negacyclic oracle, and the piece rule that keeps its matrix products exact."""
 
 import numpy as np
 import pytest
@@ -9,12 +10,16 @@ from hedgerow.ntt import (
     add_mod,
     find_ntt_primes,
     is_prime,
+    piece_bits,
+    piece_count,
     power_table,
     primitive_root,
     root_of_unity,
     sub_mod,
 )
 from hedgerow.params import PRESET_NAMES, gen_params
+from hedgerow.ring import MAX_BASIS_PRIMES
+from oracles import check_ntt_definition
 
 
 def schoolbook_negacyclic(a, b, q):
@@ -117,7 +122,39 @@ def test_power_table_matches_pow(count):
         assert [int(v) for v in table[row]] == [pow(b, j, m) for j in range(count)], (b, m)
 
 
-@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+@pytest.mark.parametrize("n", [2 ** e for e in range(1, 15)])
+def test_transform_matches_its_definition(n, rng):
+    # every shape n1 x n2 from 1 x 2 to 128 x 128, so both the two-piece
+    # (N <= 4096) and the three-piece matrices, on a 31-bit and a 29-bit
+    # prime row: zeros, all p - 1, all p - 2 (odd, so that a sum past 2^53
+    # would round), and random residues with p - 1 and 0 at the edges
+    primes = (find_ntt_primes(MODULUS_BITS, 1, 2 * n)[0], find_ntt_primes(29, 1, 2 * n)[0])
+    plan = NttPlan(n, primes)
+    top = plan.p - np.uint64(1)
+    edges = rng.integers(0, 2**62, (2, n), dtype=np.uint64) % plan.p
+    edges[:, :1] = top
+    edges[:, -1] = 0
+    ks = sorted({0, 1, n - 1, *rng.integers(0, n, 3).tolist()})
+    for fill in (0 * top, top, top - np.uint64(1)):
+        check_ntt_definition(plan, np.repeat(fill, n, axis=1), 0, ks)
+    check_ntt_definition(plan, edges, 0, ks)
+
+
+def test_piece_rule_keeps_every_product_exact():
+    # b-bit pieces times 31-bit residues, summed over the inner dimension,
+    # stay below 2^53: b is the widest such width up to 16, so Garner's
+    # bases of up to 64 primes keep their 16-bit halves
+    for inner in range(1, 129):
+        b = piece_bits(inner)
+        assert inner * (2**b - 1) * (2**MODULUS_BITS - 1) < 2**53, inner
+        assert b == 16 or inner * (2 ** (b + 1) - 1) * (2**MODULUS_BITS - 1) >= 2**53, inner
+    assert piece_bits(MAX_BASIS_PRIMES) == 16
+    for n, pieces in ((2, 2), (2048, 2), (4096, 2), (8192, 3), (16384, 3)):
+        plan = NttPlan(n, tuple(find_ntt_primes(MODULUS_BITS, 1, 2 * n)))
+        assert max(piece_count(b) for b in plan.bits) == pieces, n
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 256])
 def test_ntt_multiplication_matches_schoolbook(n, rng):
     primes = tuple(find_ntt_primes(29, 2, 2 * n))
     plan = NttPlan(n, primes)
