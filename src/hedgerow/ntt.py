@@ -175,12 +175,15 @@ def split_pieces(table: np.ndarray, bits: int) -> np.ndarray:
 def combine_pieces(sums: np.ndarray, moduli, bits: int) -> np.ndarray:
     """The float64 product of a ``split_pieces`` matrix folded by Horner's
     rule, ((s_0 mod m) * 2^b + s_1) mod m ..., reducing every piece but the
-    last: a uint64 below 2^54, congruent to the whole product mod m."""
-    acc, *rest = np.split(sums.astype(np.uint64), piece_count(bits), axis=-2)
-    for s in rest:
+    last: a uint64 below 2^54, congruent to the whole product mod m.  Each
+    piece's rows are converted from their own slice of ``sums``."""
+    count = piece_count(bits)
+    m = sums.shape[-2] // count
+    acc = sums[..., :m, :].astype(np.uint64)
+    for i in range(1, count):
         acc %= moduli
         acc <<= np.uint64(bits)
-        acc += s
+        acc += sums[..., i * m : (i + 1) * m, :].astype(np.uint64)
     return acc
 
 

@@ -8,10 +8,13 @@ validates.  Every mode writes the same scores: ``score_NNN.ct`` files and a
 manifest ``{mode, samples, classes, scale_bits, outputs, class_positions}``
 placing class c at (output, slot) ``class_positions[c]``.  Only
 ``server_model`` looks at the mode.  Each role reads only the key files
-it uses: encrypt ``public.key``, decrypt ``secret.key``, infer ``eval.key``
-(and ``public.key`` to encrypt split codes).  The server-side entry points
-never accept or load a secret key; ``load_keyset(forbid_secret=True)``
-additionally refuses to run when one is present in the key directory.
+it uses: encrypt and decrypt ``secret.key``, infer ``eval.key`` (and
+``public.key`` to encrypt split codes).  The client encrypts its uploads
+under the secret key, so each is written seeded: c0 and the 32-byte seed
+its c1 expands from, half the bytes of a public-key encryption (serial.py).
+The server-side entry points never accept or load a secret key;
+``load_keyset(forbid_secret=True)`` additionally refuses to run when one is
+present in the key directory.
 
 Evaluation works against either backend (encrypted or clear mirror), which
 is how the oracle-equivalence tests drive the identical circuit on both.
@@ -154,8 +157,16 @@ def _read_container(path: Path, load, params: HeParams):
 
 
 def _key_file(name: str, load):
-    """A KeySet attribute read from the container ``name`` on first use."""
-    return cached_property(lambda keys: _read_container(keys.keydir / name, load, keys.params))
+    """A KeySet attribute read from the container ``name`` on first use; a
+    key directory without that file is refused."""
+
+    def read(keys):
+        path = keys.keydir / name
+        if not path.exists():
+            raise ModelFormatError(f"no {name} in {keys.keydir}")
+        return _read_container(path, load, keys.params)
+
+    return cached_property(read)
 
 
 class KeySet:
@@ -216,7 +227,8 @@ def load_keyset(keydir, need_secret: bool = False, forbid_secret: bool = False) 
 
 def encrypt_bundle(backend, pk, bundle: ClientBundle, seed) -> dict:
     """Encrypt one packed sample: per block, {stream: (x0 ct, x2 ct)} for
-    each of ``STREAMS``, plus the SVM vector."""
+    each of ``STREAMS``, plus the SVM vector.  ``pk`` may be the secret
+    key, which gives seeded ciphertexts (``HeBackend.encrypt``)."""
     prg = Prg(seed)
     blocks = [
         {
@@ -344,21 +356,22 @@ def _in_grid(p, outputs: int, slots: int) -> bool:
 
 
 def run_encrypt(layout: FeatureLayout, dataset, keyset: KeySet, seed, outdir) -> float:
-    """Client role: pack and encrypt every sample.  Returns seconds (packing included)."""
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    backend = HeBackend(keyset.params)
+    """Client role: pack and encrypt every sample under the key directory's
+    secret key, which it must hold.  Returns seconds (packing included)."""
     if layout.slot_count != keyset.params.slot_count:
         raise ModelFormatError(
             f"layout was built for {layout.slot_count} slots, keys provide "
             f"{keyset.params.slot_count}"
         )
-    pk = keyset.public
+    sk = keyset.secret
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    backend = HeBackend(keyset.params)
     prg = Prg(seed)
     t0 = time.perf_counter()
     for i in range(dataset.num_samples):
         bundle = pack_client_input(dataset.samples[i], layout)
-        cts = encrypt_bundle(backend, pk, bundle, prg.bytes(f"sample.{i}", 32))
+        cts = encrypt_bundle(backend, sk, bundle, prg.bytes(f"sample.{i}", 32))
         uploads = {
             (b, s, p): ct
             for b, enc in enumerate(cts["xgb"]) for s in STREAMS for p, ct in zip(PLANES, enc[s])

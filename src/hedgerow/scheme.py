@@ -31,6 +31,11 @@ share, and each of its ops refuses a value of other parameters.  Every key
 type derives from ``ParamsKey``.  ``decrypt`` refuses a ciphertext whose
 noise margin is exhausted.
 
+``encrypt`` under the public key is the usual (b*u + e1 + round(q*m/t),
+a*u + e2); under the secret key it is (e + round(q*m/t) - a*s, a) with a
+expanded from a public 32-byte seed, fresh per ciphertext, so a container
+carries c0 and the seed only (see serial.py).
+
 Everything is deterministic given explicit seeds: randomness comes from
 SHAKE-256 expansion of (seed, domain label), nothing else.
 """
@@ -56,6 +61,7 @@ from .ring import get_ring
 
 _CBD_BITS = 20  # centered binomial width; sigma = sqrt(20/2) ~ 3.16
 _CBD_MASK = np.uint64((1 << _CBD_BITS) - 1)
+SEED_BYTES = 32  # a ciphertext's public a_seed
 
 
 def _as_seed(seed) -> bytes:
@@ -141,18 +147,28 @@ class Ciphertext:
     """RLWE ciphertext (c0, c1) in evaluation form, decrypting as c0 + c1*s.
 
     Always two parts: ``mul_ct`` relinearizes its three-part product before
-    returning, so no other part count exists outside it.
+    returning, so no other part count exists outside it.  A fresh encryption
+    under the secret key keeps the public 32-byte ``a_seed`` its c1 expands
+    from (``expand_a``), so its container need not carry c1; no op sets it.
     """
 
     params: HeParams
     level: int
     parts: tuple[np.ndarray, np.ndarray]  # each (K, N) uint64 residues, NTT domain
+    a_seed: bytes | None = None
 
     def __post_init__(self):
         if len(self.parts) != 2:
             raise ParamError(f"ciphertext must have 2 parts, got {len(self.parts)}")
         if self.level < 0:
             raise ParamError("ciphertext level cannot be negative")
+
+
+def expand_a(params: HeParams, a_seed: bytes) -> np.ndarray:
+    """The c1 of a secret-key encryption: uniform residues mod q, drawn
+    directly in evaluation form from its public ``a_seed``."""
+    ring = get_ring(params)
+    return Prg(a_seed).uniform_rns("ct.a", ring.q_arr, ring.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,16 +388,30 @@ class HeBackend(Backend):
     def keygen(self, seed, rotation_steps: tuple[int, ...] | None = None):
         return keygen(self.params, seed, rotation_steps)
 
-    def encrypt(self, pk: PublicKey, pt: PackedPlaintext, seed) -> Ciphertext:
-        self._check(pk, pt)
+    def encrypt(self, key: PublicKey | SecretKey, pt: PackedPlaintext, seed) -> Ciphertext:
+        """A fresh encryption of ``pt``; the key type picks the form.
+
+        Under the secret key it is (NTT(e + round(q*m/t)) - a*s, a), with a
+        expanded from an ``a_seed`` drawn from this encryption's own seed
+        (``expand_a``): one error term, so about 6 more bits of
+        margin than public-key encryption, and half the container bytes.
+        """
+        self._check(key, pt)
         ring, plan = self.ring, self.ring.plan_q
         prg = Prg(seed)
+        if isinstance(key, SecretKey):
+            a_seed = prg.bytes("enc.a", SEED_BYTES)
+            a = expand_a(self.params, a_seed)
+            e = ring.rns_from_small(prg.cbd("enc.e", ring.n))
+            m = plan.forward(add_mod(e, ring.scale_plaintext(pt.poly), ring.q_arr))
+            c0 = sub_mod(m, plan.pointwise(a, key.s), ring.q_arr)
+            return Ciphertext(self.params, self.params.depth_budget, (c0, a), a_seed)
         u_ntt = plan.forward(ring.rns_from_small(prg.ternary("enc.u", ring.n)))
         e1 = ring.rns_from_small(prg.cbd("enc.e1", ring.n))
         e2 = ring.rns_from_small(prg.cbd("enc.e2", ring.n))
         m = plan.forward(add_mod(e1, ring.scale_plaintext(pt.poly), ring.q_arr))
-        c0 = add_mod(plan.pointwise(pk.b_ntt, u_ntt), m, ring.q_arr)
-        c1 = add_mod(plan.pointwise(pk.a_ntt, u_ntt), plan.forward(e2), ring.q_arr)
+        c0 = add_mod(plan.pointwise(key.b_ntt, u_ntt), m, ring.q_arr)
+        c1 = add_mod(plan.pointwise(key.a_ntt, u_ntt), plan.forward(e2), ring.q_arr)
         return Ciphertext(self.params, self.params.depth_budget, (c0, c1))
 
     def _noise(self, sk: SecretKey, ct: Ciphertext) -> np.ndarray:

@@ -1,24 +1,34 @@
 """Binary containers for keys and ciphertexts.
 
-Every container has one layout: magic ``HEGR``, the version byte (5), the
+Every container has one layout: magic ``HEGR``, the version byte (6), the
 type-tag byte and the 32-byte params fingerprint; then its little-endian
-64-bit words; then its residue polynomials, which run to the end of the
-container.  Each polynomial is written as its residue limbs in
-(prime-index-major, evaluation-point-minor) order, in the NTT domain it is
-held in.  The type fixes how many polynomials follow, so no part count is
+64-bit words; then, for a seeded ciphertext, its 32-byte seed; then its
+residue polynomials, which run to the end of the container.  Each
+polynomial is written as its residue limbs in (prime-index-major,
+evaluation-point-minor) order, in the NTT domain it is held in, one
+little-endian 4-byte limb each: every prime has at most ``ntt.MODULUS_BITS``
+= 31 bits.  The type fixes how many polynomials follow, so no part count is
 stored:
 
-* ciphertext : words ``[level]``; c0 and c1, K rows each
-* secret key : no words; s, K rows
-* public key : no words; b and a, K rows each
-* eval keys  : words ``[G, the G Galois steps in increasing order, S]``;
-  the (b, a) pairs of the relinearization key, of each step in order and of
-  the row swap when S = 1, each poly mod qP with K+L rows: the K
+* ciphertext        : words ``[level]``; c0 and c1, K rows each:
+  46 + 8 * K * N bytes
+* seeded ciphertext : words ``[level]``; the 32-byte ``a_seed`` that c1
+  expands from (``scheme.expand_a``); c0, K rows: 78 + 4 * K * N bytes
+* secret key        : no words; s, K rows
+* public key        : no words; b and a, K rows each
+* eval keys         : words ``[G, the G Galois steps in increasing order,
+  S]``; the (b, a) pairs of the relinearization key, of each step in order
+  and of the row swap when S = 1, each poly mod qP with K+L rows: the K
   coefficient-prime rows first and then the L special-prime rows (see
-  ring.py).  The whole container is 38 + 8 * (2 + G) + (1 + G + S) * 16 *
+  ring.py).  The whole container is 38 + 8 * (2 + G) + (1 + G + S) * 8 *
   (K+L) * N bytes.
 
-Deserialization checks the magic, the version (versions 1-4 are refused,
+A fresh encryption under the secret key keeps its ``a_seed`` and is written
+seeded; every other ciphertext is written whole.  ``deserialize_ciphertext``
+reads both, and a seeded one keeps its seed, so it writes back to its own
+bytes.
+
+Deserialization checks the magic, the version (versions 1-5 are refused,
 not misread), the type tag and the params fingerprint, and that the
 residues fill the rest of the container exactly.  Every residue limb must
 lie below its own row's prime (q_i or p_j), a ciphertext level at most the
@@ -34,51 +44,58 @@ import numpy as np
 from .errors import FingerprintMismatchError, SerializationError
 from .params import HeParams
 from .ring import get_ring
-from .scheme import Ciphertext, EvalKeys, PublicKey, SecretKey
+from .scheme import SEED_BYTES, Ciphertext, EvalKeys, PublicKey, SecretKey, expand_a
 
 MAGIC = b"HEGR"
-VERSION = 5
+VERSION = 6
 HEADER_BYTES = 38  # magic, version, tag, fingerprint
+LIMB = "<u4"  # every residue is below 2^31
+LIMB_BYTES = np.dtype(LIMB).itemsize
 
 TAG_CIPHERTEXT = 2
 TAG_SECRET_KEY = 3
 TAG_PUBLIC_KEY = 4
 TAG_EVAL_KEYS = 5
+TAG_SEEDED_CIPHERTEXT = 6
 
 
-def _container(tag: int, value, words, polys) -> bytes:
+def _container(tag: int, value, words, polys, seed: bytes = b"") -> bytes:
     return b"".join([
         MAGIC, bytes([VERSION, tag]), value.params.fingerprint,
-        np.asarray(words, dtype="<u8").tobytes(),
-        *(np.ascontiguousarray(poly, dtype="<u8").tobytes() for poly in polys),
+        np.asarray(words, dtype="<u8").tobytes(), seed,
+        *(np.ascontiguousarray(poly, dtype=LIMB).tobytes() for poly in polys),
     ])
 
 
 class _Reader:
-    def __init__(self, data: bytes, expected_tag: int, params: HeParams):
+    def __init__(self, data: bytes, tags: tuple[int, ...], params: HeParams):
         if len(data) < HEADER_BYTES:
             raise SerializationError("container truncated before header")
         if data[:4] != MAGIC:
             raise SerializationError("bad magic; not a HEGR container")
         if data[4] != VERSION:
             raise SerializationError(f"unsupported container version {data[4]}")
-        if data[5] != expected_tag:
+        if data[5] not in tags:
             raise SerializationError(
-                f"container holds type tag {data[5]}, expected {expected_tag}"
+                f"container holds type tag {data[5]}, expected {' or '.join(map(str, tags))}"
             )
         if bytes(data[6:HEADER_BYTES]) != params.fingerprint:
             raise FingerprintMismatchError("container was written under different parameters")
+        self.tag = data[5]
         self._view = memoryview(data)
         self._pos = HEADER_BYTES
         self._params = params
 
-    def words(self, count: int) -> np.ndarray:
-        end = self._pos + 8 * count
+    def raw(self, count: int) -> bytes:
+        end = self._pos + count
         if end > len(self._view):
             raise SerializationError("container truncated")
-        out = np.frombuffer(self._view[self._pos : end], dtype="<u8").copy()
+        out = bytes(self._view[self._pos : end])
         self._pos = end
         return out
+
+    def words(self, count: int) -> np.ndarray:
+        return np.frombuffer(self.raw(8 * count), dtype="<u8").astype(np.uint64)
 
     def u64(self) -> int:
         return int(self.words(1)[0])
@@ -86,37 +103,46 @@ class _Reader:
     def polys(self, count: int, primes: tuple[int, ...] | None = None) -> list[np.ndarray]:
         """The rest of the container as ``count`` polynomials, each with a row
         per prime (by default the coefficient primes), every limb below its
-        row's prime and no byte left over.  Each is copied on its own: one
-        array holding them all raised perfbench's peak RSS by 2-5 MB."""
+        row's prime and no byte left over, widened to uint64 after that
+        check.  Each is widened on its own: one array holding them all
+        raised perfbench's peak RSS by 2-5 MB."""
         primes = self._params.coeff_modulus if primes is None else primes
         shape = (count, len(primes), self._params.ring_degree)
         rest = len(self._view) - self._pos
-        if rest != 8 * count * shape[1] * shape[2]:
+        if rest != LIMB_BYTES * count * shape[1] * shape[2]:
             raise SerializationError(
                 f"container holds {rest} bytes of residues, its type fixes "
                 f"{count} polys of {shape[1]} x {shape[2]} limbs"
             )
-        polys = np.frombuffer(self._view[self._pos :], dtype="<u8").reshape(shape)
+        polys = np.frombuffer(self._view[self._pos :], dtype=LIMB).reshape(shape)
         if (polys.max(axis=(0, 2)) >= np.array(primes, dtype=np.uint64)).any():
             raise SerializationError("residue limb not below its row's prime")
-        return [poly.copy() for poly in polys]
+        return [poly.astype(np.uint64) for poly in polys]
 
 
 # -- ciphertext ----------------------------------------------------------------
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
+    if ct.a_seed is not None:
+        return _container(TAG_SEEDED_CIPHERTEXT, ct, [ct.level], ct.parts[:1], ct.a_seed)
     return _container(TAG_CIPHERTEXT, ct, [ct.level], ct.parts)
 
 
 def deserialize_ciphertext(data: bytes, params: HeParams) -> Ciphertext:
-    r = _Reader(data, TAG_CIPHERTEXT, params)
+    """Either form; a seeded ciphertext's c1 is expanded from its seed, which
+    it keeps."""
+    r = _Reader(data, (TAG_CIPHERTEXT, TAG_SEEDED_CIPHERTEXT), params)
     level = r.u64()
     if level > params.depth_budget:
         raise SerializationError(
             f"ciphertext level {level} exceeds the depth budget {params.depth_budget}"
         )
-    return Ciphertext(params, level, tuple(r.polys(2)))
+    if r.tag == TAG_CIPHERTEXT:
+        return Ciphertext(params, level, tuple(r.polys(2)))
+    a_seed = r.raw(SEED_BYTES)
+    (c0,) = r.polys(1)
+    return Ciphertext(params, level, (c0, expand_a(params, a_seed)), a_seed)
 
 
 # -- keys ------------------------------------------------------------------------
@@ -127,7 +153,7 @@ def serialize_secret_key(sk: SecretKey) -> bytes:
 
 
 def deserialize_secret_key(data: bytes, params: HeParams) -> SecretKey:
-    (s,) = _Reader(data, TAG_SECRET_KEY, params).polys(1)
+    (s,) = _Reader(data, (TAG_SECRET_KEY,), params).polys(1)
     return SecretKey(params, s)
 
 
@@ -136,7 +162,7 @@ def serialize_public_key(pk: PublicKey) -> bytes:
 
 
 def deserialize_public_key(data: bytes, params: HeParams) -> PublicKey:
-    b, a = _Reader(data, TAG_PUBLIC_KEY, params).polys(2)
+    b, a = _Reader(data, (TAG_PUBLIC_KEY,), params).polys(2)
     return PublicKey(params, b, a)
 
 
@@ -149,7 +175,7 @@ def serialize_eval_keys(ek: EvalKeys) -> bytes:
 
 
 def deserialize_eval_keys(data: bytes, params: HeParams) -> EvalKeys:
-    r = _Reader(data, TAG_EVAL_KEYS, params)
+    r = _Reader(data, (TAG_EVAL_KEYS,), params)
     steps = r.words(r.u64())
     previous = np.concatenate(([np.uint64(0)], steps))[:-1]
     bad = np.flatnonzero((steps <= previous) | (steps >= params.rotation_group_size))

@@ -148,28 +148,43 @@ def test_infer_thread_count_invariance(workspace, monkeypatch, mode, model):
 
 
 def test_client_roles_read_only_their_keys(workspace, tmp_path):
-    # encrypt reads params.txt and public.key, decrypt params.txt and secret.key
+    # encrypt and decrypt read params.txt and secret.key: encrypt needs
+    # neither public.key nor eval.key, and refuses a directory without
+    # secret.key (the server's) before writing anything
     base = workspace["base"]
     client = tmp_path / "client-keys"
     shutil.copytree(workspace["keydir"], client)
     (client / "eval.key").unlink()
-    rc = main(["encrypt", "--model-layout", str(base / "layout.json"), "--data",
-               str(base / "data.csv"), "--labeled", "--keys", str(client), "--seed", "7",
-               "--out", str(tmp_path / "enc")])
-    assert rc == EXIT_OK
+    (client / "public.key").unlink()
+    encrypt = ["encrypt", "--model-layout", str(base / "layout.json"), "--data",
+               str(base / "data.csv"), "--labeled", "--seed", "7", "--keys"]
+    assert main(encrypt + [str(client), "--out", str(tmp_path / "enc")]) == EXIT_OK
     assert (tmp_path / "enc" / "sample_00000" / "svm.ct").read_bytes() == (
         base / "enc" / "sample_00000" / "svm.ct").read_bytes()
+    refused = tmp_path / "enc-server"
+    assert main(encrypt + [str(workspace["server"]), "--out", str(refused)]) == EXIT_FORMAT
+    assert not refused.exists()
     infer = ["infer", "--mode", "svm", "--model", str(base / "svm.json"),
              "--in", str(tmp_path / "enc"), "--out", str(tmp_path / "scores"), "--keys"]
     assert main(infer + [str(client)]) == EXIT_FORMAT  # still refused: secret key present
     assert main(infer + [str(workspace["server"])]) == EXIT_OK
-    (client / "public.key").unlink()
     rc = main(["decrypt", "--in", str(tmp_path / "scores"), "--keys", str(client),
                "--report", str(tmp_path / "report.csv")])
     assert rc == EXIT_OK
     _, _, full = run_decrypt(tmp_path / "scores", workspace["keydir"], None)
     _, _, trimmed = run_decrypt(tmp_path / "scores", client, None)
     assert np.array_equal(trimmed, full)
+
+
+def test_encrypt_writes_seeded_uploads(workspace):
+    # every upload is encrypted under the secret key: c0 and its own a_seed,
+    # 78 + 4*K*N bytes, with no two ciphertexts sharing a seed
+    params = workspace["params"]
+    uploads = sorted((workspace["base"] / "enc").glob("sample_*/*.ct"))
+    size = 78 + 4 * len(params.coeff_modulus) * params.ring_degree
+    assert uploads and {p.stat().st_size for p in uploads} == {size}
+    seeds = {deserialize_ciphertext(p.read_bytes(), params).a_seed for p in uploads}
+    assert None not in seeds and len(seeds) == len(uploads)
 
 
 def test_encrypt_deterministic_bytes(workspace, tmp_path):
@@ -256,7 +271,7 @@ def test_infer_rejects_tampered_upload(workspace, tmp_path):
     shutil.copytree(workspace["base"] / "enc", enc)
     target = enc / "sample_00000" / "block_000.root.x0.ct"
     blob = bytearray(target.read_bytes())
-    blob[-8:] = ((1 << 40) + 5).to_bytes(8, "little")  # a limb far above its prime
+    blob[-4:] = (2**32 - 1).to_bytes(4, "little")  # a limb far above its prime
     target.write_bytes(bytes(blob))
     rc = main(
         [

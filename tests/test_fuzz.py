@@ -145,17 +145,21 @@ def containers():
     be = HeBackend(params)
     sk, pk, ek = be.keygen(seed=3)
     ct = be.encrypt(pk, be.encode([1, -1, 0, 1]), seed=4)
-    return params, {"ciphertext": ct, "secret_key": sk, "public_key": pk, "eval_keys": ek}
+    seeded = be.encrypt(sk, be.encode([1, -1, 0, 1]), seed=4)  # c0 and a_seed
+    return params, {"ciphertext": ct, "seeded_ciphertext": seeded, "secret_key": sk,
+                    "public_key": pk, "eval_keys": ek}
 
 
-@pytest.mark.parametrize("kind", ["ciphertext", "secret_key", "public_key", "eval_keys"])
+@pytest.mark.parametrize(
+    "kind", ["ciphertext", "seeded_ciphertext", "secret_key", "public_key", "eval_keys"])
 @FUZZ
 @given(data=st.data())
 def test_container_damage_loads_or_refuses(containers, kind, data):
     """A damaged container that still loads is canonical: it writes back to
     exactly its own bytes."""
     params, items = containers
-    save, load = getattr(serial, f"serialize_{kind}"), getattr(serial, f"deserialize_{kind}")
+    name = kind.removeprefix("seeded_")
+    save, load = getattr(serial, f"serialize_{name}"), getattr(serial, f"deserialize_{name}")
     blob = save(items[kind])
     if data.draw(st.booleans(), label="truncate"):
         damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]

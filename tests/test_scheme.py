@@ -89,6 +89,31 @@ def test_encrypt_deterministic(he64, keys64):
     )
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_seeded_encryption_is_exact_with_more_margin(name):
+    # under the secret key one error term replaces e1 + e2*s + e*u: the
+    # fresh margin gains at least 5 bits over public-key encryption
+    params = gen_params(name)
+    he = HeBackend(params)
+    sk, pk, _ = he.keygen(seed=3, rotation_steps=(1,))
+    v = np.random.default_rng(4).integers(0, params.plaintext_modulus, params.slot_count)
+    seeded, public = enc(he, sk, v, seed=5), enc(he, pk, v, seed=5)
+    assert seeded.a_seed is not None and public.a_seed is None
+    assert np.array_equal(dec(he, sk, seeded), v)
+    assert he.noise_budget(sk, seeded) >= he.noise_budget(sk, public) + 5
+
+
+def test_seeded_encryption_draws_its_own_a_seed(he64, keys64):
+    # a_seed comes from the encryption's seed: two seeds, two seeds and two
+    # c1; one seed twice, the same ciphertext
+    sk, _, _ = keys64
+    a, b, again = (enc(he64, sk, [5, 6, 7], seed=s) for s in (9, 10, 9))
+    assert a.a_seed != b.a_seed and not np.array_equal(a.parts[1], b.parts[1])
+    assert a.a_seed == again.a_seed
+    assert all(np.array_equal(x, y) for x, y in zip(a.parts, again.parts))
+    assert list(dec(he64, sk, a)[:3]) == list(dec(he64, sk, b)[:3]) == [5, 6, 7]
+
+
 def test_roundtrip_zero_vector(he64, keys64):
     sk, pk, _ = keys64
     ct = enc(he64, pk, np.zeros(64, dtype=np.int64), seed=1)

@@ -6,6 +6,7 @@ import pytest
 from hedgerow import FingerprintMismatchError, SerializationError, make_test_params
 from hedgerow.scheme import HeBackend
 from hedgerow import serial
+from hedgerow.params import PRESET_NAMES, gen_params
 from hedgerow.ring import get_ring
 
 
@@ -16,6 +17,13 @@ def setup(params64):
     pt = be.encode([3, 1, 4, 1, 5])
     ct = be.encrypt(pk, pt, seed=9)
     return be, sk, pk, ek, pt, ct
+
+
+@pytest.fixture(scope="module")
+def seeded(setup):
+    """The setup's plaintext encrypted under the secret key."""
+    be, sk, _, _, pt, _ = setup
+    return be.encrypt(sk, pt, seed=9)
 
 
 def test_ciphertext_roundtrip_and_decrypt(setup, params64):
@@ -102,7 +110,7 @@ def test_fingerprint_mismatch_raises(setup):
 def test_limb_above_its_prime_raises(setup, params64):
     *_, ct = setup
     blob = bytearray(serial.serialize_ciphertext(ct))
-    blob[-8:] = ((1 << 40) + 5).to_bytes(8, "little")  # 29-bit primes
+    blob[-4:] = (2**32 - 1).to_bytes(4, "little")  # 29-bit primes
     with pytest.raises(SerializationError):
         serial.deserialize_ciphertext(bytes(blob), params64)
 
@@ -118,7 +126,7 @@ def test_level_above_depth_budget_raises(setup, params64):
 def test_three_part_ciphertext_raises(setup, params64):
     *_, ct = setup
     blob = serial.serialize_ciphertext(ct)
-    blob += blob[-len(ct.parts[1].tobytes()):]  # a third part, limbs in range
+    blob += blob[-serial.LIMB_BYTES * ct.parts[1].size:]  # a third part, limbs in range
     with pytest.raises(SerializationError):
         serial.deserialize_ciphertext(blob, params64)
 
@@ -144,7 +152,7 @@ def test_eval_key_length_formula(setup, params64):
     *_, ek, _, _ = setup
     ring = get_ring(params64)
     g, swap = len(ek.galois), ek.row_swap is not None
-    key_bytes = 2 * (ring.k + len(ring.p_primes)) * ring.n * 8
+    key_bytes = 2 * (ring.k + len(ring.p_primes)) * ring.n * 4
     expected = 38 + 8 * (2 + g) + (1 + g + swap) * key_bytes
     assert len(serial.serialize_eval_keys(ek)) == expected
     no_swap = type(ek)(params64, ek.relin, {}, None)
@@ -160,11 +168,93 @@ def test_special_prime_rows_check_their_own_prime(setup, params64):
     def with_limb(j, value):
         # the relin key's b poly follows the header and the 2 + G words; its
         # row K + j is mod p_j
-        offset = 38 + 8 * (2 + len(ek.galois)) + (ring.k + j) * ring.n * 8
-        assert int.from_bytes(blob[offset:offset + 8], "little") == ek.relin[0][ring.k + j, 0]
-        return blob[:offset] + value.to_bytes(8, "little") + blob[offset + 8:]
+        offset = 38 + 8 * (2 + len(ek.galois)) + (ring.k + j) * ring.n * 4
+        assert int.from_bytes(blob[offset:offset + 4], "little") == ek.relin[0][ring.k + j, 0]
+        return blob[:offset] + value.to_bytes(4, "little") + blob[offset + 4:]
 
     serial.deserialize_eval_keys(with_limb(high, ring.p_primes[low]), params64)
     for value in (ring.p_primes[low], (1 << 31) - 1):
         with pytest.raises(SerializationError):
             serial.deserialize_eval_keys(with_limb(low, value), params64)
+
+
+def test_seeded_ciphertext_roundtrip(setup, seeded, params64):
+    # c0 and the seed only: the loaded c1 is expanded from the kept seed
+    be, sk, *_ = setup
+    blob = serial.serialize_ciphertext(seeded)
+    assert blob[5] == serial.TAG_SEEDED_CIPHERTEXT
+    again = serial.deserialize_ciphertext(blob, params64)
+    assert again.a_seed == seeded.a_seed and again.level == seeded.level
+    assert all(np.array_equal(x, y) for x, y in zip(again.parts, seeded.parts))
+    assert serial.serialize_ciphertext(again) == blob
+    assert list(be.decode(be.decrypt(sk, again))[:5]) == [3, 1, 4, 1, 5]
+    # any op's result is written whole, seed or not in its inputs
+    whole = serial.serialize_ciphertext(be.add_ct(again, again))
+    assert whole[5] == serial.TAG_CIPHERTEXT
+    # a seeded body under the whole form's tag (or the reverse) is refused
+    for tag, body in ((serial.TAG_CIPHERTEXT, blob), (serial.TAG_SEEDED_CIPHERTEXT, whole)):
+        with pytest.raises(SerializationError):
+            serial.deserialize_ciphertext(body[:5] + bytes([tag]) + body[6:], params64)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_container_is_its_formula_size(name):
+    # 4-byte limbs; the words and the seed as serial.py states them
+    params = gen_params(name)
+    ring = get_ring(params)
+    be = HeBackend(params)
+    sk, pk, ek = be.keygen(seed=1, rotation_steps=(1,))
+    k, special, n, g = ring.k, len(ring.p_primes), ring.n, len(ek.galois)
+    pt = be.encode([1, 2, 3])
+    sizes = [
+        (serial.serialize_ciphertext(be.encrypt(pk, pt, seed=2)), 46 + 8 * k * n),
+        (serial.serialize_ciphertext(be.encrypt(sk, pt, seed=2)), 78 + 4 * k * n),
+        (serial.serialize_secret_key(sk), 38 + 4 * k * n),
+        (serial.serialize_public_key(pk), 38 + 8 * k * n),
+        (serial.serialize_eval_keys(ek), 38 + 8 * (2 + g) + (1 + g + 1) * 8 * (k + special) * n),
+    ]
+    assert [len(blob) for blob, _ in sizes] == [size for _, size in sizes]
+    if name == "xgb-d2":
+        assert sizes[0][1] == 163_886 and sizes[1][1] == 81_998
+
+
+@pytest.mark.parametrize("value", ["prime", "2^32-1"])
+@pytest.mark.parametrize("row", ["q", "special"])
+def test_u4_limb_at_or_above_its_prime_raises(setup, seeded, params64, row, value):
+    # a 4-byte limb reaches 2^32 - 1, above every 31-bit prime: refused on a
+    # coefficient-prime row (a seeded c0) and on a special-prime row (an
+    # eval key), at exactly its prime too, while p - 1 loads
+    *_, ek, _, _ = setup
+    ring = get_ring(params64)
+    if row == "q":
+        i, prime = ring.k - 1, ring.q_primes[-1]
+        blob, load = serial.serialize_ciphertext(seeded), serial.deserialize_ciphertext
+        offset = 78 + i * ring.n * 4  # header, level, seed; then c0 row i
+        held = seeded.parts[0][i, 0]
+    else:
+        j, prime = len(ring.p_primes) - 1, ring.p_primes[-1]
+        blob, load = serial.serialize_eval_keys(ek), serial.deserialize_eval_keys
+        offset = 38 + 8 * (2 + len(ek.galois)) + (ring.k + j) * ring.n * 4
+        held = ek.relin[0][ring.k + j, 0]
+    assert int.from_bytes(blob[offset:offset + 4], "little") == held
+
+    def with_limb(limb):
+        return blob[:offset] + limb.to_bytes(4, "little") + blob[offset + 4:]
+
+    load(with_limb(prime - 1), params64)
+    with pytest.raises(SerializationError, match="below its row's prime"):
+        load(with_limb(prime if value == "prime" else 2**32 - 1), params64)
+
+
+@pytest.mark.parametrize("kind", ["ciphertext", "seeded", "secret_key", "public_key", "eval_keys"])
+def test_older_container_versions_raise(setup, seeded, params64, kind):
+    # version 5 wrote 8-byte limbs, 1-4 older layouts: none is misread
+    _, sk, pk, ek, _, ct = setup
+    value = {"ciphertext": ct, "seeded": seeded, "secret_key": sk, "public_key": pk,
+             "eval_keys": ek}[kind]
+    name = "ciphertext" if kind == "seeded" else kind
+    blob = getattr(serial, f"serialize_{name}")(value)
+    assert blob[4] == serial.VERSION == 6
+    for version in range(1, 6):
+        with pytest.raises(SerializationError, match=f"version {version}"):
+            getattr(serial, f"deserialize_{name}")(blob[:4] + bytes([version]) + blob[5:], params64)
