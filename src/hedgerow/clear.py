@@ -121,12 +121,13 @@ class OpCounts:
 class CountingBackend:
     """Backend wrapper tallying primitive-operation calls.
 
-    It takes only ``sum_slots`` from :class:`Backend`, so the rotations and
-    additions inside it are counted like any direct call; every other public
-    method of the inner backend, including one added later, is passed through
-    and counted once, as itself.
+    It takes only ``fold`` and ``sum_slots`` from :class:`Backend`, so the
+    rotations and additions inside them are counted like any direct call;
+    every other public method of the inner backend, including one added
+    later, is passed through and counted once, as itself.
     """
 
+    fold = Backend.fold
     sum_slots = Backend.sum_slots
 
     def __init__(self, inner):

@@ -21,17 +21,18 @@ A :class:`RingContext` owns, for one parameter set:
 * the two scalings between Z_t and Z_q: round(q*m/t) for a plaintext and
   round(t*x/q) for a product, ``mod_down`` with q in P's place;
 * Garner conversion from RNS residues to other prime bases, and to centred
-  big integers for decryption's noise only.  Like the plan, a table serves
-  every prefix of its primes: ``garner`` (the tensor basis) lifts from q,
+  big integers for the two extreme coefficients of decryption's noise
+  only.  Like the plan, a table serves every prefix of its primes:
+  ``garner`` (the tensor basis) lifts from q,
   ``garner_aux`` (the primes beyond q) from P and back to q from them all.
   Conversion is exact without big integers: every sum of products is one
   float64 matrix product over the 16-bit halves of a residue table, exact
   by the NTT's piece rule (``ntt.piece_bits``) for a basis of at most 64
   primes.  A params set whose tensor basis needs more primes is refused.
 
-Everything is built with the context, the four conversion tables (q -> P,
-q -> extension, P -> q, extension -> q) included, and threads share it
-read-only: it holds no lock and no cache.  An automorphism's index map is
+Everything is built with the context, the five conversion tables (q -> P,
+q -> extension, q -> t, P -> q, extension -> q) included, and threads share
+it read-only: it holds no lock and no cache.  An automorphism's index map is
 recomputed per call (microseconds, against milliseconds for the keyswitch
 that follows it).
 """
@@ -200,10 +201,11 @@ class RingContext:
         self.qp_primes = self.q_primes + self.p_primes
         self.tensor_primes = tensor_primes(params)
         # q is the first K rows of one Garner table, P the first L of the
-        # other; their conversions q -> P, q -> extension, P -> q and
-        # extension -> q are built here (refusing a basis too long to be exact)
+        # other; their conversions q -> P, q -> extension, q -> t (decryption),
+        # P -> q and extension -> q are built here (refusing a basis too long
+        # to be exact)
         extension = self.tensor_primes[self.k :]
-        self.garner = GarnerBasis(self.tensor_primes, (self.p_primes, extension))
+        self.garner = GarnerBasis(self.tensor_primes, (self.p_primes, extension, (self.t,)))
         self.garner_aux = GarnerBasis(extension, (self.q_primes,))
         # one plan over the tensor basis: its first K rows are q's, its first
         # K+L qP's
@@ -216,6 +218,7 @@ class RingContext:
         # scale_down multiplies by t on every row and divides by q beyond q
         self.t_mod_tensor = _column(self.t % p for p in self.tensor_primes)
         self._q_inv_mod_aux = _column(pow(self.q, -1, p) for p in self.garner_aux.primes)
+        self.q_inv_mod_t = np.uint64(pow(self.q, -1, self.t))  # decryption's r = -w/q mod t
 
         # exact message scaling round(q*m/t): since q = 0 mod q_i, the residue
         # is ((t//2 - (q*m + t//2) mod t) * t^-1) mod q_i, all in 64-bit
@@ -258,10 +261,14 @@ class RingContext:
         extension = self.garner.lift(coeffs, (basis or self.qp_primes)[self.k :])
         return np.concatenate((evals, self.plan_q.forward(extension, self.k)))
 
-    def mod_down(self, poly: np.ndarray) -> np.ndarray:
+    def mod_down(self, poly: np.ndarray, addend: np.ndarray | None = None) -> np.ndarray:
         """round(x / P) mod q of a (K+L, N) polynomial x mod qP, as the exact
-        (x - [x]_P) / P with [x]_P the centred residue of x mod P."""
+        (x - [x]_P) / P with [x]_P the centred residue of x mod P.  An
+        ``addend`` c mod q in coefficient form rides the same forward
+        transform: round(x / P) + c = (x - ([x]_P - P*c)) / P."""
         rem = self.garner_aux.lift(self.plan_q.inverse(poly[self.k :], self.k), self.q_primes)
+        if addend is not None:
+            rem = sub_mod(rem, mul_mod(addend, self.p_mod_q, self.q_arr), self.q_arr)
         rem = self.plan_q.forward(rem)
         return mul_mod(sub_mod(poly[: self.k], rem, self.q_arr), self._p_inv_mod_q, self.q_arr)
 

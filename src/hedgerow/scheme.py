@@ -22,8 +22,13 @@ encryption carries.
 
 Slot geometry: the N slots form two rotation rows of N/2 (see ring.py).
 ``rotate`` shifts both rows cyclically left by ``steps``; ``swap_rows``
-exchanges them; ``sum_slots`` composes the two so that power-of-two block
-sums land at the block-start slots.
+exchanges them; ``fold`` is the rotate-and-add chain ct <- ct + rotate(ct, s),
+and ``sum_slots`` folds (and swaps) so that power-of-two block sums land at
+the block-start slots.  ``HeBackend.fold`` keyswitches c1 per step as
+``rotate`` does but holds c0 mod qP, scaled by P, and divides it by P once at
+the end of the chain (the lazy rescaling of Bossuat et al. 2021's double
+hoisting): the same keys, the same c1 bytes, one rounding of c0 in place of
+one per step.
 
 Every value, plaintext, ciphertext or key, carries the ``HeParams`` it was
 made under; ``Backend`` holds the rules ``HeBackend`` and the clear mirror
@@ -295,8 +300,9 @@ class Backend:
     fingerprint is not this backend's; a slot vector is 1-d and at most N
     long; a product needs depth on both operands; a rotation or row swap
     needs its Galois key.  ``encode`` and ``decode`` work on the one
-    plaintext type, and ``sum_slots`` is built from the subclass's own
-    rotate/add/swap primitives.  Subclasses set ``params``.
+    plaintext type; ``fold`` is the plain loop over the subclass's own
+    rotate/add primitives (``HeBackend`` fuses it), and ``sum_slots`` is built
+    from ``fold`` and ``swap_rows``.  Subclasses set ``params``.
     """
 
     def _check(self, *values) -> None:
@@ -340,6 +346,12 @@ class Backend:
         if not ek.row_swap:
             raise MissingGaloisKeyError("no Galois key for the row swap")
 
+    def fold(self, ct, steps, ek):
+        """The rotate-and-add chain ct <- ct + rotate(ct, s) for each s in ``steps``."""
+        for step in steps:
+            ct = self.add_ct(ct, self.rotate(ct, step, ek))
+        return ct
+
     def sum_slots(self, ct, width: int, ek):
         """Rotate-and-add so every slot i holds the sum of input slots i..i+width-1.
 
@@ -350,8 +362,7 @@ class Backend:
         n = self.params.slot_count
         if width < 1 or width > n or width & (width - 1):
             raise ParamError(f"sum width must be a power of two in [1, {n}], got {width}")
-        for step in fold_steps(min(width, n // 2)):
-            ct = self.add_ct(ct, self.rotate(ct, step, ek))
+        ct = self.fold(ct, fold_steps(min(width, n // 2)), ek)
         if width == n:
             ct = self.add_ct(ct, self.swap_rows(ct, ek))
         return ct
@@ -415,29 +426,36 @@ class HeBackend(Backend):
         return Ciphertext(self.params, self.params.depth_budget, (c0, c1))
 
     def _noise(self, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
-        """The noise w = [t*x]_q of the phase x = c0 + c1*s, as centred Python
-        ints: t*x = q*r + w for the message r = round(t*x/q), |w| < q/2."""
+        """Garner digits of the noise w = [t*x]_q of the phase x = c0 + c1*s:
+        t*x = q*r + w for the message r = round(t*x/q), |w| < q/2."""
         self._check(sk, ct)
         ring = self.ring
         acc = add_mod(ct.parts[0], ring.plan_q.pointwise(ct.parts[1], sk.s), ring.q_arr)
         phase = ring.plan_q.inverse(acc)
-        return ring.garner.residues_to_ints(mul_mod(phase, ring.t_mod_tensor[: ring.k], ring.q_arr))
+        return ring.garner.to_digits(mul_mod(phase, ring.t_mod_tensor[: ring.k], ring.q_arr))
 
-    def _margin_bits(self, w: np.ndarray) -> int:
+    def _margin_bits(self, digits: np.ndarray) -> int:
+        """Bits of q / (2 max|w|).  Mixed-radix digits order their values
+        lexicographically from the last row, so only the least and the
+        largest coefficient of w become Python ints."""
         q = self.ring.q
-        max_w = int(np.abs(w).max())
+        order = np.lexsort(digits)
+        lo, hi = self.ring.garner.digits_to_ints(digits[:, order[[0, -1]]])
+        max_w = max(-lo, hi)
         margin = q // 2 if max_w == 0 else q // (2 * max_w)
         return max(0, margin.bit_length() - 1)
 
     def decrypt(self, sk: SecretKey, ct: Ciphertext) -> PackedPlaintext:
         """The slots of ct; raises NoiseBudgetError when no margin is left."""
         ring = self.ring
-        w = self._noise(sk, ct)
-        if self._margin_bits(w) <= 0:
+        digits = self._noise(sk, ct)
+        if self._margin_bits(digits) <= 0:
             raise NoiseBudgetError("noise budget exhausted; decryption unreliable")
         # q*r = t*x - w, so r = -w/q mod t
-        r = (-w * pow(ring.q, -1, ring.t) % ring.t).astype(np.uint64)
-        return PackedPlaintext(self.params, ring.plan_t.forward(r[None, :])[0][ring.slot_to_eval])
+        w = ring.garner.digits_to_residues(digits, (ring.t,))
+        t = ring.plan_t.p
+        r = mul_mod(sub_mod(0, w, t), ring.q_inv_mod_t, t)
+        return PackedPlaintext(self.params, ring.plan_t.forward(r)[0][ring.slot_to_eval])
 
     def noise_budget(self, sk: SecretKey, ct: Ciphertext) -> int:
         """Estimated bits of margin before decryption can fail (0 = exhausted)."""
@@ -484,10 +502,10 @@ class HeBackend(Backend):
         d0 = plan.pointwise(a0, b0)
         d1 = add_mod(plan.pointwise(a0, b1), plan.pointwise(a1, b0), plan.p)
         d2 = plan.pointwise(a1, b1)
-        # scale_down returns coefficient form: c2 is lifted from it directly
+        # scale_down returns coefficient form: c2 is lifted from it directly,
+        # and c0, c1 ride the keyswitch's mod_down transforms
         c0, c1, c2 = (ring.scale_down(plan.inverse(d)) for d in (d0, d1, d2))
-        r0, r1 = self._keyswitch(ring.mod_up(c2, plan.forward(c2)), ek.relin)
-        parts = (add_mod(plan.forward(c0), r0, ring.q_arr), add_mod(plan.forward(c1), r1, ring.q_arr))
+        parts = self._keyswitch(ring.mod_up(c2, plan.forward(c2)), ek.relin, (c0, c1))
         return Ciphertext(a.params, level, parts)
 
     # -- slot permutations ----------------------------------------------------
@@ -499,6 +517,36 @@ class HeBackend(Backend):
             return a
         return self._apply_galois(a, self.ring.galois_element(eff), ek.galois[eff])
 
+    def fold(self, a: Ciphertext, steps, ek: EvalKeys) -> Ciphertext:
+        """``Backend.fold`` with one rounding of c0 for the whole chain.
+
+        c1 is keyswitched and rounded at every step exactly as ``rotate``
+        does, so its bytes are the plain chain's.  c0 is held mod qP as
+        P*c0 (0 on the special primes); each step adds its automorphism and
+        the raw key product of the lifted c1, with no ``mod_down``.  Since
+        mod_down(P*c + k) = c + mod_down(k), one ``mod_down`` ends the chain:
+        (2s+1)(K+L) rows transformed for s steps, against 3s(K+L).
+        """
+        if not steps:
+            return a
+        ring, plan = self.ring, self.ring.plan_q
+        k, qp = ring.k, plan.p[: len(ring.qp_primes)]
+        c0 = np.zeros((len(qp), ring.n), dtype=np.uint64)
+        c0[:k] = mul_mod(a.parts[0], ring.p_mod_q, ring.q_arr)
+        c1 = a.parts[1]
+        for step in steps:
+            eff = self._rotation_step(a, step, ek)
+            if eff == 0:
+                c0, c1 = add_mod(c0, c0, qp), add_mod(c1, c1, ring.q_arr)
+                continue
+            g = ring.galois_element(eff)
+            b, a_key = ek.galois[eff]
+            r1 = ring.apply_automorphism(c1, g)
+            lifted = ring.mod_up(plan.inverse(r1), r1)
+            c0 = add_mod(add_mod(c0, ring.apply_automorphism(c0, g), qp), plan.pointwise(lifted, b), qp)
+            c1 = add_mod(c1, ring.mod_down(plan.pointwise(lifted, a_key)), ring.q_arr)
+        return Ciphertext(a.params, a.level, (ring.mod_down(c0), c1))
+
     def swap_rows(self, a: Ciphertext, ek: EvalKeys) -> Ciphertext:
         self._check_row_swap(a, ek)
         return self._apply_galois(a, self.ring.row_swap_element, ek.row_swap)
@@ -509,9 +557,13 @@ class HeBackend(Backend):
         k0, k1 = self._keyswitch(ring.mod_up(ring.plan_q.inverse(c1), c1), key)
         return Ciphertext(a.params, a.level, (add_mod(c0, k0, ring.q_arr), k1))
 
-    def _keyswitch(self, lifted: np.ndarray, key: KeySwitchKey):
+    def _keyswitch(self, lifted: np.ndarray, key: KeySwitchKey, addends=(None, None)):
         """Hybrid keyswitch of c mod q, given as its ``mod_up`` lift to qP: the
         pair (k0, k1) mod q with k0 + k1*s = c*s' + small, for the s' the key
         encrypts.  The lift times each key part is divided by P with rounding,
-        in evaluation form: the lift and ``mod_down`` are the only transforms."""
-        return tuple(self.ring.mod_down(self.ring.plan_q.pointwise(lifted, part)) for part in key)
+        in evaluation form: the lift and ``mod_down`` are the only transforms.
+        ``addends``, coefficient-form polynomials mod q, join k0 and k1
+        inside ``mod_down``'s forward transform."""
+        ring = self.ring
+        return tuple(ring.mod_down(ring.plan_q.pointwise(lifted, part), c)
+                     for part, c in zip(key, addends))

@@ -16,12 +16,14 @@ from hedgerow import (
     HeBackend,
     HeParams,
     MissingGaloisKeyError,
+    NoiseBudgetError,
     ParamError,
     make_test_params,
 )
 from hedgerow.ntt import MODULUS_BITS, NttPlan, find_ntt_primes, is_prime, ntt_primes
 from hedgerow.params import PRESET_NAMES, default_plaintext_modulus, gen_params
 from hedgerow.ring import GarnerBasis, RingContext, special_primes, tensor_primes
+from hedgerow.scheme import Backend, fold_steps
 from hedgerow.serial import serialize_public_key, serialize_secret_key
 from oracles import check_garner_conversions
 
@@ -543,7 +545,7 @@ def test_ops_transform_only_to_change_basis(name, params64, monkeypatch):
     he = HeBackend(params)
     ring = he.ring
     k, kl, t = ring.k, len(ring.qp_primes), len(ring.tensor_primes)
-    sk, pk, ek = he.keygen(seed=0x12, rotation_steps=(1,))
+    sk, pk, ek = he.keygen(seed=0x12)
     rng = np.random.default_rng(0x12)
     x, y, w = rng.integers(0, params.plaintext_modulus, (3, params.slot_count))
     a, b = enc(he, pk, x, 1), enc(he, pk, y, 2)
@@ -571,7 +573,15 @@ def test_ops_transform_only_to_change_basis(name, params64, monkeypatch):
         assert transformed(op, *args) == 0, op.__name__
     assert transformed(he.rotate, a, 1, ek) == 3 * kl
     assert transformed(he.swap_rows, a, ek) == 3 * kl
-    assert transformed(he.mul_ct, a, b, ek) <= 7 * t + 3 * kl + 2 * k
+    assert transformed(he.mul_ct, a, b, ek) == 7 * t + 3 * kl
+    # a fold of s rotations keyswitches c1 per step and rounds c0 once; the
+    # whole-vector sum adds a row swap
+    n = params.slot_count
+    for width in (1 << i for i in range(n.bit_length())):
+        s = len(fold_steps(min(width, n // 2)))
+        fold = (2 * s + 1) * kl if s else 0  # width 1 is the identity
+        swap = 3 * kl if width == n else 0
+        assert transformed(he.sum_slots, a, width, ek) == fold + swap, width
     # decryption inverts the K rows mod q, decoding transforms the one row mod t
     assert transformed(lambda: he.decode(he.decrypt(sk, a))) == k + 1
 
@@ -698,6 +708,36 @@ def test_default_keys_are_the_fold_schedule(name, request):
         be.rotate(a, -1, ek)
 
 
+@pytest.mark.parametrize("name", ["test64", "xgb-d2", "svm-d1", "xgb-encmodel-d3"])
+def test_fold_rounds_c0_once_and_matches_the_plain_chain(name, params64):
+    # the fused chain keyswitches c1 exactly as rotate does, so c1 is the
+    # plain chain's bytes; c0 is rounded once, so the slots are equal and the
+    # margin is not lower.  svm-d1 folds its rows from step 16, as the SVM does
+    params = _tensor_case_params(name, params64)
+    he = HeBackend(params)
+    sk, pk, ek = he.keygen(seed=0xF0)
+    row = params.rotation_group_size
+    v = np.random.default_rng(0xF0).integers(0, params.plaintext_modulus, params.slot_count)
+    a = enc(he, pk, v, seed=3)
+    for steps in (fold_steps(row), (1, row, 2), tuple(s for s in fold_steps(row) if s >= 16)):
+        got, want = he.fold(a, steps, ek), Backend.fold(he, a, steps, ek)
+        assert got.level == want.level == a.level
+        assert np.array_equal(got.parts[1], want.parts[1]), steps
+        assert np.array_equal(dec(he, sk, got), dec(he, sk, want)), steps
+        assert he.noise_budget(sk, got) >= he.noise_budget(sk, want), steps
+    assert he.fold(a, (), ek) is a
+
+
+@pytest.mark.parametrize("name", ["he", "clear"])
+def test_fold_missing_key_mid_chain(name, request):
+    be = request.getfixturevalue(f"{name}64")
+    _, pk, ek = be.keygen(seed=0x5EED, rotation_steps=(1, 4))
+    a = enc(be, pk, [1, 2, 3], seed=20)
+    be.fold(a, (1, 4, 32), ek)  # 32 = 0 mod N/2 doubles and needs no key
+    with pytest.raises(MissingGaloisKeyError):
+        be.fold(a, (1, 2, 4), ek)
+
+
 def test_sum_slots_rejects_bad_width(he64, keys64):
     _, pk, ek = keys64
     a = enc(he64, pk, [1], seed=18)
@@ -741,6 +781,40 @@ def test_mul_pt_allowed_at_level_zero(he64, keys64):
     exhausted = he64.mul_ct(he64.mul_ct(a, b, ek), a, ek)
     assert exhausted.level == 0
     he64.mul_pt(exhausted, he64.encode([1]))  # must not raise
+
+
+@pytest.mark.parametrize("name", ["test64", "xgb-d2"])
+def test_decrypt_reads_noise_extremes_like_big_ints(name, params64):
+    # decryption builds Python ints for the two extreme noise coefficients
+    # only; its margin and slots equal the all-big-int reference, with
+    # coefficients of w at 0, +-1 and +-(q-1)/2
+    params = _tensor_case_params(name, params64)
+    he = HeBackend(params)
+    sk, _, _ = he.keygen(seed=0xDEC)
+    ring, n = he.ring, params.ring_degree
+    q, t, half = ring.q, ring.t, (ring.q - 1) // 2
+    rng = np.random.default_rng(0xDEC)
+    small = [int(x) for x in rng.integers(-1, 2, n)]
+    wide = [int(x) << 20 for x in rng.integers(-(1 << 40), 1 << 40, n)]
+    cases = [[0] * n, small, [1] * n, [-1] * n,
+             [half] + small[1:], small[:-1] + [-half], [-half] + [half] * (n - 1),
+             wide, wide[:5] + [-(1 << 70)] + wide[6:], wide[:5] + [1 << 70] + wide[6:]]
+    t_inv = pow(t, -1, q)
+    for w in cases:
+        # a ciphertext (c0, 0) whose phase x has t*x = w mod q
+        x = [v * t_inv % q for v in w]
+        c0 = ring.plan_q.forward(np.array([[v % p for v in x] for p in ring.q_primes], dtype=np.uint64))
+        ct = Ciphertext(params, 0, (c0, np.zeros_like(c0)))
+        max_w = max(abs(v) for v in w)
+        bits = max(0, (q // 2 if max_w == 0 else q // (2 * max_w)).bit_length() - 1)
+        assert he.noise_budget(sk, ct) == bits
+        if bits == 0:
+            with pytest.raises(NoiseBudgetError):
+                he.decrypt(sk, ct)
+            continue
+        r = np.array([[-v * pow(q, -1, t) % t for v in w]], dtype=np.uint64)
+        want = ring.plan_t.forward(r)[0][ring.slot_to_eval]
+        assert np.array_equal(he.decode(he.decrypt(sk, ct)), want)
 
 
 def test_noise_budget_positive_and_monotone(he64, keys64, rng):
