@@ -122,9 +122,9 @@ class CountingBackend:
     """Backend wrapper tallying primitive-operation calls.
 
     It takes only ``fold`` and ``sum_slots`` from :class:`Backend`, so the
-    rotations and additions inside them are counted like any direct call;
-    every other public method of the inner backend, including one added
-    later, is passed through and counted once, as itself.
+    rotations, row swaps and additions inside them are counted like direct
+    calls; every other public method of the inner backend, including one
+    added later, is passed through and counted once, as itself.
     """
 
     fold = Backend.fold

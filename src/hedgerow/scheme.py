@@ -23,12 +23,12 @@ encryption carries.
 Slot geometry: the N slots form two rotation rows of N/2 (see ring.py).
 ``rotate`` shifts both rows cyclically left by ``steps``; ``swap_rows``
 exchanges them; ``fold`` is the rotate-and-add chain ct <- ct + rotate(ct, s),
-and ``sum_slots`` folds (and swaps) so that power-of-two block sums land at
-the block-start slots.  ``HeBackend.fold`` keyswitches c1 per step as
-``rotate`` does but holds c0 mod qP, scaled by P, and divides it by P once at
-the end of the chain (the lazy rescaling of Bossuat et al. 2021's double
-hoisting): the same keys, the same c1 bytes, one rounding of c0 in place of
-one per step.
+optionally ending with ct <- ct + swap_rows(ct), and ``sum_slots`` is one fold
+that lands power-of-two block sums at the block-start slots.  ``HeBackend``
+runs all three through one chain that keyswitches c1 per automorphism but
+holds c0 mod qP, scaled by P, and divides it by P once at the end (the lazy
+rescaling of Bossuat et al. 2021's double hoisting): a lone rotation or swap
+is the per-op keyswitch byte for byte, and a fold rounds c0 once.
 
 Every value, plaintext, ciphertext or key, carries the ``HeParams`` it was
 made under; ``Backend`` holds the rules ``HeBackend`` and the clear mirror
@@ -274,16 +274,15 @@ def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None
 
     relin = keyswitch_key("rlk", plan.pointwise(s_ntt, s_ntt))
 
-    galois = {}
-    for eff in galois_steps(params, rotation_steps):
-        s_tau = ring.apply_automorphism(s_ntt, ring.galois_element(eff))
-        galois[eff] = keyswitch_key(f"gk.{eff}", s_tau)
-    s_swap = ring.apply_automorphism(s_ntt, ring.row_swap_element)
-    row_swap = keyswitch_key("gk.swap", s_swap)
+    # one key per automorphism: each rotation step's, then the row swap's
+    effs = galois_steps(params, rotation_steps)
+    targets = [(f"gk.{eff}", ring.galois_element(eff)) for eff in effs]
+    targets.append(("gk.swap", ring.row_swap_element))
+    keys = [keyswitch_key(label, ring.apply_automorphism(s_ntt, g)) for label, g in targets]
 
     sk = SecretKey(params, s_ntt)
     pk = PublicKey(params, pk_b, pk_a)
-    ek = EvalKeys(params, relin, galois, row_swap)
+    ek = EvalKeys(params, relin, dict(zip(effs, keys)), keys[-1])
     return sk, pk, ek
 
 
@@ -301,8 +300,8 @@ class Backend:
     long; a product needs depth on both operands; a rotation or row swap
     needs its Galois key.  ``encode`` and ``decode`` work on the one
     plaintext type; ``fold`` is the plain loop over the subclass's own
-    rotate/add primitives (``HeBackend`` fuses it), and ``sum_slots`` is built
-    from ``fold`` and ``swap_rows``.  Subclasses set ``params``.
+    rotate/swap/add primitives (``HeBackend`` fuses it), and ``sum_slots`` is
+    one ``fold``.  Subclasses set ``params``.
     """
 
     def _check(self, *values) -> None:
@@ -346,10 +345,13 @@ class Backend:
         if not ek.row_swap:
             raise MissingGaloisKeyError("no Galois key for the row swap")
 
-    def fold(self, ct, steps, ek):
-        """The rotate-and-add chain ct <- ct + rotate(ct, s) for each s in ``steps``."""
+    def fold(self, ct, steps, ek, swap: bool = False):
+        """The rotate-and-add chain ct <- ct + rotate(ct, s) for each s in
+        ``steps``, then ct <- ct + swap_rows(ct) if ``swap``."""
         for step in steps:
             ct = self.add_ct(ct, self.rotate(ct, step, ek))
+        if swap:
+            ct = self.add_ct(ct, self.swap_rows(ct, ek))
         return ct
 
     def sum_slots(self, ct, width: int, ek):
@@ -362,10 +364,7 @@ class Backend:
         n = self.params.slot_count
         if width < 1 or width > n or width & (width - 1):
             raise ParamError(f"sum width must be a power of two in [1, {n}], got {width}")
-        ct = self.fold(ct, fold_steps(min(width, n // 2)), ek)
-        if width == n:
-            ct = self.add_ct(ct, self.swap_rows(ct, ek))
-        return ct
+        return self.fold(ct, fold_steps(min(width, n // 2)), ek, swap=width == n)
 
 
 def decrypt_scores(backend, sk, cts, positions) -> np.ndarray:
@@ -515,55 +514,56 @@ class HeBackend(Backend):
         eff = self._rotation_step(a, steps, ek)
         if eff == 0:
             return a
-        return self._apply_galois(a, self.ring.galois_element(eff), ek.galois[eff])
+        return self._galois(a, [(self.ring.galois_element(eff), ek.galois[eff])], add=False)
 
-    def fold(self, a: Ciphertext, steps, ek: EvalKeys) -> Ciphertext:
-        """``Backend.fold`` with one rounding of c0 for the whole chain.
+    def swap_rows(self, a: Ciphertext, ek: EvalKeys) -> Ciphertext:
+        self._check_row_swap(a, ek)
+        return self._galois(a, [(self.ring.row_swap_element, ek.row_swap)], add=False)
 
-        c1 is keyswitched and rounded at every step exactly as ``rotate``
-        does, so its bytes are the plain chain's.  c0 is held mod qP as
-        P*c0 (0 on the special primes); each step adds its automorphism and
-        the raw key product of the lifted c1, with no ``mod_down``.  Since
-        mod_down(P*c + k) = c + mod_down(k), one ``mod_down`` ends the chain:
-        (2s+1)(K+L) rows transformed for s steps, against 3s(K+L).
-        """
-        if not steps:
-            return a
+    def fold(self, a: Ciphertext, steps, ek: EvalKeys, swap: bool = False) -> Ciphertext:
+        """``Backend.fold`` as one ``_galois`` chain; every key is checked first."""
+        chain = []
+        for step in steps:
+            eff = self._rotation_step(a, step, ek)
+            chain.append((self.ring.galois_element(eff), ek.galois[eff]) if eff else None)
+        if swap:
+            self._check_row_swap(a, ek)
+            chain.append((self.ring.row_swap_element, ek.row_swap))
+        return self._galois(a, chain, add=True) if chain else a
+
+    def _galois(self, a: Ciphertext, chain, add: bool) -> Ciphertext:
+        """Each (Galois element, key) of ``chain`` in turn: ct <- ct + sigma(ct)
+        if ``add``, else ct <- sigma(ct); None (a rotation by 0 mod N/2) doubles.
+
+        c1 is keyswitched and rounded per step; c0 is held mod qP as P*c0 (0 on
+        the special primes) and each step adds its automorphism and the raw key
+        product of the lifted c1.  Since mod_down(P*c + k) = c + mod_down(k),
+        one ``mod_down`` ends the chain exactly: (2s+1)(K+L) rows transformed
+        for s automorphisms, and one is byte-identical to a per-op keyswitch."""
         ring, plan = self.ring, self.ring.plan_q
         k, qp = ring.k, plan.p[: len(ring.qp_primes)]
         c0 = np.zeros((len(qp), ring.n), dtype=np.uint64)
         c0[:k] = mul_mod(a.parts[0], ring.p_mod_q, ring.q_arr)
         c1 = a.parts[1]
-        for step in steps:
-            eff = self._rotation_step(a, step, ek)
-            if eff == 0:
+        for step in chain:
+            if step is None:
                 c0, c1 = add_mod(c0, c0, qp), add_mod(c1, c1, ring.q_arr)
                 continue
-            g = ring.galois_element(eff)
-            b, a_key = ek.galois[eff]
+            g, (b, a_key) = step
             r1 = ring.apply_automorphism(c1, g)
             lifted = ring.mod_up(plan.inverse(r1), r1)
-            c0 = add_mod(add_mod(c0, ring.apply_automorphism(c0, g), qp), plan.pointwise(lifted, b), qp)
-            c1 = add_mod(c1, ring.mod_down(plan.pointwise(lifted, a_key)), ring.q_arr)
+            s0 = add_mod(ring.apply_automorphism(c0, g), plan.pointwise(lifted, b), qp)
+            s1 = ring.mod_down(plan.pointwise(lifted, a_key))
+            c0, c1 = (add_mod(c0, s0, qp), add_mod(c1, s1, ring.q_arr)) if add else (s0, s1)
         return Ciphertext(a.params, a.level, (ring.mod_down(c0), c1))
 
-    def swap_rows(self, a: Ciphertext, ek: EvalKeys) -> Ciphertext:
-        self._check_row_swap(a, ek)
-        return self._apply_galois(a, self.ring.row_swap_element, ek.row_swap)
-
-    def _apply_galois(self, a: Ciphertext, g: int, key: KeySwitchKey) -> Ciphertext:
-        ring = self.ring
-        c0, c1 = (ring.apply_automorphism(p, g) for p in a.parts)
-        k0, k1 = self._keyswitch(ring.mod_up(ring.plan_q.inverse(c1), c1), key)
-        return Ciphertext(a.params, a.level, (add_mod(c0, k0, ring.q_arr), k1))
-
     def _keyswitch(self, lifted: np.ndarray, key: KeySwitchKey, addends=(None, None)):
-        """Hybrid keyswitch of c mod q, given as its ``mod_up`` lift to qP: the
-        pair (k0, k1) mod q with k0 + k1*s = c*s' + small, for the s' the key
-        encrypts.  The lift times each key part is divided by P with rounding,
-        in evaluation form: the lift and ``mod_down`` are the only transforms.
-        ``addends``, coefficient-form polynomials mod q, join k0 and k1
-        inside ``mod_down``'s forward transform."""
+        """Relinearization's hybrid keyswitch of c mod q, given as its ``mod_up``
+        lift to qP: the pair (k0, k1) mod q with k0 + k1*s = c*s^2 + small.  The
+        lift times each key part is divided by P with rounding, in evaluation
+        form: the lift and ``mod_down`` are the only transforms.  ``addends``,
+        coefficient-form polynomials mod q, join k0 and k1 inside ``mod_down``'s
+        forward transform.  (Automorphisms keyswitch in ``_galois``.)"""
         ring = self.ring
         return tuple(ring.mod_down(ring.plan_q.pointwise(lifted, part), c)
                      for part, c in zip(key, addends))

@@ -12,9 +12,9 @@ slot by slot, so the server rotates x by 1..b-1 (the baby steps, each one
 power-of-two rotation of an earlier baby), multiplies them by planes that
 were pre-rotated by i within each row when encoded, and sums the g/b inner
 sums as a binary tree of rotations by b, 2b, ..., g/2 (the giant steps).
-The row fold's steps >= g, one ``backend.fold`` (which rounds c0 once for
-the whole chain), and a row swap when d > N/2 then leave W_c . x in slot c,
-and one bias plaintext adds b_c there.  Every step is a power of
+The row fold's steps >= g, ending with the row swap when d > N/2, then leave
+W_c . x in slot c; it is one ``backend.fold``, which rounds c0 once for the
+whole chain.  One bias plaintext adds b_c there.  Every step is a power of
 two, so the default Galois keys suffice.  A keyswitch adds less noise than a
 fresh encryption holds, so rotating x before the multiply costs at most about
 a bit: at svm-d1 with 11 classes the output keeps 57-58 bits (56-57 without
@@ -187,9 +187,8 @@ def infer_encrypted(backend, ct_x, model: SvmModel, ek) -> list:
         step *= 2
     z = terms[0]
     row = backend.params.rotation_group_size
-    z = backend.fold(z, [step for step in fold_steps(row) if step >= len(planes)], ek)
-    if model.num_features > row:
-        z = backend.add_ct(z, backend.swap_rows(z, ek))
+    steps = [step for step in fold_steps(row) if step >= len(planes)]
+    z = backend.fold(z, steps, ek, swap=model.num_features > row)
     return [backend.add_pt(z, bias_pt)]
 
 

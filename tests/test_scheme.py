@@ -574,14 +574,15 @@ def test_ops_transform_only_to_change_basis(name, params64, monkeypatch):
     assert transformed(he.rotate, a, 1, ek) == 3 * kl
     assert transformed(he.swap_rows, a, ek) == 3 * kl
     assert transformed(he.mul_ct, a, b, ek) == 7 * t + 3 * kl
-    # a fold of s rotations keyswitches c1 per step and rounds c0 once; the
-    # whole-vector sum adds a row swap
+    # a chain of s automorphisms keyswitches c1 per step and rounds c0 once,
+    # (2s+1)(K+L) rows; the whole-vector sum ends with the row swap, s+1 of them
     n = params.slot_count
     for width in (1 << i for i in range(n.bit_length())):
-        s = len(fold_steps(min(width, n // 2)))
-        fold = (2 * s + 1) * kl if s else 0  # width 1 is the identity
-        swap = 3 * kl if width == n else 0
-        assert transformed(he.sum_slots, a, width, ek) == fold + swap, width
+        s = len(fold_steps(min(width, n // 2))) + (width == n)
+        want = (2 * s + 1) * kl if s else 0  # width 1 is the identity
+        assert transformed(he.sum_slots, a, width, ek) == want, width
+    steps = fold_steps(n // 2)
+    assert transformed(lambda: he.fold(a, steps, ek, swap=True)) == (2 * len(steps) + 3) * kl
     # decryption inverts the K rows mod q, decoding transforms the one row mod t
     assert transformed(lambda: he.decode(he.decrypt(sk, a))) == k + 1
 
@@ -712,30 +713,41 @@ def test_default_keys_are_the_fold_schedule(name, request):
 def test_fold_rounds_c0_once_and_matches_the_plain_chain(name, params64):
     # the fused chain keyswitches c1 exactly as rotate does, so c1 is the
     # plain chain's bytes; c0 is rounded once, so the slots are equal and the
-    # margin is not lower.  svm-d1 folds its rows from step 16, as the SVM does
+    # margin is not lower.  svm-d1 folds its rows from step 16, as the SVM does,
+    # and ends with the row swap as it does when d > N/2
     params = _tensor_case_params(name, params64)
     he = HeBackend(params)
     sk, pk, ek = he.keygen(seed=0xF0)
     row = params.rotation_group_size
     v = np.random.default_rng(0xF0).integers(0, params.plaintext_modulus, params.slot_count)
     a = enc(he, pk, v, seed=3)
-    for steps in (fold_steps(row), (1, row, 2), tuple(s for s in fold_steps(row) if s >= 16)):
-        got, want = he.fold(a, steps, ek), Backend.fold(he, a, steps, ek)
+    from_16 = tuple(s for s in fold_steps(row) if s >= 16)
+    for steps, swap in ((fold_steps(row), False), ((1, row, 2), False), (from_16, False),
+                        (from_16, True)):
+        got, want = he.fold(a, steps, ek, swap), Backend.fold(he, a, steps, ek, swap)
         assert got.level == want.level == a.level
-        assert np.array_equal(got.parts[1], want.parts[1]), steps
-        assert np.array_equal(dec(he, sk, got), dec(he, sk, want)), steps
-        assert he.noise_budget(sk, got) >= he.noise_budget(sk, want), steps
+        assert np.array_equal(got.parts[1], want.parts[1]), (steps, swap)
+        assert np.array_equal(dec(he, sk, got), dec(he, sk, want)), (steps, swap)
+        assert he.noise_budget(sk, got) >= he.noise_budget(sk, want), (steps, swap)
     assert he.fold(a, (), ek) is a
 
 
 @pytest.mark.parametrize("name", ["he", "clear"])
-def test_fold_missing_key_mid_chain(name, request):
+def test_fold_missing_key_mid_chain(name, request, monkeypatch):
     be = request.getfixturevalue(f"{name}64")
     _, pk, ek = be.keygen(seed=0x5EED, rotation_steps=(1, 4))
     a = enc(be, pk, [1, 2, 3], seed=20)
-    be.fold(a, (1, 4, 32), ek)  # 32 = 0 mod N/2 doubles and needs no key
+    be.fold(a, (1, 4, 32), ek, swap=True)  # 32 = 0 mod N/2 doubles and needs no key
+    if name == "he":  # the HE chain checks every key before its first keyswitch
+
+        def keyswitch(*args):
+            raise AssertionError("keyswitched before every key was checked")
+
+        monkeypatch.setattr(RingContext, "mod_up", keyswitch)
     with pytest.raises(MissingGaloisKeyError):
         be.fold(a, (1, 2, 4), ek)
+    with pytest.raises(MissingGaloisKeyError):
+        be.fold(a, (1, 4), dataclasses.replace(ek, row_swap=None), swap=True)
 
 
 def test_sum_slots_rejects_bad_width(he64, keys64):
