@@ -50,8 +50,11 @@ _CRYPTO_ERRORS = (
 )
 
 
-def _parse_seed(text: str) -> int:
-    """Seed as decimal, or hex with 0x prefix (up to 256 bits)."""
+def _parse_seed(text: str | None) -> int | bytes:
+    """Seed as decimal, or hex with 0x prefix (up to 256 bits); without
+    one, 32 fresh random bytes."""
+    if text is None:
+        return secrets.token_bytes(32)
     try:
         value = int(text, 16) if text.lower().startswith("0x") else int(text)
     except ValueError as exc:
@@ -103,8 +106,7 @@ def _cmd_encrypt(args) -> int:
     layout = load_layout(args.model_layout)
     dataset = load_dataset(args.data, labeled=args.labeled)
     keyset = load_keyset(args.keys)
-    seed = secrets.token_bytes(32) if args.seed is None else _parse_seed(args.seed)
-    seconds = run_encrypt(layout, dataset, keyset, seed, args.out)
+    seconds = run_encrypt(layout, dataset, keyset, _parse_seed(args.seed), args.out)
     print(f"encrypt: {dataset.num_samples} sample bundle(s) in {seconds:.3f}s -> {args.out}")
     return EXIT_OK
 
@@ -150,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate params and keys for a preset")
     p.add_argument("--preset", required=True, choices=PRESET_NAMES)
-    p.add_argument("--seed", required=True, help="256-bit seed (decimal or 0x hex)")
+    p.add_argument("--seed", help="256-bit seed (decimal or 0x hex) that fixes every key, "
+                   "the secret key too (default: fresh random)")
     p.add_argument("--out", required=True, help="client key directory")
     p.add_argument("--server-out", help="also write a secret-free server key directory")
     p.set_defaults(func=_cmd_keygen)
@@ -177,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeled", action="store_true", help="last CSV column is a label")
     p.add_argument("--keys", required=True)
     p.add_argument("--seed", help="encryption seed (decimal or 0x hex) for reproducible output; "
-                   "never reuse one across datasets (default: fresh random)")
+                   "under one seed, equal planes give equal ciphertexts, so reuse reveals "
+                   "which planes two datasets share (default: fresh random)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_encrypt)
 

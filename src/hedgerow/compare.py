@@ -8,16 +8,16 @@ reduces to the paper's two-variable arithmetic form
     z = (1 - x0) * (x2 * (y - 1) - y) + 1
 
 which needs neither x1 nor any comparison circuit.  ``compare_clear``
-evaluates that form and is the oracle.  Because the code is one-hot,
-x0 * x2 = 0, and the same form equals the identity
+evaluates that form and is the oracle.  Because the code is one-hot, the
+same form equals
 
-    z = x0 + ybar - ybar * (x0 + x2),    ybar = 1 - y
+    z = le0 - y * eq0,    le0 = [v <= 0] = 1 - x2,  eq0 = [v = 0] = x1
 
-which is affine in the feature bits and holds no constant: the encrypted
-comparisons read ybar (``split_plane``) from the model and take four ops,
-one plaintext multiply and no level with a public split code, one
-ciphertext-ciphertext product with an encrypted one.  Smaller-than routes
-to the left child.
+so the client uploads the planes le0 and eq0, and the encrypted
+comparisons read the split code y as the model stores it: one product
+and one subtraction, a plaintext multiply (no level) with a public split
+code, a ciphertext-ciphertext product with an encrypted one.  A padding
+slot (v = 0, y = 0) gives 1.  Smaller-than routes to the left child.
 """
 
 from __future__ import annotations
@@ -88,25 +88,15 @@ def compare_clear(code: FeatureCode, y: int) -> int:
     return (1 - code.x0) * (code.x2 * (y - 1) - y) + 1
 
 
-def split_plane(y):
-    """The model plane the encrypted comparisons read: ybar = 1 - y per slot."""
-    return 1 - y
+def compare_encrypted(backend, ct_le0, ct_eq0, y_plain, ek):
+    """Slot-wise comparison with public split codes: slot i of ct_le0 /
+    ct_eq0 holds [v <= 0] / [v = 0] of the feature routed to node-slot i,
+    slot i of y_plain that node's split code, and the result decrypts to
+    the comparison bit.  The plaintext multiply consumes no level and
+    ``ek`` goes unused; both comparisons share one call shape."""
+    return backend.sub_ct(ct_le0, backend.mul_pt(ct_eq0, y_plain))
 
 
-def compare_encrypted(backend, ct_x0, ct_x2, ybar_plain, ek):
-    """Slot-wise comparison with public split codes.
-
-    Slot i of ct_x0 / ct_x2 carries the x0 / x2 bit of the feature routed to
-    node-slot i, and slot i of ybar_plain that node's ``split_plane``.  The
-    returned ciphertext decrypts to the comparison bit per slot.  The only
-    multiply is by the plaintext ybar_plain, so no level is consumed and ``ek``
-    is not used; it is accepted so both comparisons share one call shape.
-    """
-    inner = backend.mul_pt(backend.add_ct(ct_x0, ct_x2), ybar_plain)
-    return backend.add_pt(backend.sub_ct(ct_x0, inner), ybar_plain)
-
-
-def compare_encrypted_model(backend, ct_x0, ct_x2, ct_ybar, ek):
-    """Slot-wise comparison with encrypted ``split_plane`` codes (one ct-ct product)."""
-    inner = backend.mul_ct(backend.add_ct(ct_x0, ct_x2), ct_ybar, ek)
-    return backend.add_ct(backend.sub_ct(ct_x0, inner), ct_ybar)
+def compare_encrypted_model(backend, ct_le0, ct_eq0, ct_y, ek):
+    """Slot-wise comparison with encrypted split codes (one ct-ct product)."""
+    return backend.sub_ct(ct_le0, backend.mul_ct(ct_eq0, ct_y, ek))

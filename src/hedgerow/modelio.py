@@ -42,9 +42,10 @@ from .svm import SvmModel, check_aggregate_bound, quantize_model
 from .trees import Ensemble, check_feature_table, route, transform_leaves
 
 # The node streams, in the order of every plane table's stream axis, and
-# the one-hot planes a client uploads per stream (x1 is never needed).
+# the planes a client uploads per stream: [v <= 0] and [v = 0] of the
+# ternary value v routed to each node (``compare``).
 STREAMS = ("root", "left", "right")
-PLANES = ("x0", "x2")
+PLANES = ("le0", "eq0")
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +385,19 @@ def load_layout(path) -> FeatureLayout:
 
 @dataclass(frozen=True)
 class ClientBundle:
-    """Packed slot vectors for one sample: one-hot planes plus the SVM vector.
+    """Packed slot vectors for one sample: the node planes plus the SVM vector.
 
     ``xgb_planes`` is an int64 (blocks, 3, 2, slot_count) table: ``[b, i]``
-    is the (x0, x2) pair of ``STREAMS[i]`` in block b.  The x1 plane is
-    never materialized (the comparison does not read it).
+    is the (le0, eq0) pair of ``STREAMS[i]`` in block b, the bits
+    [v <= 0] and [v = 0] of each node's ternary value v.
     """
 
-    xgb_planes: np.ndarray  # (blocks, 3, 2, N): per stream, the x0 and x2 planes
+    xgb_planes: np.ndarray  # (blocks, 3, 2, N): per stream, the le0 and eq0 planes
     svm_vector: np.ndarray
 
 
 def pack_client_input(sample_raw, layout: FeatureLayout) -> ClientBundle:
-    """Normalize a raw sample and scatter its one-hot planes per the layout."""
+    """Normalize a raw sample and scatter its le0 and eq0 planes per the layout."""
     sample = np.asarray(sample_raw, dtype=np.int64)
     if sample.ndim != 1:
         raise ModelFormatError("expected a single sample row")
@@ -407,9 +408,10 @@ def pack_client_input(sample_raw, layout: FeatureLayout) -> ClientBundle:
         )
     ternary = normalize_samples(sample)
 
-    # a zero value sets neither plane, like a slot that holds no tree
+    # a slot that holds no tree reads v = 0 and sets both planes: its split
+    # code and leaves are 0, so its comparison bit adds nothing to a class sum
     values = layout.scatter(ternary[layout.tree_features])
-    planes = np.stack((values == -1, values == 1), axis=2).astype(np.int64)
+    planes = np.stack((values <= 0, values == 0), axis=2).astype(np.int64)
     svm_vec = np.zeros(layout.slot_count, dtype=np.int64)
     svm_vec[: layout.svm_features] = ternary[: layout.svm_features]
     return ClientBundle(planes, svm_vec)

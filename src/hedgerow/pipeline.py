@@ -22,6 +22,7 @@ is how the oracle-equivalence tests drive the identical circuit on both.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -37,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import serial
-from .compare import compare_encrypted, compare_encrypted_model, split_plane
+from .compare import compare_encrypted, compare_encrypted_model
 from .errors import FingerprintMismatchError, ModelFormatError, SerializationError
 from .metrics import accuracy, micro_auc
 from .modelio import (
@@ -226,40 +227,41 @@ def load_keyset(keydir, need_secret: bool = False, forbid_secret: bool = False) 
 
 
 def encrypt_bundle(backend, pk, bundle: ClientBundle, seed) -> dict:
-    """Encrypt one packed sample: per block, {stream: (x0 ct, x2 ct)} for
+    """Encrypt one packed sample: per block, {stream: (le0 ct, eq0 ct)} for
     each of ``STREAMS``, plus the SVM vector.  ``pk`` may be the secret
-    key, which gives seeded ciphertexts (``HeBackend.encrypt``)."""
+    key, which gives seeded ciphertexts (``HeBackend.encrypt``).  Each
+    ciphertext's seed hashes ``seed``, its label and its plane's int64
+    slots: under one seed, only equal planes share encryption randomness."""
     prg = Prg(seed)
+
+    def encrypt(label: str, plane: np.ndarray):
+        digest = hashlib.sha256(np.ascontiguousarray(plane, dtype="<i8").tobytes()).hexdigest()
+        return backend.encrypt(pk, backend.encode(plane), prg.bytes(f"{label}.{digest}", 32))
+
     blocks = [
         {
-            stream: tuple(
-                backend.encrypt(pk, backend.encode(x), prg.bytes(f"b{b}.{stream}.{p}", 32))
-                for p, x in zip(PLANES, pair)
-            )
+            stream: tuple(encrypt(f"b{b}.{stream}.{p}", x) for p, x in zip(PLANES, pair))
             for stream, pair in zip(STREAMS, planes)
         }
         for b, planes in enumerate(bundle.xgb_planes)
     ]
-    svm_ct = backend.encrypt(pk, backend.encode(bundle.svm_vector), prg.bytes("svm.x", 32))
-    return {"xgb": blocks, "svm": svm_ct}
+    return {"xgb": blocks, "svm": encrypt("svm.x", bundle.svm_vector)}
 
 
 def model_plane_plaintexts(backend, planes: np.ndarray) -> list[list]:
-    """Encode an ``ensemble_slot_streams`` table: per block, a list of 7
-    plaintexts, the ``split_plane`` of y_root, y_left and y_right, then
-    l1, l2, l3, l4."""
-    return [[backend.encode(v) for v in (*split_plane(block[:3]), *block[3:])]
-            for block in planes]
+    """Encode an ``ensemble_slot_streams`` table as it is: per block, a
+    list of 7 plaintexts, y_root, y_left and y_right, then l1, l2, l3, l4."""
+    return [[backend.encode(v) for v in block] for block in planes]
 
 
 def encrypt_split_planes(backend, pk, planes: np.ndarray, seed) -> list[list]:
-    """Encrypt only the split planes (the encrypted-model mode): per block,
-    the ``split_plane`` ciphertexts of ``STREAMS`` in order."""
+    """Encrypt only the split codes y (the encrypted-model mode): per block,
+    the ciphertexts of ``STREAMS`` in order."""
     prg = Prg(seed)
     return [
         [
-            backend.encrypt(pk, backend.encode(ybar), prg.bytes(f"model.b{b}.{s}.y", 32))
-            for s, ybar in zip(STREAMS, split_plane(block[:3]))
+            backend.encrypt(pk, backend.encode(y), prg.bytes(f"model.b{b}.{s}.y", 32))
+            for s, y in zip(STREAMS, block[:3])
         ]
         for b, block in enumerate(planes)
     ]
@@ -275,22 +277,22 @@ def infer_xgb_sample(
 ) -> list:
     """Per-block encrypted class sums for one sample; nothing is encoded.
 
-    ``bundle_blocks[b][stream]`` is the (x0, x2) ciphertext pair of a
+    ``bundle_blocks[b][stream]`` is the (le0, eq0) ciphertext pair of a
     stream, as ``encrypt_bundle`` returns it; ``model_plaintexts[b]`` is
-    ``model_plane_plaintexts``' list, whose first 3 entries the comparisons
-    read and whose last 4 are the leaf streams.  With
-    ``encrypted_split_blocks`` given, its 3 encrypted split planes per block
-    (one ct-ct product per node stream) replace the public ones.
+    ``model_plane_plaintexts``' list, whose first 3 entries (the split
+    codes) the comparisons read and whose last 4 are the leaf streams.
+    With ``encrypted_split_blocks`` given, its 3 encrypted split codes per
+    block (one ct-ct product per node stream) replace the public ones.
     """
     classes_in_block = layout.trees_per_block // layout.trees_per_class
     out = []
     for b, enc in enumerate(bundle_blocks):
         planes = model_plaintexts[b]
-        compare, ybars = (
+        compare, ys = (
             (compare_encrypted, planes[:3]) if encrypted_split_blocks is None
             else (compare_encrypted_model, encrypted_split_blocks[b])
         )
-        zs = [compare(backend, *enc[s], ybar, ek) for s, ybar in zip(STREAMS, ybars)]
+        zs = [compare(backend, *enc[s], y, ek) for s, y in zip(STREAMS, ys)]
         scores = tree_scores_encrypted(backend, zs, planes[3:], ek)
         out.append(class_sums(backend, scores, layout.trees_per_class, classes_in_block, ek))
     return out

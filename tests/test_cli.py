@@ -200,8 +200,8 @@ def test_encrypt_deterministic_bytes(workspace, tmp_path):
 
 
 def test_encrypt_draws_a_fresh_seed_unless_one_is_given(workspace, tmp_path):
-    # two uploads under one seed share their encryption randomness (equal c1),
-    # so without --seed every run draws its own; --seed reproduces the bytes
+    # one plane encrypted twice under one seed gives the same ciphertext (equal
+    # c1), so without --seed every run draws its own; --seed reproduces the bytes
     base = workspace["base"]
     argv = ["encrypt", "--model-layout", str(base / "layout.json"), "--data",
             str(base / "data.csv"), "--labeled", "--keys", str(workspace["keydir"])]
@@ -210,12 +210,28 @@ def test_encrypt_draws_a_fresh_seed_unless_one_is_given(workspace, tmp_path):
         assert main(argv + seed + ["--out", str(tmp_path / name)]) == EXIT_OK
 
     def upload(name):
-        return (tmp_path / name / "sample_00000" / "block_000.root.x2.ct").read_bytes()
+        return (tmp_path / name / "sample_00000" / "block_000.root.eq0.ct").read_bytes()
 
     c1a, c1b = (deserialize_ciphertext(upload(n), workspace["params"]).parts[1] for n in "ab")
     assert not np.array_equal(c1a, c1b)
     assert upload("c") == upload("d") == (
-        base / "enc" / "sample_00000" / "block_000.root.x2.ct").read_bytes()
+        base / "enc" / "sample_00000" / "block_000.root.eq0.ct").read_bytes()
+
+
+def test_keygen_draws_a_fresh_seed_unless_one_is_given(tmp_path):
+    # the secret key is a function of the seed, so a guessable seed would
+    # give a guessable key: without --seed every run draws its own
+    for name in "ab":
+        assert main(["keygen", "--preset", "xgb-d2", "--out", str(tmp_path / name)]) == EXIT_OK
+    for name in "cd":
+        argv = ["keygen", "--preset", "xgb-d2", "--seed", "5", "--out", str(tmp_path / name)]
+        assert main(argv) == EXIT_OK
+
+    def secret(name):
+        return (tmp_path / name / "secret.key").read_bytes()
+
+    assert secret("a") != secret("b")
+    assert secret("c") == secret("d")
 
 
 @pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
@@ -269,7 +285,7 @@ def test_xgb_exact_at_depth_one(workspace, shallow, tmp_path):
 def test_infer_rejects_tampered_upload(workspace, tmp_path):
     enc = tmp_path / "enc"
     shutil.copytree(workspace["base"] / "enc", enc)
-    target = enc / "sample_00000" / "block_000.root.x0.ct"
+    target = enc / "sample_00000" / "block_000.root.le0.ct"
     blob = bytearray(target.read_bytes())
     blob[-4:] = (2**32 - 1).to_bytes(4, "little")  # a limb far above its prime
     target.write_bytes(bytes(blob))
@@ -283,6 +299,21 @@ def test_infer_rejects_tampered_upload(workspace, tmp_path):
         ]
     )
     assert rc == EXIT_FORMAT
+
+
+def test_infer_refuses_bundles_with_the_old_plane_names(workspace, tmp_path, capsys):
+    # uploads named for the one-hot planes x0 / x2 are not the planes the
+    # comparison reads: the server refuses them and names the file it misses
+    enc = tmp_path / "enc"
+    shutil.copytree(workspace["base"] / "enc", enc)
+    for new, old in (("le0", "x0"), ("eq0", "x2")):
+        for path in enc.glob(f"sample_*/*.{new}.ct"):
+            path.rename(path.with_name(path.name.replace(f".{new}.", f".{old}.")))
+    argv = ["infer", "--mode", "xgb", "--model", str(workspace["base"] / "ensemble.json"),
+            "--in", str(enc), "--keys", str(workspace["server"]), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_FORMAT
+    assert str(enc / "sample_00000" / "block_000.root.le0.ct") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -599,7 +630,7 @@ def test_bench_json_into_missing_directory(tmp_path, monkeypatch):
 
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as err:
-        main(["keygen", "--preset", "svm-d1"])  # missing --seed/--out
+        main(["keygen", "--preset", "svm-d1"])  # missing --out
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["infer", "--mode", "bogus", "--model", "x", "--in", "y", "--keys", "z", "--out", "w"])

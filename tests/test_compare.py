@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hedgerow import ModelFormatError
+from hedgerow import CountingBackend, ModelFormatError
 from hedgerow.compare import (
     FeatureCode,
     compare_clear,
@@ -12,7 +12,6 @@ from hedgerow.compare import (
     encode_feature,
     encode_split,
     normalize_copy_number,
-    split_plane,
 )
 
 from oracles import compare_boolean
@@ -106,22 +105,17 @@ def test_x1_independence():
         for y in (0, 1):
             expect = compare_clear(encode_feature({(0, 1): -1, (0, 0): 0, (1, 0): 1}[(x2, x0)]), y)
             assert compare_clear(BitsWithoutX1(x2, x0), y) == expect
-    # the encrypted APIs take no x1 stream at all
-    for fn in (compare_encrypted, compare_encrypted_model):
-        assert "x1" not in " ".join(inspect.signature(fn).parameters)
+    # the encrypted comparisons read exactly the two uploaded planes and the
+    # split code, public or encrypted
+    assert list(inspect.signature(compare_encrypted).parameters) == [
+        "backend", "ct_le0", "ct_eq0", "y_plain", "ek"]
+    assert list(inspect.signature(compare_encrypted_model).parameters) == [
+        "backend", "ct_le0", "ct_eq0", "ct_y", "ek"]
 
 
 # ---------------------------------------------------------------------------
 # encrypted gadget
 # ---------------------------------------------------------------------------
-
-
-def _pack_cases(backend, features, splits):
-    """Encode per-slot x0/x2 planes and the split plane for a case list."""
-    x0 = np.array([1 if f == -1 else 0 for f in features], dtype=np.int64)
-    x2 = np.array([1 if f == 1 else 0 for f in features], dtype=np.int64)
-    y = np.array(splits, dtype=np.int64)
-    return x0, x2, y
 
 
 def _expected(features, splits, n):
@@ -131,35 +125,30 @@ def _expected(features, splits, n):
     return out
 
 
+def _encrypt_cases(backend, pk, features, splits, seed):
+    """(le0 ct, eq0 ct, y plaintext, y ct) of a case list: the uploads
+    le0 = [v <= 0] and eq0 = [v = 0], and the split codes y."""
+    v, y = np.asarray(features, dtype=np.int64), np.asarray(splits, dtype=np.int64)
+    le0, eq0 = (v <= 0).astype(np.int64), (v == 0).astype(np.int64)
+    return (backend.encrypt(pk, backend.encode(le0), seed),
+            backend.encrypt(pk, backend.encode(eq0), seed + 1),
+            backend.encode(y),
+            backend.encrypt(pk, backend.encode(y), seed + 2))
+
+
 def test_compare_encrypted_all_deletions(he256, keys256):
     sk, pk, ek = keys256
     n = he256.params.slot_count
-    feats = [-1] * n
-    ys = [1] * n
-    x0, x2, y = _pack_cases(he256, feats, ys)
-    ct = compare_encrypted(
-        he256,
-        he256.encrypt(pk, he256.encode(x0), seed=1),
-        he256.encrypt(pk, he256.encode(x2), seed=2),
-        he256.encode(split_plane(y)),
-        ek,
-    )
-    out = he256.decode(he256.decrypt(sk, ct)).astype(np.int64)
+    le0, eq0, y, _ = _encrypt_cases(he256, pk, [-1] * n, [1] * n, seed=1)
+    out = he256.decode(he256.decrypt(sk, compare_encrypted(he256, le0, eq0, y, ek)))
     assert (out == 1).all()
 
 
 def test_compare_encrypted_zero_feature_zero_split(he256, keys256):
     sk, pk, ek = keys256
     n = he256.params.slot_count
-    zeros = np.zeros(n, dtype=np.int64)
-    ct = compare_encrypted(
-        he256,
-        he256.encrypt(pk, he256.encode(zeros), seed=3),
-        he256.encrypt(pk, he256.encode(zeros), seed=4),
-        he256.encode(split_plane(zeros)),
-        ek,
-    )
-    out = he256.decode(he256.decrypt(sk, ct)).astype(np.int64)
+    le0, eq0, y, _ = _encrypt_cases(he256, pk, [0] * n, [0] * n, seed=3)
+    out = he256.decode(he256.decrypt(sk, compare_encrypted(he256, le0, eq0, y, ek)))
     assert (out == 1).all()  # 0 < +0.5 in every slot
 
 
@@ -169,14 +158,8 @@ def test_compare_encrypted_random_slots_match_oracle(he256, keys256, rng):
     for trial in range(3):
         feats = rng.choice(FEATURE_VALUES, n)
         ys = rng.integers(0, 2, n)
-        x0, x2, y = _pack_cases(he256, feats, ys)
-        ct = compare_encrypted(
-            he256,
-            he256.encrypt(pk, he256.encode(x0), seed=10 + trial),
-            he256.encrypt(pk, he256.encode(x2), seed=20 + trial),
-            he256.encode(split_plane(y)),
-            ek,
-        )
+        le0, eq0, y, _ = _encrypt_cases(he256, pk, feats, ys, seed=10 * (trial + 1))
+        ct = compare_encrypted(he256, le0, eq0, y, ek)
         out = he256.decode(he256.decrypt(sk, ct)).astype(np.int64)
         assert np.array_equal(out, _expected(feats, ys, n))
         assert set(np.unique(out)) <= {0, 1}
@@ -185,11 +168,24 @@ def test_compare_encrypted_random_slots_match_oracle(he256, keys256, rng):
 def test_compare_encrypted_consumes_no_level(he256, keys256):
     _, pk, ek = keys256
     n = he256.params.slot_count
-    zeros = np.zeros(n, dtype=np.int64)
-    a = he256.encrypt(pk, he256.encode(zeros), seed=5)
-    b = he256.encrypt(pk, he256.encode(zeros), seed=6)
-    ct = compare_encrypted(he256, a, b, he256.encode(split_plane(zeros)), ek)
-    assert ct.level == a.level  # affine in the ciphertexts: no ct-ct product
+    le0, eq0, y, _ = _encrypt_cases(he256, pk, [0] * n, [0] * n, seed=5)
+    ct = compare_encrypted(he256, le0, eq0, y, ek)
+    assert ct.level == le0.level  # affine in the ciphertexts: no ct-ct product
+
+
+@pytest.mark.parametrize("encrypted_model", [False, True])
+def test_encrypted_comparison_is_one_product_and_one_sub(encrypted_model, clear256,
+                                                         clear_keys256):
+    _, pk, ek = clear_keys256
+    counting = CountingBackend(clear256)
+    le0, eq0, y, ct_y = _encrypt_cases(counting, pk, [0, 1, -1], [1, 0, 1], seed=7)
+    counting.ops.reset()
+    if encrypted_model:
+        compare_encrypted_model(counting, le0, eq0, ct_y, ek)
+    else:
+        compare_encrypted(counting, le0, eq0, y, ek)
+    product = "mul_ct" if encrypted_model else "mul_pt"
+    assert counting.ops.counts == {product: 1, "sub_ct": 1}
 
 
 def test_compare_encrypted_model_matches_plain_variant(he256, keys256, rng):
@@ -197,31 +193,21 @@ def test_compare_encrypted_model_matches_plain_variant(he256, keys256, rng):
     n = he256.params.slot_count
     feats = rng.choice(FEATURE_VALUES, n)
     ys = rng.integers(0, 2, n)
-    x0, x2, y = _pack_cases(he256, feats, ys)
-    ct_x0 = he256.encrypt(pk, he256.encode(x0), seed=30)
-    ct_x2 = he256.encrypt(pk, he256.encode(x2), seed=31)
-    plain = compare_encrypted(he256, ct_x0, ct_x2, he256.encode(split_plane(y)), ek)
-    ct_ybar = he256.encrypt(pk, he256.encode(split_plane(y)), seed=32)
-    encm = compare_encrypted_model(he256, ct_x0, ct_x2, ct_ybar, ek)
+    le0, eq0, y, ct_y = _encrypt_cases(he256, pk, feats, ys, seed=30)
+    plain = compare_encrypted(he256, le0, eq0, y, ek)
+    encm = compare_encrypted_model(he256, le0, eq0, ct_y, ek)
     a = he256.decode(he256.decrypt(sk, plain))
     b = he256.decode(he256.decrypt(sk, encm))
     assert np.array_equal(a, b)
-    assert encm.level == ct_x0.level - 1  # one ct-ct product
+    assert encm.level == le0.level - 1  # one ct-ct product
 
 
 def test_compare_encrypted_model_amplification_forces_zero(he256, keys256, rng):
     sk, pk, ek = keys256
     n = he256.params.slot_count
-    feats = [1] * n
     ys = rng.integers(0, 2, n)
-    x0, x2, y = _pack_cases(he256, feats, ys)
-    ct = compare_encrypted_model(
-        he256,
-        he256.encrypt(pk, he256.encode(x0), seed=40),
-        he256.encrypt(pk, he256.encode(x2), seed=41),
-        he256.encrypt(pk, he256.encode(split_plane(y)), seed=42),
-        ek,
-    )
+    le0, eq0, _, ct_y = _encrypt_cases(he256, pk, [1] * n, ys, seed=40)
+    ct = compare_encrypted_model(he256, le0, eq0, ct_y, ek)
     out = he256.decode(he256.decrypt(sk, ct)).astype(np.int64)
     assert not out.any()
 
@@ -232,21 +218,8 @@ def test_gadget_backend_invariance(he256, clear256, keys256, clear_keys256, rng)
     n = he256.params.slot_count
     feats = rng.choice(FEATURE_VALUES, n)
     ys = rng.integers(0, 2, n)
-    x0, x2, y = _pack_cases(he256, feats, ys)
-    enc = compare_encrypted(
-        he256,
-        he256.encrypt(pk, he256.encode(x0), seed=50),
-        he256.encrypt(pk, he256.encode(x2), seed=51),
-        he256.encode(split_plane(y)),
-        ek,
-    )
-    clr = compare_encrypted(
-        clear256,
-        clear256.encrypt(cpk, clear256.encode(x0), seed=None),
-        clear256.encrypt(cpk, clear256.encode(x2), seed=None),
-        clear256.encode(split_plane(y)),
-        cek,
-    )
+    enc = compare_encrypted(he256, *_encrypt_cases(he256, pk, feats, ys, seed=50)[:3], ek)
+    clr = compare_encrypted(clear256, *_encrypt_cases(clear256, cpk, feats, ys, seed=50)[:3], cek)
     assert np.array_equal(
         he256.decode(he256.decrypt(sk, enc)), clear256.decode(clear256.decrypt(csk, clr))
     )
@@ -256,21 +229,21 @@ def test_gadget_backend_invariance(he256, clear256, keys256, clear_keys256, rng)
 def test_encrypted_comparisons_match_oracle_on_all_cases(
     backend_name, he256, clear256, keys256, clear_keys256
 ):
-    # the six (feature, split) cases, one per slot, against the paper's form
+    # the six (feature, split) cases, one per slot, against the paper's form;
+    # every other slot is padding (v = 0, y = 0), whose bit is 1
     backend, (sk, pk, ek) = {
         "he": (he256, keys256),
         "clear": (clear256, clear_keys256),
     }[backend_name]
+    n = backend.params.slot_count
     cases = [(f, encode_split(t)) for f in FEATURE_VALUES for t in THRESHOLDS]
-    feats, ys = zip(*cases)
-    x0, x2, y = _pack_cases(backend, feats, ys)
-    ct_x0 = backend.encrypt(pk, backend.encode(x0), 60)
-    ct_x2 = backend.encrypt(pk, backend.encode(x2), 61)
-    ct_ybar = backend.encrypt(pk, backend.encode(split_plane(y)), 62)
-    expect = _expected(feats, ys, len(cases))
+    feats, ys = (list(col) + [0] * (n - len(cases)) for col in zip(*cases))
+    le0, eq0, y, ct_y = _encrypt_cases(backend, pk, feats, ys, seed=60)
+    expect = _expected(feats, ys, n)
+    assert (expect[len(cases):] == 1).all()
     for ct in (
-        compare_encrypted(backend, ct_x0, ct_x2, backend.encode(split_plane(y)), ek),
-        compare_encrypted_model(backend, ct_x0, ct_x2, ct_ybar, ek),
+        compare_encrypted(backend, le0, eq0, y, ek),
+        compare_encrypted_model(backend, le0, eq0, ct_y, ek),
     ):
         out = backend.decode(backend.decrypt(sk, ct)).astype(np.int64)
-        assert np.array_equal(out[: len(cases)], expect)
+        assert np.array_equal(out, expect)

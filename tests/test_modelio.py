@@ -25,7 +25,7 @@ from hedgerow.modelio import (
     save_layout,
     save_svm,
 )
-from hedgerow.compare import encode_feature
+from hedgerow.compare import FeatureCode, encode_feature
 from hedgerow.params import gen_params
 from hedgerow.pipeline import (
     decrypt_class_scores,
@@ -341,7 +341,8 @@ def test_pack_all_zero_sample(rng):
     layout = build_layout(ens, 64)
     bundle = pack_client_input(np.zeros(16, dtype=np.int64), layout)
     assert bundle.xgb_planes.shape == (layout.num_blocks, 3, 2, 64)
-    assert bundle.xgb_planes.dtype == np.int64 and not bundle.xgb_planes.any()
+    # every slot, a tree's or padding, reads v = 0: both le0 and eq0 are set
+    assert bundle.xgb_planes.dtype == np.int64 and (bundle.xgb_planes == 1).all()
     assert not bundle.svm_vector.any()
 
 
@@ -350,8 +351,8 @@ def test_pack_all_deletion_sample():
     layout = build_layout(ens, 64)
     bundle = pack_client_input(np.full(16, -1, dtype=np.int64), layout)
     for block, stream, slot, _ in layout.entries:
-        x0, x2 = bundle.xgb_planes[block, STREAMS.index(stream)]
-        assert x0[slot] == 1 and x2[slot] == 0
+        le0, eq0 = bundle.xgb_planes[block, STREAMS.index(stream)]
+        assert le0[slot] == 1 and eq0[slot] == 0
     assert (bundle.svm_vector[:16] == -1).all()
 
 
@@ -362,10 +363,10 @@ def test_pack_unpack_recovers_one_hot_codes(rng):
     bundle = pack_client_input(raw, layout)
     ternary = normalize_samples(raw)
     for block, stream, slot, feature in layout.entries:
-        x0, x2 = bundle.xgb_planes[block, STREAMS.index(stream)]
+        le0, eq0 = bundle.xgb_planes[block, STREAMS.index(stream)]
         code = encode_feature(int(ternary[feature]))
-        assert x0[slot] == code.x0
-        assert x2[slot] == code.x2
+        # x2 = 1 - le0, x1 = eq0, x0 = le0 - eq0
+        assert FeatureCode(1 - le0[slot], eq0[slot], le0[slot] - eq0[slot]) == code
 
 
 def test_pack_rejects_short_sample():
@@ -423,8 +424,8 @@ def test_every_node_plane_on_a_spill(s, k, slots, rng):
     for node, (block, stream, slot, feature) in enumerate(layout.entries):
         code = encode_feature(int(ternary[feature]))
         i = STREAMS.index(stream)
-        x0, x2 = bundle.xgb_planes[block, i]
-        assert (x0[slot], x2[slot]) == (code.x0, code.x2)
+        le0, eq0 = bundle.xgb_planes[block, i]
+        assert (le0[slot], eq0[slot]) == (1 - code.x2, code.x1)
         g = node // 3  # entries list each tree's three nodes in turn
         assert planes[block, i, slot] == ens.splits[g, i]
         tl = transform_leaves(ens.leaves[g])
@@ -433,7 +434,8 @@ def test_every_node_plane_on_a_spill(s, k, slots, rng):
     assert len(held) < layout.num_blocks * slots  # the last block has empty slots
     for block in range(layout.num_blocks):
         empty = [sl for sl in range(slots) if (block, sl) not in held]
-        assert not bundle.xgb_planes[block][..., empty].any()
+        # a slot that holds no tree reads v = 0 (both planes set) and y = 0
+        assert (bundle.xgb_planes[block][..., empty] == 1).all()
         assert not planes[block][:, empty].any()
 
 

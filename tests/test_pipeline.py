@@ -6,8 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from hedgerow import CountingBackend, HeBackend, ModelFormatError, make_test_params
+from hedgerow import (
+    Ciphertext, CountingBackend, HeBackend, ModelFormatError, NoiseBudgetError, make_test_params,
+)
 from hedgerow.modelio import (
+    ClientBundle,
     build_layout,
     ensemble_scores_clear_batch,
     ensemble_slot_streams,
@@ -77,23 +80,25 @@ def test_comp_scales_with_block_count():
     he = HeBackend(params)
     sk, pk, ek = he.keygen(seed=1)
 
-    def timed_blocks(s, k, repeats=3):
+    def prepared(s, k):
         ens, _, ds = gen_synthetic(seed=2, s=s, k=k, d=32, n_samples=1)
         layout = build_layout(ens, params.slot_count)
         planes = model_plane_plaintexts(he, ensemble_slot_streams(ens, layout))
-        bundle = pack_client_input(ds.samples[0], layout)
-        cts = encrypt_bundle(he, pk, bundle, seed=3)
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            infer_xgb_sample(he, cts["xgb"], planes, layout, ek)
-            best = min(best, time.perf_counter() - t0)
-        return layout.num_blocks, best
+        cts = encrypt_bundle(he, pk, pack_client_input(ds.samples[0], layout), seed=3)
+        return layout.num_blocks, (he, cts["xgb"], planes, layout, ek)
 
-    b1, t1 = timed_blocks(s=2, k=128)  # 256 trees = 1 block
-    b3, t3 = timed_blocks(s=6, k=128)  # 768 trees = 3 blocks
+    b1, one = prepared(s=2, k=128)  # 256 trees = 1 block
+    b3, three = prepared(s=6, k=128)  # 768 trees = 3 blocks
     assert (b1, b3) == (1, 3)
-    ratio = t3 / t1
+    # alternate the two sides, so a slow spell of the machine hits both;
+    # the best of each side is its time
+    best = {b1: float("inf"), b3: float("inf")}
+    for _ in range(5):
+        for blocks, args in ((b1, one), (b3, three)):
+            t0 = time.perf_counter()
+            infer_xgb_sample(*args)
+            best[blocks] = min(best[blocks], time.perf_counter() - t0)
+    ratio = best[b3] / best[b1]
     assert 1.8 <= ratio <= 5.0, f"comp did not scale ~linearly in blocks: {ratio:.2f}"
 
 
@@ -103,8 +108,9 @@ def test_comp_scales_with_block_count():
 def test_xgb_block_cost_contract(encrypted_model, mul_ct, mul_pt, params256, clear256,
                                  clear_keys256):
     # per block: 3 comparisons (1 mul_pt, or 1 mul_ct with encrypted split
-    # codes) + tree scoring (1 mul_ct, 2 mul_pt) + log2(k) class-sum rotations;
-    # the comparisons read the model's split planes and encode no constant
+    # codes, and 1 sub_ct each) + tree scoring (1 mul_ct, 2 mul_pt) + log2(k)
+    # class-sum rotations; the comparisons read the split codes as stored
+    # and encode no constant
     counting = CountingBackend(clear256)
     _, cpk, cek = clear_keys256
     ens, _, ds = gen_synthetic(seed=8, s=2, k=8, d=24, n_samples=1)
@@ -121,9 +127,8 @@ def test_xgb_block_cost_contract(encrypted_model, mul_ct, mul_pt, params256, cle
     assert counting.ops.get("rotate") == 3  # log2(8)
     assert counting.ops.get("encode") == 0
     assert counting.ops.get("sub_pt") == 0
-    # and every addition: (add_ct, sub_ct, add_pt)
-    adds = (10, 4, 2) if encrypted_model else (7, 4, 5)
-    assert tuple(map(counting.ops.get, ("add_ct", "sub_ct", "add_pt"))) == adds
+    # and every addition, (add_ct, sub_ct, add_pt): the same in both modes
+    assert tuple(map(counting.ops.get, ("add_ct", "sub_ct", "add_pt"))) == (4, 4, 2)
 
 
 def test_counting_backend_counts_every_public_op(clear256, clear_keys256):
@@ -141,7 +146,7 @@ def test_counting_backend_counts_every_public_op(clear256, clear_keys256):
 
 # SHA-256 over the serialized output ciphertexts of test_server_outputs_are_pinned;
 # a change that alters these bytes on purpose updates the digest and says why
-PINNED_OUTPUTS_SHA256 = "cd880310b0840bd209ff01b73467209f915c2a20a3ddf9efd79d57cf4896b957"
+PINNED_OUTPUTS_SHA256 = "60bac6b34df6b376d981706e2f73a420f46bad49157c192e90db1a771669a751"
 
 
 def test_server_outputs_are_pinned(he256, keys256):
@@ -161,6 +166,49 @@ def test_server_outputs_are_pinned(he256, keys256):
     outputs += infer_encrypted(he256, cts["svm"], model, ek)
     digest = hashlib.sha256(b"".join(map(serial.serialize_ciphertext, outputs)))
     assert digest.hexdigest() == PINNED_OUTPUTS_SHA256
+
+
+def _keyless_difference(backend, sk, x, y):
+    """m_x - m_y read from c0_x - c0_y alone, as a server can when x and y
+    share their encryption randomness: with c1 = 0 the key plays no part.
+    None where no slot value can be read (no noise margin)."""
+    c0 = backend.sub_ct(x, y).parts[0]
+    try:
+        return backend.decode(backend.decrypt(sk, Ciphertext(x.params, x.level, (c0, 0 * c0))))
+    except NoiseBudgetError:
+        return None
+
+
+def test_upload_seeds_are_bound_to_the_plane(he256, keys256):
+    # one encryption seed over two samples whose root eq0 planes differ
+    sk, _, _ = keys256
+    ens, _, ds = gen_synthetic(seed=4, s=2, k=4, d=16, n_samples=1)
+    layout = build_layout(ens, he256.params.slot_count)
+    a = pack_client_input(ds.samples[0], layout)
+    planes = a.xgb_planes.copy()
+    planes[0, 0, 1, :3] ^= 1
+    b = ClientBundle(planes, a.svm_vector)
+    cts_a, again, cts_b = (encrypt_bundle(he256, sk, x, seed=7) for x in (a, a, b))
+    eq0_a, eq0_b = (cts["xgb"][0]["root"][1] for cts in (cts_a, cts_b))
+
+    # the recovery reads m_A - m_B when two encryptions share their seed
+    pt_a, pt_b = (he256.encode(p[0, 0, 1]) for p in (a.xgb_planes, planes))
+    shared = [he256.encrypt(sk, pt, seed=11) for pt in (pt_a, pt_b)]
+    truth = he256.decode(he256.decrypt(sk, he256.sub_ct(*shared)))
+    assert truth.any() and np.array_equal(_keyless_difference(he256, sk, *shared), truth)
+    # the uploads of different planes draw their own seeds, and it fails
+    assert eq0_a.a_seed != eq0_b.a_seed
+    recovered = _keyless_difference(he256, sk, eq0_a, eq0_b)
+    assert recovered is None or not np.array_equal(recovered, truth)
+
+    # one seed and one plane: the same bytes, so equal planes still show as equal
+    def uploads(cts):
+        return [serial.serialize_ciphertext(ct) for block in cts["xgb"]
+                for pair in block.values() for ct in pair] + [serial.serialize_ciphertext(cts["svm"])]
+
+    assert uploads(cts_a) == uploads(again)
+    differs = [x != y for x, y in zip(uploads(cts_a), uploads(cts_b))]
+    assert differs == [False, True] + [False] * (len(differs) - 2)
 
 
 def test_clear_backend_runs_full_program(params256, clear256, clear_keys256):
