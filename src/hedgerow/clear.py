@@ -56,6 +56,11 @@ class ClearBackend(Backend):
         self._check(sk, ct)
         return PackedPlaintext(self.params, ct.slots.copy())
 
+    def mod_switch(self, a: ClearCiphertext) -> ClearCiphertext:
+        # the slots are what the switch keeps
+        self._check(a)
+        return a
+
     def noise_budget(self, sk: ParamsKey, ct: ClearCiphertext) -> int:
         # the mirror carries no noise; report the fresh-ciphertext cap
         self._check(sk, ct)
@@ -113,9 +118,6 @@ class OpCounts:
 
     def get(self, name: str) -> int:
         return self.counts.get(name, 0)
-
-    def reset(self) -> None:
-        self.counts.clear()
 
 
 class CountingBackend:

@@ -46,31 +46,6 @@ class FeatureCode:
             raise ModelFormatError(f"feature code must be one-hot, got {bits}")
 
 
-def normalize_copy_number(raw: int) -> int:
-    """Collapse a 5-level copy-number state in {-2..2} to ternary.
-
-    Deletions (-2, -1) map to -1, amplifications (1, 2) to +1, neither to 0.
-    """
-    if raw in (-2, -1):
-        return -1
-    if raw == 0:
-        return 0
-    if raw in (1, 2):
-        return 1
-    raise ModelFormatError(f"copy-number state must lie in -2..2, got {raw}")
-
-
-def encode_feature(value: int) -> FeatureCode:
-    """One-hot code of a ternary feature value."""
-    if value == -1:
-        return FeatureCode(0, 0, 1)
-    if value == 0:
-        return FeatureCode(0, 1, 0)
-    if value == 1:
-        return FeatureCode(1, 0, 0)
-    raise ModelFormatError(f"feature value must be ternary, got {value}")
-
-
 def encode_split(threshold):
     """Split code y: -0.5 -> 1, +0.5 -> 0, for one threshold or elementwise
     over an array of them.  Other thresholds are inadmissible."""

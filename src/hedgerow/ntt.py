@@ -281,7 +281,3 @@ class NttPlan:
 
     def pointwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return mul_mod(a, b, self.p[: len(a)])
-
-    def negacyclic_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Negacyclic product of coefficient-domain inputs."""
-        return self.inverse(self.pointwise(self.forward(a), self.forward(b)))

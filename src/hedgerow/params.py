@@ -21,6 +21,17 @@ least 10 bits.  The presets target correctness and that margin, not a
 particular concrete-security level; deployments wanting a security claim
 should re-derive ring degree and modulus sizes.
 
+Each preset also fixes k' (``output_primes``), how many of q's primes an
+output keeps: the server's last op switches every output down to q's first
+k' primes (``HeBackend.mod_switch``), and the score file shrinks with it
+(serial.py).  k' is the fewest primes at which the outputs keep the margin
+they have at all K primes, measured over the shipped circuits at the
+paper's dimensions on secret-key uploads: 6 of 10 at xgb-d2 (132-133 bits),
+4 of 5 at svm-d1 (61-63) and 7 of 11 at xgb-encmodel-d3 (156-157).  One
+prime fewer drops them to 107, 49 and 136 bits: the switch's rounding
+then outgrows the circuit's noise.  Custom params keep k' = K, which switches nothing,
+unless they say otherwise; a params file lists k' as ``output_primes``.
+
 Every preset's plaintext modulus t is the largest 31-bit prime = 1 mod 2N,
 the one word size ``ntt.MODULUS_BITS`` that every modulus shares.  Class
 scores decrypt centred in (-t/2, t/2], so a model's worst-case |score| must
@@ -40,11 +51,11 @@ from math import prod
 from .errors import ParamError
 from .ntt import MODULUS_BITS, find_ntt_primes, is_prime
 
-# (ring degree, number of 29-bit coefficient primes, depth budget)
+# (ring degree, number of 29-bit coefficient primes, depth budget, output primes)
 _PRESET_SHAPES = {
-    "svm-d1": (4096, 5, 1),
-    "xgb-d2": (2048, 10, 2),
-    "xgb-encmodel-d3": (2048, 11, 3),
+    "svm-d1": (4096, 5, 1, 4),
+    "xgb-d2": (2048, 10, 2, 6),
+    "xgb-encmodel-d3": (2048, 11, 3, 7),
 }
 PRESET_NAMES = tuple(_PRESET_SHAPES)
 
@@ -60,6 +71,7 @@ class HeParams:
     plaintext_modulus: int
     depth_budget: int
     preset_name: str = "custom"
+    output_primes: int | None = None  # k'; None means all K primes
 
     def __post_init__(self):
         n = self.ring_degree
@@ -82,6 +94,11 @@ class HeParams:
         if not 1 <= self.depth_budget <= len(self.coeff_modulus):
             raise ParamError(f"depth budget must lie in [1, {len(self.coeff_modulus)}] "
                              f"(the prime count), got {self.depth_budget}")
+        if self.output_primes is None:
+            object.__setattr__(self, "output_primes", len(self.coeff_modulus))
+        if not 1 <= self.output_primes <= len(self.coeff_modulus):
+            raise ParamError(f"output primes must lie in [1, {len(self.coeff_modulus)}] "
+                             f"(the prime count), got {self.output_primes}")
 
     @property
     def slot_count(self) -> int:
@@ -109,6 +126,7 @@ class HeParams:
             f"t={self.plaintext_modulus}",
             f"depth={self.depth_budget}",
             f"preset={self.preset_name}",
+            f"output_primes={self.output_primes}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -118,7 +136,8 @@ def default_plaintext_modulus(ring_degree: int) -> int:
     return find_ntt_primes(MODULUS_BITS, 1, 2 * ring_degree)[0]
 
 
-def _build_params(n: int, num_primes: int, depth: int, name: str) -> HeParams:
+def _build_params(n: int, num_primes: int, depth: int, output_primes: int | None,
+                  name: str) -> HeParams:
     """The first ``num_primes`` 29-bit NTT primes for degree n and the default t."""
     return HeParams(
         ring_degree=n,
@@ -126,6 +145,7 @@ def _build_params(n: int, num_primes: int, depth: int, name: str) -> HeParams:
         plaintext_modulus=default_plaintext_modulus(n),
         depth_budget=depth,
         preset_name=name,
+        output_primes=output_primes,
     )
 
 
@@ -142,7 +162,7 @@ def gen_params(preset: str) -> HeParams:
 
 def make_test_params(ring_degree: int, num_primes: int = 6, depth_budget: int = 2) -> HeParams:
     """Small custom parameters for exercising the scheme off the presets."""
-    return _build_params(ring_degree, num_primes, depth_budget, "custom")
+    return _build_params(ring_degree, num_primes, depth_budget, None, "custom")
 
 
 def save_params(params: HeParams, path) -> None:
@@ -170,8 +190,9 @@ def load_params(path) -> HeParams:
     try:
         n, t, depth = (int(fields[key]) for key in ("N", "t", "depth"))
         primes = tuple(int(x) for x in fields["primes"].split(","))
+        output_primes = int(fields.get("output_primes", len(primes)))
     except KeyError as exc:
         raise ParamError(f"params file missing key {exc}") from exc
     except ValueError as exc:
         raise ParamError(f"params file holds a non-integer value: {exc}") from exc
-    return HeParams(n, primes, t, depth, fields.get("preset", "custom"))
+    return HeParams(n, primes, t, depth, fields.get("preset", "custom"), output_primes)

@@ -58,7 +58,7 @@ from .modelio import (
     save_svm,
 )
 from .params import HeParams, gen_params, load_params, save_params
-from .scheme import HeBackend, Prg, decrypt_scores, keygen
+from .scheme import HeBackend, Prg, decrypt_scores, keygen, read_scores
 from .svm import MAX_SCALE_BITS, encoded_planes, infer_encrypted
 from .trees import class_sums, tree_scores_encrypted
 
@@ -275,7 +275,8 @@ def infer_xgb_sample(
     ek,
     encrypted_split_blocks: list[list] | None = None,
 ) -> list:
-    """Per-block encrypted class sums for one sample; nothing is encoded.
+    """Per-block encrypted class sums for one sample, each switched for
+    download (``mod_switch``, the last op); nothing is encoded.
 
     ``bundle_blocks[b][stream]`` is the (le0, eq0) ciphertext pair of a
     stream, as ``encrypt_bundle`` returns it; ``model_plaintexts[b]`` is
@@ -294,7 +295,8 @@ def infer_xgb_sample(
         )
         zs = [compare(backend, *enc[s], y, ek) for s, y in zip(STREAMS, ys)]
         scores = tree_scores_encrypted(backend, zs, planes[3:], ek)
-        out.append(class_sums(backend, scores, layout.trees_per_class, classes_in_block, ek))
+        sums = class_sums(backend, scores, layout.trees_per_class, classes_in_block, ek)
+        out.append(backend.mod_switch(sums))
     return out
 
 
@@ -398,6 +400,15 @@ def _read_ct(path: Path, params: HeParams):
     return _read_container(path, serial.deserialize_ciphertext, params)
 
 
+def _read_upload(path: Path, params: HeParams):
+    """An upload ciphertext, which must hold all of q's primes."""
+    ct = _read_ct(path, params)
+    if ct.prime_count != len(params.coeff_modulus):
+        raise SerializationError(f"{path}: an upload holds all {len(params.coeff_modulus)} "
+                                 f"primes of q, this one {ct.prime_count}")
+    return ct
+
+
 class ServerModel(NamedTuple):
     """One mode's model as the server evaluates it."""
 
@@ -471,7 +482,7 @@ def run_infer(mode: str, model_path, indir, keydir, outdir, seed=0) -> float:
     bundles = read_manifest(src, BUNDLE_COUNTS, params.slot_count)
     model = server_model(mode, model_path, backend, keyset, bundles, seed)
     inputs = [
-        {key: _read_ct(_sample_dir(src, i) / upload_name(key), params) for key in model.uploads}
+        {key: _read_upload(_sample_dir(src, i) / upload_name(key), params) for key in model.uploads}
         for i in range(bundles["samples"])
     ]
 
@@ -492,8 +503,10 @@ def run_infer(mode: str, model_path, indir, keydir, outdir, seed=0) -> float:
 
 
 def run_decrypt(indir, keydir, report_path) -> tuple[float, np.ndarray, np.ndarray]:
-    """Client role: decrypt scores, emit the report CSV.  Decryption raises
-    NoiseBudgetError on an output with no noise margin left.
+    """Client role: decrypt scores, emit the report CSV with each sample's
+    smallest output margin as ``noise_bits``, read from decryption's own
+    pass.  Decryption raises NoiseBudgetError on an output with no noise
+    margin left.
 
     Returns (seconds, predictions, confidence matrix).
     """
@@ -507,29 +520,31 @@ def run_decrypt(indir, keydir, report_path) -> tuple[float, np.ndarray, np.ndarr
     # rows grow as samples decrypt: the manifest's count is outside input and
     # must not size an allocation, so a count beyond the files ends at the
     # first missing one
-    rows = []
+    rows, noise_bits = [], []
     elapsed = 0.0
     for i in range(manifest["samples"]):
         sdir = _sample_dir(src, i)
         cts = [_read_ct(sdir / SCORE_FILE.format(o), params) for o in range(manifest["outputs"])]
         t0 = time.perf_counter()
-        scores = decrypt_scores(backend, sk, cts, manifest["class_positions"])
-        rows.append(scores / scale)
+        pts = [backend.decrypt(sk, ct) for ct in cts]
+        rows.append(read_scores(backend, pts, manifest["class_positions"]) / scale)
+        noise_bits.append(min(pt.noise_bits for pt in pts))
         elapsed += time.perf_counter() - t0
     confidences = np.array(rows, dtype=np.float64).reshape(len(rows), manifest["classes"])
 
     predictions = np.argmax(confidences, axis=1).astype(np.int64)
     if report_path is not None:
-        _write_report_csv(report_path, predictions, confidences)
+        _write_report_csv(report_path, predictions, confidences, noise_bits)
     return elapsed, predictions, confidences
 
 
-def _write_report_csv(path, predictions: np.ndarray, confidences: np.ndarray) -> None:
+def _write_report_csv(path, predictions: np.ndarray, confidences: np.ndarray,
+                      noise_bits: list[int]) -> None:
     classes = confidences.shape[1]
-    lines = ["sample,pred," + ",".join(f"conf_{c}" for c in range(classes))]
+    lines = ["sample,pred," + ",".join(f"conf_{c}" for c in range(classes)) + ",noise_bits"]
     for i in range(confidences.shape[0]):
         confs = ",".join(f"{v:.10g}" for v in confidences[i])
-        lines.append(f"{i},{predictions[i]},{confs}")
+        lines.append(f"{i},{predictions[i]},{confs},{noise_bits[i]}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -20,21 +20,25 @@ A :class:`RingContext` owns, for one parameter set:
   rows left by r; x -> x^(2N-1) swaps the rows;
 * the two scalings between Z_t and Z_q: round(q*m/t) for a plaintext and
   round(t*x/q) for a product, ``mod_down`` with q in P's place;
+* the modulus switch of an output, ``mod_down`` with the product of q's
+  last K - k' primes in P's place: round(x*q'/q) mod q' for the product q'
+  of its first k' = ``params.output_primes``;
 * Garner conversion from RNS residues to other prime bases, and to centred
   big integers for the two extreme coefficients of decryption's noise
   only.  Like the plan, a table serves every prefix of its primes:
   ``garner`` (the tensor basis) lifts from q,
-  ``garner_aux`` (the primes beyond q) from P and back to q from them all.
+  ``garner_aux`` (the primes beyond q) from P and back to q from them all,
+  ``garner_tail`` (q's last K - k' primes) to its first k'.
   Conversion is exact without big integers: every sum of products is one
   float64 matrix product over the 16-bit halves of a residue table, exact
   by the NTT's piece rule (``ntt.piece_bits``) for a basis of at most 64
   primes.  A params set whose tensor basis needs more primes is refused.
 
-Everything is built with the context, the five conversion tables (q -> P,
-q -> extension, q -> t, P -> q, extension -> q) included, and threads share
-it read-only: it holds no lock and no cache.  An automorphism's index map is
-recomputed per call (microseconds, against milliseconds for the keyswitch
-that follows it).
+Everything is built with the context, the six conversion tables (q -> P,
+q -> extension, q -> t, P -> q, extension -> q, q's tail -> q's head)
+included, and threads share it read-only: it holds no lock and no cache.
+An automorphism's index map is recomputed per call (microseconds, against
+milliseconds for the keyswitch that follows it).
 """
 
 from __future__ import annotations
@@ -207,6 +211,11 @@ class RingContext:
         extension = self.tensor_primes[self.k :]
         self.garner = GarnerBasis(self.tensor_primes, (self.p_primes, extension, (self.t,)))
         self.garner_aux = GarnerBasis(extension, (self.q_primes,))
+        # mod_switch: q's last K - k' primes, lifted to its first k'
+        self.out_k = params.output_primes
+        head, tail = self.q_primes[: self.out_k], self.q_primes[self.out_k :]
+        self.garner_tail = GarnerBasis(tail, (head,))
+        self._tail_inv_mod_head = _column(pow(prod(tail), -1, p) for p in head)
         # one plan over the tensor basis: its first K rows are q's, its first
         # K+L qP's
         self.plan_q = NttPlan(self.n, self.tensor_primes)
@@ -218,7 +227,9 @@ class RingContext:
         # scale_down multiplies by t on every row and divides by q beyond q
         self.t_mod_tensor = _column(self.t % p for p in self.tensor_primes)
         self._q_inv_mod_aux = _column(pow(self.q, -1, p) for p in self.garner_aux.primes)
-        self.q_inv_mod_t = np.uint64(pow(self.q, -1, self.t))  # decryption's r = -w/q mod t
+        # decryption's r = -w/q' mod t, for q' the product of any prefix of q
+        self.q_inv_mod_t = [np.uint64(pow(q % self.t, -1, self.t))
+                            for q in self.garner.prefix[: self.k + 1]]
 
         # exact message scaling round(q*m/t): since q = 0 mod q_i, the residue
         # is ((t//2 - (q*m + t//2) mod t) * t^-1) mod q_i, all in 64-bit
@@ -262,15 +273,32 @@ class RingContext:
         return np.concatenate((evals, self.plan_q.forward(extension, self.k)))
 
     def mod_down(self, poly: np.ndarray, addend: np.ndarray | None = None) -> np.ndarray:
-        """round(x / P) mod q of a (K+L, N) polynomial x mod qP, as the exact
-        (x - [x]_P) / P with [x]_P the centred residue of x mod P.  An
+        """round(x / P) mod q of a (K+L, N) polynomial x mod qP.  An
         ``addend`` c mod q in coefficient form rides the same forward
         transform: round(x / P) + c = (x - ([x]_P - P*c)) / P."""
-        rem = self.garner_aux.lift(self.plan_q.inverse(poly[self.k :], self.k), self.q_primes)
-        if addend is not None:
-            rem = sub_mod(rem, mul_mod(addend, self.p_mod_q, self.q_arr), self.q_arr)
-        rem = self.plan_q.forward(rem)
-        return mul_mod(sub_mod(poly[: self.k], rem, self.q_arr), self._p_inv_mod_q, self.q_arr)
+        shift = None if addend is None else mul_mod(addend, self.p_mod_q, self.q_arr)
+        return self._divide_tail(poly, self.garner_aux, self._p_inv_mod_q, shift)
+
+    def mod_switch(self, poly: np.ndarray) -> np.ndarray:
+        """round(x / Q_d) mod q' of a (K, N) polynomial x mod q, for q' the
+        product of q's first k' = ``params.output_primes`` primes and Q_d of
+        the other K - k': mod_down with Q_d in P's place."""
+        return self._divide_tail(poly, self.garner_tail, self._tail_inv_mod_head)
+
+    def _divide_tail(self, poly: np.ndarray, garner: GarnerBasis, inv: np.ndarray,
+                     shift: np.ndarray | None = None) -> np.ndarray:
+        """The exact (x - [x]_D) / D, with [x]_D the centred residue of x mod
+        D, of a polynomial x in evaluation form whose rows past the first
+        h = len(inv) hold the primes of D, which ``garner`` lifts from.
+        ``inv`` is D^-1 mod each of the h head primes, and ``shift``, in
+        coefficient form over them, is subtracted from [x]_D.  Transforms
+        the tail's rows once each, then h rows."""
+        h = len(inv)
+        head = self.plan_q.p[:h]
+        rem = garner.lift(self.plan_q.inverse(poly[h:], h), self.tensor_primes[:h])
+        if shift is not None:
+            rem = sub_mod(rem, shift, head)
+        return mul_mod(sub_mod(poly[:h], self.plan_q.forward(rem), head), inv, head)
 
     def scale_down(self, x: np.ndarray) -> np.ndarray:
         """round(t*x/q) mod q of a polynomial x over the tensor basis: mod_down

@@ -30,6 +30,11 @@ holds c0 mod qP, scaled by P, and divides it by P once at the end (the lazy
 rescaling of Bossuat et al. 2021's double hoisting): a lone rotation or swap
 is the per-op keyswitch byte for byte, and a fold rounds c0 once.
 
+``mod_switch`` (BFV modulus switching: Brakerski 2012, Fan-Vercauteren
+2012) is a server's last op on an output: it drops q's last K - k' primes
+with rounding, and the result only decrypts, under the secret key's first
+k' rows.
+
 Every value, plaintext, ciphertext or key, carries the ``HeParams`` it was
 made under; ``Backend`` holds the rules ``HeBackend`` and the clear mirror
 share, and each of its ops refuses a value of other parameters.  Every key
@@ -121,11 +126,13 @@ class PackedPlaintext:
     """N plaintext slots mod t, the one plaintext type of both backends.
 
     The encrypted backend reads the coefficient vector of R_t and its
-    evaluation forms over q, each built on first use and kept.
+    evaluation forms over q, each built on first use and kept.  A plaintext
+    that ``HeBackend.decrypt`` returns records the noise margin it measured.
     """
 
     params: HeParams
     slots: np.ndarray  # (N,) uint64 mod t
+    noise_bits: int | None = None
 
     @cached_property
     def poly(self) -> np.ndarray:
@@ -152,14 +159,16 @@ class Ciphertext:
     """RLWE ciphertext (c0, c1) in evaluation form, decrypting as c0 + c1*s.
 
     Always two parts: ``mul_ct`` relinearizes its three-part product before
-    returning, so no other part count exists outside it.  A fresh encryption
-    under the secret key keeps the public 32-byte ``a_seed`` its c1 expands
-    from (``expand_a``), so its container need not carry c1; no op sets it.
+    returning, so no other part count exists outside it.  Both parts hold
+    the residues of the first R primes of q, 1 <= R <= K: R = K but after
+    ``mod_switch``.  A fresh encryption under the secret key keeps the
+    public 32-byte ``a_seed`` its c1 expands from (``expand_a``), so its
+    container need not carry c1; no op sets it.
     """
 
     params: HeParams
     level: int
-    parts: tuple[np.ndarray, np.ndarray]  # each (K, N) uint64 residues, NTT domain
+    parts: tuple[np.ndarray, np.ndarray]  # each (R, N) uint64 residues, NTT domain
     a_seed: bytes | None = None
 
     def __post_init__(self):
@@ -167,6 +176,17 @@ class Ciphertext:
             raise ParamError(f"ciphertext must have 2 parts, got {len(self.parts)}")
         if self.level < 0:
             raise ParamError("ciphertext level cannot be negative")
+        k, rows = len(self.params.coeff_modulus), {len(p) for p in self.parts}
+        if len(rows) != 1 or not 1 <= self.prime_count <= k:
+            raise ParamError(f"ciphertext parts must hold one row count in [1, {k}], "
+                             f"got {sorted(rows)}")
+        if self.a_seed is not None and self.prime_count != k:
+            raise ParamError("a seeded ciphertext holds all of q's primes")
+
+    @property
+    def prime_count(self) -> int:
+        """R, the number of q's primes the parts hold."""
+        return len(self.parts[0])
 
 
 def expand_a(params: HeParams, a_seed: bytes) -> np.ndarray:
@@ -301,7 +321,9 @@ class Backend:
     needs its Galois key.  ``encode`` and ``decode`` work on the one
     plaintext type; ``fold`` is the plain loop over the subclass's own
     rotate/swap/add primitives (``HeBackend`` fuses it), and ``sum_slots`` is
-    one ``fold``.  Subclasses set ``params``.
+    one ``fold``.  Subclasses set ``params`` and define the arithmetic and
+    ``mod_switch``, the server's last op on an output, which keeps its slots
+    (``HeBackend`` drops all but q's first ``params.output_primes`` primes).
     """
 
     def _check(self, *values) -> None:
@@ -368,13 +390,18 @@ class Backend:
 
 
 def decrypt_scores(backend, sk, cts, positions) -> np.ndarray:
-    """Signed class scores from output ciphertexts.
+    """Signed class scores from output ciphertexts (``read_scores``)."""
+    return read_scores(backend, [backend.decrypt(sk, ct) for ct in cts], positions)
+
+
+def read_scores(backend, pts, positions) -> np.ndarray:
+    """Signed class scores from decrypted outputs.
 
     Class c is read at ``positions[c] = (output, slot)`` and lifted from
     [0, t) to the centred range (-t/2, t/2].
     """
     t = backend.params.plaintext_modulus
-    slots = [backend.decode(backend.decrypt(sk, ct)) for ct in cts]
+    slots = [backend.decode(pt) for pt in pts]
     raw = np.array([slots[o][s] for o, s in positions], dtype=np.int64)
     return np.where(raw > t // 2, raw - t, raw)
 
@@ -392,6 +419,15 @@ class HeBackend(Backend):
         self.ring = get_ring(params)
 
     encode = Backend.encode  # bound here too, so a tracer can wrap HeBackend.encode
+
+    def _check(self, *values) -> None:
+        """``Backend._check``, and each ciphertext must hold all K primes:
+        only ``decrypt``, ``noise_budget`` and ``mod_switch`` take fewer."""
+        super()._check(*values)
+        for value in values:
+            if isinstance(value, Ciphertext) and value.prime_count != self.ring.k:
+                raise ParamError(f"ciphertext holds {value.prime_count} of the {self.ring.k} "
+                                 "primes of q; after mod_switch it can only be decrypted")
 
     # -- keys and encryption -------------------------------------------------
 
@@ -425,19 +461,21 @@ class HeBackend(Backend):
         return Ciphertext(self.params, self.params.depth_budget, (c0, c1))
 
     def _noise(self, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
-        """Garner digits of the noise w = [t*x]_q of the phase x = c0 + c1*s:
-        t*x = q*r + w for the message r = round(t*x/q), |w| < q/2."""
-        self._check(sk, ct)
-        ring = self.ring
-        acc = add_mod(ct.parts[0], ring.plan_q.pointwise(ct.parts[1], sk.s), ring.q_arr)
+        """Garner digits of the noise w = [t*x]_q' of the phase x = c0 + c1*s
+        over the product q' of the R primes ct holds: t*x = q'*r + w for the
+        message r = round(t*x/q'), |w| < q'/2."""
+        Backend._check(self, sk, ct)
+        ring, r = self.ring, ct.prime_count
+        q_arr = ring.q_arr[:r]
+        acc = add_mod(ct.parts[0], ring.plan_q.pointwise(ct.parts[1], sk.s[:r]), q_arr)
         phase = ring.plan_q.inverse(acc)
-        return ring.garner.to_digits(mul_mod(phase, ring.t_mod_tensor[: ring.k], ring.q_arr))
+        return ring.garner.to_digits(mul_mod(phase, ring.t_mod_tensor[:r], q_arr))
 
     def _margin_bits(self, digits: np.ndarray) -> int:
-        """Bits of q / (2 max|w|).  Mixed-radix digits order their values
+        """Bits of q' / (2 max|w|).  Mixed-radix digits order their values
         lexicographically from the last row, so only the least and the
         largest coefficient of w become Python ints."""
-        q = self.ring.q
+        q = self.ring.garner.prefix[len(digits)]
         order = np.lexsort(digits)
         lo, hi = self.ring.garner.digits_to_ints(digits[:, order[[0, -1]]])
         max_w = max(-lo, hi)
@@ -445,16 +483,18 @@ class HeBackend(Backend):
         return max(0, margin.bit_length() - 1)
 
     def decrypt(self, sk: SecretKey, ct: Ciphertext) -> PackedPlaintext:
-        """The slots of ct; raises NoiseBudgetError when no margin is left."""
+        """The slots of ct, with the margin ``noise_budget`` reports in
+        ``noise_bits``; raises NoiseBudgetError when no margin is left."""
         ring = self.ring
         digits = self._noise(sk, ct)
-        if self._margin_bits(digits) <= 0:
+        bits = self._margin_bits(digits)
+        if bits <= 0:
             raise NoiseBudgetError("noise budget exhausted; decryption unreliable")
-        # q*r = t*x - w, so r = -w/q mod t
+        # q'*r = t*x - w, so r = -w/q' mod t
         w = ring.garner.digits_to_residues(digits, (ring.t,))
         t = ring.plan_t.p
-        r = mul_mod(sub_mod(0, w, t), ring.q_inv_mod_t, t)
-        return PackedPlaintext(self.params, ring.plan_t.forward(r)[0][ring.slot_to_eval])
+        r = mul_mod(sub_mod(0, w, t), ring.q_inv_mod_t[len(digits)], t)
+        return PackedPlaintext(self.params, ring.plan_t.forward(r)[0][ring.slot_to_eval], bits)
 
     def noise_budget(self, sk: SecretKey, ct: Ciphertext) -> int:
         """Estimated bits of margin before decryption can fail (0 = exhausted)."""
@@ -491,6 +531,21 @@ class HeBackend(Backend):
         self._check(a, pt)
         parts = tuple(self.ring.plan_q.pointwise(p, pt._ntt_q) for p in a.parts)
         return Ciphertext(a.params, a.level, parts)
+
+    def mod_switch(self, a: Ciphertext) -> Ciphertext:
+        """a at q's first k' = ``params.output_primes`` primes, for download:
+        each part becomes round(c*q'/q) mod q' (``RingContext.mod_switch``),
+        so the slots are unchanged and the margin stays within about a bit
+        while q' holds the noise.  One already at k' primes is returned as
+        it is, so at k' = K (custom params) the switch does nothing."""
+        Backend._check(self, a)
+        ring = self.ring
+        if a.prime_count == ring.out_k:
+            return a
+        if a.prime_count != ring.k:
+            raise ParamError(f"mod_switch takes a ciphertext at all {ring.k} primes of q "
+                             f"or at {ring.out_k}, got {a.prime_count}")
+        return Ciphertext(a.params, a.level, tuple(ring.mod_switch(p) for p in a.parts))
 
     def mul_ct(self, a: Ciphertext, b: Ciphertext, ek: EvalKeys) -> Ciphertext:
         level = self._product_level(a, b, ek)

@@ -1,6 +1,6 @@
 """Binary containers for keys and ciphertexts.
 
-Every container has one layout: magic ``HEGR``, the version byte (6), the
+Every container has one layout: magic ``HEGR``, the version byte (7), the
 type-tag byte and the 32-byte params fingerprint; then its little-endian
 64-bit words; then, for a seeded ciphertext, its 32-byte seed; then its
 residue polynomials, which run to the end of the container.  Each
@@ -10,10 +10,13 @@ little-endian 4-byte limb each: every prime has at most ``ntt.MODULUS_BITS``
 = 31 bits.  The type fixes how many polynomials follow, so no part count is
 stored:
 
-* ciphertext        : words ``[level]``; c0 and c1, K rows each:
-  46 + 8 * K * N bytes
+* ciphertext        : words ``[level, R]``; c0 and c1, R rows each, the
+  first R of q's K primes: 54 + 8 * R * N bytes.  R is K but for a
+  server's outputs, which ``mod_switch`` takes to the preset's k' =
+  ``params.output_primes`` (xgb-d2: 98,358 B in place of 163,894)
 * seeded ciphertext : words ``[level]``; the 32-byte ``a_seed`` that c1
-  expands from (``scheme.expand_a``); c0, K rows: 78 + 4 * K * N bytes
+  expands from (``scheme.expand_a``); c0, always K rows:
+  78 + 4 * K * N bytes
 * secret key        : no words; s, K rows
 * public key        : no words; b and a, K rows each
 * eval keys         : words ``[G, the G Galois steps in increasing order,
@@ -28,13 +31,13 @@ seeded; every other ciphertext is written whole.  ``deserialize_ciphertext``
 reads both, and a seeded one keeps its seed, so it writes back to its own
 bytes.
 
-Deserialization checks the magic, the version (versions 1-5 are refused,
+Deserialization checks the magic, the version (versions 1-6 are refused,
 not misread), the type tag and the params fingerprint, and that the
 residues fill the rest of the container exactly.  Every residue limb must
 lie below its own row's prime (q_i or p_j), a ciphertext level at most the
-depth budget, every Galois step in (0, N/2) and above the one before it,
-and the row-swap flag 0 or 1, so no out-of-range word reaches the
-arithmetic.
+depth budget and its prime count R in [1, K], every Galois step in (0, N/2)
+and above the one before it, and the row-swap flag 0 or 1, so no
+out-of-range word reaches the arithmetic.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .ring import get_ring
 from .scheme import SEED_BYTES, Ciphertext, EvalKeys, PublicKey, SecretKey, expand_a
 
 MAGIC = b"HEGR"
-VERSION = 6
+VERSION = 7
 HEADER_BYTES = 38  # magic, version, tag, fingerprint
 LIMB = "<u4"  # every residue is below 2^31
 LIMB_BYTES = np.dtype(LIMB).itemsize
@@ -126,7 +129,7 @@ class _Reader:
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
     if ct.a_seed is not None:
         return _container(TAG_SEEDED_CIPHERTEXT, ct, [ct.level], ct.parts[:1], ct.a_seed)
-    return _container(TAG_CIPHERTEXT, ct, [ct.level], ct.parts)
+    return _container(TAG_CIPHERTEXT, ct, [ct.level, ct.prime_count], ct.parts)
 
 
 def deserialize_ciphertext(data: bytes, params: HeParams) -> Ciphertext:
@@ -139,7 +142,10 @@ def deserialize_ciphertext(data: bytes, params: HeParams) -> Ciphertext:
             f"ciphertext level {level} exceeds the depth budget {params.depth_budget}"
         )
     if r.tag == TAG_CIPHERTEXT:
-        return Ciphertext(params, level, tuple(r.polys(2)))
+        rows, k = r.u64(), len(params.coeff_modulus)
+        if not 1 <= rows <= k:
+            raise SerializationError(f"ciphertext prime count {rows} is not in [1, {k}]")
+        return Ciphertext(params, level, tuple(r.polys(2, params.coeff_modulus[:rows])))
     a_seed = r.raw(SEED_BYTES)
     (c0,) = r.polys(1)
     return Ciphertext(params, level, (c0, expand_a(params, a_seed)), a_seed)

@@ -20,7 +20,8 @@ fresh encryption holds, so rotating x before the multiply costs at most about
 a bit: at svm-d1 with 11 classes the output keeps 57-58 bits (56-57 without
 baby steps).  Per sample: g plaintext multiplies, (b - 1) + (g/b - 1) +
 log2(N/2g) rotations (13 at 11 classes and d = 2048) and one output
-ciphertext.  The planes and the bias are encoded once per model and backend.
+ciphertext, switched to the preset's output primes (``mod_switch``).  The
+planes and the bias are encoded once per model and backend.
 
 Weights and biases are both quantized at round(value * 2^scale_bits);
 features are integers, so products and biases share one scale and decoding
@@ -164,7 +165,8 @@ def encoded_planes(backend, model: SvmModel) -> tuple[list, object]:
 
 
 def infer_encrypted(backend, ct_x, model: SvmModel, ek) -> list:
-    """The one confidence ciphertext; slot c holds class c.
+    """The one confidence ciphertext, switched for download; slot c holds
+    class c.
 
     ct_x must carry the ternary features in slots 0..d-1; the zero-padded
     planes cancel whatever the other slots hold.
@@ -189,7 +191,7 @@ def infer_encrypted(backend, ct_x, model: SvmModel, ek) -> list:
     row = backend.params.rotation_group_size
     steps = [step for step in fold_steps(row) if step >= len(planes)]
     z = backend.fold(z, steps, ek, swap=model.num_features > row)
-    return [backend.add_pt(z, bias_pt)]
+    return [backend.mod_switch(backend.add_pt(z, bias_pt))]
 
 
 def confidence_integers(backend, sk, cts, model: SvmModel) -> np.ndarray:

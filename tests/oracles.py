@@ -1,7 +1,8 @@
-"""Clear oracles that only the tests read: the boolean comparison, the
-path-sum and routing forms of a tree's score, argmax prediction, the
-synthetic ensemble's label agreement, Python-int base conversion and the
-negacyclic transform's definition."""
+"""Clear oracles and helpers that only the tests read: copy-number
+normalization and feature codes, the boolean comparison, the path-sum and
+routing forms of a tree's score, argmax prediction, the synthetic
+ensemble's label agreement, Python-int base conversion, the negacyclic
+transform's definition and product, and clearing an op tally."""
 
 from math import prod
 
@@ -13,6 +14,41 @@ from hedgerow.modelio import Dataset, ensemble_scores_clear_batch, normalize_sam
 from hedgerow.ntt import NttPlan, root_of_unity
 from hedgerow.ring import GarnerBasis
 from hedgerow.trees import Ensemble
+
+
+def normalize_copy_number(raw: int) -> int:
+    """Collapse a 5-level copy-number state in {-2..2} to ternary.
+
+    Deletions (-2, -1) map to -1, amplifications (1, 2) to +1, neither to 0.
+    """
+    if raw in (-2, -1):
+        return -1
+    if raw == 0:
+        return 0
+    if raw in (1, 2):
+        return 1
+    raise ModelFormatError(f"copy-number state must lie in -2..2, got {raw}")
+
+
+def encode_feature(value: int) -> FeatureCode:
+    """One-hot code of a ternary feature value."""
+    if value == -1:
+        return FeatureCode(0, 0, 1)
+    if value == 0:
+        return FeatureCode(0, 1, 0)
+    if value == 1:
+        return FeatureCode(1, 0, 0)
+    raise ModelFormatError(f"feature value must be ternary, got {value}")
+
+
+def negacyclic_mul(plan: NttPlan, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Negacyclic product of coefficient-domain inputs through ``plan``."""
+    return plan.inverse(plan.pointwise(plan.forward(a), plan.forward(b)))
+
+
+def reset_counts(counting) -> None:
+    """Clear a ``CountingBackend``'s tally."""
+    counting.ops.counts.clear()
 
 
 def compare_boolean(code: FeatureCode, y: int) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hedgerow import ClearBackend, CountingBackend, HeBackend, gen_params, make_test_params
-from hedgerow.compare import compare_clear, encode_feature, encode_split
+from hedgerow.compare import compare_clear, encode_split
 from hedgerow.metrics import micro_auc
 from hedgerow.modelio import (
     build_layout,
@@ -38,7 +38,7 @@ from hedgerow.modelio import ensemble_slot_streams
 from hedgerow.svm import confidence_integers, infer_encrypted, quantize_model, svm_scores_clear
 from hedgerow.trees import transform_leaves, tree_score_clear
 
-from oracles import compare_boolean
+from oracles import compare_boolean, encode_feature, negacyclic_mul, reset_counts
 
 SEED = 2026
 
@@ -182,7 +182,7 @@ def test_criterion_3_homomorphism_suite():
         for _ in range(5):
             a = np.stack([rng.integers(0, p, n, dtype=np.uint64) for p in primes])
             b = np.stack([rng.integers(0, p, n, dtype=np.uint64) for p in primes])
-            got = plan.negacyclic_mul(a, b)
+            got = negacyclic_mul(plan, a, b)
             for row, p in enumerate(primes):
                 ref = [0] * n
                 for x in range(n):
@@ -238,12 +238,14 @@ def test_criterion_6_svm_end_to_end():
         packed = np.zeros(params.slot_count, dtype=np.int64)
         packed[:d] = x
         ct = he.encrypt(pk, he.encode(packed), seed=SEED + i)
-        he.ops.reset()
+        reset_counts(he)
         outs = infer_encrypted(he, ct, model, ek)
         assert he.ops.get("mul_pt") == 16  # g = next_pow2(11) planes
         assert he.ops.get("rotate") == 13  # b = 4: 3 baby, 3 giant, the fold 1024..16
         assert he.ops.get("add_pt") == 1
         assert he.ops.get("mul_ct") == 0
+        assert he.ops.get("mod_switch") == 1  # to the preset's 4 of 5 primes
+        assert outs[0].prime_count == params.output_primes == 4
         got = confidence_integers(he, sk, outs, model)
         assert np.array_equal(got, svm_scores_clear(model, x))  # exact
         assert he.noise_budget(sk, outs[0]) >= 10
@@ -252,7 +254,7 @@ def test_criterion_6_svm_end_to_end():
     _report(
         6,
         f"d=2048 s=11, {n_samples} samples exact; per sample 16 mul_pt + 13 rot + "
-        f"1 add_pt, 1 output ({elapsed:.1f}s)",
+        f"1 add_pt, 1 output at 4 primes ({elapsed:.1f}s)",
     )
 
 

@@ -1,5 +1,6 @@
 """CLI flows: file-based phases, role separation, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from hedgerow import HeParams, make_test_params
+from hedgerow import HeBackend, HeParams, make_test_params
 from hedgerow.cli import EXIT_CRYPTO, EXIT_FORMAT, EXIT_OK, main
 from hedgerow.modelio import (
     build_layout,
@@ -39,9 +40,11 @@ from hedgerow.svm import svm_scores_clear
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Small-ring working directory with keys, models, data, and bundles."""
+    """Small-ring working directory with keys, models, data, and bundles;
+    the scores download at 7 of the 11 primes."""
     base = tmp_path_factory.mktemp("cliwork")
-    params = make_test_params(256, num_primes=11, depth_budget=3)
+    params = dataclasses.replace(make_test_params(256, num_primes=11, depth_budget=3),
+                                 output_primes=7)
     keydir = base / "keys"
     write_keyset(keydir, params, seed=99)
     server = base / "server-keys"
@@ -103,11 +106,47 @@ def test_infer_decrypt_svm_matches_clear(workspace):
     assert np.array_equal(preds, np.argmax(ref, axis=1))
 
 
-def test_report_csv_shape(workspace):
-    base = workspace["base"]
-    lines = (base / "report-xgb.csv").read_text().strip().splitlines()
-    assert lines[0] == "sample,pred,conf_0,conf_1,conf_2"
+def test_report_csv_shape(workspace, xgb_scores, tmp_path):
+    # the last column is each sample's smallest output margin, as
+    # noise_budget reads it from the switched score files
+    run_decrypt(xgb_scores, workspace["keydir"], tmp_path / "report.csv")
+    lines = (tmp_path / "report.csv").read_text().strip().splitlines()
+    assert lines[0] == "sample,pred,conf_0,conf_1,conf_2,noise_bits"
     assert len(lines) == 1 + workspace["ds"].num_samples
+    be, sk = HeBackend(workspace["params"]), load_keyset(workspace["keydir"]).secret
+    for i, line in enumerate(lines[1:]):
+        cts = [deserialize_ciphertext(path.read_bytes(), workspace["params"])
+               for path in sorted((xgb_scores / f"sample_{i:05d}").glob("score_*.ct"))]
+        assert {ct.prime_count for ct in cts} == {7}
+        assert int(line.split(",")[-1]) == min(be.noise_budget(sk, ct) for ct in cts) >= 10
+
+
+def test_infer_refuses_a_switched_upload(workspace, xgb_scores, tmp_path, capsys):
+    # a score file (7 of the 11 primes) put in an upload's place: exit 3,
+    # naming the file, before any output is written
+    enc = tmp_path / "enc"
+    shutil.copytree(workspace["base"] / "enc", enc)
+    target = enc / "sample_00000" / "svm.ct"
+    shutil.copy(xgb_scores / "sample_00000" / "score_000.ct", target)
+    argv = ["infer", "--mode", "svm", "--model", str(workspace["base"] / "svm.json"),
+            "--in", str(enc), "--keys", str(workspace["server"]), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_FORMAT
+    assert capsys.readouterr().err.startswith(f"error: {target}: an upload holds all 11 primes")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("count", [0, 7 - 1, 11 + 1])
+def test_decrypt_refuses_a_bad_prime_count(workspace, xgb_scores, tmp_path, capsys, count):
+    scores = tmp_path / "scores"
+    shutil.copytree(xgb_scores, scores)
+    target = scores / "sample_00000" / "score_000.ct"
+    blob = target.read_bytes()
+    assert int.from_bytes(blob[46:54], "little") == 7  # after the header and the level
+    target.write_bytes(blob[:46] + count.to_bytes(8, "little") + blob[54:])
+    argv = ["decrypt", "--in", str(scores), "--keys", str(workspace["keydir"]),
+            "--report", str(tmp_path / "r.csv")]
+    assert main(argv) == EXIT_FORMAT
+    assert capsys.readouterr().err.startswith(f"error: {target}: ")
 
 
 def test_infer_refuses_secret_key(workspace):
@@ -381,7 +420,7 @@ def test_zero_sample_manifest_writes_header_only(workspace, xgb_scores, tmp_path
     argv = ["decrypt", "--in", str(scores), "--keys", str(workspace["keydir"]),
             "--report", str(report)]
     assert main(argv) == EXIT_OK
-    header = "sample,pred," + ",".join(f"conf_{c}" for c in range(doc["classes"]))
+    header = "sample,pred," + ",".join(f"conf_{c}" for c in range(doc["classes"])) + ",noise_bits"
     assert report.read_text().splitlines() == [header]
 
 

@@ -9,12 +9,10 @@ from hedgerow.compare import (
     compare_clear,
     compare_encrypted,
     compare_encrypted_model,
-    encode_feature,
     encode_split,
-    normalize_copy_number,
 )
 
-from oracles import compare_boolean
+from oracles import compare_boolean, encode_feature, normalize_copy_number, reset_counts
 
 FEATURE_VALUES = (-1, 0, 1)
 THRESHOLDS = (-0.5, 0.5)
@@ -179,7 +177,7 @@ def test_encrypted_comparison_is_one_product_and_one_sub(encrypted_model, clear2
     _, pk, ek = clear_keys256
     counting = CountingBackend(clear256)
     le0, eq0, y, ct_y = _encrypt_cases(counting, pk, [0, 1, -1], [1, 0, 1], seed=7)
-    counting.ops.reset()
+    reset_counts(counting)
     if encrypted_model:
         compare_encrypted_model(counting, le0, eq0, ct_y, ek)
     else:

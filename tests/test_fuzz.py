@@ -3,6 +3,7 @@ every input either loads or raises a HedgerowError (which the CLI maps to
 exit 3 or 4); of exact base conversion against Python ints; and of every
 preset's transforms against their definition."""
 
+import dataclasses
 import json
 from itertools import islice
 from math import prod
@@ -141,30 +142,37 @@ def test_load_layout_loads_or_refuses(layout_path, doc):
 
 @pytest.fixture(scope="module")
 def containers():
-    params = make_test_params(16, num_primes=2, depth_budget=1)
+    params = dataclasses.replace(make_test_params(16, num_primes=2, depth_budget=1),
+                                 output_primes=1)
     be = HeBackend(params)
     sk, pk, ek = be.keygen(seed=3)
     ct = be.encrypt(pk, be.encode([1, -1, 0, 1]), seed=4)
     seeded = be.encrypt(sk, be.encode([1, -1, 0, 1]), seed=4)  # c0 and a_seed
-    return params, {"ciphertext": ct, "seeded_ciphertext": seeded, "secret_key": sk,
-                    "public_key": pk, "eval_keys": ek}
+    return params, {"ciphertext": ct, "seeded_ciphertext": seeded,
+                    "switched_ciphertext": be.mod_switch(ct),  # 1 of the 2 primes
+                    "secret_key": sk, "public_key": pk, "eval_keys": ek}
 
 
-@pytest.mark.parametrize(
-    "kind", ["ciphertext", "seeded_ciphertext", "secret_key", "public_key", "eval_keys"])
+@pytest.mark.parametrize("kind", ["ciphertext", "seeded_ciphertext", "switched_ciphertext",
+                                  "secret_key", "public_key", "eval_keys"])
 @FUZZ
 @given(data=st.data())
 def test_container_damage_loads_or_refuses(containers, kind, data):
     """A damaged container that still loads is canonical: it writes back to
-    exactly its own bytes."""
+    exactly its own bytes.  A whole ciphertext's prime-count word (bytes
+    46-53) is drawn as a damage site one time in four, since any other value
+    in it must be refused."""
     params, items = containers
-    name = kind.removeprefix("seeded_")
+    name = kind.removeprefix("seeded_").removeprefix("switched_")
     save, load = getattr(serial, f"serialize_{name}"), getattr(serial, f"deserialize_{name}")
     blob = save(items[kind])
     if data.draw(st.booleans(), label="truncate"):
         damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
     else:
-        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        sites = st.integers(0, len(blob) - 1)
+        if blob[5] == serial.TAG_CIPHERTEXT:
+            sites = st.one_of(sites, sites, sites, st.integers(46, 53))
+        at = data.draw(sites, label="offset")
         flip = data.draw(st.integers(1, 255), label="xor")
         damaged = blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:]
     try:

@@ -25,7 +25,7 @@ from hedgerow.modelio import (
     save_layout,
     save_svm,
 )
-from hedgerow.compare import FeatureCode, encode_feature
+from hedgerow.compare import FeatureCode
 from hedgerow.params import gen_params
 from hedgerow.pipeline import (
     decrypt_class_scores,
@@ -34,7 +34,7 @@ from hedgerow.pipeline import (
     model_plane_plaintexts,
 )
 
-from oracles import ensemble_agreement
+from oracles import encode_feature, ensemble_agreement, normalize_copy_number
 
 
 def write_ensemble_json(path, classes, k, trees, scale_bits=20, features=None):
@@ -470,8 +470,6 @@ def test_dataset_rejects_out_of_range():
 
 def test_normalize_samples_matches_scalar_rule(rng):
     raw = rng.integers(-2, 3, 100)
-    from hedgerow.compare import normalize_copy_number
-
     v = normalize_samples(raw)
     for i in range(100):
         assert v[i] == normalize_copy_number(int(raw[i]))

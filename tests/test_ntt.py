@@ -19,7 +19,7 @@ from hedgerow.ntt import (
 )
 from hedgerow.params import PRESET_NAMES, gen_params
 from hedgerow.ring import MAX_BASIS_PRIMES
-from oracles import check_ntt_definition
+from oracles import check_ntt_definition, negacyclic_mul
 
 
 def schoolbook_negacyclic(a, b, q):
@@ -93,7 +93,7 @@ def test_plan_rows_are_prefix_plans(n, rng):
             assert got.shape == (k, n)
             assert np.array_equal(got, getattr(own, op)(a[:k])), (op, k)
         assert np.array_equal(plan.pointwise(a[:k], b[:k]), own.pointwise(a[:k], b[:k]))
-        assert np.array_equal(plan.negacyclic_mul(a[:k], b[:k]), own.negacyclic_mul(a[:k], b[:k]))
+        assert np.array_equal(negacyclic_mul(plan, a[:k], b[:k]), negacyclic_mul(own, a[:k], b[:k]))
 
 
 @pytest.mark.parametrize("n", [8, 64])
@@ -161,7 +161,7 @@ def test_ntt_multiplication_matches_schoolbook(n, rng):
     for _ in range(10):
         a = np.stack([rng.integers(0, p, n, dtype=np.uint64) for p in primes])
         b = np.stack([rng.integers(0, p, n, dtype=np.uint64) for p in primes])
-        got = plan.negacyclic_mul(a, b)
+        got = negacyclic_mul(plan, a, b)
         for row, p in enumerate(primes):
             expect = schoolbook_negacyclic(a[row], b[row], p)
             assert np.array_equal(got[row], expect)
@@ -209,7 +209,7 @@ def test_negacyclic_wraparound_sign():
     b = np.zeros((1, n), dtype=np.uint64)
     a[0, n - 1] = 1
     b[0, 1] = 1
-    got = plan.negacyclic_mul(a, b)
+    got = negacyclic_mul(plan, a, b)
     expect = np.zeros((1, n), dtype=np.uint64)
     expect[0, 0] = p - 1
     assert np.array_equal(got, expect)

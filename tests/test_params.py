@@ -1,5 +1,7 @@
 """Parameter presets, validation, and the params text file."""
 
+import dataclasses
+
 import pytest
 
 from hedgerow import HeParams, ParamError, gen_params, load_params, make_test_params, save_params
@@ -69,6 +71,27 @@ def test_params_validation_errors():
         )  # duplicate primes
 
 
+def test_output_primes(tmp_path):
+    # k' per preset; custom params keep all K primes; 1 <= k' <= K
+    assert {name: gen_params(name).output_primes for name in PRESET_NAMES} == {
+        "svm-d1": 4, "xgb-d2": 6, "xgb-encmodel-d3": 7}
+    good = make_test_params(64, num_primes=3, depth_budget=1)
+    assert good.output_primes == 3
+    assert HeParams(64, good.coeff_modulus, good.plaintext_modulus, 1, output_primes=1)
+    for bad in (0, 4, -1):
+        with pytest.raises(ParamError):
+            HeParams(64, good.coeff_modulus, good.plaintext_modulus, 1, output_primes=bad)
+    switched = dataclasses.replace(good, output_primes=2)
+    assert switched.fingerprint != good.fingerprint
+    save_params(switched, tmp_path / "params.txt")
+    assert "output_primes=2\n" in (tmp_path / "params.txt").read_text()
+    assert load_params(tmp_path / "params.txt") == switched
+    # a params file without the line keeps all K primes
+    text = good.canonical_text().replace("output_primes=3\n", "")
+    (tmp_path / "bare.txt").write_text(text)
+    assert load_params(tmp_path / "bare.txt") == good
+
+
 def test_params_file_roundtrip(tmp_path):
     params = make_test_params(128, num_primes=4, depth_budget=2)
     path = tmp_path / "params.txt"
@@ -112,7 +135,10 @@ def test_presets_support_declared_depth_with_margin(preset):
     for _ in range(params.depth_budget):
         ct = be.mul_ct(ct, other, ek)
     assert ct.level == 0
-    assert be.noise_budget(sk, ct) >= 10
+    # measured as the client reads it, after the switch to the output primes
+    switched = be.mod_switch(ct)
+    assert switched.prime_count == params.output_primes
+    assert be.noise_budget(sk, switched) >= 10
 
 
 def test_keygen_with_restricted_rotation_steps():

@@ -1,5 +1,6 @@
 """Pipeline-level properties: bench determinism, comp scaling, reports."""
 
+import dataclasses
 import hashlib
 import time
 
@@ -30,6 +31,7 @@ from hedgerow.pipeline import (
     run_bench,
 )
 from hedgerow.svm import infer_encrypted
+from oracles import reset_counts
 
 
 def test_timing_report_invariants():
@@ -109,8 +111,8 @@ def test_xgb_block_cost_contract(encrypted_model, mul_ct, mul_pt, params256, cle
                                  clear_keys256):
     # per block: 3 comparisons (1 mul_pt, or 1 mul_ct with encrypted split
     # codes, and 1 sub_ct each) + tree scoring (1 mul_ct, 2 mul_pt) + log2(k)
-    # class-sum rotations; the comparisons read the split codes as stored
-    # and encode no constant
+    # class-sum rotations + the output's switch for download; the
+    # comparisons read the split codes as stored and encode no constant
     counting = CountingBackend(clear256)
     _, cpk, cek = clear_keys256
     ens, _, ds = gen_synthetic(seed=8, s=2, k=8, d=24, n_samples=1)
@@ -120,11 +122,12 @@ def test_xgb_block_cost_contract(encrypted_model, mul_ct, mul_pt, params256, cle
     pts = model_plane_plaintexts(counting, planes)
     enc_split = encrypt_split_planes(counting, cpk, planes, seed=2) if encrypted_model else None
     cts = encrypt_bundle(counting, cpk, pack_client_input(ds.samples[0], layout), seed=1)
-    counting.ops.reset()
+    reset_counts(counting)
     infer_xgb_sample(counting, cts["xgb"], pts, layout, cek, enc_split)
     assert counting.ops.get("mul_ct") == mul_ct
     assert counting.ops.get("mul_pt") == mul_pt
     assert counting.ops.get("rotate") == 3  # log2(8)
+    assert counting.ops.get("mod_switch") == 1  # one output
     assert counting.ops.get("encode") == 0
     assert counting.ops.get("sub_pt") == 0
     # and every addition, (add_ct, sub_ct, add_pt): the same in both modes
@@ -146,24 +149,27 @@ def test_counting_backend_counts_every_public_op(clear256, clear_keys256):
 
 # SHA-256 over the serialized output ciphertexts of test_server_outputs_are_pinned;
 # a change that alters these bytes on purpose updates the digest and says why
-PINNED_OUTPUTS_SHA256 = "60bac6b34df6b376d981706e2f73a420f46bad49157c192e90db1a771669a751"
+PINNED_OUTPUTS_SHA256 = "1387a9c3d756808e7d0534df089a6729079da543596cd7f10746699fcc9ab605"
 
 
-def test_server_outputs_are_pinned(he256, keys256):
+def test_server_outputs_are_pinned(params256):
     # both tree modes on a 1-block (2 x 4) and a 2-block (3 x 128) ensemble,
-    # then the SVM: a circuit that reorders its ops changes these bytes
-    _, pk, ek = keys256
+    # then the SVM, each output switched to 7 of the 11 primes: a circuit
+    # that reorders its ops changes these bytes
+    he = HeBackend(dataclasses.replace(params256, output_primes=7))
+    _, pk, ek = he.keygen(seed=0xFACE)
     outputs = []
     for s, k in ((2, 4), (3, 128)):
         ens, model, ds = gen_synthetic(seed=9, s=s, k=k, d=32, n_samples=1)
-        layout = build_layout(ens, he256.params.slot_count)
+        layout = build_layout(ens, he.params.slot_count)
         planes = ensemble_slot_streams(ens, layout)
-        pts = model_plane_plaintexts(he256, planes)
-        cts = encrypt_bundle(he256, pk, pack_client_input(ds.samples[0], layout), seed=s)
-        for enc_split in (None, encrypt_split_planes(he256, pk, planes, seed=k)):
-            outputs += infer_xgb_sample(he256, cts["xgb"], pts, layout, ek, enc_split)
+        pts = model_plane_plaintexts(he, planes)
+        cts = encrypt_bundle(he, pk, pack_client_input(ds.samples[0], layout), seed=s)
+        for enc_split in (None, encrypt_split_planes(he, pk, planes, seed=k)):
+            outputs += infer_xgb_sample(he, cts["xgb"], pts, layout, ek, enc_split)
     assert len(outputs) == 6
-    outputs += infer_encrypted(he256, cts["svm"], model, ek)
+    outputs += infer_encrypted(he, cts["svm"], model, ek)
+    assert {ct.prime_count for ct in outputs} == {7}
     digest = hashlib.sha256(b"".join(map(serial.serialize_ciphertext, outputs)))
     assert digest.hexdigest() == PINNED_OUTPUTS_SHA256
 

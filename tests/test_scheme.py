@@ -14,6 +14,7 @@ from hedgerow import (
     DepthExhaustedError,
     FingerprintMismatchError,
     HeBackend,
+    HedgerowError,
     HeParams,
     MissingGaloisKeyError,
     NoiseBudgetError,
@@ -361,6 +362,24 @@ def test_mod_up_and_mod_down_match_integer_arithmetic(params64, rng):
         assert [int(r) for r in down[:, col]] == [rounded % p for p in ring.q_primes]
 
 
+@pytest.mark.parametrize("out_k", [1, 4, 5])
+def test_mod_switch_matches_integer_arithmetic(params64, rng, out_k):
+    # round(x * q' / q) mod q' for q' the product of q's first k' primes,
+    # with x at the centred edges 0, max, min and -1 and at random
+    ring = RingContext(dataclasses.replace(params64, output_primes=out_k))
+    q, head = ring.q, ring.q_primes[:out_k]
+    dropped = q // prod(head)
+    x = rng.integers(0, 2**62, (ring.k, ring.n), dtype=np.uint64) % ring.q_arr
+    for col, edge in enumerate((0, q // 2, q // 2 + 1, q - 1)):
+        x[:, col] = [edge % p for p in ring.q_primes]
+    got = ring.plan_q.inverse(ring.mod_switch(ring.plan_q.forward(x)))
+    assert got.shape == (out_k, ring.n)
+    for col in range(ring.n):
+        v = _crt(x[:, col], ring.q_primes)
+        rounded = (2 * v + dropped) // (2 * dropped)  # Q_d is odd: no ties
+        assert [int(r) for r in got[:, col]] == [rounded % p for p in head]
+
+
 @pytest.mark.parametrize("name", ["test64", "short-q", *PRESET_NAMES])
 def test_one_garner_table_serves_q_and_the_tensor_basis(name, params64, rng):
     # q and the tensor basis are the first K and all rows of ring.garner;
@@ -433,8 +452,9 @@ def test_garner_refuses_more_than_64_primes():
 
 
 def test_ring_conversions_read_tables_built_with_the_ring(params64, rng, monkeypatch):
-    # q -> P, q -> extension, P -> q and extension -> q: no per-call table
-    ring = RingContext(params64)
+    # q -> P, q -> extension, P -> q, extension -> q and q's tail -> its
+    # head: no per-call table
+    ring = RingContext(dataclasses.replace(params64, output_primes=4))
 
     def refuse(self, target_primes):
         raise AssertionError("a conversion table was built per call")
@@ -444,6 +464,7 @@ def test_ring_conversions_read_tables_built_with_the_ring(params64, rng, monkeyp
     x = rng.integers(0, 2**62, (ring.k, ring.n), dtype=np.uint64) % ring.q_arr
     ring.mod_down(ring.mod_up(x, plan.forward(x)))  # q -> P, then P -> q
     ring.scale_down(ring.mod_up(x, plan.forward(x), ring.tensor_primes))  # and the other two
+    ring.mod_switch(plan.forward(x))
 
 def _negacyclic(x, y):
     n = len(x)
@@ -542,6 +563,8 @@ def test_ops_transform_only_to_change_basis(name, params64, monkeypatch):
     # ciphertexts and keys stay in evaluation form: an op transforms only the
     # rows a basis change needs, counted through every NttPlan transform
     params = _tensor_case_params(name, params64)
+    if name == "test64":  # custom outputs keep all K primes: switch to 4 of 6
+        params = dataclasses.replace(params, output_primes=4)
     he = HeBackend(params)
     ring = he.ring
     k, kl, t = ring.k, len(ring.qp_primes), len(ring.tensor_primes)
@@ -585,6 +608,15 @@ def test_ops_transform_only_to_change_basis(name, params64, monkeypatch):
     assert transformed(lambda: he.fold(a, steps, ek, swap=True)) == (2 * len(steps) + 3) * kl
     # decryption inverts the K rows mod q, decoding transforms the one row mod t
     assert transformed(lambda: he.decode(he.decrypt(sk, a))) == k + 1
+    # the switch to k' primes inverts the K - k' dropped rows of each part and
+    # forwards the k' it lifts them to: 2((K - k') + k'); then decryption
+    # inverts k' rows
+    out_k = ring.out_k
+    assert out_k < k
+    switched = he.mod_switch(a)
+    assert transformed(he.mod_switch, a) == 2 * ((k - out_k) + out_k) == 2 * k
+    assert transformed(he.mod_switch, switched) == 0
+    assert transformed(lambda: he.decode(he.decrypt(sk, switched))) == out_k + 1
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
@@ -784,6 +816,71 @@ def test_level_bookkeeping_and_exhaustion(he64, keys64):
     assert m2.level == 0
     with pytest.raises(DepthExhaustedError):
         he64.mul_ct(m2, a, ek)
+
+
+@pytest.fixture(scope="module")
+def switch64():
+    """params64's shape with outputs switched to 5 of its 6 primes."""
+    he = HeBackend(dataclasses.replace(make_test_params(64), output_primes=5))
+    clear = ClearBackend(he.params)
+    return (he, he.keygen(seed=0x5C)), (clear, clear.keygen(seed=0x5C))
+
+
+def test_mod_switch_keeps_slots_and_margin(switch64, rng):
+    # a switched ciphertext decrypts to the slots the clear mirror keeps, and
+    # where q' holds the noise (products; a fresh ciphertext's noise is
+    # smaller than the switch's rounding) its margin stays within a bit
+    (he, (sk, pk, ek)), (clear, (csk, cpk, cek)) = switch64
+    t, n = he.params.plaintext_modulus, he.params.slot_count
+    for i in range(5):
+        u, v, w = rng.integers(0, t, n), rng.integers(0, 2, n), rng.integers(0, t, n)
+
+        def circuit(be, pk, ek):
+            a, b = (be.encrypt(pk, be.encode(x), seed=10 * i + j) for j, x in ((1, u), (2, v)))
+            prod_ct = be.mul_ct(a, b, ek)
+            return (prod_ct, be.sum_slots(be.mul_pt(prod_ct, be.encode(w)), 8, ek),
+                    be.mul_ct(prod_ct, b, ek))
+
+        for got, want in zip(circuit(he, pk, ek), circuit(clear, cpk, cek)):
+            switched = he.mod_switch(got)
+            assert switched.prime_count == 5 and switched.level == got.level
+            assert np.array_equal(dec(he, sk, switched), dec(clear, csk, clear.mod_switch(want)))
+            assert abs(he.noise_budget(sk, switched) - he.noise_budget(sk, got)) <= 1
+            assert he.decrypt(sk, switched).noise_bits == he.noise_budget(sk, switched)
+
+
+def test_switched_ciphertext_only_decrypts(switch64):
+    # every op but decrypt, noise_budget and mod_switch refuses a ciphertext
+    # below K primes with a HedgerowError, never a numpy broadcast error
+    (he, (sk, pk, ek)), _ = switch64
+    a = enc(he, pk, [1, 2], seed=1)
+    s = he.mod_switch(a)
+    pt = he.encode([3])
+    for op, args in (
+        ("add_ct", (s, a)), ("add_ct", (a, s)), ("sub_ct", (s, s)), ("negate", (s,)),
+        ("add_pt", (s, pt)), ("sub_pt", (s, pt)), ("mul_pt", (s, pt)), ("mul_ct", (a, s, ek)),
+        ("rotate", (s, 0, ek)), ("rotate", (s, 1, ek)), ("swap_rows", (s, ek)),
+        ("fold", (s, (1, 2), ek)), ("sum_slots", (s, 4, ek)),
+    ):
+        with pytest.raises(HedgerowError, match="primes of q"):
+            getattr(he, op)(*args)
+    assert he.mod_switch(s) is s
+    assert dec(he, sk, s)[:2].tolist() == [1, 2] and he.noise_budget(sk, s) > 10
+    # a ciphertext between k' and K primes is not one the switch makes
+    odd = Ciphertext(he.params, a.level, tuple(p[:4] for p in a.parts))
+    with pytest.raises(ParamError):
+        he.mod_switch(odd)
+
+
+def test_ciphertext_shape_is_checked(params64):
+    k, n = len(params64.coeff_modulus), params64.ring_degree
+    rows = {r: np.zeros((r, n), dtype=np.uint64) for r in (0, 1, k - 1, k, k + 1)}
+    for c0, c1 in ((rows[0], rows[0]), (rows[k + 1], rows[k + 1]), (rows[k], rows[k - 1])):
+        with pytest.raises(ParamError):
+            Ciphertext(params64, 0, (c0, c1))
+    assert Ciphertext(params64, 0, (rows[1], rows[1])).prime_count == 1
+    with pytest.raises(ParamError):  # a seeded ciphertext always holds K rows
+        Ciphertext(params64, 0, (rows[k - 1], rows[k - 1]), bytes(32))
 
 
 def test_mul_pt_allowed_at_level_zero(he64, keys64):

@@ -1,5 +1,7 @@
 """Container format: byte-exact roundtrips and decode-error paths."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -206,16 +208,51 @@ def test_every_container_is_its_formula_size(name):
     sk, pk, ek = be.keygen(seed=1, rotation_steps=(1,))
     k, special, n, g = ring.k, len(ring.p_primes), ring.n, len(ek.galois)
     pt = be.encode([1, 2, 3])
+    whole = be.encrypt(pk, pt, seed=2)
     sizes = [
-        (serial.serialize_ciphertext(be.encrypt(pk, pt, seed=2)), 46 + 8 * k * n),
+        (serial.serialize_ciphertext(whole), 54 + 8 * k * n),
+        (serial.serialize_ciphertext(be.mod_switch(whole)), 54 + 8 * params.output_primes * n),
         (serial.serialize_ciphertext(be.encrypt(sk, pt, seed=2)), 78 + 4 * k * n),
         (serial.serialize_secret_key(sk), 38 + 4 * k * n),
         (serial.serialize_public_key(pk), 38 + 8 * k * n),
         (serial.serialize_eval_keys(ek), 38 + 8 * (2 + g) + (1 + g + 1) * 8 * (k + special) * n),
     ]
     assert [len(blob) for blob, _ in sizes] == [size for _, size in sizes]
+    # a score downloads at the preset's k' primes
+    want = {"xgb-d2": 98_358, "svm-d1": 131_126, "xgb-encmodel-d3": 114_742}[name]
+    assert sizes[1][1] == want
     if name == "xgb-d2":
-        assert sizes[0][1] == 163_886 and sizes[1][1] == 81_998
+        assert sizes[0][1] == 163_894 and sizes[2][1] == 81_998
+
+
+@pytest.fixture(scope="module")
+def switched():
+    """A ciphertext switched to 4 of its 6 primes, and its params."""
+    params = dataclasses.replace(make_test_params(64), output_primes=4)
+    be = HeBackend(params)
+    sk, pk, _ = be.keygen(seed=4)
+    return params, be, sk, be.mod_switch(be.encrypt(pk, be.encode([6, 5, 4]), seed=5))
+
+
+def test_switched_ciphertext_roundtrip(switched):
+    params, be, sk, ct = switched
+    blob = serial.serialize_ciphertext(ct)
+    assert int.from_bytes(blob[46:54], "little") == ct.prime_count == 4
+    again = serial.deserialize_ciphertext(blob, params)
+    assert again.prime_count == 4 and serial.serialize_ciphertext(again) == blob
+    assert list(be.decode(be.decrypt(sk, again))[:3]) == [6, 5, 4]
+
+
+@pytest.mark.parametrize("count", [0, 3, 5, 6, 7, 2**64 - 1])
+def test_prime_count_word_is_checked(switched, count):
+    # 0 or more than K primes is refused by the word itself; any other count
+    # but the one written is refused by the residues it leaves over or short
+    params, _, _, ct = switched
+    blob = serial.serialize_ciphertext(ct)
+    bad = blob[:46] + count.to_bytes(8, "little") + blob[54:]
+    match = "prime count" if count in (0, 7, 2**64 - 1) else "bytes of residues"
+    with pytest.raises(SerializationError, match=match):
+        serial.deserialize_ciphertext(bad, params)
 
 
 @pytest.mark.parametrize("value", ["prime", "2^32-1"])
@@ -248,13 +285,14 @@ def test_u4_limb_at_or_above_its_prime_raises(setup, seeded, params64, row, valu
 
 @pytest.mark.parametrize("kind", ["ciphertext", "seeded", "secret_key", "public_key", "eval_keys"])
 def test_older_container_versions_raise(setup, seeded, params64, kind):
-    # version 5 wrote 8-byte limbs, 1-4 older layouts: none is misread
+    # version 6 wrote no prime count, 5 8-byte limbs, 1-4 older layouts:
+    # none is misread
     _, sk, pk, ek, _, ct = setup
     value = {"ciphertext": ct, "seeded": seeded, "secret_key": sk, "public_key": pk,
              "eval_keys": ek}[kind]
     name = "ciphertext" if kind == "seeded" else kind
     blob = getattr(serial, f"serialize_{name}")(value)
-    assert blob[4] == serial.VERSION == 6
-    for version in range(1, 6):
+    assert blob[4] == serial.VERSION == 7
+    for version in range(1, 7):
         with pytest.raises(SerializationError, match=f"version {version}"):
             getattr(serial, f"deserialize_{name}")(blob[:4] + bytes([version]) + blob[5:], params64)

@@ -15,7 +15,7 @@ from hedgerow.svm import (
     svm_scores_clear,
 )
 
-from oracles import predict_class
+from oracles import predict_class, reset_counts
 
 
 def random_model(rng, s=3, d=40, scale_bits=20):
@@ -148,7 +148,7 @@ def test_cost_contract_counts(params256, clear_keys256, rng):
     model, _, _ = random_model(rng, s=3, d=128)
     x = _pack_x(counting, rng.integers(-1, 2, 128))
     ct = counting.encrypt(cpk, counting.encode(x), None)
-    counting.ops.reset()
+    reset_counts(counting)
     infer_encrypted(counting, ct, model, cek)
     # g = 4 planes, b = 2: one baby step by 1, one giant step by 2, plus
     # the row fold 64..4 (5)
@@ -158,6 +158,7 @@ def test_cost_contract_counts(params256, clear_keys256, rng):
     assert counting.ops.get("add_pt") == 1
     assert counting.ops.get("mul_ct") == 0
     assert counting.ops.get("swap_rows") == 0
+    assert counting.ops.get("mod_switch") == 1  # the one output, for download
 
 
 @pytest.mark.parametrize("d", [100, 200], ids=["one-row", "swap-path"])
@@ -167,7 +168,7 @@ def test_rotations_are_baby_giant_and_fold_steps(params256, clear_keys256, rng, 
     _, cpk, cek = clear_keys256
     model, _, _ = random_model(rng, s=g // 2 + 1, d=d)
     ct = counting.encrypt(cpk, counting.encode(_pack_x(counting, rng.integers(-1, 2, d))), None)
-    counting.ops.reset()
+    reset_counts(counting)
     infer_encrypted(counting, ct, model, cek)
     row = params256.rotation_group_size
     b = 1 << int(np.log2(g)) // 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hedgerow import ModelFormatError
-from hedgerow.compare import compare_clear, encode_feature
+from hedgerow.compare import compare_clear
 from hedgerow.modelio import ensemble_scores_clear_batch
 from hedgerow.svm import check_aggregate_bound
 from hedgerow.trees import (
@@ -18,7 +18,7 @@ from hedgerow.trees import (
     tree_scores_encrypted,
 )
 
-from oracles import path_score_clear, predict_class, route_leaf
+from oracles import encode_feature, path_score_clear, predict_class, route_leaf
 
 ALL_Z = list(itertools.product((0, 1), repeat=3))
 
