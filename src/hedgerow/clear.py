@@ -5,14 +5,16 @@ and the same slot semantics mod t, so circuit code runs unchanged on either
 backend and the decoded outputs can be compared exactly.  Both subclass
 :class:`scheme.Backend`, which holds the operand check, ``encode``, the
 depth and the Galois-key rules once, so levels and errors match by
-construction.  The mirror shares :class:`scheme.PackedPlaintext` (it reads
-only the slots), and its secret and public keys are plain
-:class:`scheme.ParamsKey`.
+construction; a mirror ciphertext records its prime count, K when made
+and k' after ``mod_switch``, so the mirror refuses the ops ``HeBackend``
+refuses on a switched ciphertext.  The mirror shares
+:class:`scheme.PackedPlaintext` (it reads only the slots), and its secret
+and public keys are plain :class:`scheme.ParamsKey`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +28,7 @@ class ClearCiphertext:
     params: HeParams
     level: int
     slots: np.ndarray  # (N,) uint64 mod t
+    prime_count: int  # R, as HeBackend's Ciphertext would hold
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,61 +53,61 @@ class ClearBackend(Backend):
 
     def encrypt(self, pk: ParamsKey, pt: PackedPlaintext, seed=None) -> ClearCiphertext:
         self._check(pk, pt)
-        return ClearCiphertext(self.params, self.params.depth_budget, pt.slots.copy())
+        return ClearCiphertext(self.params, self.params.depth_budget, pt.slots.copy(),
+                               len(self.params.coeff_modulus))
 
     def decrypt(self, sk: ParamsKey, ct: ClearCiphertext) -> PackedPlaintext:
-        self._check(sk, ct)
+        self._check(sk, ct, switched=True)
         return PackedPlaintext(self.params, ct.slots.copy())
 
-    def mod_switch(self, a: ClearCiphertext) -> ClearCiphertext:
+    def _switch(self, a: ClearCiphertext) -> ClearCiphertext:
         # the slots are what the switch keeps
-        self._check(a)
-        return a
+        return replace(a, prime_count=self.params.output_primes)
 
     def noise_budget(self, sk: ParamsKey, ct: ClearCiphertext) -> int:
         # the mirror carries no noise; report the fresh-ciphertext cap
-        self._check(sk, ct)
+        self._check(sk, ct, switched=True)
         return self.params.coeff_modulus_product.bit_length() - 1
 
     def add_ct(self, a: ClearCiphertext, b: ClearCiphertext) -> ClearCiphertext:
-        self._check(a, b)
-        return ClearCiphertext(a.params, min(a.level, b.level), add_mod(a.slots, b.slots, self.t))
+        self._check(a, b, switched=True)
+        return replace(a, level=min(a.level, b.level), slots=add_mod(a.slots, b.slots, self.t))
 
     def sub_ct(self, a: ClearCiphertext, b: ClearCiphertext) -> ClearCiphertext:
-        self._check(a, b)
-        return ClearCiphertext(a.params, min(a.level, b.level), sub_mod(a.slots, b.slots, self.t))
+        self._check(a, b, switched=True)
+        return replace(a, level=min(a.level, b.level), slots=sub_mod(a.slots, b.slots, self.t))
 
     def negate(self, a: ClearCiphertext) -> ClearCiphertext:
         self._check(a)
-        return ClearCiphertext(a.params, a.level, sub_mod(0, a.slots, self.t))
+        return replace(a, slots=sub_mod(0, a.slots, self.t))
 
     def add_pt(self, a: ClearCiphertext, pt: PackedPlaintext) -> ClearCiphertext:
         self._check(a, pt)
-        return ClearCiphertext(a.params, a.level, add_mod(a.slots, pt.slots, self.t))
+        return replace(a, slots=add_mod(a.slots, pt.slots, self.t))
 
     def sub_pt(self, a: ClearCiphertext, pt: PackedPlaintext) -> ClearCiphertext:
         self._check(a, pt)
-        return ClearCiphertext(a.params, a.level, sub_mod(a.slots, pt.slots, self.t))
+        return replace(a, slots=sub_mod(a.slots, pt.slots, self.t))
 
     def mul_pt(self, a: ClearCiphertext, pt: PackedPlaintext) -> ClearCiphertext:
         self._check(a, pt)
-        return ClearCiphertext(a.params, a.level, mul_mod(a.slots, pt.slots, self.t))
+        return replace(a, slots=mul_mod(a.slots, pt.slots, self.t))
 
     def mul_ct(self, a: ClearCiphertext, b: ClearCiphertext, ek: ClearEvalKeys) -> ClearCiphertext:
         level = self._product_level(a, b, ek)
-        return ClearCiphertext(a.params, level, mul_mod(a.slots, b.slots, self.t))
+        return replace(a, level=level, slots=mul_mod(a.slots, b.slots, self.t))
 
     def rotate(self, a: ClearCiphertext, steps: int, ek: ClearEvalKeys) -> ClearCiphertext:
         eff = self._rotation_step(a, steps, ek)
         if eff == 0:
             return a
         rows = a.slots.reshape(2, self.row)
-        return ClearCiphertext(a.params, a.level, np.roll(rows, -eff, axis=1).reshape(-1))
+        return replace(a, slots=np.roll(rows, -eff, axis=1).reshape(-1))
 
     def swap_rows(self, a: ClearCiphertext, ek: ClearEvalKeys) -> ClearCiphertext:
         self._check_row_swap(a, ek)
         rows = a.slots.reshape(2, self.row)
-        return ClearCiphertext(a.params, a.level, rows[::-1].reshape(-1).copy())
+        return replace(a, slots=rows[::-1].reshape(-1).copy())
 
 
 @dataclass

@@ -275,8 +275,11 @@ def infer_xgb_sample(
     ek,
     encrypted_split_blocks: list[list] | None = None,
 ) -> list:
-    """Per-block encrypted class sums for one sample, each switched for
-    download (``mod_switch``, the last op); nothing is encoded.
+    """Per-block encrypted class sums for one sample, at the preset's k'
+    output primes; nothing is encoded.  Each block's tree scores are
+    switched (``mod_switch``) after their last multiply, so the class-sum
+    fold keyswitches (2s+1)(k'+L) rows in place of (2s+1)(K+L), and its sums
+    leave at k' primes as they are.
 
     ``bundle_blocks[b][stream]`` is the (le0, eq0) ciphertext pair of a
     stream, as ``encrypt_bundle`` returns it; ``model_plaintexts[b]`` is
@@ -294,9 +297,8 @@ def infer_xgb_sample(
             else (compare_encrypted_model, encrypted_split_blocks[b])
         )
         zs = [compare(backend, *enc[s], y, ek) for s, y in zip(STREAMS, ys)]
-        scores = tree_scores_encrypted(backend, zs, planes[3:], ek)
-        sums = class_sums(backend, scores, layout.trees_per_class, classes_in_block, ek)
-        out.append(backend.mod_switch(sums))
+        scores = backend.mod_switch(tree_scores_encrypted(backend, zs, planes[3:], ek))
+        out.append(class_sums(backend, scores, layout.trees_per_class, classes_in_block, ek))
     return out
 
 

@@ -8,7 +8,9 @@ A :class:`RingContext` owns, for one parameter set:
   2012, in the RNS form of Han-Ki 2020) are the prefix above q: switching
   keys live mod qP, ``mod_up`` lifts a polynomial from q to qP and
   ``mod_down`` divides one mod qP by P with rounding, back to q.  Both take
-  and return evaluation form and transform only the rows they change.  The
+  and return evaluation form and transform only the rows they change, and
+  both serve a prefix q' of q too (a switched ciphertext's keyswitch runs
+  mod q'P, on the keys' rows of q' and P: a key mod qP holds mod q'P).  The
   tensor basis of exact ciphertext products is q followed by the prefix
   above t*N*q + 1, so it starts with qP and extends it;
 * one batched NTT plan over the tensor basis, and one for the plaintext
@@ -28,15 +30,17 @@ A :class:`RingContext` owns, for one parameter set:
   only.  Like the plan, a table serves every prefix of its primes:
   ``garner`` (the tensor basis) lifts from q,
   ``garner_aux`` (the primes beyond q) from P and back to q from them all,
+  and from P to q's first k',
   ``garner_tail`` (q's last K - k' primes) to its first k'.
   Conversion is exact without big integers: every sum of products is one
   float64 matrix product over the 16-bit halves of a residue table, exact
   by the NTT's piece rule (``ntt.piece_bits``) for a basis of at most 64
   primes.  A params set whose tensor basis needs more primes is refused.
 
-Everything is built with the context, the six conversion tables (q -> P,
-q -> extension, q -> t, P -> q, extension -> q, q's tail -> q's head)
-included, and threads share it read-only: it holds no lock and no cache.
+Everything is built with the context, the seven conversion tables (q -> P,
+q -> extension, q -> t, P -> q, P -> q's head, extension -> q, q's tail ->
+q's head) included, and threads share it read-only: it holds no lock and
+no cache.
 An automorphism's index map is recomputed per call (microseconds, against
 milliseconds for the keyswitch that follows it).
 """
@@ -210,10 +214,11 @@ class RingContext:
         # to be exact)
         extension = self.tensor_primes[self.k :]
         self.garner = GarnerBasis(self.tensor_primes, (self.p_primes, extension, (self.t,)))
-        self.garner_aux = GarnerBasis(extension, (self.q_primes,))
-        # mod_switch: q's last K - k' primes, lifted to its first k'
+        # mod_switch: q's last K - k' primes, lifted to its first k'; a
+        # switched ciphertext's keyswitch divides by P back to those k'
         self.out_k = params.output_primes
         head, tail = self.q_primes[: self.out_k], self.q_primes[self.out_k :]
+        self.garner_aux = GarnerBasis(extension, (self.q_primes, head))
         self.garner_tail = GarnerBasis(tail, (head,))
         self._tail_inv_mod_head = _column(pow(prod(tail), -1, p) for p in head)
         # one plan over the tensor basis: its first K rows are q's, its first
@@ -221,6 +226,7 @@ class RingContext:
         self.plan_q = NttPlan(self.n, self.tensor_primes)
         self.plan_t = NttPlan(self.n, (self.t,))
         self.q_arr = self.plan_q.p[: self.k]
+        self.p_arr = self.plan_q.p[self.k : len(self.qp_primes)]
         big_p = prod(self.p_primes)
         self.p_mod_q = _column(big_p % q for q in self.q_primes)
         self._p_inv_mod_q = _column(pow(big_p, -1, q) for q in self.q_primes)
@@ -265,37 +271,57 @@ class RingContext:
         and ``garner`` themselves)."""
         return self.tensor_primes, self.plan_q, self.garner
 
+    def qp_arr(self, r: int) -> np.ndarray:
+        """The (R+L, 1) moduli of q'P, for q' the product of q's first R
+        primes: plan rows [0, R) and [K, K+L)."""
+        return np.concatenate((self.q_arr[:r], self.p_arr))
+
     def mod_up(self, coeffs: np.ndarray, evals: np.ndarray, basis: tuple | None = None) -> np.ndarray:
-        """The centred lift of a (K, N) polynomial mod q, given in both forms,
-        to ``basis`` (default qP) in evaluation form: the K rows of ``evals``,
-        then the forward transform of the lifted extension rows only."""
+        """The centred lift of an (R, N) polynomial mod q' (q's first R
+        primes), given in both forms, to q' and the rows of ``basis`` past
+        q (default P) in evaluation form: the R rows of ``evals``, then the
+        forward transform of the lifted extension rows only."""
         extension = self.garner.lift(coeffs, (basis or self.qp_primes)[self.k :])
         return np.concatenate((evals, self.plan_q.forward(extension, self.k)))
 
+    def key_product(self, lifted: np.ndarray, key: np.ndarray) -> np.ndarray:
+        """A ``mod_up`` lift to q'P times one (K+L, N) key part mod qP, in
+        evaluation form: the key's first R rows and its P rows, as two
+        slices, since a key mod qP also holds mod q'P."""
+        r = len(lifted) - len(self.p_arr)
+        out = np.empty_like(lifted)
+        np.multiply(lifted[:r], key[:r], out=out[:r])
+        np.multiply(lifted[r:], key[self.k :], out=out[r:])
+        out %= self.qp_arr(r)
+        return out
+
     def mod_down(self, poly: np.ndarray, addend: np.ndarray | None = None) -> np.ndarray:
-        """round(x / P) mod q of a (K+L, N) polynomial x mod qP.  An
-        ``addend`` c mod q in coefficient form rides the same forward
-        transform: round(x / P) + c = (x - ([x]_P - P*c)) / P."""
-        shift = None if addend is None else mul_mod(addend, self.p_mod_q, self.q_arr)
-        return self._divide_tail(poly, self.garner_aux, self._p_inv_mod_q, shift)
+        """round(x / P) mod q' of an (R+L, N) polynomial x mod q'P, for q'
+        the product of q's first R primes.  An ``addend`` c mod q' in
+        coefficient form rides the same forward transform:
+        round(x / P) + c = (x - ([x]_P - P*c)) / P."""
+        r = len(poly) - len(self.p_arr)
+        shift = None if addend is None else mul_mod(addend, self.p_mod_q[:r], self.q_arr[:r])
+        return self._divide_tail(poly, self.k, self.garner_aux, self._p_inv_mod_q[:r], shift)
 
     def mod_switch(self, poly: np.ndarray) -> np.ndarray:
         """round(x / Q_d) mod q' of a (K, N) polynomial x mod q, for q' the
         product of q's first k' = ``params.output_primes`` primes and Q_d of
         the other K - k': mod_down with Q_d in P's place."""
-        return self._divide_tail(poly, self.garner_tail, self._tail_inv_mod_head)
+        return self._divide_tail(poly, self.out_k, self.garner_tail, self._tail_inv_mod_head)
 
-    def _divide_tail(self, poly: np.ndarray, garner: GarnerBasis, inv: np.ndarray,
-                     shift: np.ndarray | None = None) -> np.ndarray:
+    def _divide_tail(self, poly: np.ndarray, tail_start: int, garner: GarnerBasis,
+                     inv: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
         """The exact (x - [x]_D) / D, with [x]_D the centred residue of x mod
-        D, of a polynomial x in evaluation form whose rows past the first
-        h = len(inv) hold the primes of D, which ``garner`` lifts from.
+        D, of a polynomial x in evaluation form whose first h = len(inv)
+        rows hold q's first h primes and whose other rows hold the primes
+        of D, plan rows from ``tail_start`` on, which ``garner`` lifts from.
         ``inv`` is D^-1 mod each of the h head primes, and ``shift``, in
         coefficient form over them, is subtracted from [x]_D.  Transforms
         the tail's rows once each, then h rows."""
         h = len(inv)
-        head = self.plan_q.p[:h]
-        rem = garner.lift(self.plan_q.inverse(poly[h:], h), self.tensor_primes[:h])
+        head = self.q_arr[:h]
+        rem = garner.lift(self.plan_q.inverse(poly[h:], tail_start), self.q_primes[:h])
         if shift is not None:
             rem = sub_mod(rem, shift, head)
         return mul_mod(sub_mod(poly[:h], self.plan_q.forward(rem), head), inv, head)

@@ -31,9 +31,11 @@ rescaling of Bossuat et al. 2021's double hoisting): a lone rotation or swap
 is the per-op keyswitch byte for byte, and a fold rounds c0 once.
 
 ``mod_switch`` (BFV modulus switching: Brakerski 2012, Fan-Vercauteren
-2012) is a server's last op on an output: it drops q's last K - k' primes
-with rounding, and the result only decrypts, under the secret key's first
-k' rows.
+2012) follows an output's last multiply: it drops q's last K - k' primes
+with rounding.  The result still adds, rotates, swaps rows and folds, at
+k' primes (a keyswitch then runs mod q'P, on the keys' rows of q' and P),
+and decrypts under the secret key's first k' rows; it no longer multiplies
+or takes a plaintext.
 
 Every value, plaintext, ciphertext or key, carries the ``HeParams`` it was
 made under; ``Backend`` holds the rules ``HeBackend`` and the clear mirror
@@ -161,9 +163,10 @@ class Ciphertext:
     Always two parts: ``mul_ct`` relinearizes its three-part product before
     returning, so no other part count exists outside it.  Both parts hold
     the residues of the first R primes of q, 1 <= R <= K: R = K but after
-    ``mod_switch``.  A fresh encryption under the secret key keeps the
-    public 32-byte ``a_seed`` its c1 expands from (``expand_a``), so its
-    container need not carry c1; no op sets it.
+    ``mod_switch`` (``Backend._check`` says which ops take R < K).  A fresh
+    encryption under the secret key keeps the public 32-byte ``a_seed`` its
+    c1 expands from (``expand_a``), so its container need not carry c1; no
+    op sets it.
     """
 
     params: HeParams
@@ -268,7 +271,7 @@ def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None
     prg = Prg(seed)
     n, k = ring.n, ring.k
     plan = ring.plan_q
-    qp_arr = plan.p[: len(ring.qp_primes)]
+    qp_arr = ring.qp_arr(k)
 
     s_qp_ntt = plan.forward(ring.rns_from_small(prg.ternary("sk", n), qp_arr))
     s_ntt = s_qp_ntt[:k]
@@ -318,19 +321,36 @@ class Backend:
     takes carries its ``params``, and ``_check`` refuses one whose
     fingerprint is not this backend's; a slot vector is 1-d and at most N
     long; a product needs depth on both operands; a rotation or row swap
-    needs its Galois key.  ``encode`` and ``decode`` work on the one
-    plaintext type; ``fold`` is the plain loop over the subclass's own
-    rotate/swap/add primitives (``HeBackend`` fuses it), and ``sum_slots`` is
-    one ``fold``.  Subclasses set ``params`` and define the arithmetic and
-    ``mod_switch``, the server's last op on an output, which keeps its slots
-    (``HeBackend`` drops all but q's first ``params.output_primes`` primes).
+    needs its Galois key; a ciphertext's prime count, K or after
+    ``mod_switch`` k' = ``params.output_primes``, decides which ops take it.
+    ``encode`` and ``decode`` work on the one plaintext type; ``fold`` is the
+    plain loop over the subclass's own rotate/swap/add primitives
+    (``HeBackend`` fuses it), and ``sum_slots`` is one ``fold``.  Subclasses
+    set ``params`` and define the arithmetic and ``_switch``, the modulus
+    switch that keeps the slots (``HeBackend`` drops all but q's first k'
+    primes, the mirror records the count).
     """
 
-    def _check(self, *values) -> None:
-        """Each value (ciphertext, plaintext or key) must carry these parameters."""
+    def _check(self, *values, switched: bool = False) -> int:
+        """Each value (ciphertext, plaintext or key) must carry these
+        parameters, and the ciphertexts among them hold one prime count R:
+        all K primes of q, or with ``switched`` any count.  ``add_ct``,
+        ``sub_ct``, the slot permutations, ``decrypt``, ``noise_budget`` and
+        ``mod_switch`` pass ``switched``; the multiplies, the plaintext ops
+        and ``negate`` do not.  Returns R (K when no ciphertext is given)."""
         for value in values:
             if value.params.fingerprint != self.params.fingerprint:
                 raise FingerprintMismatchError("object belongs to different parameters")
+        k = len(self.params.coeff_modulus)
+        counts = sorted({v.prime_count for v in values if hasattr(v, "prime_count")})
+        if len(counts) > 1:
+            raise ParamError(f"ciphertexts hold {counts[0]} and {counts[1]} primes of q; "
+                             "an op takes one count")
+        r = counts[0] if counts else k
+        if r != k and not switched:
+            raise ParamError(f"ciphertext holds {r} of the {k} primes of q; after mod_switch "
+                             "it only adds, rotates and decrypts")
+        return r
 
     def encode(self, values) -> PackedPlaintext:
         """``values`` mod t, zero-padded to N slots."""
@@ -356,16 +376,30 @@ class Backend:
 
     def _rotation_step(self, a, steps: int, ek) -> int:
         """``steps`` mod the row size N/2 (0 is the identity), with its key in ek."""
-        self._check(a, ek)
+        self._check(a, ek, switched=True)
         eff = steps % self.params.rotation_group_size
         if eff and eff not in ek.galois:
             raise MissingGaloisKeyError(f"no Galois key for rotation step {steps}")
         return eff
 
     def _check_row_swap(self, a, ek) -> None:
-        self._check(a, ek)
+        self._check(a, ek, switched=True)
         if not ek.row_swap:
             raise MissingGaloisKeyError("no Galois key for the row swap")
+
+    def mod_switch(self, a):
+        """a at q's first k' = ``params.output_primes`` primes, after its last
+        multiply: the slots are unchanged (``_switch``).  One already at k'
+        primes is returned as it is, so at k' = K (custom params) the switch
+        does nothing; one at another count below K is refused."""
+        r, k = self._check(a, switched=True), len(self.params.coeff_modulus)
+        out_k = self.params.output_primes
+        if r == out_k:
+            return a
+        if r != k:
+            raise ParamError(f"mod_switch takes a ciphertext at all {k} primes of q "
+                             f"or at {out_k}, got {r}")
+        return self._switch(a)
 
     def fold(self, ct, steps, ek, swap: bool = False):
         """The rotate-and-add chain ct <- ct + rotate(ct, s) for each s in
@@ -420,15 +454,6 @@ class HeBackend(Backend):
 
     encode = Backend.encode  # bound here too, so a tracer can wrap HeBackend.encode
 
-    def _check(self, *values) -> None:
-        """``Backend._check``, and each ciphertext must hold all K primes:
-        only ``decrypt``, ``noise_budget`` and ``mod_switch`` take fewer."""
-        super()._check(*values)
-        for value in values:
-            if isinstance(value, Ciphertext) and value.prime_count != self.ring.k:
-                raise ParamError(f"ciphertext holds {value.prime_count} of the {self.ring.k} "
-                                 "primes of q; after mod_switch it can only be decrypted")
-
     # -- keys and encryption -------------------------------------------------
 
     def keygen(self, seed, rotation_steps: tuple[int, ...] | None = None):
@@ -464,8 +489,7 @@ class HeBackend(Backend):
         """Garner digits of the noise w = [t*x]_q' of the phase x = c0 + c1*s
         over the product q' of the R primes ct holds: t*x = q'*r + w for the
         message r = round(t*x/q'), |w| < q'/2."""
-        Backend._check(self, sk, ct)
-        ring, r = self.ring, ct.prime_count
+        ring, r = self.ring, self._check(sk, ct, switched=True)
         q_arr = ring.q_arr[:r]
         acc = add_mod(ct.parts[0], ring.plan_q.pointwise(ct.parts[1], sk.s[:r]), q_arr)
         phase = ring.plan_q.inverse(acc)
@@ -503,13 +527,13 @@ class HeBackend(Backend):
     # -- arithmetic ----------------------------------------------------------
 
     def add_ct(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self._check(a, b)
-        parts = tuple(add_mod(x, y, self.ring.q_arr) for x, y in zip(a.parts, b.parts))
+        q = self.ring.q_arr[: self._check(a, b, switched=True)]
+        parts = tuple(add_mod(x, y, q) for x, y in zip(a.parts, b.parts))
         return Ciphertext(a.params, min(a.level, b.level), parts)
 
     def sub_ct(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self._check(a, b)
-        parts = tuple(sub_mod(x, y, self.ring.q_arr) for x, y in zip(a.parts, b.parts))
+        q = self.ring.q_arr[: self._check(a, b, switched=True)]
+        parts = tuple(sub_mod(x, y, q) for x, y in zip(a.parts, b.parts))
         return Ciphertext(a.params, min(a.level, b.level), parts)
 
     def negate(self, a: Ciphertext) -> Ciphertext:
@@ -532,20 +556,10 @@ class HeBackend(Backend):
         parts = tuple(self.ring.plan_q.pointwise(p, pt._ntt_q) for p in a.parts)
         return Ciphertext(a.params, a.level, parts)
 
-    def mod_switch(self, a: Ciphertext) -> Ciphertext:
-        """a at q's first k' = ``params.output_primes`` primes, for download:
-        each part becomes round(c*q'/q) mod q' (``RingContext.mod_switch``),
-        so the slots are unchanged and the margin stays within about a bit
-        while q' holds the noise.  One already at k' primes is returned as
-        it is, so at k' = K (custom params) the switch does nothing."""
-        Backend._check(self, a)
-        ring = self.ring
-        if a.prime_count == ring.out_k:
-            return a
-        if a.prime_count != ring.k:
-            raise ParamError(f"mod_switch takes a ciphertext at all {ring.k} primes of q "
-                             f"or at {ring.out_k}, got {a.prime_count}")
-        return Ciphertext(a.params, a.level, tuple(ring.mod_switch(p) for p in a.parts))
+    def _switch(self, a: Ciphertext) -> Ciphertext:
+        """Each part becomes round(c*q'/q) mod q' (``RingContext.mod_switch``),
+        so the margin stays within about a bit while q' holds the noise."""
+        return Ciphertext(a.params, a.level, tuple(self.ring.mod_switch(p) for p in a.parts))
 
     def mul_ct(self, a: Ciphertext, b: Ciphertext, ek: EvalKeys) -> Ciphertext:
         level = self._product_level(a, b, ek)
@@ -590,26 +604,29 @@ class HeBackend(Backend):
         """Each (Galois element, key) of ``chain`` in turn: ct <- ct + sigma(ct)
         if ``add``, else ct <- sigma(ct); None (a rotation by 0 mod N/2) doubles.
 
-        c1 is keyswitched and rounded per step; c0 is held mod qP as P*c0 (0 on
-        the special primes) and each step adds its automorphism and the raw key
-        product of the lifted c1.  Since mod_down(P*c + k) = c + mod_down(k),
-        one ``mod_down`` ends the chain exactly: (2s+1)(K+L) rows transformed
-        for s automorphisms, and one is byte-identical to a per-op keyswitch."""
+        The chain runs mod q'P for the product q' of the R primes ``a`` holds
+        (R = k' after ``mod_switch``).  c1 is keyswitched and rounded per
+        step; c0 is held mod q'P as P*c0 (0 on the special primes) and each
+        step adds its automorphism and the raw key product of the lifted c1.
+        Since mod_down(P*c + k) = c + mod_down(k), one ``mod_down`` ends the
+        chain exactly: (2s+1)(R+L) rows transformed for s automorphisms, and
+        one is byte-identical to a per-op keyswitch."""
         ring, plan = self.ring, self.ring.plan_q
-        k, qp = ring.k, plan.p[: len(ring.qp_primes)]
+        r = a.prime_count
+        q, qp = ring.q_arr[:r], ring.qp_arr(r)
         c0 = np.zeros((len(qp), ring.n), dtype=np.uint64)
-        c0[:k] = mul_mod(a.parts[0], ring.p_mod_q, ring.q_arr)
+        c0[:r] = mul_mod(a.parts[0], ring.p_mod_q[:r], q)
         c1 = a.parts[1]
         for step in chain:
             if step is None:
-                c0, c1 = add_mod(c0, c0, qp), add_mod(c1, c1, ring.q_arr)
+                c0, c1 = add_mod(c0, c0, qp), add_mod(c1, c1, q)
                 continue
             g, (b, a_key) = step
             r1 = ring.apply_automorphism(c1, g)
             lifted = ring.mod_up(plan.inverse(r1), r1)
-            s0 = add_mod(ring.apply_automorphism(c0, g), plan.pointwise(lifted, b), qp)
-            s1 = ring.mod_down(plan.pointwise(lifted, a_key))
-            c0, c1 = (add_mod(c0, s0, qp), add_mod(c1, s1, ring.q_arr)) if add else (s0, s1)
+            s0 = add_mod(ring.apply_automorphism(c0, g), ring.key_product(lifted, b), qp)
+            s1 = ring.mod_down(ring.key_product(lifted, a_key))
+            c0, c1 = (add_mod(c0, s0, qp), add_mod(c1, s1, q)) if add else (s0, s1)
         return Ciphertext(a.params, a.level, (ring.mod_down(c0), c1))
 
     def _keyswitch(self, lifted: np.ndarray, key: KeySwitchKey, addends=(None, None)):
@@ -620,5 +637,5 @@ class HeBackend(Backend):
         coefficient-form polynomials mod q, join k0 and k1 inside ``mod_down``'s
         forward transform.  (Automorphisms keyswitch in ``_galois``.)"""
         ring = self.ring
-        return tuple(ring.mod_down(ring.plan_q.pointwise(lifted, part), c)
+        return tuple(ring.mod_down(ring.key_product(lifted, part), c)
                      for part, c in zip(key, addends))

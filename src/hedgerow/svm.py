@@ -170,6 +170,12 @@ def infer_encrypted(backend, ct_x, model: SvmModel, ek) -> list:
 
     ct_x must carry the ternary features in slots 0..d-1; the zero-padded
     planes cancel whatever the other slots hold.
+
+    Unlike the tree modes, the switch stays last, after the row fold and
+    the bias: a switched ciphertext takes no plaintext, so switching before
+    the fold would need the bias scaled by q' or added before the fold, and
+    the second changes every slot past the classes.  The fold would gain one
+    row of 10 per keyswitch step at svm-d1 (k' + L = 9 for K + L = 10).
     """
     planes, bias_pt = encoded_planes(backend, model)
     b = baby_steps(len(planes))

@@ -1,7 +1,8 @@
 """Clear oracles and helpers that only the tests read: copy-number
 normalization and feature codes, the boolean comparison, the path-sum and
 routing forms of a tree's score, argmax prediction, the synthetic
-ensemble's label agreement, Python-int base conversion, the negacyclic
+ensemble's label agreement, Python-int base conversion and rounded
+division of an RNS value, the negacyclic
 transform's definition and product, and clearing an op tally."""
 
 from math import prod
@@ -108,6 +109,16 @@ def check_garner_conversions(basis, targets, values):
     assert garner.digits_to_residues(digits, targets).tolist() == want
     assert garner.lift(x, targets).tolist() == want
     assert list(garner.residues_to_ints(x)) == list(values)
+
+
+def rounded_quotient(residues: np.ndarray, primes, divisor: int, targets) -> list[list[int]]:
+    """round(x / divisor) mod each target prime, one row per target, for
+    the x in [0, prod(primes)) whose (R, columns) residues mod ``primes``
+    are given: CRT in Python ints, ``divisor`` odd so no value ties."""
+    m = prod(primes)
+    xs = [sum(int(r) * (m // p) * pow(m // p, -1, p) for r, p in zip(col, primes)) % m
+          for col in residues.T]
+    return [[(2 * x + divisor) // (2 * divisor) % w for x in xs] for w in targets]
 
 
 def check_ntt_definition(plan: NttPlan, a: np.ndarray, start: int, ks) -> None:

@@ -23,10 +23,10 @@ from hedgerow import (
 )
 from hedgerow.ntt import MODULUS_BITS, NttPlan, find_ntt_primes, is_prime, ntt_primes
 from hedgerow.params import PRESET_NAMES, default_plaintext_modulus, gen_params
-from hedgerow.ring import GarnerBasis, RingContext, special_primes, tensor_primes
+from hedgerow.ring import GarnerBasis, RingContext, get_ring, special_primes, tensor_primes
 from hedgerow.scheme import Backend, fold_steps
 from hedgerow.serial import serialize_public_key, serialize_secret_key
-from oracles import check_garner_conversions
+from oracles import check_garner_conversions, rounded_quotient
 
 
 def enc(backend, pk, values, seed):
@@ -380,6 +380,45 @@ def test_mod_switch_matches_integer_arithmetic(params64, rng, out_k):
         assert [int(r) for r in got[:, col]] == [rounded % p for p in head]
 
 
+# SHA-256 of RingContext.mod_switch on one seeded K-row input: the tail's
+# plan offset, now passed to _divide_tail, leaves these bytes as they were
+SWITCH_DIGESTS = {
+    "svm-d1": "69dc05dd0387f30b456e6ee5104051cc1ed3f4e05ca13a75d19b337374d9ace5",
+    "xgb-d2": "12a0a939652df7805e22efd7c585517b917d436ee93349003fadeee20ee4c25f",
+    "xgb-encmodel-d3": "cd9f4b65e106eed87ee04da9098b84705723e90578537897c989037f7bc74781",
+    "test64": "11f68bf699f2365b1101dde04fa237cceff73d1bf60380a7a136bf085769fd61",
+}
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "test64"])
+def test_mod_down_at_output_primes_matches_integer_arithmetic(name, params64, rng):
+    # a switched ciphertext's keyswitch: mod_down of an (R+L)-row x mod q'P,
+    # for q' the product of q's first R = k' primes, is round(x / P) mod q',
+    # and round(x / P) + c with an addend c; at each preset's k' and a
+    # custom k' = 3 of 6
+    params = (gen_params(name) if name in PRESET_NAMES
+              else dataclasses.replace(params64, output_primes=3))
+    ring, r = get_ring(params), params.output_primes
+    plan, big_p = ring.plan_q, prod(ring.p_primes)
+    primes = ring.q_primes[:r] + ring.p_primes
+    x = rng.integers(0, 2**62, (r + len(ring.p_primes), ring.n), dtype=np.uint64) % ring.qp_arr(r)
+    for col, edge in enumerate((0, prod(primes) // 2, prod(primes) // 2 + 1, prod(primes) - 1)):
+        x[:, col] = [edge % p for p in primes]
+    c = rng.integers(0, 2**62, (r, ring.n), dtype=np.uint64) % ring.q_arr[:r]
+    evals = np.concatenate((plan.forward(x[:r]), plan.forward(x[r:], ring.k)))
+    cols = np.concatenate((np.arange(4), rng.choice(np.arange(4, ring.n), 60, replace=False)))
+    want = np.array(rounded_quotient(x[:, cols], primes, big_p, ring.q_primes[:r]),
+                    dtype=np.uint64)
+    down = plan.inverse(ring.mod_down(evals))
+    assert down.shape == (r, ring.n)
+    assert np.array_equal(down[:, cols], want)
+    shifted = plan.inverse(ring.mod_down(evals, c))
+    assert np.array_equal(shifted[:, cols], (want + c[:, cols]) % ring.q_arr[:r])
+    y = np.random.default_rng(0x5D).integers(0, 2**62, (ring.k, ring.n), dtype=np.uint64)
+    switched = ring.mod_switch(y % ring.q_arr)
+    assert hashlib.sha256(switched.tobytes()).hexdigest() == SWITCH_DIGESTS[name]
+
+
 @pytest.mark.parametrize("name", ["test64", "short-q", *PRESET_NAMES])
 def test_one_garner_table_serves_q_and_the_tensor_basis(name, params64, rng):
     # q and the tensor basis are the first K and all rows of ring.garner;
@@ -452,8 +491,8 @@ def test_garner_refuses_more_than_64_primes():
 
 
 def test_ring_conversions_read_tables_built_with_the_ring(params64, rng, monkeypatch):
-    # q -> P, q -> extension, P -> q, extension -> q and q's tail -> its
-    # head: no per-call table
+    # q -> P, q -> extension, P -> q, P -> q's head, extension -> q and q's
+    # tail -> its head: no per-call table
     ring = RingContext(dataclasses.replace(params64, output_primes=4))
 
     def refuse(self, target_primes):
@@ -465,6 +504,8 @@ def test_ring_conversions_read_tables_built_with_the_ring(params64, rng, monkeyp
     ring.mod_down(ring.mod_up(x, plan.forward(x)))  # q -> P, then P -> q
     ring.scale_down(ring.mod_up(x, plan.forward(x), ring.tensor_primes))  # and the other two
     ring.mod_switch(plan.forward(x))
+    head = x[:4]  # q' -> P, then P -> q' (a switched ciphertext's keyswitch)
+    ring.mod_down(ring.mod_up(head, plan.forward(head)))
 
 def _negacyclic(x, y):
     n = len(x)
@@ -617,6 +658,13 @@ def test_ops_transform_only_to_change_basis(name, params64, monkeypatch):
     assert transformed(he.mod_switch, a) == 2 * ((k - out_k) + out_k) == 2 * k
     assert transformed(he.mod_switch, switched) == 0
     assert transformed(lambda: he.decode(he.decrypt(sk, switched))) == out_k + 1
+    # at k' primes a keyswitch runs mod q'P: a rotation or row swap
+    # transforms 3(k'+L) rows, a chain of s automorphisms (2s+1)(k'+L)
+    out_kl = out_k + len(ring.p_primes)
+    assert transformed(he.rotate, switched, 1, ek) == 3 * out_kl
+    assert transformed(he.swap_rows, switched, ek) == 3 * out_kl
+    assert transformed(lambda: he.fold(switched, steps, ek, swap=True)) == \
+        (2 * len(steps) + 3) * out_kl
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
@@ -764,6 +812,29 @@ def test_fold_rounds_c0_once_and_matches_the_plain_chain(name, params64):
     assert he.fold(a, (), ek) is a
 
 
+@pytest.mark.parametrize("name", ["test64", "xgb-d2"])
+def test_fold_at_output_primes_matches_the_switched_fold(name, params64):
+    # switching a product before the fold leaves every slot as switching
+    # after it does, with 10 bits of margin or more: plain steps with a step
+    # of 0 mod N/2 (a doubling), and the whole-vector sum with its row swap
+    params = _tensor_case_params(name, params64)
+    if name == "test64":  # custom outputs keep all K primes: switch to 4 of 6
+        params = dataclasses.replace(params, output_primes=4)
+    he = HeBackend(params)
+    sk, pk, ek = he.keygen(seed=0x5F)
+    row, n = params.rotation_group_size, params.slot_count
+    rng = np.random.default_rng(0x5F)
+    a = enc(he, pk, rng.integers(0, params.plaintext_modulus, n), seed=1)
+    b = enc(he, pk, rng.integers(0, 2, n), seed=2)
+    ct = he.mul_ct(a, b, ek)
+    assert params.output_primes < len(params.coeff_modulus)
+    for op in (lambda c: he.fold(c, (1, row, 2), ek), lambda c: he.sum_slots(c, n, ek)):
+        early, late = op(he.mod_switch(ct)), he.mod_switch(op(ct))
+        assert early.prime_count == late.prime_count == params.output_primes
+        assert np.array_equal(dec(he, sk, early), dec(he, sk, late))
+        assert he.noise_budget(sk, early) >= 10
+
+
 @pytest.mark.parametrize("name", ["he", "clear"])
 def test_fold_missing_key_mid_chain(name, request, monkeypatch):
     be = request.getfixturevalue(f"{name}64")
@@ -850,26 +921,45 @@ def test_mod_switch_keeps_slots_and_margin(switch64, rng):
 
 
 def test_switched_ciphertext_only_decrypts(switch64):
-    # every op but decrypt, noise_budget and mod_switch refuses a ciphertext
-    # below K primes with a HedgerowError, never a numpy broadcast error
-    (he, (sk, pk, ek)), _ = switch64
-    a = enc(he, pk, [1, 2], seed=1)
-    s = he.mod_switch(a)
-    pt = he.encode([3])
-    for op, args in (
-        ("add_ct", (s, a)), ("add_ct", (a, s)), ("sub_ct", (s, s)), ("negate", (s,)),
-        ("add_pt", (s, pt)), ("sub_pt", (s, pt)), ("mul_pt", (s, pt)), ("mul_ct", (a, s, ek)),
-        ("rotate", (s, 0, ek)), ("rotate", (s, 1, ek)), ("swap_rows", (s, ek)),
-        ("fold", (s, (1, 2), ek)), ("sum_slots", (s, 4, ek)),
-    ):
-        with pytest.raises(HedgerowError, match="primes of q"):
-            getattr(he, op)(*args)
-    assert he.mod_switch(s) is s
-    assert dec(he, sk, s)[:2].tolist() == [1, 2] and he.noise_budget(sk, s) > 10
-    # a ciphertext between k' and K primes is not one the switch makes
-    odd = Ciphertext(he.params, a.level, tuple(p[:4] for p in a.parts))
-    with pytest.raises(ParamError):
-        he.mod_switch(odd)
+    # a ciphertext at k' primes adds, subtracts, rotates, swaps rows, folds
+    # and decrypts on both backends; the multiplies, the plaintext ops and
+    # negate refuse it, as does any op given two prime counts, with a
+    # HedgerowError, never a numpy broadcast error
+    v = np.arange(1, 65, dtype=np.int64)
+    rows = v.reshape(2, 32)
+    want = {
+        "add_ct": 2 * v, "sub_ct": 0 * v, "rotate0": v,
+        "rotate": np.roll(rows, -1, axis=1).reshape(-1), "swap_rows": rows[::-1].reshape(-1),
+        "fold": sum(np.roll(rows, -i, axis=1) for i in range(4)).reshape(-1),
+    }
+    for be, (sk, pk, ek) in switch64:
+        a = enc(be, pk, v, seed=1)
+        s = be.mod_switch(a)
+        assert s.prime_count == 5 and a.prime_count == 6
+        pt = be.encode([3])
+        for op, args in (
+            ("add_ct", (s, a)), ("add_ct", (a, s)), ("sub_ct", (s, a)), ("negate", (s,)),
+            ("add_pt", (s, pt)), ("sub_pt", (s, pt)), ("mul_pt", (s, pt)), ("mul_ct", (a, s, ek)),
+            ("mul_ct", (s, s, ek)),
+        ):
+            with pytest.raises(HedgerowError, match="primes of q"):
+                getattr(be, op)(*args)
+        got = {
+            "add_ct": be.add_ct(s, s), "sub_ct": be.sub_ct(s, s), "rotate0": be.rotate(s, 0, ek),
+            "rotate": be.rotate(s, 1, ek), "swap_rows": be.swap_rows(s, ek),
+            "fold": be.fold(s, (1, 2), ek), "sum_slots": be.sum_slots(s, 4, ek),
+        }
+        want["sum_slots"] = want["fold"]
+        for op, ct in got.items():
+            assert ct.prime_count == 5, op
+            assert np.array_equal(dec(be, sk, ct), want[op] % be.params.plaintext_modulus), op
+            assert be.noise_budget(sk, ct) > 10, op
+        assert be.mod_switch(s) is s
+        # a ciphertext between k' and K primes is not one the switch makes
+        odd = (dataclasses.replace(a, parts=tuple(p[:4] for p in a.parts))
+               if isinstance(a, Ciphertext) else dataclasses.replace(a, prime_count=4))
+        with pytest.raises(ParamError):
+            be.mod_switch(odd)
 
 
 def test_ciphertext_shape_is_checked(params64):
