@@ -71,7 +71,7 @@ def _cmd_keygen(args) -> int:
         export_public_keyset(args.out, args.server_out)
     print(f"keygen: preset={args.preset} N={params.ring_degree} "
           f"primes={len(params.coeff_modulus)} t={params.plaintext_modulus} "
-          f"({seconds:.3f}s) -> {args.out}")
+          f"security~{params.security_bits():.0f} bits ({seconds:.3f}s) -> {args.out}")
     return EXIT_OK
 
 

@@ -17,9 +17,10 @@ which cost one more level (see compare.py); they stay until the prime
 counts are re-derived for the linear comparison.  Coefficient-modulus
 prime counts were fixed empirically: the acceptance suite measures the
 remaining noise margin on each preset's deepest circuit and requires at
-least 10 bits.  The presets target correctness and that margin, not a
-particular concrete-security level; deployments wanting a security claim
-should re-derive ring degree and modulus sizes.
+least 10 bits.  The presets target correctness and that margin, not
+security: ``HeParams.security_bits`` estimates their levels at 42-44
+bits (``security_bits``), far below 128.  Deployments wanting a security
+claim should re-derive ring degree and modulus sizes.
 
 Each preset also fixes k' (``output_primes``), how many of q's primes an
 output keeps: the server switches every output down to q's first k' primes
@@ -47,9 +48,12 @@ be regenerated.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
+
+import numpy as np
 
 from .errors import ParamError
 from .ntt import MODULUS_BITS, find_ntt_primes, is_prime
@@ -121,6 +125,15 @@ class HeParams:
         text = self.canonical_text()
         return hashlib.sha256(text.encode("ascii")).digest()
 
+    def security_bits(self) -> float:
+        """``security_bits`` at this ring degree and log2(qP): the switching
+        keys are published mod qP, q's primes and the special primes, the
+        largest modulus under which any key lives."""
+        from .ring import special_primes
+
+        log_qp = math.log2(self.coeff_modulus_product) + sum(map(math.log2, special_primes(self)))
+        return security_bits(self.ring_degree, log_qp)
+
     def canonical_text(self) -> str:
         """Key=value form used for both the fingerprint and the params file."""
         lines = [
@@ -132,6 +145,44 @@ class HeParams:
             f"output_primes={self.output_primes}",
         ]
         return "\n".join(lines) + "\n"
+
+
+#: the error's standard deviation: the centred binomial of width 20, sqrt(20/2)
+ERROR_SIGMA = math.sqrt(10)
+
+
+def security_bits(n: int, log_modulus: float) -> float:
+    """Estimated log2 cost of the primal uSVP attack on RLWE of ring degree
+    n, modulus 2^log_modulus, a ternary secret and error of deviation
+    ``ERROR_SIGMA``.
+
+    The attack embeds m samples in a lattice of dimension d = m + n + 1
+    with the secret scaled to the error's deviation (Bai-Galbraith 2014),
+    of volume q^m (sigma / sqrt(2/3))^n, and succeeds with block size beta
+    when sigma sqrt(beta) <= delta^(2 beta - d - 1) Vol^(1/d) (Alkim et al.
+    2016; Albrecht et al. 2017), delta = ((pi beta)^(1/beta) beta /
+    (2 pi e))^(1/(2(beta-1))).  The cost is 0.292 beta + 16.4 + log2(8d),
+    the BKZ-sieve model of the lwe-estimator (Albrecht-Player-Scott 2015)
+    that the HE Standard (Albrecht et al. 2018) used, minimised over
+    beta >= 40 and 1 <= m <= 2n.  It reproduces that standard's 128-bit
+    rows (N = 1024 ... 16384 at log q 27 ... 438) within 4 bits.  It covers
+    the primal attack only; dual and hybrid attacks on small secrets can be
+    a few bits stronger."""
+    log_q = log_modulus * math.log(2)
+    log_nu = math.log(ERROR_SIGMA / math.sqrt(2 / 3))
+    m = np.arange(1, 2 * n + 1, dtype=np.float64)
+    d = m + n + 1
+    log_vol = (m * log_q + n * log_nu) / d
+    best = math.inf
+    for beta in range(40, int(d[-1]) + 1):
+        if 0.292 * beta + 16.4 + math.log2(8 * (n + 2)) >= best:  # no larger beta wins
+            break
+        log_delta = (math.log(math.pi * beta) / beta
+                     + math.log(beta / (2 * math.pi * math.e))) / (2 * (beta - 1))
+        ok = math.log(ERROR_SIGMA * math.sqrt(beta)) <= (2 * beta - d - 1) * log_delta + log_vol
+        if ok.any():
+            best = min(best, 0.292 * beta + 16.4 + math.log2(8 * d[np.argmax(ok)]))
+    return best
 
 
 def default_plaintext_modulus(ring_degree: int) -> int:

@@ -278,8 +278,9 @@ def infer_xgb_sample(
     """Per-block encrypted class sums for one sample, at the preset's k'
     output primes; nothing is encoded.  Each block's tree scores are
     switched (``mod_switch``) after their last multiply, so the class-sum
-    fold keyswitches (2s+1)(k'+L) rows in place of (2s+1)(K+L), and its sums
-    leave at k' primes as they are.
+    fold keyswitches mod q'P', P' the shortest prefix of the special primes
+    above q': (2s+1)(k'+L') rows in place of (2s+1)(K+L) (180 against 300
+    at xgb-d2), and its sums leave at k' primes as they are.
 
     ``bundle_blocks[b][stream]`` is the (le0, eq0) ciphertext pair of a
     stream, as ``encrypt_bundle`` returns it; ``model_plaintexts[b]`` is

@@ -8,11 +8,12 @@ A :class:`RingContext` owns, for one parameter set:
   2012, in the RNS form of Han-Ki 2020) are the prefix above q: switching
   keys live mod qP, ``mod_up`` lifts a polynomial from q to qP and
   ``mod_down`` divides one mod qP by P with rounding, back to q.  Both take
-  and return evaluation form and transform only the rows they change, and
-  both serve a prefix q' of q too (a switched ciphertext's keyswitch runs
-  mod q'P, on the keys' rows of q' and P: a key mod qP holds mod q'P).  The
-  tensor basis of exact ciphertext products is q followed by the prefix
-  above t*N*q + 1, so it starts with qP and extends it;
+  and return evaluation form and transform only the rows they change.  A
+  prefix q' of q (a switched ciphertext) keyswitches mod q'P' for P' the
+  shortest prefix of P above q' (P itself at q' = q): a key mod qP holds
+  mod q'P', since P' divides P, and ``mod_up`` and ``mod_down`` serve that
+  basis too.  The tensor basis of exact ciphertext products is q followed
+  by the prefix above t*N*q + 1, so it starts with qP and extends it;
 * one batched NTT plan over the tensor basis, and one for the plaintext
   modulus.  A plan transforms as many rows as its input has, so q, qP and
   the tensor basis are its first K, K+L and all of its rows;
@@ -25,22 +26,24 @@ A :class:`RingContext` owns, for one parameter set:
 * the modulus switch of an output, ``mod_down`` with the product of q's
   last K - k' primes in P's place: round(x*q'/q) mod q' for the product q'
   of its first k' = ``params.output_primes``;
-* Garner conversion from RNS residues to other prime bases, and to centred
+* base conversion from RNS residues to other prime bases, and to centred
   big integers for the two extreme coefficients of decryption's noise
-  only.  Like the plan, a table serves every prefix of its primes:
-  ``garner`` (the tensor basis) lifts from q,
-  ``garner_aux`` (the primes beyond q) from P and back to q from them all,
-  and from P to q's first k',
-  ``garner_tail`` (q's last K - k' primes) to its first k'.
-  Conversion is exact without big integers: every sum of products is one
-  float64 matrix product over the 16-bit halves of a residue table, exact
-  by the NTT's piece rule (``ntt.piece_bits``) for a basis of at most 64
-  primes.  A params set whose tensor basis needs more primes is refused.
+  only.  A table serves every prefix of its primes: ``garner`` (the
+  tensor basis) lifts from q and q', ``garner_aux`` (the primes beyond q)
+  from P, P' and the whole extension back to q or q', and ``garner_tail``
+  (q's last K - k' primes) to its first k'.  Each lift is one float64
+  matrix product with a float64 overflow count (``GarnerBasis.lift``), the
+  mixed-radix digit loop serving decryption and the rare column whose
+  count is a near tie.  Conversion is exact without big integers: every
+  sum of products is one float64 matrix product over the 16-bit halves of
+  a residue table, exact by the NTT's piece rule (``ntt.piece_bits``) for
+  a basis of at most 64 primes.  A params set whose tensor basis needs
+  more primes is refused.
 
-Everything is built with the context, the seven conversion tables (q -> P,
-q -> extension, q -> t, P -> q, P -> q's head, extension -> q, q's tail ->
-q's head) included, and threads share it read-only: it holds no lock and
-no cache.
+Everything is built with the context, the lift tables of the eight
+conversions its ops make included (q -> P, q' -> P', q -> extension,
+q -> t, P -> q, P' -> q', extension -> q, q's tail -> q's head), and
+threads share it read-only: it holds no lock and no cache.
 An automorphism's index map is recomputed per call (microseconds, against
 milliseconds for the keyswitch that follows it).
 """
@@ -69,24 +72,41 @@ def _column(values) -> np.ndarray:
 #: 16-bit pieces (halves) of ``piece_bits(64)``
 MAX_BASIS_PRIMES = 64
 _BITS = piece_bits(MAX_BASIS_PRIMES)
+#: a float64 sum of R <= 64 quotients y_i/q_i < 1 errs by at most
+#: (R + R^2) 2^-53 < 2^-40: a fraction this close to 1/2 may round either way
+_TIE = 2.0 ** -40
 
 
 class GarnerBasis:
-    """Mixed-radix conversion of the first R rows of an RNS prime basis (row
-    i's tables depend on primes[:i+1] only).  Values are centred in [-h, h],
-    h = (Q_R - 1)/2 for the odd product Q_R, by converting x + h and then
-    subtracting h: no sign test.
+    """Conversion of the first R rows of an RNS prime basis (row i's tables
+    depend on primes[:i+1] only) to other primes and to integers.  Values
+    are centred in [-h, h], h = (Q_R - 1)/2 for the odd product Q_R.
+
+    ``lift``, the server's change of basis, is the fast base conversion of
+    Halevi-Polyakov-Shoup (2019) made exact: with y_i = [x_i (Q/q_i)^-1]_q_i,
+    x = sum_i y_i Q/q_i - v Q for the overflow count v = round(sum_i y_i/q_i),
+    summed in float64 by a numpy reduction (the same bits at any BLAS thread
+    count), and the residues mod the L targets w are one matrix product, the
+    (2L, R+1) halves of [Q/q_i]_w and [-Q]_w times (y, v).  The float sum
+    errs by at most (R + R^2) 2^-53 < 2^-40 for R <= 64, so v is exact unless
+    the fraction of the sum lies within 2^-40 of 1/2, i.e. x within about
+    Q 2^-40 of +-Q/2; those columns go through the digit loop instead.
+
+    The digit loop is mixed-radix (Garner) conversion, which decryption's
+    exact margin reads: x + h is converted, then h subtracted, so there is
+    no sign test.  Digit i is ((x_i + h) c_i - sum_{j<i} v_j (prefix[j] c_i
+    mod p_i)) mod p_i, with c_i = prefix[i]^-1 mod p_i: one matvec and two
+    ``%`` per row.  The residues mod L targets w are the (2L, R) table
+    prefix[i] mod w times the digits, then two ``%`` over the (L, N) block.
 
     Every sum of products is one float64 matrix product over the 16-bit
     halves of a residue table (``ntt.split_pieces``), exact for a basis of
-    at most ``MAX_BASIS_PRIMES`` = 64 primes by ``ntt.piece_bits``.  Digit i is
-    ((x_i + h) c_i - sum_{j<i} v_j (prefix[j] c_i mod p_i)) mod p_i, with
-    c_i = prefix[i]^-1 mod p_i: one matvec and two ``%`` per row.  The
-    residues mod L targets w are the (2L, R) table prefix[i] mod w times the
-    digits, then two ``%`` over the (L, N) block.  The tables for the
-    ``targets`` given are built here, any other target's per call."""
+    at most ``MAX_BASIS_PRIMES`` = 64 primes by ``ntt.piece_bits`` (the count
+    v <= R adds less than 2^23 to a sum).  ``targets`` lists (R, target
+    primes) pairs: the lift table of each and the digit table of its
+    targets are built here, any other pair's per call."""
 
-    def __init__(self, primes: tuple[int, ...], targets: tuple[tuple[int, ...], ...] = ()):
+    def __init__(self, primes: tuple[int, ...], targets: tuple[tuple[int, tuple[int, ...]], ...] = ()):
         self.primes = tuple(int(p) for p in primes)
         r = len(self.primes)
         if r > MAX_BASIS_PRIMES:
@@ -100,6 +120,7 @@ class GarnerBasis:
         self.half = [(q - 1) // 2 for q in self.prefix]
         inv = [pow(pf % p, -1, p) for pf, p in zip(self.prefix, self.primes)]
         self._p = _column(self.primes)
+        self._pf = self._p.astype(np.float64)
         self._inv = _column(inv)
         # p_i divides Q_R for every R > i, so h = (Q_R - 1)/2 = (p_i - 1)/2 mod p_i
         self._half_mod = _column((p - 1) // 2 for p in self.primes)
@@ -111,7 +132,9 @@ class GarnerBasis:
             [[pf % p * c % p for pf in self.prefix[:i]] + [0] * (r - i)
              for i, (p, c) in enumerate(zip(self.primes, inv))], dtype=np.uint64,
         ).reshape(r, r), _BITS).reshape(2, r, r)
-        self._tables = {tuple(w): self._conversion(w) for w in targets}
+        targets = [(rows, tuple(w)) for rows, w in targets]
+        self._tables = {w: self._conversion(w) for _, w in targets}
+        self._lifts = {pair: self._lift_table(*pair) for pair in targets}
 
     def _conversion(self, target_primes: tuple[int, ...]):
         """For odd targets w: the (2L, R) halves of prefix[i] mod w, the
@@ -121,6 +144,16 @@ class GarnerBasis:
                          dtype=np.uint64).reshape(len(target_primes), -1)
         neg_half = (w + np.uint64(1) - table) * ((w + np.uint64(1)) // np.uint64(2)) % w
         return split_pieces(table[:, :-1], _BITS), w, neg_half
+
+    def _lift_table(self, rows: int, target_primes: tuple[int, ...]):
+        """For the first ``rows`` primes and odd targets w: (Q/q_i)^-1 mod q_i
+        as a column, and the (2L, R+1) halves of [Q/q_i]_w, then [-Q]_w."""
+        q = self.prefix[rows]
+        cofactors = [q // p for p in self.primes[:rows]]
+        inv = _column(pow(c, -1, p) for c, p in zip(cofactors, self.primes))
+        table = np.array([[c % w for c in cofactors] + [-q % w] for w in target_primes],
+                         dtype=np.uint64).reshape(len(target_primes), rows + 1)
+        return inv, split_pieces(table, _BITS), _column(target_primes)
 
     def to_digits(self, residues: np.ndarray) -> np.ndarray:
         """Garner digits of x + h for the centred values x whose RNS
@@ -151,8 +184,21 @@ class GarnerBasis:
 
     def lift(self, residues: np.ndarray, target_primes: tuple[int, ...]) -> np.ndarray:
         """The centred values whose residues are given, reduced modulo each
-        target prime: the exact change of basis from this one."""
-        return self.digits_to_residues(self.to_digits(residues), target_primes)
+        target prime: the exact change of basis from this one, shape (L, N)."""
+        r, target_primes = len(residues), tuple(target_primes)
+        inv, table, w = self._lifts.get((r, target_primes)) or self._lift_table(r, target_primes)
+        y = residues * inv
+        y %= self._p[:r]
+        yv = np.empty((r + 1, residues.shape[1]))
+        yv[:r] = y
+        total = np.add.reduce(yv[:r] / self._pf[:r], axis=0)
+        np.floor(total + 0.5, out=yv[r])
+        out = combine_pieces(table @ yv, w, _BITS)
+        out %= w
+        ties = np.flatnonzero(np.abs(total - np.floor(total) - 0.5) <= _TIE)
+        if len(ties):
+            out[:, ties] = self.digits_to_residues(self.to_digits(residues[:, ties]), target_primes)
+        return out
 
     def digits_to_ints(self, digits: np.ndarray) -> np.ndarray:
         """Centred Python-int values as an object array of shape (N,)."""
@@ -204,22 +250,32 @@ class RingContext:
         self.q = params.coeff_modulus_product
         self.t = params.plaintext_modulus
 
-        # hybrid keyswitching: keys live mod qP; mod_down divides by P > q
+        # hybrid keyswitching: keys live mod qP; a ciphertext of R primes
+        # keyswitches mod q'P' for q' its primes and P' the shortest prefix
+        # of P above q' (P itself at R = K), L'(R) primes
         self.p_primes = special_primes(params)
         self.qp_primes = self.q_primes + self.p_primes
         self.tensor_primes = tensor_primes(params)
-        # q is the first K rows of one Garner table, P the first L of the
-        # other; their conversions q -> P, q -> extension, q -> t (decryption),
-        # P -> q and extension -> q are built here (refusing a basis too long
-        # to be exact)
+        self._special = [0] + [
+            min(lp for lp in range(1, len(self.p_primes) + 1)
+                if prod(self.p_primes[:lp]) > prod(self.q_primes[:r]))
+            for r in range(1, self.k + 1)]
+        # R + L'(R) rises with R, so a row count names its R
+        self._keyswitch_r = {r + lp: r for r, lp in enumerate(self._special)}
+        # every conversion an op makes has its lift table built here
+        # (refusing a basis too long to be exact): from q or q' = q's first
+        # k' primes to P, P', the extension and t (decryption); from P, P'
+        # and the extension back; and q's last K - k' primes to its first k'
+        self.out_k = k_out = params.output_primes
+        head, tail = self.q_primes[:k_out], self.q_primes[k_out:]
         extension = self.tensor_primes[self.k :]
-        self.garner = GarnerBasis(self.tensor_primes, (self.p_primes, extension, (self.t,)))
-        # mod_switch: q's last K - k' primes, lifted to its first k'; a
-        # switched ciphertext's keyswitch divides by P back to those k'
-        self.out_k = params.output_primes
-        head, tail = self.q_primes[: self.out_k], self.q_primes[self.out_k :]
-        self.garner_aux = GarnerBasis(extension, (self.q_primes, head))
-        self.garner_tail = GarnerBasis(tail, (head,))
+        out_l = self._special[k_out]
+        self.garner = GarnerBasis(self.tensor_primes, (
+            (self.k, self.p_primes), (self.k, extension), (self.k, (self.t,)),
+            (k_out, self.p_primes[:out_l])))
+        self.garner_aux = GarnerBasis(extension, (
+            (len(self.p_primes), self.q_primes), (out_l, head), (len(extension), self.q_primes)))
+        self.garner_tail = GarnerBasis(tail, ((len(tail), head),))
         self._tail_inv_mod_head = _column(pow(prod(tail), -1, p) for p in head)
         # one plan over the tensor basis: its first K rows are q's, its first
         # K+L qP's
@@ -227,9 +283,14 @@ class RingContext:
         self.plan_t = NttPlan(self.n, (self.t,))
         self.q_arr = self.plan_q.p[: self.k]
         self.p_arr = self.plan_q.p[self.k : len(self.qp_primes)]
-        big_p = prod(self.p_primes)
-        self.p_mod_q = _column(big_p % q for q in self.q_primes)
-        self._p_inv_mod_q = _column(pow(big_p, -1, q) for q in self.q_primes)
+        # per L': P' mod q, P'^-1 mod q and P'/P mod q (keygen scales by P)
+        big_p, qs = prod(self.p_primes), self.q_primes
+        self._divisors = {}
+        for lp in set(self._special[1:]):
+            d = prod(self.p_primes[:lp])
+            self._divisors[lp] = (_column(d % p for p in qs), _column(pow(d, -1, p) for p in qs),
+                                  _column(d * pow(big_p, -1, p) % p for p in qs))
+        self.p_mod_q = self._divisors[len(self.p_primes)][0]
         # scale_down multiplies by t on every row and divides by q beyond q
         self.t_mod_tensor = _column(self.t % p for p in self.tensor_primes)
         self._q_inv_mod_aux = _column(pow(self.q, -1, p) for p in self.garner_aux.primes)
@@ -271,38 +332,54 @@ class RingContext:
         and ``garner`` themselves)."""
         return self.tensor_primes, self.plan_q, self.garner
 
+    def special_count(self, r: int) -> int:
+        """L'(R): the length of P', the shortest prefix of the special primes
+        whose product exceeds q', the product of q's first R primes."""
+        return self._special[r]
+
     def qp_arr(self, r: int) -> np.ndarray:
-        """The (R+L, 1) moduli of q'P, for q' the product of q's first R
-        primes: plan rows [0, R) and [K, K+L)."""
-        return np.concatenate((self.q_arr[:r], self.p_arr))
+        """The (R+L', 1) moduli of q'P' for q' the product of q's first R
+        primes: plan rows [0, R) and [K, K+L')."""
+        return np.concatenate((self.q_arr[:r], self.p_arr[: self._special[r]]))
+
+    def keyswitch_scales(self, r: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """For a keyswitch of an R-prime ciphertext mod q'P': P' mod q' (the
+        scale of the c0 it holds) and [P'/P]_q', the factor its input takes
+        before the lift so that the keys' P becomes P' (None when P' = P)."""
+        lp = self._special[r]
+        p_mod, _, rescale = self._divisors[lp]
+        return p_mod[:r], None if lp == len(self.p_primes) else rescale[:r]
 
     def mod_up(self, coeffs: np.ndarray, evals: np.ndarray, basis: tuple | None = None) -> np.ndarray:
         """The centred lift of an (R, N) polynomial mod q' (q's first R
         primes), given in both forms, to q' and the rows of ``basis`` past
-        q (default P) in evaluation form: the R rows of ``evals``, then the
+        q (default P') in evaluation form: the R rows of ``evals``, then the
         forward transform of the lifted extension rows only."""
-        extension = self.garner.lift(coeffs, (basis or self.qp_primes)[self.k :])
-        return np.concatenate((evals, self.plan_q.forward(extension, self.k)))
+        r = len(coeffs)
+        targets = basis[self.k :] if basis else self.p_primes[: self._special[r]]
+        return np.concatenate((evals, self.plan_q.forward(self.garner.lift(coeffs, targets), self.k)))
 
     def key_product(self, lifted: np.ndarray, key: np.ndarray) -> np.ndarray:
-        """A ``mod_up`` lift to q'P times one (K+L, N) key part mod qP, in
-        evaluation form: the key's first R rows and its P rows, as two
-        slices, since a key mod qP also holds mod q'P."""
-        r = len(lifted) - len(self.p_arr)
+        """A ``mod_up`` lift to q'P' times one (K+L, N) key part mod qP, in
+        evaluation form: the key's first R rows and its first L' P rows, as
+        two slices, since a key mod qP also holds mod q'P'."""
+        r = self._keyswitch_r[len(lifted)]
         out = np.empty_like(lifted)
         np.multiply(lifted[:r], key[:r], out=out[:r])
-        np.multiply(lifted[r:], key[self.k :], out=out[r:])
+        np.multiply(lifted[r:], key[self.k : self.k + len(lifted) - r], out=out[r:])
         out %= self.qp_arr(r)
         return out
 
     def mod_down(self, poly: np.ndarray, addend: np.ndarray | None = None) -> np.ndarray:
-        """round(x / P) mod q' of an (R+L, N) polynomial x mod q'P, for q'
-        the product of q's first R primes.  An ``addend`` c mod q' in
-        coefficient form rides the same forward transform:
-        round(x / P) + c = (x - ([x]_P - P*c)) / P."""
-        r = len(poly) - len(self.p_arr)
-        shift = None if addend is None else mul_mod(addend, self.p_mod_q[:r], self.q_arr[:r])
-        return self._divide_tail(poly, self.k, self.garner_aux, self._p_inv_mod_q[:r], shift)
+        """round(x / P') mod q' of an (R+L', N) polynomial x mod q'P', for q'
+        the product of q's first R primes and P' the first L' = L'(R)
+        special primes; R + L'(R) rises with R, so the row count names R.
+        An ``addend`` c mod q' in coefficient form rides the same forward
+        transform: round(x / P') + c = (x - ([x]_P' - P'*c)) / P'."""
+        r = self._keyswitch_r[len(poly)]
+        p_mod, p_inv, _ = self._divisors[len(poly) - r]
+        shift = None if addend is None else mul_mod(addend, p_mod[:r], self.q_arr[:r])
+        return self._divide_tail(poly, self.k, self.garner_aux, p_inv[:r], shift)
 
     def mod_switch(self, poly: np.ndarray) -> np.ndarray:
         """round(x / Q_d) mod q' of a (K, N) polynomial x mod q, for q' the

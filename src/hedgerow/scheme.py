@@ -33,9 +33,10 @@ is the per-op keyswitch byte for byte, and a fold rounds c0 once.
 ``mod_switch`` (BFV modulus switching: Brakerski 2012, Fan-Vercauteren
 2012) follows an output's last multiply: it drops q's last K - k' primes
 with rounding.  The result still adds, rotates, swaps rows and folds, at
-k' primes (a keyswitch then runs mod q'P, on the keys' rows of q' and P),
-and decrypts under the secret key's first k' rows; it no longer multiplies
-or takes a plaintext.
+k' primes (a keyswitch then runs mod q'P', for P' the shortest prefix of
+the special primes above q', on the keys' rows of q' and P'), and decrypts
+under the secret key's first k' rows; it no longer multiplies or takes a
+plaintext.
 
 Every value, plaintext, ciphertext or key, carries the ``HeParams`` it was
 made under; ``Backend`` holds the rules ``HeBackend`` and the clear mirror
@@ -604,18 +605,23 @@ class HeBackend(Backend):
         """Each (Galois element, key) of ``chain`` in turn: ct <- ct + sigma(ct)
         if ``add``, else ct <- sigma(ct); None (a rotation by 0 mod N/2) doubles.
 
-        The chain runs mod q'P for the product q' of the R primes ``a`` holds
-        (R = k' after ``mod_switch``).  c1 is keyswitched and rounded per
-        step; c0 is held mod q'P as P*c0 (0 on the special primes) and each
+        The chain runs mod q'P' for the product q' of the R primes ``a`` holds
+        (R = k' after ``mod_switch``) and P', the shortest prefix of the
+        special primes above q' (P itself at R = K).  The keys, mod qP with
+        b + a*s = P*sigma(s) - e, hold mod q'P' on their rows [0, R) and
+        [K, K+L'); c1 is multiplied by [P'/P]_q' before its lift, so its key
+        products carry P' in P's place.  c1 is keyswitched and rounded per
+        step; c0 is held mod q'P' as P'*c0 (0 on the special primes) and each
         step adds its automorphism and the raw key product of the lifted c1.
-        Since mod_down(P*c + k) = c + mod_down(k), one ``mod_down`` ends the
-        chain exactly: (2s+1)(R+L) rows transformed for s automorphisms, and
-        one is byte-identical to a per-op keyswitch."""
+        Since mod_down(P'*c + k) = c + mod_down(k), one ``mod_down`` ends the
+        chain exactly: (2s+1)(R+L') rows transformed for s automorphisms, and
+        one at R = K is byte-identical to a per-op keyswitch."""
         ring, plan = self.ring, self.ring.plan_q
         r = a.prime_count
         q, qp = ring.q_arr[:r], ring.qp_arr(r)
+        p_mod, rescale = ring.keyswitch_scales(r)
         c0 = np.zeros((len(qp), ring.n), dtype=np.uint64)
-        c0[:r] = mul_mod(a.parts[0], ring.p_mod_q[:r], q)
+        c0[:r] = mul_mod(a.parts[0], p_mod, q)
         c1 = a.parts[1]
         for step in chain:
             if step is None:
@@ -623,6 +629,8 @@ class HeBackend(Backend):
                 continue
             g, (b, a_key) = step
             r1 = ring.apply_automorphism(c1, g)
+            if rescale is not None:
+                r1 = mul_mod(r1, rescale, q)
             lifted = ring.mod_up(plan.inverse(r1), r1)
             s0 = add_mod(ring.apply_automorphism(c0, g), ring.key_product(lifted, b), qp)
             s1 = ring.mod_down(ring.key_product(lifted, a_key))

@@ -1,8 +1,8 @@
 """Clear oracles and helpers that only the tests read: copy-number
 normalization and feature codes, the boolean comparison, the path-sum and
 routing forms of a tree's score, argmax prediction, the synthetic
-ensemble's label agreement, Python-int base conversion and rounded
-division of an RNS value, the negacyclic
+ensemble's label agreement, Python-int base conversion, centred lifts and
+rounded division of an RNS value, the negacyclic
 transform's definition and product, and clearing an op tally."""
 
 from math import prod
@@ -109,6 +109,17 @@ def check_garner_conversions(basis, targets, values):
     assert garner.digits_to_residues(digits, targets).tolist() == want
     assert garner.lift(x, targets).tolist() == want
     assert list(garner.residues_to_ints(x)) == list(values)
+
+
+def centred_lift(residues: np.ndarray, primes, targets) -> list[list[int]]:
+    """The centred value in [-h, h], h = (Q - 1)/2, of each column of the
+    (R, columns) residues mod ``primes`` (Q their odd product), reduced mod
+    each target prime: CRT in Python ints, one row per target."""
+    m = prod(primes)
+    xs = [sum(int(r) * (m // p) * pow(m // p, -1, p) for r, p in zip(col, primes)) % m
+          for col in residues.T]
+    xs = [x - m if x > m // 2 else x for x in xs]
+    return [[x % w for x in xs] for w in targets]
 
 
 def rounded_quotient(residues: np.ndarray, primes, divisor: int, targets) -> list[list[int]]:

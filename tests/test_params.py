@@ -1,12 +1,15 @@
 """Parameter presets, validation, and the params text file."""
 
 import dataclasses
+import math
+from math import prod
 
 import pytest
 
 from hedgerow import HeParams, ParamError, gen_params, load_params, make_test_params, save_params
 from hedgerow.ntt import find_ntt_primes, is_prime
-from hedgerow.params import PRESET_NAMES
+from hedgerow.params import PRESET_NAMES, security_bits
+from hedgerow.ring import special_primes
 
 
 @pytest.mark.parametrize(
@@ -152,3 +155,35 @@ def test_keygen_with_restricted_rotation_steps():
     be.rotate(ct, 1, ek)
     with pytest.raises(MissingGaloisKeyError):
         be.rotate(ct, 4, ek)
+
+
+# The HE Standard's 128-bit classical rows (Albrecht et al. 2018, ternary
+# secret, sigma ~ 3.2): ring degree -> largest log2 q
+HE_STANDARD_128 = {1024: 27, 2048: 54, 4096: 109, 8192: 218, 16384: 438}
+
+
+@pytest.mark.parametrize("n", sorted(HE_STANDARD_128))
+def test_security_estimate_reproduces_the_he_standard(n):
+    # primal uSVP under the lwe-estimator's BKZ-sieve cost model,
+    # 0.292 beta + 16.4 + log2(8d), the model the standard's table used
+    assert abs(security_bits(n, HE_STANDARD_128[n]) - 128) <= 4
+
+
+def test_security_estimate_is_monotone():
+    for n in (1024, 2048, 4096):
+        levels = [security_bits(n, log_q) for log_q in (20, 27, 40, 54, 80, 109, 200, 600)]
+        assert levels == sorted(levels, reverse=True), n  # a larger q is weaker
+    for log_q in (27, 54, 109, 300):
+        levels = [security_bits(n, log_q) for n in (1024, 2048, 4096, 8192)]
+        assert levels == sorted(levels), log_q  # a larger ring is stronger
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_every_preset_states_its_security_level(preset):
+    # the keys are published mod qP, the largest modulus any key lives under
+    params = gen_params(preset)
+    log_qp = math.log2(params.coeff_modulus_product * prod(special_primes(params)))
+    level = params.security_bits()
+    assert level == security_bits(params.ring_degree, log_qp)
+    assert 0 < level < 128  # sized for the margin, not for security: far below 128
+    assert level < security_bits(params.ring_degree, math.log2(params.coeff_modulus_product))

@@ -26,7 +26,7 @@ from hedgerow.params import PRESET_NAMES, default_plaintext_modulus, gen_params
 from hedgerow.ring import GarnerBasis, RingContext, get_ring, special_primes, tensor_primes
 from hedgerow.scheme import Backend, fold_steps
 from hedgerow.serial import serialize_public_key, serialize_secret_key
-from oracles import check_garner_conversions, rounded_quotient
+from oracles import centred_lift, check_garner_conversions, rounded_quotient
 
 
 def enc(backend, pk, values, seed):
@@ -392,16 +392,19 @@ SWITCH_DIGESTS = {
 
 @pytest.mark.parametrize("name", [*PRESET_NAMES, "test64"])
 def test_mod_down_at_output_primes_matches_integer_arithmetic(name, params64, rng):
-    # a switched ciphertext's keyswitch: mod_down of an (R+L)-row x mod q'P,
-    # for q' the product of q's first R = k' primes, is round(x / P) mod q',
-    # and round(x / P) + c with an addend c; at each preset's k' and a
-    # custom k' = 3 of 6
+    # a switched ciphertext's keyswitch: mod_down of an (R+L')-row x mod
+    # q'P', for q' the product of q's first R = k' primes and P' the
+    # shortest prefix of P above q', is round(x / P') mod q', and
+    # round(x / P') + c with an addend c; at each preset's k' and a custom
+    # k' = 3 of 6
     params = (gen_params(name) if name in PRESET_NAMES
               else dataclasses.replace(params64, output_primes=3))
     ring, r = get_ring(params), params.output_primes
-    plan, big_p = ring.plan_q, prod(ring.p_primes)
-    primes = ring.q_primes[:r] + ring.p_primes
-    x = rng.integers(0, 2**62, (r + len(ring.p_primes), ring.n), dtype=np.uint64) % ring.qp_arr(r)
+    lp = ring.special_count(r)
+    plan, big_p = ring.plan_q, prod(ring.p_primes[:lp])
+    assert big_p > prod(ring.q_primes[:r]) > prod(ring.p_primes[: lp - 1])
+    primes = ring.q_primes[:r] + ring.p_primes[:lp]
+    x = rng.integers(0, 2**62, (r + lp, ring.n), dtype=np.uint64) % ring.qp_arr(r)
     for col, edge in enumerate((0, prod(primes) // 2, prod(primes) // 2 + 1, prod(primes) - 1)):
         x[:, col] = [edge % p for p in primes]
     c = rng.integers(0, 2**62, (r, ring.n), dtype=np.uint64) % ring.q_arr[:r]
@@ -490,22 +493,80 @@ def test_garner_refuses_more_than_64_primes():
         RingContext(params)
 
 
-def test_ring_conversions_read_tables_built_with_the_ring(params64, rng, monkeypatch):
-    # q -> P, q -> extension, P -> q, P -> q's head, extension -> q and q's
-    # tail -> its head: no per-call table
-    ring = RingContext(dataclasses.replace(params64, output_primes=4))
+@pytest.mark.parametrize("name", ["test64", *PRESET_NAMES])
+def test_every_ring_lift_matches_the_centred_lift(name, params64, rng, monkeypatch):
+    # each lift table the ring builds, against the Python-int centred lift:
+    # random columns, the edges 0, +-1, +-h, +-(h-1), and one value within
+    # Q 2^-45 of Q/2.  The near ties (within 2^-40 of 1/2 in the overflow
+    # count's fraction) take the digit loop, and nothing else does
+    params = (gen_params(name) if name in PRESET_NAMES
+              else dataclasses.replace(params64, output_primes=4))
+    ring = get_ring(params)
+    k, out_k, lp = ring.k, ring.out_k, ring.special_count(ring.out_k)
+    extension = ring.tensor_primes[k:]
+    tables = {
+        (ring.garner, k, ring.p_primes), (ring.garner, out_k, ring.p_primes[:lp]),
+        (ring.garner, k, extension), (ring.garner, k, (ring.t,)),
+        (ring.garner_aux, len(ring.p_primes), ring.q_primes),
+        (ring.garner_aux, lp, ring.q_primes[:out_k]),
+        (ring.garner_aux, len(extension), ring.q_primes),
+        (ring.garner_tail, k - out_k, ring.q_primes[:out_k]),
+    }
+    built = {(g, *pair) for g in (ring.garner, ring.garner_aux, ring.garner_tail)
+             for pair in g._lifts}
+    assert built == tables
+    to_digits = GarnerBasis.to_digits
+    digit_columns = []
 
-    def refuse(self, target_primes):
+    def counted(self, residues):
+        digit_columns.append(residues.shape[1])
+        return to_digits(self, residues)
+
+    monkeypatch.setattr(GarnerBasis, "to_digits", counted)
+    for garner, rows, targets in tables:
+        primes = garner.primes[:rows]
+        m = prod(primes)
+        h = (m - 1) // 2
+        edges = [0, 1, -1, h, -h, h - 1, -(h - 1), h - m // 2**46]
+        x = rng.integers(0, 2**62, (rows, 40), dtype=np.uint64)
+        x %= np.array(primes, dtype=np.uint64).reshape(-1, 1)
+        x[:, : len(edges)] = [[v % p for v in edges] for p in primes]
+        digit_columns.clear()
+        assert garner.lift(x, targets).tolist() == centred_lift(x, primes, targets)
+        # +-h, +-(h-1) and the near value are ties once 1/Q is below 2^-42
+        assert sum(digit_columns) == (5 if m > 2**42 else 0), (rows, len(targets))
+
+
+def test_ring_conversions_read_tables_built_with_the_ring(params64, rng, monkeypatch):
+    # q -> P, q' -> P', q -> extension, q -> t, P -> q, P' -> q', extension
+    # -> q and q's tail -> its head, each as a lift table and, for a near
+    # tie, a digit table: no op builds a table per call
+    params = dataclasses.replace(params64, output_primes=4)
+    ring = get_ring(params)  # built before the guard, as every backend op reads it
+
+    def refuse(self, *args):
         raise AssertionError("a conversion table was built per call")
 
     monkeypatch.setattr(GarnerBasis, "_conversion", refuse)
+    monkeypatch.setattr(GarnerBasis, "_lift_table", refuse)
     plan = ring.plan_q
     x = rng.integers(0, 2**62, (ring.k, ring.n), dtype=np.uint64) % ring.q_arr
+    h = (ring.q - 1) // 2
+    x[:, :2] = [[h % p, -h % p] for p in ring.q_primes]  # near ties: the digit loop
     ring.mod_down(ring.mod_up(x, plan.forward(x)))  # q -> P, then P -> q
     ring.scale_down(ring.mod_up(x, plan.forward(x), ring.tensor_primes))  # and the other two
     ring.mod_switch(plan.forward(x))
-    head = x[:4]  # q' -> P, then P -> q' (a switched ciphertext's keyswitch)
+    head = x[:4]  # q' -> P', then P' -> q' (a switched ciphertext's keyswitch)
     ring.mod_down(ring.mod_up(head, plan.forward(head)))
+    ring.garner.digits_to_residues(ring.garner.to_digits(x), (ring.t,))  # decryption
+    # and every op of the backend, a switched keyswitch included
+    he = HeBackend(params)
+    sk, pk, ek = he.keygen(seed=0x7A, rotation_steps=(1,))
+    a = enc(he, pk, rng.integers(0, 100, ring.n), seed=1)
+    prod_ct = he.mul_ct(a, a, ek)
+    out = he.rotate(he.mod_switch(he.swap_rows(he.rotate(prod_ct, 1, ek), ek)), 1, ek)
+    assert he.noise_budget(sk, out) >= 10
+
 
 def _negacyclic(x, y):
     n = len(x)
@@ -566,8 +627,13 @@ def test_mul_ct_matches_python_int_arithmetic(name, params64, rng):
 @pytest.mark.parametrize("name", ["test64", "xgb-d2"])
 def test_server_ops_convert_no_residues_to_ints(name, params64, monkeypatch):
     # every server op stays in word-sized residues; only decrypt, on the
-    # client, builds Python ints, for the exact noise margin
+    # client, builds Python ints, for the exact noise margin.  Each server
+    # change of basis is one matrix product: on random residues mul_ct,
+    # the keyswitches (mod_up, mod_down) and mod_switch never reach the
+    # digit loop, which only a near tie such as +-h takes
     params = _tensor_case_params(name, params64)
+    if name == "test64":  # custom outputs keep all K primes: switch to 4 of 6
+        params = dataclasses.replace(params, output_primes=4)
     he, clear = HeBackend(params), ClearBackend(params)
     (sk, pk, ek), (csk, cpk, cek) = (be.keygen(seed=0x1D) for be in (he, clear))
     rng = np.random.default_rng(0x1D)
@@ -577,15 +643,37 @@ def test_server_ops_convert_no_residues_to_ints(name, params64, monkeypatch):
         a, b = (be.encrypt(pk, be.encode(x), seed=s) for s, x in ((1, u), (2, v)))
         prod_ct = be.mul_ct(a, b, ek)
         moved = be.swap_rows(be.rotate(prod_ct, 1, ek), ek)
-        return prod_ct, moved, be.sum_slots(be.mul_pt(moved, be.encode(w)), params.slot_count, ek)
+        summed = be.sum_slots(be.mul_pt(moved, be.encode(w)), params.slot_count, ek)
+        return prod_ct, moved, summed, be.rotate(be.mod_switch(summed), 1, ek)
 
-    to_ints = GarnerBasis.digits_to_ints
+    to_ints, to_digits = GarnerBasis.digits_to_ints, GarnerBasis.to_digits
+    digit_columns = []
 
     def refuse(self, digits):
         raise AssertionError("a server op converted residues to Python ints")
 
+    def counted_digits(self, residues):
+        digit_columns.append(residues.shape[1])
+        return to_digits(self, residues)
+
     monkeypatch.setattr(GarnerBasis, "digits_to_ints", refuse)
+    monkeypatch.setattr(GarnerBasis, "to_digits", counted_digits)
     outputs = circuit(he, pk, ek)
+    assert digit_columns == []
+    # the centred edges +-h of q (lifted by mod_up) and of P (by mod_down)
+    ring, plan, k = he.ring, he.ring.plan_q, he.ring.k
+
+    def with_edges(primes):
+        h = (prod(primes) - 1) // 2
+        x = rng.integers(0, 2**62, (len(primes), ring.n), dtype=np.uint64)
+        x %= np.array(primes, dtype=np.uint64).reshape(-1, 1)
+        x[:, :2] = [[h % p, -h % p] for p in primes]
+        return x
+
+    x = with_edges(ring.q_primes)
+    ring.mod_up(x, plan.forward(x))
+    ring.mod_down(np.concatenate((plan.forward(x), plan.forward(with_edges(ring.p_primes), k))))
+    assert digit_columns == [2, 2]
     calls = []
 
     def counted(self, digits):
@@ -596,7 +684,8 @@ def test_server_ops_convert_no_residues_to_ints(name, params64, monkeypatch):
     for got, want in zip(outputs, circuit(clear, cpk, cek)):
         assert np.array_equal(dec(he, sk, got), dec(clear, csk, want))
         assert he.noise_budget(sk, got) >= 10
-    assert calls == [len(params.coeff_modulus)] * 6  # a decrypt and a margin per output
+    # a decrypt and a margin per output, the last at k' primes
+    assert calls == [len(params.coeff_modulus)] * 6 + [params.output_primes] * 2
 
 
 @pytest.mark.parametrize("name", ["test64", "xgb-d2"])
@@ -658,24 +747,54 @@ def test_ops_transform_only_to_change_basis(name, params64, monkeypatch):
     assert transformed(he.mod_switch, a) == 2 * ((k - out_k) + out_k) == 2 * k
     assert transformed(he.mod_switch, switched) == 0
     assert transformed(lambda: he.decode(he.decrypt(sk, switched))) == out_k + 1
-    # at k' primes a keyswitch runs mod q'P: a rotation or row swap
-    # transforms 3(k'+L) rows, a chain of s automorphisms (2s+1)(k'+L)
-    out_kl = out_k + len(ring.p_primes)
+    # at k' primes a keyswitch runs mod q'P', P' the shortest prefix of P
+    # above q': a rotation or row swap transforms 3(k'+L') rows, a chain of
+    # s automorphisms (2s+1)(k'+L')
+    out_kl = out_k + ring.special_count(out_k)
+    assert ring.special_count(out_k) < len(ring.p_primes)
     assert transformed(he.rotate, switched, 1, ek) == 3 * out_kl
     assert transformed(he.swap_rows, switched, ek) == 3 * out_kl
     assert transformed(lambda: he.fold(switched, steps, ek, swap=True)) == \
         (2 * len(steps) + 3) * out_kl
 
 
-@pytest.mark.parametrize("seed", [31, 32, 33])
-def test_keyswitch_noise_stays_at_fresh(he64, keys64, rng, seed):
+@pytest.mark.parametrize("case", [31, 32, 33, "test64-k4", "xgb-d2"])
+def test_keyswitch_noise_stays_at_fresh(case, he64, keys64, params64, rng):
     # hybrid keyswitching adds less noise than a fresh encryption holds, so
     # a rotation or row swap leaves the margin within a bit of a fresh one
-    sk, pk, ek = keys64
-    a = enc(he64, pk, rng.integers(0, 100, 64, dtype=np.int64), seed=seed)
-    fresh = he64.noise_budget(sk, a)
-    for ct in (he64.rotate(a, 1, ek), he64.rotate(a, 16, ek), he64.swap_rows(a, ek)):
-        assert abs(he64.noise_budget(sk, ct) - fresh) <= 1
+    if isinstance(case, int):
+        sk, pk, ek = keys64
+        a = enc(he64, pk, rng.integers(0, 100, 64, dtype=np.int64), seed=case)
+        fresh = he64.noise_budget(sk, a)
+        for ct in (he64.rotate(a, 1, ek), he64.rotate(a, 16, ek), he64.swap_rows(a, ek)):
+            assert abs(he64.noise_budget(sk, ct) - fresh) <= 1
+        return
+    # at k' primes the keyswitch runs over P', the shortest prefix of P above
+    # q' (here shorter than P): a rotation or row swap of a switched
+    # ciphertext keeps its margin within a bit
+    params = gen_params(case) if case in PRESET_NAMES else \
+        dataclasses.replace(params64, output_primes=4)
+    he = HeBackend(params)
+    assert he.ring.special_count(params.output_primes) < len(he.ring.p_primes)
+    steps = fold_steps(min(128, params.slot_count // 2))  # 7 at xgb-d2, the class sum's
+    sk, pk, ek = he.keygen(seed=0x5A, rotation_steps=steps)
+    a = enc(he, pk, rng.integers(0, 100, params.slot_count, dtype=np.int64), seed=0x5B)
+    switched = he.mod_switch(a)
+    margin = he.noise_budget(sk, switched)
+    assert margin >= 10
+    for ct in (he.rotate(switched, 1, ek), he.swap_rows(switched, ek)):
+        assert ct.prime_count == params.output_primes
+        assert abs(he.noise_budget(sk, ct) - margin) <= 1
+    # a fold at k' keeps the margin of fold-then-switch once the circuit's
+    # noise, not the switch's rounding (which a fold at k' sums over every
+    # rotation), sets the switched margin, as the tree circuit's does:
+    # plaintext products raise it that far
+    pt = he.encode(rng.integers(0, params.plaintext_modulus, params.slot_count))
+    while he.noise_budget(sk, a) > he.noise_budget(sk, he.mod_switch(a)):
+        a = he.mul_pt(a, pt)
+    at_k = he.noise_budget(sk, he.fold(he.mod_switch(a), steps, ek))
+    assert at_k >= 10
+    assert abs(at_k - he.noise_budget(sk, he.mod_switch(he.fold(a, steps, ek)))) <= 1
 
 
 # ---------------------------------------------------------------------------
