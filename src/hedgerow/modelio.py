@@ -38,7 +38,7 @@ import numpy as np
 
 from .compare import encode_split
 from .errors import ModelFormatError
-from .svm import SvmModel, check_aggregate_bound, quantize_model
+from .svm import SvmModel, check_aggregate_bound, pack_features, quantize_model
 from .trees import Ensemble, check_feature_table, route, transform_leaves
 
 # The node streams, in the order of every plane table's stream axis, and
@@ -397,7 +397,8 @@ class ClientBundle:
 
 
 def pack_client_input(sample_raw, layout: FeatureLayout) -> ClientBundle:
-    """Normalize a raw sample and scatter its le0 and eq0 planes per the layout."""
+    """Normalize a raw sample, scatter its le0 and eq0 planes per the layout,
+    and pack its first ``svm_features`` values by ``svm.pack_features``."""
     sample = np.asarray(sample_raw, dtype=np.int64)
     if sample.ndim != 1:
         raise ModelFormatError("expected a single sample row")
@@ -412,9 +413,7 @@ def pack_client_input(sample_raw, layout: FeatureLayout) -> ClientBundle:
     # code and leaves are 0, so its comparison bit adds nothing to a class sum
     values = layout.scatter(ternary[layout.tree_features])
     planes = np.stack((values <= 0, values == 0), axis=2).astype(np.int64)
-    svm_vec = np.zeros(layout.slot_count, dtype=np.int64)
-    svm_vec[: layout.svm_features] = ternary[: layout.svm_features]
-    return ClientBundle(planes, svm_vec)
+    return ClientBundle(planes, pack_features(ternary[: layout.svm_features], layout.slot_count))
 
 
 def ensemble_slot_streams(ens: Ensemble, layout: FeatureLayout) -> np.ndarray:

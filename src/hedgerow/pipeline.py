@@ -59,7 +59,7 @@ from .modelio import (
 )
 from .params import HeParams, gen_params, load_params, save_params
 from .scheme import HeBackend, Prg, decrypt_scores, keygen, read_scores
-from .svm import MAX_SCALE_BITS, encoded_planes, infer_encrypted
+from .svm import MAX_SCALE_BITS, PACKING as SVM_PACKING, encoded_planes, infer_encrypted
 from .trees import class_sums, tree_scores_encrypted
 
 # mode -> (the preset ``run_bench`` runs it at, its ciphertext-ciphertext
@@ -393,6 +393,7 @@ def run_encrypt(layout: FeatureLayout, dataset, keyset: KeySet, seed, outdir) ->
         "samples": dataset.num_samples,
         "slot_count": layout.slot_count,
         "svm_features": layout.svm_features,
+        "svm_packing": SVM_PACKING,
         "layout_digest": layout.tree_digest,
     }
     (out / MANIFEST_FILE).write_text(json.dumps(manifest), encoding="utf-8")
@@ -431,6 +432,11 @@ def server_model(mode, model_path, backend, keyset: KeySet, bundles: dict, seed)
             raise ModelFormatError(
                 f"model has {model.num_features} features but bundles were packed "
                 f"for {bundles['svm_features']}"
+            )
+        if bundles.get("svm_packing") != SVM_PACKING:
+            raise ModelFormatError(
+                f"bundles were packed as {bundles.get('svm_packing')!r}, the SVM reads "
+                f"{SVM_PACKING!r}: re-encrypt them"
             )
         encoded_planes(backend, model)  # encode (or refuse) once, before any thread
         return ServerModel(

@@ -35,7 +35,13 @@ from hedgerow.pipeline import (
     BENCH_COLUMNS,
 )
 from hedgerow.modelio import ensemble_slot_streams
-from hedgerow.svm import confidence_integers, infer_encrypted, quantize_model, svm_scores_clear
+from hedgerow.svm import (
+    confidence_integers,
+    infer_encrypted,
+    pack_features,
+    quantize_model,
+    svm_scores_clear,
+)
 from hedgerow.trees import transform_leaves, tree_score_clear
 
 from oracles import compare_boolean, encode_feature, negacyclic_mul, reset_counts
@@ -235,13 +241,13 @@ def test_criterion_6_svm_end_to_end():
     n_samples = 10
     for i in range(n_samples):
         x = rng.integers(-1, 2, d)
-        packed = np.zeros(params.slot_count, dtype=np.int64)
-        packed[:d] = x
-        ct = he.encrypt(pk, he.encode(packed), seed=SEED + i)
+        ct = he.encrypt(pk, he.encode(pack_features(x, params.slot_count)), seed=SEED + i)
         reset_counts(he)
         outs = infer_encrypted(he, ct, model, ek)
-        assert he.ops.get("mul_pt") == 16  # g = next_pow2(11) planes
-        assert he.ops.get("rotate") == 13  # b = 4: 3 baby, 3 giant, the fold 1024..16
+        # g = next_pow2(11) = 16 diagonals, the odd ones in row 1: 8 planes
+        assert he.ops.get("mul_pt") == 8
+        assert he.ops.get("rotate") == 11  # b = 2: 1 baby, 3 giant, the fold 1024..16
+        assert he.ops.get("swap_rows") == 1  # the fold's last step, adding the rows
         assert he.ops.get("add_pt") == 1
         assert he.ops.get("mul_ct") == 0
         assert he.ops.get("mod_switch") == 1  # to the preset's 4 of 5 primes
@@ -253,7 +259,7 @@ def test_criterion_6_svm_end_to_end():
     assert elapsed < 120.0
     _report(
         6,
-        f"d=2048 s=11, {n_samples} samples exact; per sample 16 mul_pt + 13 rot + "
+        f"d=2048 s=11, {n_samples} samples exact; per sample 8 mul_pt + 11 rot + 1 swap + "
         f"1 add_pt, 1 output at 4 primes ({elapsed:.1f}s)",
     )
 

@@ -424,6 +424,30 @@ def test_zero_sample_manifest_writes_header_only(workspace, xgb_scores, tmp_path
     assert report.read_text().splitlines() == [header]
 
 
+@pytest.mark.parametrize("packing", [_DROP, "row1-zero"], ids=["no-svm_packing", "other-packing"])
+def test_infer_svm_refuses_bundles_packed_before_the_row_shift(workspace, tmp_path, packing):
+    # a bundle packed with row 1 zero carries the same svm_features: the SVM
+    # would read the empty row as x's shift and decrypt to wrong scores, so
+    # it is refused before any output is written; the tree modes read it
+    enc = tmp_path / "enc"
+    shutil.copytree(workspace["base"] / "enc", enc)
+    doc = json.loads((enc / "manifest.json").read_text())
+    assert doc["svm_packing"] == "row1-shift1"
+    if packing is _DROP:
+        del doc["svm_packing"]
+    else:
+        doc["svm_packing"] = packing
+    (enc / "manifest.json").write_text(json.dumps(doc))
+    base, keys = workspace["base"], str(workspace["server"])
+    argv = ["infer", "--mode", "svm", "--model", str(base / "svm.json"), "--in", str(enc),
+            "--keys", keys, "--out", str(tmp_path / "scores")]
+    assert main(argv) == EXIT_FORMAT
+    assert not (tmp_path / "scores").exists()
+    argv = ["infer", "--mode", "xgb", "--model", str(base / "ensemble.json"), "--in", str(enc),
+            "--keys", keys, "--out", str(tmp_path / "xgb-scores")]
+    assert main(argv) == EXIT_OK
+
+
 @pytest.mark.parametrize("mode", ["xgb", "xgb-encmodel"])
 def test_infer_refuses_bundles_packed_for_another_ensemble(workspace, tmp_path, mode):
     # same shape, other features: without the layout digest the server would

@@ -756,6 +756,10 @@ def test_ops_transform_only_to_change_basis(name, params64, monkeypatch):
     assert transformed(he.swap_rows, switched, ek) == 3 * out_kl
     assert transformed(lambda: he.fold(switched, steps, ek, swap=True)) == \
         (2 * len(steps) + 3) * out_kl
+    # the SVM's fold: its steps >= g (4 here), then the row swap, at k' primes
+    from_g = tuple(s for s in steps if s >= 4)
+    assert transformed(lambda: he.fold(switched, from_g, ek, swap=True)) == \
+        (2 * len(from_g) + 3) * out_kl
 
 
 @pytest.mark.parametrize("case", [31, 32, 33, "test64-k4", "xgb-d2"])
@@ -952,6 +956,30 @@ def test_fold_at_output_primes_matches_the_switched_fold(name, params64):
         assert early.prime_count == late.prime_count == params.output_primes
         assert np.array_equal(dec(he, sk, early), dec(he, sk, late))
         assert he.noise_budget(sk, early) >= 10
+
+
+@pytest.mark.parametrize("name", ["test64", "svm-d1"])
+def test_fold_ending_in_the_row_swap_at_output_primes_matches_the_mirror(name, params64):
+    # the SVM's fold runs after the output switch: its steps >= g, then the
+    # row swap that adds the two rows, one chain mod q'P'; every slot equals
+    # the mirror's plain chain, with 10 bits of margin or more
+    params = _tensor_case_params(name, params64)
+    if name == "test64":  # custom outputs keep all K primes: switch to 4 of 6
+        params = dataclasses.replace(params, output_primes=4)
+    he, clear = HeBackend(params), ClearBackend(params)
+    (sk, pk, ek), (csk, cpk, cek) = he.keygen(seed=0x5A), clear.keygen(seed=0x5A)
+    row, n = params.rotation_group_size, params.slot_count
+    v = np.random.default_rng(0x5A).integers(0, params.plaintext_modulus, n)
+    w = he.encode(np.random.default_rng(0x5B).integers(-1, 2, n))
+    assert params.output_primes < len(params.coeff_modulus)
+    for g in (2, 16, row):
+        steps = tuple(s for s in fold_steps(row) if s >= g)
+        got = he.fold(he.mod_switch(he.mul_pt(enc(he, pk, v, seed=g), w)), steps, ek, swap=True)
+        want = clear.fold(clear.mod_switch(clear.mul_pt(enc(clear, cpk, v, None), w)), steps, cek,
+                          swap=True)
+        assert got.prime_count == want.prime_count == params.output_primes
+        assert np.array_equal(dec(he, sk, got), dec(clear, csk, want)), g
+        assert he.noise_budget(sk, got) >= 10, g
 
 
 @pytest.mark.parametrize("name", ["he", "clear"])

@@ -11,7 +11,9 @@ from hedgerow.svm import (
     confidence_integers,
     encoded_planes,
     infer_encrypted,
+    pack_features,
     quantize_model,
+    slot_features,
     svm_scores_clear,
 )
 
@@ -67,9 +69,24 @@ def test_quantize_overflow_bound():
 
 
 def _pack_x(backend, x):
-    v = np.zeros(backend.params.slot_count, dtype=np.int64)
-    v[: len(x)] = x
-    return v
+    return pack_features(x, backend.params.slot_count)
+
+
+@pytest.mark.parametrize("d", [1, 5, 128, 129, 256])
+def test_packing_shifts_x_into_row_one(d, rng):
+    # d <= N/2: row 1 holds x shifted left by one slot, v[N/2 + n] =
+    # x[(n + 1) mod N/2]; a wider x spans both rows and nothing moves
+    n, row = 256, 128
+    x = rng.integers(-1, 2, d)
+    padded = np.zeros(n, dtype=np.int64)
+    padded[:d] = x
+    v = pack_features(x, n)
+    assert np.array_equal(v[:row], padded[:row])
+    if d <= row:
+        assert np.array_equal(v[row:], np.roll(padded[:row], -1))
+    else:
+        assert np.array_equal(v, padded)
+    assert np.array_equal(v, padded[slot_features(d, n)])
 
 
 def test_zero_input_gives_bias(he256, keys256, rng):
@@ -150,15 +167,15 @@ def test_cost_contract_counts(params256, clear_keys256, rng):
     ct = counting.encrypt(cpk, counting.encode(x), None)
     reset_counts(counting)
     infer_encrypted(counting, ct, model, cek)
-    # g = 4 planes, b = 2: one baby step by 1, one giant step by 2, plus
-    # the row fold 64..4 (5)
-    assert counting.ops.get("mul_pt") == 4
-    assert counting.ops.get("rotate") == 7
-    assert counting.ops.get("add_ct") == 8
+    # g = 4 diagonals at stride 2 (row 1 holds the odd ones): 2 planes, b = 1,
+    # so no baby step, one giant step by 2, the row fold 64..4 (5) and the swap
+    assert counting.ops.get("mul_pt") == 2
+    assert counting.ops.get("rotate") == 6
+    assert counting.ops.get("swap_rows") == 1
+    assert counting.ops.get("add_ct") == 7
     assert counting.ops.get("add_pt") == 1
     assert counting.ops.get("mul_ct") == 0
-    assert counting.ops.get("swap_rows") == 0
-    assert counting.ops.get("mod_switch") == 1  # the one output, for download
+    assert counting.ops.get("mod_switch") == 1  # before the fold, for download
 
 
 @pytest.mark.parametrize("d", [100, 200], ids=["one-row", "swap-path"])
@@ -171,62 +188,76 @@ def test_rotations_are_baby_giant_and_fold_steps(params256, clear_keys256, rng, 
     reset_counts(counting)
     infer_encrypted(counting, ct, model, cek)
     row = params256.rotation_group_size
-    b = 1 << int(np.log2(g)) // 2
-    fold = sum(1 for step in fold_steps(row) if step >= g)
-    assert counting.ops.get("rotate") == (b - 1) + (g // b - 1) + fold
-    assert counting.ops.get("swap_rows") == int(d > row)
-    assert counting.ops.get("mul_pt") == g
+    # one row: g/2 even shifts, row 1 holding the odd ones; both rows: g shifts
+    stride = 2 if d <= row else 1
+    planes = max(stride, g) // stride
+    b = 1 << int(np.log2(planes)) // 2
+    fold = sum(1 for step in fold_steps(row) if step >= max(stride, g))
+    assert counting.ops.get("rotate") == (b - 1) + (planes // b - 1) + fold
+    assert counting.ops.get("swap_rows") == 1
+    assert counting.ops.get("mul_pt") == planes
 
 
 def diagonal_product_slots(model, v, row, t):
-    """Every slot of the plain diagonal product, from the unrotated planes:
-    sum_k rot(v * plane_k, k), folded by the steps >= g within each row,
-    plus the other row when d > row, plus the bias at the class slots."""
+    """Every slot of the plain diagonal product, from the unrotated planes.
+    Each slot n of v holds feature f(n): n in row 0, and in row 1 (n + 1)
+    mod row when d <= row, n itself otherwise.  With the stride 2 or 1 and
+    g = max(stride, next_pow2(s)): sum_j rot(v * plane_j, stride*j), j <
+    g/stride, with plane_j[n] = W[(n - stride*j) mod g, f(n)], plus the bias
+    at the class slots, folded by the steps >= g within each row, plus the
+    other row."""
     n = len(v)
-    g = 1 << (model.num_classes - 1).bit_length()
+    d, s = model.num_features, model.num_classes
+    stride = 2 if d <= row else 1
+    g = max(stride, 1 << (s - 1).bit_length())
     w = np.zeros((g, n), dtype=np.int64)
-    w[: model.num_classes, : model.num_features] = model.weights
+    w[:s, :d] = model.weights
+    cols = np.arange(n)
+    feature = (cols + cols // row) % row if stride == 2 else cols
 
     def rot(u, k):
         return np.roll(u.reshape(2, row), -k, axis=1).reshape(-1)
 
-    cols = np.arange(n)
-    z = sum(rot(v * w[(cols - k) % g, cols], k) for k in range(g))
+    z = sum(rot(v * w[(cols - stride * j) % g, feature], stride * j) for j in range(g // stride))
+    z[:s] += model.bias
     step = g
     while step < row:
         z = z + rot(z, step)
         step *= 2
-    if model.num_features > row:
-        z = z + z.reshape(2, row)[::-1].reshape(-1)
-    z[: model.num_classes] += model.bias
+    z = z + z.reshape(2, row)[::-1].reshape(-1)
     return (z % t).astype(np.uint64)
 
 
 @pytest.mark.parametrize(
     "d, s",
-    [(200, 5), (100, 128), (256, 11), (40, 1)],
-    ids=["swap-path", "row-of-classes", "full-ring", "one-class"],
+    [(200, 5), (100, 128), (256, 11), (40, 1), (128, 3), (129, 3)],
+    ids=["swap-path", "row-of-classes", "full-ring", "one-class", "half-ring", "half-ring-plus-one"],
 )
 def test_every_output_slot_matches_the_plain_diagonal_product(
     he256, keys256, clear256, clear_keys256, rng, d, s
 ):
-    # the inputs hold ternary values beyond slot d too: the pre-rotated
-    # planes must cancel them and leave every non-class slot as before
+    # the slots whose feature index reaches d hold ternary values too: the
+    # pre-rotated planes must cancel them and leave every slot as the
+    # unrotated product does
     params = he256.params
+    n = params.slot_count
     model, _, _ = random_model(rng, s=s, d=d)
-    v = rng.integers(-1, 2, params.slot_count)
+    x = rng.integers(-1, 2, d)
+    v = np.where(slot_features(d, n) < d, _pack_x(he256, x), rng.integers(-1, 2, n))
     expect = diagonal_product_slots(model, v, params.rotation_group_size, params.plaintext_modulus)
     for backend, (sk, pk, ek) in ((he256, keys256), (clear256, clear_keys256)):
         (out,) = infer_encrypted(backend, backend.encrypt(pk, backend.encode(v), 7), model, ek)
+        assert out.prime_count == params.output_primes
         assert np.array_equal(backend.decode(backend.decrypt(sk, out)), expect)
-        assert np.array_equal(confidence_integers(backend, sk, [out], model), svm_scores_clear(model, v[:d]))
+        assert np.array_equal(confidence_integers(backend, sk, [out], model), svm_scores_clear(model, x))
         assert backend.noise_budget(sk, out) >= 10
 
 
 @pytest.mark.parametrize(
     "d, s",
-    [(200, 5), (256, 3), (90, 1), (256, 1), (60, 7), (128, 128)],
-    ids=["swap-path", "full-ring", "one-class", "one-class-swap", "seven-classes", "row-of-classes"],
+    [(200, 5), (256, 3), (90, 1), (256, 1), (60, 7), (128, 128), (100, 2), (128, 11), (129, 11)],
+    ids=["swap-path", "full-ring", "one-class", "one-class-swap", "seven-classes", "row-of-classes",
+         "two-classes", "half-ring", "half-ring-plus-one"],
 )
 def test_diagonal_product_exact_on_both_backends(
     he256, keys256, clear256, clear_keys256, rng, d, s
@@ -278,9 +309,9 @@ def test_planes_encoded_once_per_model_and_backend(params256, backend_type, rng)
     x = rng.integers(-1, 2, 100)
     ct = backend.encrypt(pk, encode(_pack_x(backend, x)), 1)
     first = infer_encrypted(backend, ct, model, ek)
-    assert len(encodes) == 8 + 1  # g = 8 planes and the bias
+    assert len(encodes) == 4 + 1  # g/2 = 4 planes and the bias
     second = infer_encrypted(backend, ct, model, ek)
-    assert len(encodes) == 9
+    assert len(encodes) == 5
     assert encoded_planes(backend, model) is encoded_planes(backend, model)
     for outs in (first, second):
         assert np.array_equal(confidence_integers(backend, sk, outs, model), svm_scores_clear(model, x))
