@@ -25,15 +25,15 @@ claim should re-derive ring degree and modulus sizes.
 Each preset also fixes k' (``output_primes``), how many of q's primes an
 output keeps: the server switches every output down to q's first k' primes
 after its last multiply (``Backend.mod_switch``; the tree modes before the
-class-sum fold, which then runs at k' primes, the SVM after its fold and
-bias), and the score file shrinks with it (serial.py).  k' is the fewest
-primes at which the outputs keep about the margin they have at all K
-primes, measured over the shipped circuits at the paper's dimensions on
+class-sum fold, the SVM after its giant steps, so both folds run at k'
+primes), and the score file shrinks with it (serial.py).  k' is the
+fewest primes at which the outputs keep about the margin they have at all
+K primes, measured over the shipped circuits at the paper's dimensions on
 secret-key uploads: 6 of 10 at xgb-d2 (130-132 bits, against 131-136 at
-all K on the same six samples), 4 of 5 at svm-d1 (61-63) and 7 of 11 at
-xgb-encmodel-d3 (154-156, as at all K).  One prime fewer drops them to
-102, 49 and 131 bits: the switch's rounding then outgrows the circuit's
-noise.  Custom params keep k' = K, which switches nothing, unless they say
+all K on the same six samples), 4 of 5 at svm-d1 (61-64 on 12 samples,
+as at all K) and 7 of 11 at xgb-encmodel-d3 (154-156, as at all K).  One
+prime fewer drops them to 102, 41-42 and 131 bits: the switch's rounding
+then outgrows the circuit's noise.  Custom params keep k' = K, which switches nothing, unless they say
 otherwise; a params file lists k' as ``output_primes``.
 
 Every preset's plaintext modulus t is the largest 31-bit prime = 1 mod 2N,

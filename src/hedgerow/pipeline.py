@@ -443,7 +443,7 @@ def server_model(mode, model_path, backend, keyset: KeySet, bundles: dict, seed)
             ["svm"],
             lambda cts: infer_encrypted(backend, cts["svm"], model, ek),
             {"classes": model.num_classes, "scale_bits": model.scale_bits, "outputs": 1,
-             "class_positions": [(0, c) for c in range(model.num_classes)]},
+             "class_positions": model.class_positions},
         )
     ens = load_ensemble(model_path, params.plaintext_modulus)
     layout = build_layout(ens, params.slot_count)

@@ -26,24 +26,22 @@ A :class:`RingContext` owns, for one parameter set:
 * the modulus switch of an output, ``mod_down`` with the product of q's
   last K - k' primes in P's place: round(x*q'/q) mod q' for the product q'
   of its first k' = ``params.output_primes``;
-* base conversion from RNS residues to other prime bases, and to centred
-  big integers for the two extreme coefficients of decryption's noise
-  only.  A table serves every prefix of its primes: ``garner`` (the
-  tensor basis) lifts from q and q', ``garner_aux`` (the primes beyond q)
-  from P, P' and the whole extension back to q or q', and ``garner_tail``
-  (q's last K - k' primes) to its first k'.  Each lift is one float64
-  matrix product with a float64 overflow count (``GarnerBasis.lift``), the
-  mixed-radix digit loop serving decryption and the rare column whose
-  count is a near tie.  Conversion is exact without big integers: every
-  sum of products is one float64 matrix product over the 16-bit halves of
-  a residue table, exact by the NTT's piece rule (``ntt.piece_bits``) for
-  a basis of at most 64 primes.  A params set whose tensor basis needs
-  more primes is refused.
+* every change of basis its ops make, named once as (source, target) plan
+  rows: q and q' (q's first k' primes) to P, P' and the extension, those
+  three back, and q's tail [k', K) to q'.  Each has a lift table and the
+  inverse of its source's product mod its targets (the divisor of
+  ``mod_down``, ``mod_switch`` and ``scale_down``).  A lift is one float64
+  matrix product with a float64 overflow count (``GarnerBasis.lift``); a
+  column whose count is a near tie takes the mixed-radix digit loop of the
+  ``GarnerBasis`` over the plan rows from its source's first row (0, K or
+  k'), which row 0's also runs for decryption, whose two extreme noise
+  coefficients are the only big integers.  Every sum of products is one
+  float64 matrix product over the 16-bit halves of a residue table, exact
+  by the NTT's piece rule (``ntt.piece_bits``) for a basis of at most 64
+  primes; a params set whose tensor basis needs more is refused.
 
-Everything is built with the context, the lift tables of the eight
-conversions its ops make included (q -> P, q' -> P', q -> extension,
-q -> t, P -> q, P' -> q', extension -> q, q's tail -> q's head), and
-threads share it read-only: it holds no lock and no cache.
+Everything is built with the context, every conversion's tables included,
+and threads share it read-only: it holds no lock and no cache.
 An automorphism's index map is recomputed per call (microseconds, against
 milliseconds for the keyswitch that follows it).
 """
@@ -103,8 +101,8 @@ class GarnerBasis:
     halves of a residue table (``ntt.split_pieces``), exact for a basis of
     at most ``MAX_BASIS_PRIMES`` = 64 primes by ``ntt.piece_bits`` (the count
     v <= R adds less than 2^23 to a sum).  ``targets`` lists (R, target
-    primes) pairs: the lift table of each and the digit table of its
-    targets are built here, any other pair's per call."""
+    primes) pairs: the digit table of each one's targets and, for R > 0,
+    its lift table are built here, and a conversion to others is refused."""
 
     def __init__(self, primes: tuple[int, ...], targets: tuple[tuple[int, tuple[int, ...]], ...] = ()):
         self.primes = tuple(int(p) for p in primes)
@@ -132,9 +130,8 @@ class GarnerBasis:
             [[pf % p * c % p for pf in self.prefix[:i]] + [0] * (r - i)
              for i, (p, c) in enumerate(zip(self.primes, inv))], dtype=np.uint64,
         ).reshape(r, r), _BITS).reshape(2, r, r)
-        targets = [(rows, tuple(w)) for rows, w in targets]
         self._tables = {w: self._conversion(w) for _, w in targets}
-        self._lifts = {pair: self._lift_table(*pair) for pair in targets}
+        self._lifts = {(rows, w): self._lift_table(rows, w) for rows, w in targets if rows}
 
     def _conversion(self, target_primes: tuple[int, ...]):
         """For odd targets w: the (2L, R) halves of prefix[i] mod w, the
@@ -174,8 +171,7 @@ class GarnerBasis:
 
     def digits_to_residues(self, digits: np.ndarray, target_primes: tuple[int, ...]) -> np.ndarray:
         """Centred values reduced modulo each target prime, shape (L, N)."""
-        target_primes = tuple(target_primes)
-        table, w, neg_half = self._tables.get(target_primes) or self._conversion(target_primes)
+        table, w, neg_half = self._tables[tuple(target_primes)]
         r = len(digits)
         out = combine_pieces(table[:, :r] @ digits.astype(np.float64), w, _BITS)
         out += neg_half[:, r : r + 1]
@@ -185,8 +181,8 @@ class GarnerBasis:
     def lift(self, residues: np.ndarray, target_primes: tuple[int, ...]) -> np.ndarray:
         """The centred values whose residues are given, reduced modulo each
         target prime: the exact change of basis from this one, shape (L, N)."""
-        r, target_primes = len(residues), tuple(target_primes)
-        inv, table, w = self._lifts.get((r, target_primes)) or self._lift_table(r, target_primes)
+        r = len(residues)
+        inv, table, w = self._lifts[r, tuple(target_primes)]
         y = residues * inv
         y %= self._p[:r]
         yv = np.empty((r + 1, residues.shape[1]))
@@ -260,40 +256,39 @@ class RingContext:
             min(lp for lp in range(1, len(self.p_primes) + 1)
                 if prod(self.p_primes[:lp]) > prod(self.q_primes[:r]))
             for r in range(1, self.k + 1)]
-        # R + L'(R) rises with R, so a row count names its R
-        self._keyswitch_r = {r + lp: r for r, lp in enumerate(self._special)}
-        # every conversion an op makes has its lift table built here
-        # (refusing a basis too long to be exact): from q or q' = q's first
-        # k' primes to P, P', the extension and t (decryption); from P, P'
-        # and the extension back; and q's last K - k' primes to its first k'
+        # every change of basis an op makes, as (source, target) plan rows
+        # [start, stop) (see the module docstring); row 0's basis, the tensor
+        # basis, also holds decryption's digit table to t
         self.out_k = k_out = params.output_primes
-        head, tail = self.q_primes[:k_out], self.q_primes[k_out:]
-        extension = self.tensor_primes[self.k :]
-        out_l = self._special[k_out]
-        self.garner = GarnerBasis(self.tensor_primes, (
-            (self.k, self.p_primes), (self.k, extension), (self.k, (self.t,)),
-            (k_out, self.p_primes[:out_l])))
-        self.garner_aux = GarnerBasis(extension, (
-            (len(self.p_primes), self.q_primes), (out_l, head), (len(extension), self.q_primes)))
-        self.garner_tail = GarnerBasis(tail, ((len(tail), head),))
-        self._tail_inv_mod_head = _column(pow(prod(tail), -1, p) for p in head)
+        q, q_out, self.ext_rows = (0, self.k), (0, k_out), (self.k, len(self.tensor_primes))
+        pairs = [(q, self._p_rows(self.k)), (q_out, self._p_rows(k_out)), (q, self.ext_rows)]
+        pairs += [(dst, src) for src, dst in pairs] + [((k_out, self.k), q_out)] * (k_out < self.k)
+        primes = {rows: self.tensor_primes[slice(*rows)] for pair in pairs for rows in pair}
+        lifts = {0: [(0, (self.t,))]}
+        for src, dst in pairs:
+            lifts.setdefault(src[0], []).append((src[1] - src[0], primes[dst]))
+        bases = {at: GarnerBasis(self.tensor_primes[at:], tuple(v)) for at, v in lifts.items()}
+        self._conversions = {
+            (src, dst): (bases[src[0]], primes[dst],
+                         _column(pow(prod(primes[src]), -1, w) for w in primes[dst]))
+            for src, dst in pairs}
+        self.garner = bases[0]
         # one plan over the tensor basis: its first K rows are q's, its first
         # K+L qP's
         self.plan_q = NttPlan(self.n, self.tensor_primes)
         self.plan_t = NttPlan(self.n, (self.t,))
         self.q_arr = self.plan_q.p[: self.k]
         self.p_arr = self.plan_q.p[self.k : len(self.qp_primes)]
-        # per L': P' mod q, P'^-1 mod q and P'/P mod q (keygen scales by P)
+        # per L': P' mod q and P'/P mod q (keygen scales by P)
         big_p, qs = prod(self.p_primes), self.q_primes
         self._divisors = {}
         for lp in set(self._special[1:]):
             d = prod(self.p_primes[:lp])
-            self._divisors[lp] = (_column(d % p for p in qs), _column(pow(d, -1, p) for p in qs),
+            self._divisors[lp] = (_column(d % p for p in qs),
                                   _column(d * pow(big_p, -1, p) % p for p in qs))
         self.p_mod_q = self._divisors[len(self.p_primes)][0]
-        # scale_down multiplies by t on every row and divides by q beyond q
+        # scale_down multiplies by t on every row
         self.t_mod_tensor = _column(self.t % p for p in self.tensor_primes)
-        self._q_inv_mod_aux = _column(pow(self.q, -1, p) for p in self.garner_aux.primes)
         # decryption's r = -w/q' mod t, for q' the product of any prefix of q
         self.q_inv_mod_t = [np.uint64(pow(q % self.t, -1, self.t))
                             for q in self.garner.prefix[: self.k + 1]]
@@ -337,6 +332,10 @@ class RingContext:
         whose product exceeds q', the product of q's first R primes."""
         return self._special[r]
 
+    def _p_rows(self, r: int) -> tuple[int, int]:
+        """The plan rows [K, K+L') of P' for q's first R primes."""
+        return self.k, self.k + self._special[r]
+
     def qp_arr(self, r: int) -> np.ndarray:
         """The (R+L', 1) moduli of q'P' for q' the product of q's first R
         primes: plan rows [0, R) and [K, K+L')."""
@@ -347,58 +346,60 @@ class RingContext:
         scale of the c0 it holds) and [P'/P]_q', the factor its input takes
         before the lift so that the keys' P becomes P' (None when P' = P)."""
         lp = self._special[r]
-        p_mod, _, rescale = self._divisors[lp]
+        p_mod, rescale = self._divisors[lp]
         return p_mod[:r], None if lp == len(self.p_primes) else rescale[:r]
 
-    def mod_up(self, coeffs: np.ndarray, evals: np.ndarray, basis: tuple | None = None) -> np.ndarray:
-        """The centred lift of an (R, N) polynomial mod q' (q's first R
-        primes), given in both forms, to q' and the rows of ``basis`` past
-        q (default P') in evaluation form: the R rows of ``evals``, then the
-        forward transform of the lifted extension rows only."""
-        r = len(coeffs)
-        targets = basis[self.k :] if basis else self.p_primes[: self._special[r]]
-        return np.concatenate((evals, self.plan_q.forward(self.garner.lift(coeffs, targets), self.k)))
+    def _lift(self, x: np.ndarray, src: tuple[int, int], dst: tuple[int, int]) -> np.ndarray:
+        """The centred values of x, residues on plan rows ``src``, on plan
+        rows ``dst``: one change of basis named in ``__init__``."""
+        basis, targets, _ = self._conversions[src, dst]
+        return basis.lift(x, targets)
 
-    def key_product(self, lifted: np.ndarray, key: np.ndarray) -> np.ndarray:
-        """A ``mod_up`` lift to q'P' times one (K+L, N) key part mod qP, in
-        evaluation form: the key's first R rows and its first L' P rows, as
-        two slices, since a key mod qP also holds mod q'P'."""
-        r = self._keyswitch_r[len(lifted)]
+    def mod_up(self, coeffs: np.ndarray, evals: np.ndarray, dst: tuple | None = None) -> np.ndarray:
+        """The centred lift of an (R, N) polynomial mod q' (q's first R
+        primes), given in both forms, to q' and the plan rows ``dst`` past
+        q (default P', or ``ext_rows``) in evaluation form: the R rows of
+        ``evals``, then the forward transform of the lifted rows only."""
+        r = len(coeffs)
+        dst = dst or self._p_rows(r)
+        return np.concatenate((evals, self.plan_q.forward(self._lift(coeffs, (0, r), dst), dst[0])))
+
+    def key_product(self, lifted: np.ndarray, key: np.ndarray, r: int) -> np.ndarray:
+        """A ``mod_up`` lift to q'P', for q' the product of q's first R
+        primes, times one (K+L, N) key part mod qP, in evaluation form: the
+        key's first R rows and its first L' P rows, as two slices, since a
+        key mod qP also holds mod q'P'."""
         out = np.empty_like(lifted)
         np.multiply(lifted[:r], key[:r], out=out[:r])
         np.multiply(lifted[r:], key[self.k : self.k + len(lifted) - r], out=out[r:])
         out %= self.qp_arr(r)
         return out
 
-    def mod_down(self, poly: np.ndarray, addend: np.ndarray | None = None) -> np.ndarray:
+    def mod_down(self, poly: np.ndarray, r: int, addend: np.ndarray | None = None) -> np.ndarray:
         """round(x / P') mod q' of an (R+L', N) polynomial x mod q'P', for q'
         the product of q's first R primes and P' the first L' = L'(R)
-        special primes; R + L'(R) rises with R, so the row count names R.
-        An ``addend`` c mod q' in coefficient form rides the same forward
-        transform: round(x / P') + c = (x - ([x]_P' - P'*c)) / P'."""
-        r = self._keyswitch_r[len(poly)]
-        p_mod, p_inv, _ = self._divisors[len(poly) - r]
-        shift = None if addend is None else mul_mod(addend, p_mod[:r], self.q_arr[:r])
-        return self._divide_tail(poly, self.k, self.garner_aux, p_inv[:r], shift)
+        special primes.  An ``addend`` c mod q' in coefficient form rides
+        the same forward transform: round(x / P') + c = (x - ([x]_P' - P'*c)) / P'."""
+        shift = None if addend is None else mul_mod(addend, self.keyswitch_scales(r)[0],
+                                                    self.q_arr[:r])
+        return self._divide(poly, self._p_rows(r), (0, r), shift)
 
     def mod_switch(self, poly: np.ndarray) -> np.ndarray:
         """round(x / Q_d) mod q' of a (K, N) polynomial x mod q, for q' the
         product of q's first k' = ``params.output_primes`` primes and Q_d of
         the other K - k': mod_down with Q_d in P's place."""
-        return self._divide_tail(poly, self.out_k, self.garner_tail, self._tail_inv_mod_head)
+        return self._divide(poly, (self.out_k, self.k), (0, self.out_k))
 
-    def _divide_tail(self, poly: np.ndarray, tail_start: int, garner: GarnerBasis,
-                     inv: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    def _divide(self, poly: np.ndarray, src: tuple[int, int], dst: tuple[int, int],
+                shift: np.ndarray | None = None) -> np.ndarray:
         """The exact (x - [x]_D) / D, with [x]_D the centred residue of x mod
-        D, of a polynomial x in evaluation form whose first h = len(inv)
-        rows hold q's first h primes and whose other rows hold the primes
-        of D, plan rows from ``tail_start`` on, which ``garner`` lifts from.
-        ``inv`` is D^-1 mod each of the h head primes, and ``shift``, in
-        coefficient form over them, is subtracted from [x]_D.  Transforms
-        the tail's rows once each, then h rows."""
-        h = len(inv)
-        head = self.q_arr[:h]
-        rem = garner.lift(self.plan_q.inverse(poly[h:], tail_start), self.q_primes[:h])
+        D, of a polynomial x in evaluation form whose rows hold q's first h
+        primes (plan rows ``dst`` = [0, h)), then D's, plan rows ``src``.
+        ``shift``, in coefficient form mod q's first h primes, is subtracted
+        from [x]_D.  Transforms the src rows once each, then h rows."""
+        h = dst[1]
+        head, inv = self.q_arr[:h], self._conversions[src, dst][2]
+        rem = self._lift(self.plan_q.inverse(poly[h:], src[0]), src, dst)
         if shift is not None:
             rem = sub_mod(rem, shift, head)
         return mul_mod(sub_mod(poly[:h], self.plan_q.forward(rem), head), inv, head)
@@ -407,11 +408,11 @@ class RingContext:
         """round(t*x/q) mod q of a polynomial x over the tensor basis: mod_down
         with q in P's place.  The exact (y - [y]_q)/q for y = t*x is formed on
         the rows beyond q, then lifted back to q (q is odd: no rounding ties)."""
-        k, aux = self.k, self.plan_q.p[self.k :]
+        q, ext, aux = (0, self.k), self.ext_rows, self.plan_q.p[self.k :]
         y = mul_mod(x, self.t_mod_tensor, self.plan_q.p)
-        rem = self.garner.lift(y[:k], self.garner_aux.primes)
-        r = mul_mod(sub_mod(y[k:], rem, aux), self._q_inv_mod_aux, aux)
-        return self.garner_aux.lift(r, self.q_primes)
+        rem = self._lift(y[: self.k], q, ext)
+        r = mul_mod(sub_mod(y[self.k :], rem, aux), self._conversions[q, ext][2], aux)
+        return self._lift(r, ext, q)
 
     # -- small helpers ------------------------------------------------------
 

@@ -566,15 +566,19 @@ class HeBackend(Backend):
         level = self._product_level(a, b, ek)
         ring, plan = self.ring, self.ring.plan_q
         a0, a1, b0, b1 = (
-            ring.mod_up(plan.inverse(p), p, ring.tensor_primes) for p in a.parts + b.parts
+            ring.mod_up(plan.inverse(p), p, ring.ext_rows) for p in a.parts + b.parts
         )
         d0 = plan.pointwise(a0, b0)
         d1 = add_mod(plan.pointwise(a0, b1), plan.pointwise(a1, b0), plan.p)
         d2 = plan.pointwise(a1, b1)
         # scale_down returns coefficient form: c2 is lifted from it directly,
-        # and c0, c1 ride the keyswitch's mod_down transforms
+        # and c0, c1 join the relinearization's mod_down transforms: the
+        # lift of c2 to qP times each key part, divided by P with rounding,
+        # is (k0, k1) with k0 + k1*s = c2*s^2 + small
         c0, c1, c2 = (ring.scale_down(plan.inverse(d)) for d in (d0, d1, d2))
-        parts = self._keyswitch(ring.mod_up(c2, plan.forward(c2)), ek.relin, (c0, c1))
+        lifted, k = ring.mod_up(c2, plan.forward(c2)), ring.k
+        parts = tuple(ring.mod_down(ring.key_product(lifted, part, k), k, c)
+                      for part, c in zip(ek.relin, (c0, c1)))
         return Ciphertext(a.params, level, parts)
 
     # -- slot permutations ----------------------------------------------------
@@ -632,18 +636,7 @@ class HeBackend(Backend):
             if rescale is not None:
                 r1 = mul_mod(r1, rescale, q)
             lifted = ring.mod_up(plan.inverse(r1), r1)
-            s0 = add_mod(ring.apply_automorphism(c0, g), ring.key_product(lifted, b), qp)
-            s1 = ring.mod_down(ring.key_product(lifted, a_key))
+            s0 = add_mod(ring.apply_automorphism(c0, g), ring.key_product(lifted, b, r), qp)
+            s1 = ring.mod_down(ring.key_product(lifted, a_key, r), r)
             c0, c1 = (add_mod(c0, s0, qp), add_mod(c1, s1, q)) if add else (s0, s1)
-        return Ciphertext(a.params, a.level, (ring.mod_down(c0), c1))
-
-    def _keyswitch(self, lifted: np.ndarray, key: KeySwitchKey, addends=(None, None)):
-        """Relinearization's hybrid keyswitch of c mod q, given as its ``mod_up``
-        lift to qP: the pair (k0, k1) mod q with k0 + k1*s = c*s^2 + small.  The
-        lift times each key part is divided by P with rounding, in evaluation
-        form: the lift and ``mod_down`` are the only transforms.  ``addends``,
-        coefficient-form polynomials mod q, join k0 and k1 inside ``mod_down``'s
-        forward transform.  (Automorphisms keyswitch in ``_galois``.)"""
-        ring = self.ring
-        return tuple(ring.mod_down(ring.key_product(lifted, part), c)
-                     for part, c in zip(key, addends))
+        return Ciphertext(a.params, a.level, (ring.mod_down(c0, r), c1))

@@ -114,6 +114,11 @@ class SvmModel:
     def quant_scale(self) -> int:
         return 1 << self.scale_bits
 
+    @property
+    def class_positions(self) -> list[tuple[int, int]]:
+        """(output, slot) of each class's confidence: class c at slot c."""
+        return [(0, c) for c in range(self.num_classes)]
+
     def worst_case_aggregate(self) -> int:
         """Largest possible |confidence| over ternary inputs."""
         return int(
@@ -238,4 +243,4 @@ def infer_encrypted(backend, ct_x, model: SvmModel, ek) -> list:
 
 def confidence_integers(backend, sk, cts, model: SvmModel) -> np.ndarray:
     """Class confidences as signed fixed-point integers (class c at slot c)."""
-    return decrypt_scores(backend, sk, cts, [(0, c) for c in range(model.num_classes)])
+    return decrypt_scores(backend, sk, cts, model.class_positions)

@@ -96,7 +96,7 @@ def ensemble_agreement(ens: Ensemble, ds: Dataset) -> float:
 def check_garner_conversions(basis, targets, values):
     """Every GarnerBasis conversion of the centred ints ``values`` from
     ``basis`` to ``targets``, against Python-int mixed radix and CRT."""
-    garner = GarnerBasis(basis)
+    garner = GarnerBasis(basis, ((len(basis), tuple(targets)),))
     m = prod(basis)
     h = (m - 1) // 2
     x = np.array([[v % p for v in values] for p in basis], dtype=np.uint64)

@@ -303,7 +303,7 @@ def test_tensor_basis_is_the_shortest_extension_of_qp(name, params64):
     need = ring.t * ring.n * ring.q + 1
     assert prod(extension) > need >= prod(extension[:-1])  # one prime fewer is too small
     assert extension[: len(ring.p_primes)] == ring.p_primes
-    assert ring.garner_aux.primes == extension
+    assert ring.ext_rows == (ring.k, len(primes))
     taken = {*params.coeff_modulus, params.plaintext_modulus}
     free = (p for p in ntt_primes(MODULUS_BITS, ring.two_n) if p not in taken)
     assert extension == tuple(next(free) for _ in extension)  # a prefix of the sequence
@@ -354,7 +354,7 @@ def test_mod_up_and_mod_down_match_integer_arithmetic(params64, rng):
 
     qp_arr = np.array(ring.qp_primes, dtype=np.uint64).reshape(-1, 1)
     y = rng.integers(0, 2**62, up.shape, dtype=np.uint64) % qp_arr
-    down = plan.inverse(ring.mod_down(plan.forward(y)))
+    down = plan.inverse(ring.mod_down(plan.forward(y), ring.k))
     assert down.shape == (ring.k, ring.n)
     for col in range(ring.n):
         v = _crt(y[:, col], ring.qp_primes)
@@ -380,8 +380,8 @@ def test_mod_switch_matches_integer_arithmetic(params64, rng, out_k):
         assert [int(r) for r in got[:, col]] == [rounded % p for p in head]
 
 
-# SHA-256 of RingContext.mod_switch on one seeded K-row input: the tail's
-# plan offset, now passed to _divide_tail, leaves these bytes as they were
+# SHA-256 of RingContext.mod_switch on one seeded K-row input, pinned so
+# that a change to how the ring names or builds its conversions keeps them
 SWITCH_DIGESTS = {
     "svm-d1": "69dc05dd0387f30b456e6ee5104051cc1ed3f4e05ca13a75d19b337374d9ace5",
     "xgb-d2": "12a0a939652df7805e22efd7c585517b917d436ee93349003fadeee20ee4c25f",
@@ -412,10 +412,10 @@ def test_mod_down_at_output_primes_matches_integer_arithmetic(name, params64, rn
     cols = np.concatenate((np.arange(4), rng.choice(np.arange(4, ring.n), 60, replace=False)))
     want = np.array(rounded_quotient(x[:, cols], primes, big_p, ring.q_primes[:r]),
                     dtype=np.uint64)
-    down = plan.inverse(ring.mod_down(evals))
+    down = plan.inverse(ring.mod_down(evals, r))
     assert down.shape == (r, ring.n)
     assert np.array_equal(down[:, cols], want)
-    shifted = plan.inverse(ring.mod_down(evals, c))
+    shifted = plan.inverse(ring.mod_down(evals, r, c))
     assert np.array_equal(shifted[:, cols], (want + c[:, cols]) % ring.q_arr[:r])
     y = np.random.default_rng(0x5D).integers(0, 2**62, (ring.k, ring.n), dtype=np.uint64)
     switched = ring.mod_switch(y % ring.q_arr)
@@ -425,7 +425,9 @@ def test_mod_down_at_output_primes_matches_integer_arithmetic(name, params64, rn
 @pytest.mark.parametrize("name", ["test64", "short-q", *PRESET_NAMES])
 def test_one_garner_table_serves_q_and_the_tensor_basis(name, params64, rng):
     # q and the tensor basis are the first K and all rows of ring.garner;
-    # each prefix centres its own product Q_R, edges 0, +-1 and +-h included
+    # each prefix centres its own product Q_R, edges 0, +-1 and +-h included,
+    # and converts to each target it has a table for: by digits, and from q
+    # to P and the extension by the ring's lifts
     ring = RingContext(_tensor_case_params(name, params64))
     garner = ring.garner
     assert garner.primes == ring.tensor_primes
@@ -442,8 +444,10 @@ def test_one_garner_table_serves_q_and_the_tensor_basis(name, params64, rng):
         assert want[:5] == [0, 1, -1, h, -h]
         assert list(garner.residues_to_ints(x)) == want
         for target in targets:
-            got = garner.lift(x, target)
-            assert [[int(r) for r in row] for row in got] == [[v % w for v in want] for w in target]
+            rows_want = [[v % w for v in want] for w in target]
+            assert garner.digits_to_residues(garner.to_digits(x), target).tolist() == rows_want
+            if rows == ring.k and target != (ring.t,):
+                assert garner.lift(x, target).tolist() == rows_want
     own = GarnerBasis(ring.q_primes)
     x = rng.integers(0, 2**62, (ring.k, ring.n), dtype=np.uint64) % ring.q_arr
     assert np.array_equal(own.to_digits(x), garner.to_digits(x))
@@ -495,26 +499,27 @@ def test_garner_refuses_more_than_64_primes():
 
 @pytest.mark.parametrize("name", ["test64", *PRESET_NAMES])
 def test_every_ring_lift_matches_the_centred_lift(name, params64, rng, monkeypatch):
-    # each lift table the ring builds, against the Python-int centred lift:
-    # random columns, the edges 0, +-1, +-h, +-(h-1), and one value within
-    # Q 2^-45 of Q/2.  The near ties (within 2^-40 of 1/2 in the overflow
-    # count's fraction) take the digit loop, and nothing else does
+    # each change of basis the ring names, as (source, target) plan rows,
+    # against the Python-int centred lift: random columns, the edges 0, +-1,
+    # +-h, +-(h-1), and one value within Q 2^-45 of Q/2.  The near ties
+    # (within 2^-40 of 1/2 in the overflow count's fraction) take the digit
+    # loop, and nothing else does
     params = (gen_params(name) if name in PRESET_NAMES
               else dataclasses.replace(params64, output_primes=4))
     ring = get_ring(params)
-    k, out_k, lp = ring.k, ring.out_k, ring.special_count(ring.out_k)
-    extension = ring.tensor_primes[k:]
-    tables = {
-        (ring.garner, k, ring.p_primes), (ring.garner, out_k, ring.p_primes[:lp]),
-        (ring.garner, k, extension), (ring.garner, k, (ring.t,)),
-        (ring.garner_aux, len(ring.p_primes), ring.q_primes),
-        (ring.garner_aux, lp, ring.q_primes[:out_k]),
-        (ring.garner_aux, len(extension), ring.q_primes),
-        (ring.garner_tail, k - out_k, ring.q_primes[:out_k]),
-    }
-    built = {(g, *pair) for g in (ring.garner, ring.garner_aux, ring.garner_tail)
-             for pair in g._lifts}
-    assert built == tables
+    k, out_k, top = ring.k, ring.out_k, len(ring.tensor_primes)
+    q, q_out, ext = (0, k), (0, out_k), (k, top)
+    p, p_out = (k, k + len(ring.p_primes)), (k, k + ring.special_count(out_k))
+    pairs = {(q, p), (q_out, p_out), (q, ext), (p, q), (p_out, q_out), (ext, q), ((out_k, k), q_out)}
+    assert set(ring._conversions) == pairs
+    # each source's basis runs from its first plan row and holds its lift
+    # table; the source product's inverse is taken mod the targets
+    for (src, dst), (basis, targets, inv) in ring._conversions.items():
+        assert basis.primes == ring.tensor_primes[src[0] :]
+        assert targets == ring.tensor_primes[slice(*dst)]
+        assert (src[1] - src[0], targets) in basis._lifts
+        source = prod(ring.tensor_primes[slice(*src)])
+        assert inv[:, 0].tolist() == [pow(source, -1, w) for w in targets]
     to_digits = GarnerBasis.to_digits
     digit_columns = []
 
@@ -523,24 +528,24 @@ def test_every_ring_lift_matches_the_centred_lift(name, params64, rng, monkeypat
         return to_digits(self, residues)
 
     monkeypatch.setattr(GarnerBasis, "to_digits", counted)
-    for garner, rows, targets in tables:
-        primes = garner.primes[:rows]
-        m = prod(primes)
+    for src, dst in pairs:
+        primes, targets = ring.tensor_primes[slice(*src)], ring.tensor_primes[slice(*dst)]
+        rows, m = len(primes), prod(primes)
         h = (m - 1) // 2
         edges = [0, 1, -1, h, -h, h - 1, -(h - 1), h - m // 2**46]
         x = rng.integers(0, 2**62, (rows, 40), dtype=np.uint64)
         x %= np.array(primes, dtype=np.uint64).reshape(-1, 1)
         x[:, : len(edges)] = [[v % p for v in edges] for p in primes]
         digit_columns.clear()
-        assert garner.lift(x, targets).tolist() == centred_lift(x, primes, targets)
+        assert ring._lift(x, src, dst).tolist() == centred_lift(x, primes, targets)
         # +-h, +-(h-1) and the near value are ties once 1/Q is below 2^-42
         assert sum(digit_columns) == (5 if m > 2**42 else 0), (rows, len(targets))
 
 
 def test_ring_conversions_read_tables_built_with_the_ring(params64, rng, monkeypatch):
-    # q -> P, q' -> P', q -> extension, q -> t, P -> q, P' -> q', extension
-    # -> q and q's tail -> its head, each as a lift table and, for a near
-    # tie, a digit table: no op builds a table per call
+    # q -> P, q' -> P', q -> extension, P -> q, P' -> q', extension -> q
+    # and q's tail -> its head, each as a lift table and, for a near tie, a
+    # digit table, and decryption's digits to t: no op builds a table per call
     params = dataclasses.replace(params64, output_primes=4)
     ring = get_ring(params)  # built before the guard, as every backend op reads it
 
@@ -553,11 +558,11 @@ def test_ring_conversions_read_tables_built_with_the_ring(params64, rng, monkeyp
     x = rng.integers(0, 2**62, (ring.k, ring.n), dtype=np.uint64) % ring.q_arr
     h = (ring.q - 1) // 2
     x[:, :2] = [[h % p, -h % p] for p in ring.q_primes]  # near ties: the digit loop
-    ring.mod_down(ring.mod_up(x, plan.forward(x)))  # q -> P, then P -> q
-    ring.scale_down(ring.mod_up(x, plan.forward(x), ring.tensor_primes))  # and the other two
+    ring.mod_down(ring.mod_up(x, plan.forward(x)), ring.k)  # q -> P, then P -> q
+    ring.scale_down(ring.mod_up(x, plan.forward(x), ring.ext_rows))  # and the other two
     ring.mod_switch(plan.forward(x))
     head = x[:4]  # q' -> P', then P' -> q' (a switched ciphertext's keyswitch)
-    ring.mod_down(ring.mod_up(head, plan.forward(head)))
+    ring.mod_down(ring.mod_up(head, plan.forward(head)), 4)
     ring.garner.digits_to_residues(ring.garner.to_digits(x), (ring.t,))  # decryption
     # and every op of the backend, a switched keyswitch included
     he = HeBackend(params)
@@ -566,6 +571,35 @@ def test_ring_conversions_read_tables_built_with_the_ring(params64, rng, monkeyp
     prod_ct = he.mul_ct(a, a, ek)
     out = he.rotate(he.mod_switch(he.swap_rows(he.rotate(prod_ct, 1, ek), ek)), 1, ek)
     assert he.noise_budget(sk, out) >= 10
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_lift_table_the_ring_builds_is_read(name, monkeypatch):
+    # the ring builds the lift tables its ops read and no others: mul_ct, a
+    # rotation at K primes, mod_switch, a fold at k' primes and decrypt read
+    # every one; a basis's digit tables are its lifts' targets (for near
+    # ties) and, on the tensor basis, t (decryption's, which no op lifts to)
+    params = gen_params(name)
+    he = HeBackend(params)
+    ring = he.ring
+    assert ring.out_k < ring.k
+    sk, pk, ek = he.keygen(seed=0x7B, rotation_steps=(1, 2))
+    a = enc(he, pk, np.arange(params.slot_count) % 7, seed=1)
+    lift, read = GarnerBasis.lift, set()
+
+    def recorded(self, residues, target_primes):
+        read.add((self, len(residues), tuple(target_primes)))
+        return lift(self, residues, target_primes)
+
+    monkeypatch.setattr(GarnerBasis, "lift", recorded)
+    switched = he.mod_switch(he.rotate(he.mul_ct(a, a, ek), 1, ek))
+    out = he.fold(switched, (1, 2), ek, swap=True)
+    assert out.prime_count == ring.out_k
+    assert he.decrypt(sk, out).noise_bits >= 10
+    bases = {basis for basis, _, _ in ring._conversions.values()}
+    assert read == {(basis, *pair) for basis in bases for pair in basis._lifts}
+    digit_tables = {(basis, w) for basis in bases for w in basis._tables}
+    assert digit_tables == {(basis, w) for basis, _, w in read} | {(ring.garner, (ring.t,))}
 
 
 def _negacyclic(x, y):
@@ -617,7 +651,9 @@ def test_mul_ct_matches_python_int_arithmetic(name, params64, rng):
         tensor = (_negacyclic(a0, b0), cross, _negacyclic(a1, b1))
         # q is odd, so round(t*d/q) has no ties
         c0, c1, c2 = (rns([(2 * t * v + q) // (2 * q) for v in d]) for d in tensor)
-        k0, k1 = map(plan.inverse, he._keyswitch(he.ring.mod_up(c2, plan.forward(c2)), ek.relin))
+        lifted, k = he.ring.mod_up(c2, plan.forward(c2)), he.ring.k
+        k0, k1 = (plan.inverse(he.ring.mod_down(he.ring.key_product(lifted, part, k), k))
+                  for part in ek.relin)
         got = he.mul_ct(ct(a_vals), ct(b_vals), ek)
         assert got.level == params.depth_budget - 1
         assert np.array_equal(plan.inverse(got.parts[0]), (c0 + k0) % q_arr)
@@ -672,7 +708,7 @@ def test_server_ops_convert_no_residues_to_ints(name, params64, monkeypatch):
 
     x = with_edges(ring.q_primes)
     ring.mod_up(x, plan.forward(x))
-    ring.mod_down(np.concatenate((plan.forward(x), plan.forward(with_edges(ring.p_primes), k))))
+    ring.mod_down(np.concatenate((plan.forward(x), plan.forward(with_edges(ring.p_primes), k))), k)
     assert digit_columns == [2, 2]
     calls = []
 
