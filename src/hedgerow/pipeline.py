@@ -400,16 +400,16 @@ def run_encrypt(layout: FeatureLayout, dataset, keyset: KeySet, seed, outdir) ->
     return elapsed
 
 
-def _read_ct(path: Path, params: HeParams):
-    return _read_container(path, serial.deserialize_ciphertext, params)
-
-
-def _read_upload(path: Path, params: HeParams):
-    """An upload ciphertext, which must hold all of q's primes."""
-    ct = _read_ct(path, params)
-    if ct.prime_count != len(params.coeff_modulus):
-        raise SerializationError(f"{path}: an upload holds all {len(params.coeff_modulus)} "
-                                 f"primes of q, this one {ct.prime_count}")
+def _read_ct(path: Path, params: HeParams, score: bool = False):
+    """An upload ciphertext, which must hold all K of q's primes, or with
+    ``score`` a score, which must hold the k' = ``output_primes`` that
+    ``mod_switch`` leaves."""
+    ct = _read_container(path, serial.deserialize_ciphertext, params)
+    k = len(params.coeff_modulus)
+    if ct.prime_count != (params.output_primes if score else k):
+        held = f"a score holds {params.output_primes} of the {k}" if score else \
+            f"an upload holds all {k}"
+        raise SerializationError(f"{path}: {held} primes of q, this one {ct.prime_count}")
     return ct
 
 
@@ -491,7 +491,7 @@ def run_infer(mode: str, model_path, indir, keydir, outdir, seed=0) -> float:
     bundles = read_manifest(src, BUNDLE_COUNTS, params.slot_count)
     model = server_model(mode, model_path, backend, keyset, bundles, seed)
     inputs = [
-        {key: _read_upload(_sample_dir(src, i) / upload_name(key), params) for key in model.uploads}
+        {key: _read_ct(_sample_dir(src, i) / upload_name(key), params) for key in model.uploads}
         for i in range(bundles["samples"])
     ]
 
@@ -533,7 +533,8 @@ def run_decrypt(indir, keydir, report_path) -> tuple[float, np.ndarray, np.ndarr
     elapsed = 0.0
     for i in range(manifest["samples"]):
         sdir = _sample_dir(src, i)
-        cts = [_read_ct(sdir / SCORE_FILE.format(o), params) for o in range(manifest["outputs"])]
+        cts = [_read_ct(sdir / SCORE_FILE.format(o), params, score=True)
+               for o in range(manifest["outputs"])]
         t0 = time.perf_counter()
         pts = [backend.decrypt(sk, ct) for ct in cts]
         rows.append(read_scores(backend, pts, manifest["class_positions"]) / scale)

@@ -9,11 +9,13 @@ A :class:`RingContext` owns, for one parameter set:
   keys live mod qP, ``mod_up`` lifts a polynomial from q to qP and
   ``mod_down`` divides one mod qP by P with rounding, back to q.  Both take
   and return evaluation form and transform only the rows they change.  A
-  prefix q' of q (a switched ciphertext) keyswitches mod q'P' for P' the
-  shortest prefix of P above q' (P itself at q' = q): a key mod qP holds
-  mod q'P', since P' divides P, and ``mod_up`` and ``mod_down`` serve that
-  basis too.  The tensor basis of exact ciphertext products is q followed
-  by the prefix above t*N*q + 1, so it starts with qP and extends it;
+  ciphertext holds K or k' primes; at k' (after ``mod_switch``) it
+  keyswitches mod q'P' for q' the product of q's first k' primes and P' the
+  shortest prefix of P above q': a key mod qP holds mod q'P', since P'
+  divides P.  ``keyswitch`` holds one record per count (``KeySwitchBasis``),
+  and ``mod_up`` and ``mod_down`` read it.  The tensor basis of exact
+  ciphertext products is q followed by the prefix above t*N*q + 1, so it
+  starts with qP and extends it;
 * one batched NTT plan over the tensor basis, and one for the plaintext
   modulus.  A plan transforms as many rows as its input has, so q, qP and
   the tensor basis are its first K, K+L and all of its rows;
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,6 +236,17 @@ def tensor_primes(params: HeParams) -> tuple[int, ...]:
     return params.coeff_modulus + prefix_above(params, bound)
 
 
+class KeySwitchBasis(NamedTuple):
+    """The basis q'P' a ciphertext of R primes (K, or k' after ``mod_switch``)
+    keyswitches over, for q' the product of q's first R primes and P' the
+    shortest prefix of the special primes above q' (P itself at R = K)."""
+
+    p_rows: tuple[int, int]  # the plan rows [K, K+L') of P'
+    moduli: np.ndarray  # (R+L', 1): q' and P''s primes, plan rows [0, R) and p_rows
+    p_mod: np.ndarray  # (R, 1): P' mod q', the scale of a c0 the keyswitch holds
+    rescale: np.ndarray | None  # (R, 1): [P'/P]_q', which turns the keys' P into P'
+
+
 class RingContext:
     """Precomputed tables for one parameter set."""
 
@@ -246,22 +260,19 @@ class RingContext:
         self.q = params.coeff_modulus_product
         self.t = params.plaintext_modulus
 
-        # hybrid keyswitching: keys live mod qP; a ciphertext of R primes
-        # keyswitches mod q'P' for q' its primes and P' the shortest prefix
-        # of P above q' (P itself at R = K), L'(R) primes
+        # hybrid keyswitching: keys live mod qP, and a ciphertext of K or k'
+        # primes keyswitches over its own record's q'P'
         self.p_primes = special_primes(params)
         self.qp_primes = self.q_primes + self.p_primes
         self.tensor_primes = tensor_primes(params)
-        self._special = [0] + [
-            min(lp for lp in range(1, len(self.p_primes) + 1)
-                if prod(self.p_primes[:lp]) > prod(self.q_primes[:r]))
-            for r in range(1, self.k + 1)]
+        self.out_k = k_out = params.output_primes
+        self.keyswitch = {r: self._keyswitch_basis(r) for r in (self.k, k_out)}
         # every change of basis an op makes, as (source, target) plan rows
         # [start, stop) (see the module docstring); row 0's basis, the tensor
         # basis, also holds decryption's digit table to t
-        self.out_k = k_out = params.output_primes
         q, q_out, self.ext_rows = (0, self.k), (0, k_out), (self.k, len(self.tensor_primes))
-        pairs = [(q, self._p_rows(self.k)), (q_out, self._p_rows(k_out)), (q, self.ext_rows)]
+        pairs = [(q, self.keyswitch[self.k].p_rows), (q_out, self.keyswitch[k_out].p_rows),
+                 (q, self.ext_rows)]
         pairs += [(dst, src) for src, dst in pairs] + [((k_out, self.k), q_out)] * (k_out < self.k)
         primes = {rows: self.tensor_primes[slice(*rows)] for pair in pairs for rows in pair}
         lifts = {0: [(0, (self.t,))]}
@@ -278,20 +289,11 @@ class RingContext:
         self.plan_q = NttPlan(self.n, self.tensor_primes)
         self.plan_t = NttPlan(self.n, (self.t,))
         self.q_arr = self.plan_q.p[: self.k]
-        self.p_arr = self.plan_q.p[self.k : len(self.qp_primes)]
-        # per L': P' mod q and P'/P mod q (keygen scales by P)
-        big_p, qs = prod(self.p_primes), self.q_primes
-        self._divisors = {}
-        for lp in set(self._special[1:]):
-            d = prod(self.p_primes[:lp])
-            self._divisors[lp] = (_column(d % p for p in qs),
-                                  _column(d * pow(big_p, -1, p) % p for p in qs))
-        self.p_mod_q = self._divisors[len(self.p_primes)][0]
         # scale_down multiplies by t on every row
         self.t_mod_tensor = _column(self.t % p for p in self.tensor_primes)
-        # decryption's r = -w/q' mod t, for q' the product of any prefix of q
-        self.q_inv_mod_t = [np.uint64(pow(q % self.t, -1, self.t))
-                            for q in self.garner.prefix[: self.k + 1]]
+        # decryption's r = -w/q' mod t, for q' the product of q's first K or k' primes
+        self.q_inv_mod_t = {r: np.uint64(pow(self.garner.prefix[r] % self.t, -1, self.t))
+                            for r in self.keyswitch}
 
         # exact message scaling round(q*m/t): since q = 0 mod q_i, the residue
         # is ((t//2 - (q*m + t//2) mod t) * t^-1) mod q_i, all in 64-bit
@@ -327,27 +329,14 @@ class RingContext:
         and ``garner`` themselves)."""
         return self.tensor_primes, self.plan_q, self.garner
 
-    def special_count(self, r: int) -> int:
-        """L'(R): the length of P', the shortest prefix of the special primes
-        whose product exceeds q', the product of q's first R primes."""
-        return self._special[r]
-
-    def _p_rows(self, r: int) -> tuple[int, int]:
-        """The plan rows [K, K+L') of P' for q's first R primes."""
-        return self.k, self.k + self._special[r]
-
-    def qp_arr(self, r: int) -> np.ndarray:
-        """The (R+L', 1) moduli of q'P' for q' the product of q's first R
-        primes: plan rows [0, R) and [K, K+L')."""
-        return np.concatenate((self.q_arr[:r], self.p_arr[: self._special[r]]))
-
-    def keyswitch_scales(self, r: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """For a keyswitch of an R-prime ciphertext mod q'P': P' mod q' (the
-        scale of the c0 it holds) and [P'/P]_q', the factor its input takes
-        before the lift so that the keys' P becomes P' (None when P' = P)."""
-        lp = self._special[r]
-        p_mod, rescale = self._divisors[lp]
-        return p_mod[:r], None if lp == len(self.p_primes) else rescale[:r]
+    def _keyswitch_basis(self, r: int) -> KeySwitchBasis:
+        """The record of a ciphertext holding q's first R primes."""
+        q, p = self.q_primes[:r], self.p_primes
+        lp = next(lp for lp in range(1, len(p) + 1) if prod(p[:lp]) > prod(q))
+        big_p = prod(p[:lp])
+        rescale = None if lp == len(p) else _column(big_p * pow(prod(p), -1, w) % w for w in q)
+        return KeySwitchBasis((self.k, self.k + lp), _column(q + p[:lp]),
+                              _column(big_p % w for w in q), rescale)
 
     def _lift(self, x: np.ndarray, src: tuple[int, int], dst: tuple[int, int]) -> np.ndarray:
         """The centred values of x, residues on plan rows ``src``, on plan
@@ -356,33 +345,33 @@ class RingContext:
         return basis.lift(x, targets)
 
     def mod_up(self, coeffs: np.ndarray, evals: np.ndarray, dst: tuple | None = None) -> np.ndarray:
-        """The centred lift of an (R, N) polynomial mod q' (q's first R
-        primes), given in both forms, to q' and the plan rows ``dst`` past
-        q (default P', or ``ext_rows``) in evaluation form: the R rows of
-        ``evals``, then the forward transform of the lifted rows only."""
+        """The centred lift of an (R, N) polynomial mod q' (q's first R = K
+        or k' primes), given in both forms, to q' and the plan rows ``dst``
+        past q (default P', or ``ext_rows``) in evaluation form: the R rows
+        of ``evals``, then the forward transform of the lifted rows only."""
         r = len(coeffs)
-        dst = dst or self._p_rows(r)
+        dst = dst or self.keyswitch[r].p_rows
         return np.concatenate((evals, self.plan_q.forward(self._lift(coeffs, (0, r), dst), dst[0])))
 
     def key_product(self, lifted: np.ndarray, key: np.ndarray, r: int) -> np.ndarray:
-        """A ``mod_up`` lift to q'P', for q' the product of q's first R
-        primes, times one (K+L, N) key part mod qP, in evaluation form: the
-        key's first R rows and its first L' P rows, as two slices, since a
+        """A ``mod_up`` lift to q'P', for q' the product of q's first R = K
+        or k' primes, times one (K+L, N) key part mod qP, in evaluation form:
+        the key's first R rows and its first L' P rows, as two slices, since a
         key mod qP also holds mod q'P'."""
         out = np.empty_like(lifted)
         np.multiply(lifted[:r], key[:r], out=out[:r])
         np.multiply(lifted[r:], key[self.k : self.k + len(lifted) - r], out=out[r:])
-        out %= self.qp_arr(r)
+        out %= self.keyswitch[r].moduli
         return out
 
     def mod_down(self, poly: np.ndarray, r: int, addend: np.ndarray | None = None) -> np.ndarray:
         """round(x / P') mod q' of an (R+L', N) polynomial x mod q'P', for q'
-        the product of q's first R primes and P' the first L' = L'(R)
+        the product of q's first R = K or k' primes and P' its record's
         special primes.  An ``addend`` c mod q' in coefficient form rides
         the same forward transform: round(x / P') + c = (x - ([x]_P' - P'*c)) / P'."""
-        shift = None if addend is None else mul_mod(addend, self.keyswitch_scales(r)[0],
-                                                    self.q_arr[:r])
-        return self._divide(poly, self._p_rows(r), (0, r), shift)
+        basis = self.keyswitch[r]
+        shift = None if addend is None else mul_mod(addend, basis.p_mod, self.q_arr[:r])
+        return self._divide(poly, basis.p_rows, (0, r), shift)
 
     def mod_switch(self, poly: np.ndarray) -> np.ndarray:
         """round(x / Q_d) mod q' of a (K, N) polynomial x mod q, for q' the

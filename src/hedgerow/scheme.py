@@ -163,11 +163,11 @@ class Ciphertext:
 
     Always two parts: ``mul_ct`` relinearizes its three-part product before
     returning, so no other part count exists outside it.  Both parts hold
-    the residues of the first R primes of q, 1 <= R <= K: R = K but after
-    ``mod_switch`` (``Backend._check`` says which ops take R < K).  A fresh
-    encryption under the secret key keeps the public 32-byte ``a_seed`` its
-    c1 expands from (``expand_a``), so its container need not carry c1; no
-    op sets it.
+    the residues of the first R primes of q, R = K or, after ``mod_switch``,
+    k' = ``params.output_primes``; no other count is built (``Backend._check``
+    says which ops take R = k' < K).  A fresh encryption under the secret key
+    keeps the public 32-byte ``a_seed`` its c1 expands from (``expand_a``),
+    so its container need not carry c1; no op sets it.
     """
 
     params: HeParams
@@ -181,9 +181,9 @@ class Ciphertext:
         if self.level < 0:
             raise ParamError("ciphertext level cannot be negative")
         k, rows = len(self.params.coeff_modulus), {len(p) for p in self.parts}
-        if len(rows) != 1 or not 1 <= self.prime_count <= k:
-            raise ParamError(f"ciphertext parts must hold one row count in [1, {k}], "
-                             f"got {sorted(rows)}")
+        if len(rows) != 1 or self.prime_count not in (k, self.params.output_primes):
+            raise ParamError(f"ciphertext parts must hold one row count, K = {k} or "
+                             f"k' = {self.params.output_primes}, got {sorted(rows)}")
         if self.a_seed is not None and self.prime_count != k:
             raise ParamError("a seeded ciphertext holds all of q's primes")
 
@@ -272,7 +272,7 @@ def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None
     prg = Prg(seed)
     n, k = ring.n, ring.k
     plan = ring.plan_q
-    qp_arr = ring.qp_arr(k)
+    qp_arr, p_mod_q = ring.keyswitch[k].moduli, ring.keyswitch[k].p_mod
 
     s_qp_ntt = plan.forward(ring.rns_from_small(prg.ternary("sk", n), qp_arr))
     s_ntt = s_qp_ntt[:k]
@@ -293,7 +293,7 @@ def keygen(params: HeParams, seed, rotation_steps: tuple[int, ...] | None = None
         is drawn directly in the NTT domain."""
         a_ntt = prg.uniform_rns(label + ".a", qp_arr, n)
         b = rlwe_b(label, qp_arr, s_qp_ntt, a_ntt)
-        b[:k] = add_mod(b[:k], mul_mod(target_ntt, ring.p_mod_q, ring.q_arr), ring.q_arr)
+        b[:k] = add_mod(b[:k], mul_mod(target_ntt, p_mod_q, ring.q_arr), ring.q_arr)
         return b, a_ntt
 
     relin = keyswitch_key("rlk", plan.pointwise(s_ntt, s_ntt))
@@ -335,19 +335,23 @@ class Backend:
     def _check(self, *values, switched: bool = False) -> int:
         """Each value (ciphertext, plaintext or key) must carry these
         parameters, and the ciphertexts among them hold one prime count R:
-        all K primes of q, or with ``switched`` any count.  ``add_ct``,
-        ``sub_ct``, the slot permutations, ``decrypt``, ``noise_budget`` and
-        ``mod_switch`` pass ``switched``; the multiplies, the plaintext ops
-        and ``negate`` do not.  Returns R (K when no ciphertext is given)."""
+        all K primes of q, or with ``switched`` K or k' = ``output_primes``.
+        ``add_ct``, ``sub_ct``, the slot permutations, ``decrypt``,
+        ``noise_budget`` and ``mod_switch`` pass ``switched``; the
+        multiplies, the plaintext ops and ``negate`` do not.  Returns R (K
+        when no ciphertext is given)."""
         for value in values:
             if value.params.fingerprint != self.params.fingerprint:
                 raise FingerprintMismatchError("object belongs to different parameters")
-        k = len(self.params.coeff_modulus)
+        k, out_k = len(self.params.coeff_modulus), self.params.output_primes
         counts = sorted({v.prime_count for v in values if hasattr(v, "prime_count")})
         if len(counts) > 1:
             raise ParamError(f"ciphertexts hold {counts[0]} and {counts[1]} primes of q; "
                              "an op takes one count")
         r = counts[0] if counts else k
+        if r not in (k, out_k):
+            raise ParamError(f"ciphertext holds {r} primes of q, neither all {k} nor the "
+                             f"{out_k} mod_switch leaves")
         if r != k and not switched:
             raise ParamError(f"ciphertext holds {r} of the {k} primes of q; after mod_switch "
                              "it only adds, rotates and decrypts")
@@ -392,15 +396,8 @@ class Backend:
         """a at q's first k' = ``params.output_primes`` primes, after its last
         multiply: the slots are unchanged (``_switch``).  One already at k'
         primes is returned as it is, so at k' = K (custom params) the switch
-        does nothing; one at another count below K is refused."""
-        r, k = self._check(a, switched=True), len(self.params.coeff_modulus)
-        out_k = self.params.output_primes
-        if r == out_k:
-            return a
-        if r != k:
-            raise ParamError(f"mod_switch takes a ciphertext at all {k} primes of q "
-                             f"or at {out_k}, got {r}")
-        return self._switch(a)
+        does nothing."""
+        return a if self._check(a, switched=True) == self.params.output_primes else self._switch(a)
 
     def fold(self, ct, steps, ek, swap: bool = False):
         """The rotate-and-add chain ct <- ct + rotate(ct, s) for each s in
@@ -611,21 +608,22 @@ class HeBackend(Backend):
 
         The chain runs mod q'P' for the product q' of the R primes ``a`` holds
         (R = k' after ``mod_switch``) and P', the shortest prefix of the
-        special primes above q' (P itself at R = K).  The keys, mod qP with
-        b + a*s = P*sigma(s) - e, hold mod q'P' on their rows [0, R) and
-        [K, K+L'); c1 is multiplied by [P'/P]_q' before its lift, so its key
-        products carry P' in P's place.  c1 is keyswitched and rounded per
-        step; c0 is held mod q'P' as P'*c0 (0 on the special primes) and each
-        step adds its automorphism and the raw key product of the lifted c1.
+        special primes above q' (P itself at R = K): the ring's keyswitch
+        record for R.  The keys, mod qP with b + a*s = P*sigma(s) - e, hold
+        mod q'P' on their rows [0, R) and [K, K+L'); c1 is multiplied by
+        [P'/P]_q' before its lift, so its key products carry P' in P's place.
+        c1 is keyswitched and rounded per step; c0 is held mod q'P' as P'*c0
+        (0 on the special primes) and each step adds its automorphism and the
+        raw key product of the lifted c1.
         Since mod_down(P'*c + k) = c + mod_down(k), one ``mod_down`` ends the
         chain exactly: (2s+1)(R+L') rows transformed for s automorphisms, and
         one at R = K is byte-identical to a per-op keyswitch."""
         ring, plan = self.ring, self.ring.plan_q
         r = a.prime_count
-        q, qp = ring.q_arr[:r], ring.qp_arr(r)
-        p_mod, rescale = ring.keyswitch_scales(r)
+        q, basis = ring.q_arr[:r], ring.keyswitch[r]
+        qp = basis.moduli
         c0 = np.zeros((len(qp), ring.n), dtype=np.uint64)
-        c0[:r] = mul_mod(a.parts[0], p_mod, q)
+        c0[:r] = mul_mod(a.parts[0], basis.p_mod, q)
         c1 = a.parts[1]
         for step in chain:
             if step is None:
@@ -633,8 +631,8 @@ class HeBackend(Backend):
                 continue
             g, (b, a_key) = step
             r1 = ring.apply_automorphism(c1, g)
-            if rescale is not None:
-                r1 = mul_mod(r1, rescale, q)
+            if basis.rescale is not None:
+                r1 = mul_mod(r1, basis.rescale, q)
             lifted = ring.mod_up(plan.inverse(r1), r1)
             s0 = add_mod(ring.apply_automorphism(c0, g), ring.key_product(lifted, b, r), qp)
             s1 = ring.mod_down(ring.key_product(lifted, a_key, r), r)

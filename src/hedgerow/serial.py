@@ -11,9 +11,10 @@ little-endian 4-byte limb each: every prime has at most ``ntt.MODULUS_BITS``
 stored:
 
 * ciphertext        : words ``[level, R]``; c0 and c1, R rows each, the
-  first R of q's K primes: 54 + 8 * R * N bytes.  R is K but for a
-  server's outputs, which ``mod_switch`` takes to the preset's k' =
-  ``params.output_primes`` (xgb-d2: 98,358 B in place of 163,894)
+  first R of q's K primes: 54 + 8 * R * N bytes.  R is K or k' =
+  ``params.output_primes``: K but for a server's outputs, which
+  ``mod_switch`` takes to the preset's k' (xgb-d2: 98,358 B in place of
+  163,894)
 * seeded ciphertext : words ``[level]``; the 32-byte ``a_seed`` that c1
   expands from (``scheme.expand_a``); c0, always K rows:
   78 + 4 * K * N bytes
@@ -35,7 +36,7 @@ Deserialization checks the magic, the version (versions 1-6 are refused,
 not misread), the type tag and the params fingerprint, and that the
 residues fill the rest of the container exactly.  Every residue limb must
 lie below its own row's prime (q_i or p_j), a ciphertext level at most the
-depth budget and its prime count R in [1, K], every Galois step in (0, N/2)
+depth budget and its prime count K or k', every Galois step in (0, N/2)
 and above the one before it, and the row-swap flag 0 or 1, so no
 out-of-range word reaches the arithmetic.
 """
@@ -143,8 +144,9 @@ def deserialize_ciphertext(data: bytes, params: HeParams) -> Ciphertext:
         )
     if r.tag == TAG_CIPHERTEXT:
         rows, k = r.u64(), len(params.coeff_modulus)
-        if not 1 <= rows <= k:
-            raise SerializationError(f"ciphertext prime count {rows} is not in [1, {k}]")
+        if rows not in (k, params.output_primes):
+            raise SerializationError(f"ciphertext prime count {rows} is neither K = {k} "
+                                     f"nor k' = {params.output_primes}")
         return Ciphertext(params, level, tuple(r.polys(2, params.coeff_modulus[:rows])))
     a_seed = r.raw(SEED_BYTES)
     (c0,) = r.polys(1)

@@ -3,7 +3,8 @@ normalization and feature codes, the boolean comparison, the path-sum and
 routing forms of a tree's score, argmax prediction, the synthetic
 ensemble's label agreement, Python-int base conversion, centred lifts and
 rounded division of an RNS value, the negacyclic
-transform's definition and product, and clearing an op tally."""
+transform's definition and product, clearing an op tally, and a whole
+ciphertext container cut to fewer primes."""
 
 from math import prod
 
@@ -149,3 +150,13 @@ def check_ntt_definition(plan: NttPlan, a: np.ndarray, start: int, ks) -> None:
                 value = (value * x + c) % p
             assert int(out[row, k]) == value, (p, k)
     assert np.array_equal(plan.inverse(out, start), a)
+
+
+def cut_ciphertext(blob: bytes, n: int, count: int) -> bytes:
+    """A whole ciphertext container (``serial.TAG_CIPHERTEXT``) of ring
+    degree ``n`` with its prime-count word (bytes 46-53) and both parts cut
+    together to their first ``count`` rows of 4-byte limbs: consistent but
+    for the count itself."""
+    rows, row = int.from_bytes(blob[46:54], "little"), 4 * n
+    c0, c1 = blob[54 : 54 + rows * row], blob[54 + rows * row :]
+    return blob[:46] + count.to_bytes(8, "little") + c0[: count * row] + c1[: count * row]

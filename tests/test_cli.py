@@ -36,6 +36,7 @@ from hedgerow.params import default_plaintext_modulus
 from hedgerow.ring import get_ring
 from hedgerow.serial import deserialize_ciphertext
 from hedgerow.svm import svm_scores_clear
+from oracles import cut_ciphertext
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +134,35 @@ def test_infer_refuses_a_switched_upload(workspace, xgb_scores, tmp_path, capsys
     assert main(argv) == EXIT_FORMAT
     assert capsys.readouterr().err.startswith(f"error: {target}: an upload holds all 11 primes")
     assert not (tmp_path / "out").exists()
+
+
+def test_decrypt_refuses_an_upload_as_score(workspace, xgb_scores, tmp_path, capsys):
+    # an upload (all 11 primes) put in a score's place (7 of the 11): exit 3,
+    # naming the file, before any report is written
+    scores = tmp_path / "scores"
+    shutil.copytree(xgb_scores, scores)
+    target = scores / "sample_00000" / "score_000.ct"
+    shutil.copy(workspace["base"] / "enc" / "sample_00000" / "svm.ct", target)
+    argv = ["decrypt", "--in", str(scores), "--keys", str(workspace["keydir"]),
+            "--report", str(tmp_path / "r.csv")]
+    assert main(argv) == EXIT_FORMAT
+    assert capsys.readouterr().err.startswith(f"error: {target}: a score holds 7 of the 11 primes")
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_decrypt_refuses_a_score_cut_to_another_prime_count(workspace, xgb_scores, tmp_path,
+                                                            capsys, count):
+    # the prime-count word and both parts cut together, consistent but for a
+    # count neither K = 11 nor k' = 7: refused by the word, naming the file
+    scores = tmp_path / "scores"
+    shutil.copytree(xgb_scores, scores)
+    target = scores / "sample_00000" / "score_000.ct"
+    target.write_bytes(cut_ciphertext(target.read_bytes(), workspace["params"].ring_degree, count))
+    argv = ["decrypt", "--in", str(scores), "--keys", str(workspace["keydir"]),
+            "--report", str(tmp_path / "r.csv")]
+    assert main(argv) == EXIT_FORMAT
+    assert capsys.readouterr().err.startswith(f"error: {target}: ciphertext prime count {count}")
 
 
 @pytest.mark.parametrize("count", [0, 7 - 1, 11 + 1])

@@ -25,7 +25,7 @@ from hedgerow.params import PRESET_NAMES, gen_params
 from hedgerow.pipeline import BUNDLE_COUNTS, SCORE_COUNTS, read_manifest
 from hedgerow.ring import get_ring
 from hedgerow.scheme import HeBackend
-from oracles import check_garner_conversions, check_ntt_definition
+from oracles import check_garner_conversions, check_ntt_definition, cut_ciphertext
 
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -142,14 +142,14 @@ def test_load_layout_loads_or_refuses(layout_path, doc):
 
 @pytest.fixture(scope="module")
 def containers():
-    params = dataclasses.replace(make_test_params(16, num_primes=2, depth_budget=1),
+    params = dataclasses.replace(make_test_params(16, num_primes=3, depth_budget=1),
                                  output_primes=1)
     be = HeBackend(params)
     sk, pk, ek = be.keygen(seed=3)
     ct = be.encrypt(pk, be.encode([1, -1, 0, 1]), seed=4)
     seeded = be.encrypt(sk, be.encode([1, -1, 0, 1]), seed=4)  # c0 and a_seed
     return params, {"ciphertext": ct, "seeded_ciphertext": seeded,
-                    "switched_ciphertext": be.mod_switch(ct),  # 1 of the 2 primes
+                    "switched_ciphertext": be.mod_switch(ct),  # 1 of the 3 primes
                     "secret_key": sk, "public_key": pk, "eval_keys": ek}
 
 
@@ -161,16 +161,24 @@ def test_container_damage_loads_or_refuses(containers, kind, data):
     """A damaged container that still loads is canonical: it writes back to
     exactly its own bytes.  A whole ciphertext's prime-count word (bytes
     46-53) is drawn as a damage site one time in four, since any other value
-    in it must be refused."""
+    in it must be refused, and its damage may also cut the word and both
+    parts together to a drawn count: at K = 3 and k' = 1, a count of 2 or 0
+    is consistent but for the count, and must be refused.  A ciphertext that
+    loads holds K or k' primes."""
     params, items = containers
     name = kind.removeprefix("seeded_").removeprefix("switched_")
     save, load = getattr(serial, f"serialize_{name}"), getattr(serial, f"deserialize_{name}")
     blob = save(items[kind])
-    if data.draw(st.booleans(), label="truncate"):
+    whole = blob[5] == serial.TAG_CIPHERTEXT
+    mode = data.draw(st.sampled_from(["truncate", "flip", "rows"][: 2 + whole]), label="damage")
+    if mode == "truncate":
         damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    elif mode == "rows":
+        rows = data.draw(st.integers(0, items[kind].prime_count), label="rows")
+        damaged = cut_ciphertext(blob, params.ring_degree, rows)
     else:
         sites = st.integers(0, len(blob) - 1)
-        if blob[5] == serial.TAG_CIPHERTEXT:
+        if whole:
             sites = st.one_of(sites, sites, sites, st.integers(46, 53))
         at = data.draw(sites, label="offset")
         flip = data.draw(st.integers(1, 255), label="xor")
@@ -180,6 +188,8 @@ def test_container_damage_loads_or_refuses(containers, kind, data):
     except HedgerowError:
         return
     assert save(loaded) == damaged
+    if name == "ciphertext":
+        assert loaded.prime_count in (len(params.coeff_modulus), params.output_primes)
 
 
 T = make_test_params(8, num_primes=2, depth_budget=1).plaintext_modulus

@@ -400,11 +400,12 @@ def test_mod_down_at_output_primes_matches_integer_arithmetic(name, params64, rn
     params = (gen_params(name) if name in PRESET_NAMES
               else dataclasses.replace(params64, output_primes=3))
     ring, r = get_ring(params), params.output_primes
-    lp = ring.special_count(r)
+    (start, stop), moduli = ring.keyswitch[r].p_rows, ring.keyswitch[r].moduli
+    lp = stop - start
     plan, big_p = ring.plan_q, prod(ring.p_primes[:lp])
     assert big_p > prod(ring.q_primes[:r]) > prod(ring.p_primes[: lp - 1])
     primes = ring.q_primes[:r] + ring.p_primes[:lp]
-    x = rng.integers(0, 2**62, (r + lp, ring.n), dtype=np.uint64) % ring.qp_arr(r)
+    x = rng.integers(0, 2**62, (r + lp, ring.n), dtype=np.uint64) % moduli
     for col, edge in enumerate((0, prod(primes) // 2, prod(primes) // 2 + 1, prod(primes) - 1)):
         x[:, col] = [edge % p for p in primes]
     c = rng.integers(0, 2**62, (r, ring.n), dtype=np.uint64) % ring.q_arr[:r]
@@ -509,7 +510,7 @@ def test_every_ring_lift_matches_the_centred_lift(name, params64, rng, monkeypat
     ring = get_ring(params)
     k, out_k, top = ring.k, ring.out_k, len(ring.tensor_primes)
     q, q_out, ext = (0, k), (0, out_k), (k, top)
-    p, p_out = (k, k + len(ring.p_primes)), (k, k + ring.special_count(out_k))
+    p, p_out = (k, k + len(ring.p_primes)), ring.keyswitch[out_k].p_rows
     pairs = {(q, p), (q_out, p_out), (q, ext), (p, q), (p_out, q_out), (ext, q), ((out_k, k), q_out)}
     assert set(ring._conversions) == pairs
     # each source's basis runs from its first plan row and holds its lift
@@ -578,22 +579,36 @@ def test_every_lift_table_the_ring_builds_is_read(name, monkeypatch):
     # the ring builds the lift tables its ops read and no others: mul_ct, a
     # rotation at K primes, mod_switch, a fold at k' primes and decrypt read
     # every one; a basis's digit tables are its lifts' targets (for near
-    # ties) and, on the tensor basis, t (decryption's, which no op lifts to)
+    # ties) and, on the tensor basis, t (decryption's, which no op lifts to).
+    # Its keyswitch records are one per prime count a ciphertext holds, K and
+    # k', and both are read: the rotation at K reads K's, the fold at k' k''s
     params = gen_params(name)
     he = HeBackend(params)
     ring = he.ring
     assert ring.out_k < ring.k
+    assert set(ring.keyswitch) == {ring.k, ring.out_k}
     sk, pk, ek = he.keygen(seed=0x7B, rotation_steps=(1, 2))
     a = enc(he, pk, np.arange(params.slot_count) % 7, seed=1)
-    lift, read = GarnerBasis.lift, set()
+    lift, read, records = GarnerBasis.lift, set(), []
 
     def recorded(self, residues, target_primes):
         read.add((self, len(residues), tuple(target_primes)))
         return lift(self, residues, target_primes)
 
+    class Records(dict):
+        def __getitem__(self, r):
+            records.append(r)
+            return super().__getitem__(r)
+
     monkeypatch.setattr(GarnerBasis, "lift", recorded)
-    switched = he.mod_switch(he.rotate(he.mul_ct(a, a, ek), 1, ek))
-    out = he.fold(switched, (1, 2), ek, swap=True)
+    monkeypatch.setattr(ring, "keyswitch", Records(ring.keyswitch))
+    product = he.mul_ct(a, a, ek)
+    records.clear()
+    rotated = he.rotate(product, 1, ek)
+    assert set(records) == {ring.k}
+    records.clear()
+    out = he.fold(he.mod_switch(rotated), (1, 2), ek, swap=True)
+    assert set(records) == {ring.out_k}
     assert out.prime_count == ring.out_k
     assert he.decrypt(sk, out).noise_bits >= 10
     bases = {basis for basis, _, _ in ring._conversions.values()}
@@ -786,8 +801,8 @@ def test_ops_transform_only_to_change_basis(name, params64, monkeypatch):
     # at k' primes a keyswitch runs mod q'P', P' the shortest prefix of P
     # above q': a rotation or row swap transforms 3(k'+L') rows, a chain of
     # s automorphisms (2s+1)(k'+L')
-    out_kl = out_k + ring.special_count(out_k)
-    assert ring.special_count(out_k) < len(ring.p_primes)
+    out_kl = len(ring.keyswitch[out_k].moduli)
+    assert out_kl - out_k < len(ring.p_primes)
     assert transformed(he.rotate, switched, 1, ek) == 3 * out_kl
     assert transformed(he.swap_rows, switched, ek) == 3 * out_kl
     assert transformed(lambda: he.fold(switched, steps, ek, swap=True)) == \
@@ -815,7 +830,7 @@ def test_keyswitch_noise_stays_at_fresh(case, he64, keys64, params64, rng):
     params = gen_params(case) if case in PRESET_NAMES else \
         dataclasses.replace(params64, output_primes=4)
     he = HeBackend(params)
-    assert he.ring.special_count(params.output_primes) < len(he.ring.p_primes)
+    assert he.ring.keyswitch[params.output_primes].p_rows[1] < len(he.ring.qp_primes)
     steps = fold_steps(min(128, params.slot_count // 2))  # 7 at xgb-d2, the class sum's
     sk, pk, ek = he.keygen(seed=0x5A, rotation_steps=steps)
     a = enc(he, pk, rng.integers(0, 100, params.slot_count, dtype=np.int64), seed=0x5B)
@@ -1138,22 +1153,55 @@ def test_switched_ciphertext_only_decrypts(switch64):
             assert np.array_equal(dec(be, sk, ct), want[op] % be.params.plaintext_modulus), op
             assert be.noise_budget(sk, ct) > 10, op
         assert be.mod_switch(s) is s
-        # a ciphertext between k' and K primes is not one the switch makes
-        odd = (dataclasses.replace(a, parts=tuple(p[:4] for p in a.parts))
-               if isinstance(a, Ciphertext) else dataclasses.replace(a, prime_count=4))
+        # a count neither K nor k' is refused where HeBackend's ciphertext is
+        # built, and by the mirror's first op
         with pytest.raises(ParamError):
-            be.mod_switch(odd)
+            be.mod_switch(dataclasses.replace(a, parts=tuple(p[:4] for p in a.parts))
+                          if isinstance(a, Ciphertext) else dataclasses.replace(a, prime_count=4))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_a_prime_count_neither_k_nor_k_prime_is_refused(params64, count):
+    # at K = 6 and k' = 4, a ciphertext of another count raises ParamError
+    # on both backends, where HeBackend's is built and at every op of the
+    # mirror's, so no op looks up a keyswitch record the ring does not hold
+    params = dataclasses.replace(params64, output_primes=4)
+    he, clear = HeBackend(params), ClearBackend(params)
+    assert set(he.ring.keyswitch) == {6, 4}
+    _, pk, _ = he.keygen(seed=0x5D, rotation_steps=(1,))
+    a = enc(he, pk, [1, 2, 3], seed=1)
+    with pytest.raises(ParamError, match="K = 6 or k' = 4"):
+        Ciphertext(params, a.level, tuple(p[:count] for p in a.parts))
+    csk, cpk, cek = clear.keygen(seed=0x5D, rotation_steps=(1,))
+    odd = dataclasses.replace(enc(clear, cpk, [1, 2, 3], seed=1), prime_count=count)
+    pt = clear.encode([3])
+    for op, args in (
+        ("rotate", (odd, 1, cek)), ("swap_rows", (odd, cek)), ("sum_slots", (odd, 4, cek)),
+        ("fold", (odd, (1,), cek)), ("add_ct", (odd, odd)), ("sub_ct", (odd, odd)),
+        ("negate", (odd,)), ("add_pt", (odd, pt)), ("mul_pt", (odd, pt)),
+        ("mul_ct", (odd, odd, cek)), ("mod_switch", (odd,)), ("decrypt", (csk, odd)),
+        ("noise_budget", (csk, odd)),
+    ):
+        with pytest.raises(ParamError, match="neither all 6 nor the 4"):
+            getattr(clear, op)(*args)
 
 
 def test_ciphertext_shape_is_checked(params64):
+    # both parts hold one row count, K or k': at params64's k' = K = 6 no
+    # other, and at k' = 4 also 4, which a seeded ciphertext never holds
     k, n = len(params64.coeff_modulus), params64.ring_degree
-    rows = {r: np.zeros((r, n), dtype=np.uint64) for r in (0, 1, k - 1, k, k + 1)}
-    for c0, c1 in ((rows[0], rows[0]), (rows[k + 1], rows[k + 1]), (rows[k], rows[k - 1])):
+    rows = {r: np.zeros((r, n), dtype=np.uint64) for r in (0, 1, k - 2, k - 1, k, k + 1)}
+    for c0, c1 in ((rows[0], rows[0]), (rows[1], rows[1]), (rows[k - 2], rows[k - 2]),
+                   (rows[k + 1], rows[k + 1]), (rows[k], rows[k - 1])):
         with pytest.raises(ParamError):
             Ciphertext(params64, 0, (c0, c1))
-    assert Ciphertext(params64, 0, (rows[1], rows[1])).prime_count == 1
+    assert Ciphertext(params64, 0, (rows[k], rows[k])).prime_count == k
+    switched = dataclasses.replace(params64, output_primes=k - 2)
+    assert Ciphertext(switched, 0, (rows[k - 2], rows[k - 2])).prime_count == k - 2
+    with pytest.raises(ParamError):
+        Ciphertext(switched, 0, (rows[1], rows[1]))
     with pytest.raises(ParamError):  # a seeded ciphertext always holds K rows
-        Ciphertext(params64, 0, (rows[k - 1], rows[k - 1]), bytes(32))
+        Ciphertext(switched, 0, (rows[k - 2], rows[k - 2]), bytes(32))
 
 
 def test_mul_pt_allowed_at_level_zero(he64, keys64):

@@ -10,6 +10,7 @@ from hedgerow.scheme import HeBackend
 from hedgerow import serial
 from hedgerow.params import PRESET_NAMES, gen_params
 from hedgerow.ring import get_ring
+from oracles import cut_ciphertext
 
 
 @pytest.fixture(scope="module")
@@ -245,14 +246,27 @@ def test_switched_ciphertext_roundtrip(switched):
 
 @pytest.mark.parametrize("count", [0, 3, 5, 6, 7, 2**64 - 1])
 def test_prime_count_word_is_checked(switched, count):
-    # 0 or more than K primes is refused by the word itself; any other count
-    # but the one written is refused by the residues it leaves over or short
+    # a count neither K = 6 nor k' = 4 is refused by the word itself; K, not
+    # the count written, by the residues it leaves short
     params, _, _, ct = switched
     blob = serial.serialize_ciphertext(ct)
     bad = blob[:46] + count.to_bytes(8, "little") + blob[54:]
-    match = "prime count" if count in (0, 7, 2**64 - 1) else "bytes of residues"
+    match = "bytes of residues" if count == 6 else "prime count"
     with pytest.raises(SerializationError, match=match):
         serial.deserialize_ciphertext(bad, params)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_ciphertext_cut_to_another_prime_count_is_refused(switched, count):
+    # the word and both parts cut together from K = 6 rows, consistent but
+    # for a count neither K nor k' = 4: refused by the word, where k' loads
+    params, be, sk, _ = switched
+    whole = dataclasses.replace(be.encrypt(sk, be.encode([6, 5, 4]), seed=6), a_seed=None)
+    blob = serial.serialize_ciphertext(whole)
+    with pytest.raises(SerializationError, match="prime count"):
+        serial.deserialize_ciphertext(cut_ciphertext(blob, params.ring_degree, count), params)
+    cut = serial.deserialize_ciphertext(cut_ciphertext(blob, params.ring_degree, 4), params)
+    assert cut.prime_count == 4
 
 
 @pytest.mark.parametrize("value", ["prime", "2^32-1"])
