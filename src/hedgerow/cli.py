@@ -126,19 +126,16 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rows, reports = [], {}
-    for mode in args.mode:
-        timing, evals = run_bench(
-            mode, args.samples, _parse_seed(args.seed), args.classes, args.trees, args.features,
-            workdir=Path(args.workdir) / mode if args.workdir else None,
-        )
-        rows.append((mode, timing, evals.micro_auc))
-        reports[mode] = {**timing.as_dict(), "microAUC": evals.micro_auc,
-                         "accuracy": evals.accuracy}
+    seed = _parse_seed(args.seed)
+    rows = {
+        mode: run_bench(mode, args.samples, seed, args.classes, args.trees, args.features,
+                        workdir=Path(args.workdir) / mode if args.workdir else None)
+        for mode in dict.fromkeys(args.mode)
+    }
     print(format_bench_table(rows))
     if args.json:
         Path(args.json).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.json).write_text(json.dumps(reports, indent=2), encoding="utf-8")
+        Path(args.json).write_text(json.dumps(rows, indent=2), encoding="utf-8")
         print(f"bench json -> {args.json}")
     return EXIT_OK
 

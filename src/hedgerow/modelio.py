@@ -75,10 +75,6 @@ class Dataset:
     def num_samples(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def num_features(self) -> int:
-        return self.samples.shape[1]
-
 
 def normalize_samples(samples: np.ndarray) -> np.ndarray:
     """Vectorized copy-number normalization: sign() collapses -2..2 to ternary."""

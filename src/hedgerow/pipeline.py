@@ -30,7 +30,6 @@ import tempfile
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -89,58 +88,17 @@ def thread_count(n_tasks: int) -> int:
 # reports
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class TimingReport:
-    """Wall-clock seconds per phase, Table-style: KeyGen Enc Comp Dec EndtoEnd."""
-
-    keygen_s: float
-    enc_s: float
-    comp_s: float
-    dec_s: float
-    end_to_end_s: float
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        parts = (self.keygen_s, self.enc_s, self.comp_s, self.dec_s)
-        if any(v < 0 for v in parts):
-            raise ModelFormatError("phase timings cannot be negative")
-        if self.end_to_end_s < max(parts):
-            raise ModelFormatError("end-to-end time cannot undercut a component")
-
-    def as_dict(self) -> dict:
-        return {
-            "KeyGen": self.keygen_s,
-            "Enc": self.enc_s,
-            "Comp": self.comp_s,
-            "Dec": self.dec_s,
-            "EndtoEnd": self.end_to_end_s,
-            "metadata": dict(self.metadata),
-        }
-
-
-@dataclass
-class EvalReport:
-    micro_auc: float
-    accuracy: float
-    confidences: np.ndarray  # (samples, classes)
-
-    def __post_init__(self):
-        if not 0.0 <= self.micro_auc <= 1.0:
-            raise ModelFormatError("microAUC must lie in [0, 1]")
-
-
+# The paper's table: a ``run_bench`` row's first keys, in this order.
 BENCH_COLUMNS = ("KeyGen", "Enc", "Comp", "Dec", "EndtoEnd", "microAUC")
 
 
-def format_bench_table(rows: list[tuple[str, TimingReport, float]]) -> str:
-    """Fixed-order timing table; one row per (mode, timings, microAUC)."""
+def format_bench_table(rows: dict[str, dict]) -> str:
+    """Fixed-order table of ``{mode: run_bench row}``: seconds, then microAUC."""
     header = f"{'Mode':<14}" + "".join(f"{c:>10}" for c in BENCH_COLUMNS)
     lines = [header]
-    for mode, tr, auc in rows:
-        cells = [tr.keygen_s, tr.enc_s, tr.comp_s, tr.dec_s, tr.end_to_end_s]
-        line = f"{mode:<14}" + "".join(f"{v:>9.3f}s" for v in cells) + f"{auc:>10.4f}"
-        lines.append(line)
+    for mode, row in rows.items():
+        *seconds, auc = (row[c] for c in BENCH_COLUMNS)
+        lines.append(f"{mode:<14}" + "".join(f"{v:>9.3f}s" for v in seconds) + f"{auc:>10.4f}")
     return "\n".join(lines)
 
 
@@ -571,8 +529,11 @@ def run_bench(
     trees: int = 128,
     features: int = 256,
     workdir=None,
-) -> tuple[TimingReport, EvalReport]:
-    """Full synthetic pipeline in a work directory, timed per phase."""
+) -> dict:
+    """Full synthetic pipeline in a work directory, timed per phase: the
+    mode's row of the paper's table, ``BENCH_COLUMNS`` in order, then
+    ``accuracy`` and the run's ``metadata``, as ``hedgerow bench --json``
+    writes it."""
     if mode not in MODES:
         raise ModelFormatError(f"unknown mode {mode!r}; expected one of {tuple(MODES)}")
     preset, _ = MODES[mode]
@@ -603,12 +564,14 @@ def run_bench(
         comp_s = run_infer(mode, model_path, enc_dir, serverkeys, score_dir, seed)
 
         report_path = base / "report.csv"
-        dec_s, predictions, confidences = run_decrypt(score_dir, keydir, report_path)
+        dec_s, _, confidences = run_decrypt(score_dir, keydir, report_path)
         end_to_end = time.perf_counter() - t_start
 
-        timing = TimingReport(
-            keygen_s, enc_s, comp_s, dec_s, end_to_end,
-            metadata={
+        return {
+            **dict(zip(BENCH_COLUMNS, (keygen_s, enc_s, comp_s, dec_s, end_to_end,
+                                       micro_auc(confidences, dataset.labels)))),
+            "accuracy": accuracy(confidences, dataset.labels),
+            "metadata": {
                 "mode": mode,
                 "preset": preset,
                 "classes": classes,
@@ -619,11 +582,4 @@ def run_bench(
                 "enc_includes_packing": True,
                 "comp_excludes_file_io": True,
             },
-        )
-        evals = EvalReport(
-            micro_auc=micro_auc(confidences, dataset.labels),
-            accuracy=accuracy(confidences, dataset.labels),
-            confidences=confidences,
-        )
-        return timing, evals
-
+        }

@@ -358,15 +358,15 @@ def test_criterion_8_determinism_and_role_separation(tmp_path):
 
 
 def test_criterion_9_bench_column_sequence(tmp_path):
-    rows = []
+    rows = {}
     for mode in ("svm", "xgb", "xgb-encmodel"):
-        timing, evals = run_bench(
+        row = rows[mode] = run_bench(
             mode, samples=2, seed=SEED, classes=3, trees=8, features=64,
             workdir=tmp_path / mode,
         )
-        rows.append((mode, timing, evals.micro_auc))
-        doc = timing.as_dict()
-        assert list(doc.keys())[:5] == ["KeyGen", "Enc", "Comp", "Dec", "EndtoEnd"]
+        assert tuple(row) == (*BENCH_COLUMNS, "accuracy", "metadata")
+        assert all(0 <= row[c] <= row["EndtoEnd"] for c in ("KeyGen", "Enc", "Comp", "Dec"))
+        assert 0.0 <= row["microAUC"] <= 1.0
     table = format_bench_table(rows)
     header = table.splitlines()[0]
     assert BENCH_COLUMNS == ("KeyGen", "Enc", "Comp", "Dec", "EndtoEnd", "microAUC")

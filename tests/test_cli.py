@@ -32,10 +32,10 @@ from hedgerow.pipeline import (
     write_keyset,
 )
 from hedgerow.ntt import find_ntt_primes
-from hedgerow.params import default_plaintext_modulus
+from hedgerow.params import default_plaintext_modulus, load_params
 from hedgerow.ring import get_ring
 from hedgerow.serial import deserialize_ciphertext
-from hedgerow.svm import svm_scores_clear
+from hedgerow.svm import MAX_SCALE_BITS, svm_scores_clear
 from oracles import cut_ciphertext
 
 
@@ -410,6 +410,7 @@ _DROP = object()
         pytest.param("decrypt", "samples", -3, id="decrypt-samples-negative"),
         pytest.param("decrypt", "samples", 2**62, id="decrypt-samples-huge"),
         pytest.param("decrypt", "scale_bits", -1, id="decrypt-scale_bits-negative"),
+        pytest.param("decrypt", "scale_bits", MAX_SCALE_BITS + 1, id="decrypt-scale_bits-41"),
         pytest.param("decrypt", "class_positions", [[0, 99999]] * 3, id="decrypt-slot-outside"),
         pytest.param("decrypt", "class_positions", [[1, 0]] * 3, id="decrypt-output-outside"),
         pytest.param("decrypt", "mode", "bogus", id="decrypt-mode-bogus"),
@@ -439,6 +440,7 @@ def test_hostile_manifest_exits_format(workspace, xgb_scores, tmp_path, role, fi
         argv = ["infer", "--mode", mode, "--model", str(model), "--in", str(enc),
                 "--keys", str(workspace["server"]), "--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_FORMAT
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "out").exists()
 
 
 def test_zero_sample_manifest_writes_header_only(workspace, xgb_scores, tmp_path):
@@ -490,6 +492,36 @@ def test_infer_refuses_bundles_packed_for_another_ensemble(workspace, tmp_path, 
             "--out", str(tmp_path / "scores")]
     assert main(argv) == EXIT_FORMAT
     assert not (tmp_path / "scores").exists()
+
+
+def test_infer_svm_refuses_a_model_wider_than_the_bundles(workspace, tmp_path, capsys):
+    # bundles packed for the 32-feature SVM, a 33-feature one to evaluate
+    _, wider, _ = gen_synthetic(seed=21, s=3, k=8, d=33, n_samples=1)
+    save_svm(wider, tmp_path / "svm.json")
+    argv = ["infer", "--mode", "svm", "--model", str(tmp_path / "svm.json"), "--in",
+            str(workspace["base"] / "enc"), "--keys", str(workspace["server"]),
+            "--out", str(tmp_path / "scores")]
+    assert main(argv) == EXIT_FORMAT
+    assert "model has 33 features but bundles were packed for 32" in capsys.readouterr().err
+    assert not (tmp_path / "scores").exists()
+
+
+def test_encrypt_refuses_a_layout_for_another_slot_count(workspace, tmp_path, capsys):
+    save_layout(build_layout(workspace["ens"], 128), tmp_path / "layout.json")
+    argv = ["encrypt", "--model-layout", str(tmp_path / "layout.json"), "--data",
+            str(workspace["base"] / "data.csv"), "--labeled", "--keys", str(workspace["keydir"]),
+            "--out", str(tmp_path / "enc")]
+    assert main(argv) == EXIT_FORMAT
+    assert "layout was built for 128 slots, keys provide 256" in capsys.readouterr().err
+    assert not (tmp_path / "enc").exists()
+
+
+def test_decrypt_refuses_the_server_keys(workspace, xgb_scores, tmp_path, capsys):
+    argv = ["decrypt", "--in", str(xgb_scores), "--keys", str(workspace["server"]),
+            "--report", str(tmp_path / "r.csv")]
+    assert main(argv) == EXIT_FORMAT
+    assert capsys.readouterr().err.startswith(f"error: no secret key in {workspace['server']}")
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_svm_infer_ignores_the_block_count(workspace, tmp_path):
@@ -617,6 +649,19 @@ def test_bad_params_file_exits_format(workspace, tmp_path, key, line):
     assert main(argv) == EXIT_FORMAT
 
 
+def test_params_file_skips_comments_and_blank_lines(workspace, xgb_scores, tmp_path):
+    keys = tmp_path / "keys"
+    shutil.copytree(workspace["keydir"], keys)
+    first, *rest = (keys / "params.txt").read_text(encoding="ascii").splitlines()
+    (keys / "params.txt").write_text("\n".join([first, "# edited by hand", "", *rest]) + "\n",
+                                     encoding="ascii")
+    edited, original = (load_params(d / "params.txt") for d in (keys, workspace["keydir"]))
+    assert edited.fingerprint == original.fingerprint
+    argv = ["decrypt", "--in", str(xgb_scores), "--keys", str(keys),
+            "--report", str(tmp_path / "r.csv")]
+    assert main(argv) == EXIT_OK
+
+
 def test_noise_exhaustion_exits_crypto(tmp_path):
     # parameters far too small for the depth-2 circuit: decrypt must refuse
     params = make_test_params(64, num_primes=4, depth_budget=2)
@@ -733,6 +778,40 @@ def test_usage_errors_exit_two():
 def test_bad_seed_exits_format(tmp_path):
     rc = main(["synth", "--seed", "xyz", "--out", str(tmp_path / "s")])
     assert rc == EXIT_FORMAT
+
+
+def test_keygen_seed_holds_256_bits(tmp_path):
+    def keygen(seed, out):
+        return main(["keygen", "--preset", "xgb-d2", "--seed", seed, "--out", str(tmp_path / out)])
+
+    assert keygen("0x1" + "0" * 64, "over") == EXIT_FORMAT  # 2^256
+    assert not (tmp_path / "over").exists()
+    assert keygen("0x" + "f" * 64, "top") == EXIT_OK  # 2^256 - 1
+
+
+def test_keygen_server_out_serves_infer(tmp_path):
+    # the server copy holds params.txt and both public key files, never
+    # secret.key, and the server role runs on it
+    keys, server, work = tmp_path / "keys", tmp_path / "server", tmp_path / "work"
+    steps = [
+        ["keygen", "--preset", "xgb-d2", "--seed", "0x1234", "--out", str(keys),
+         "--server-out", str(server)],
+        ["synth", "--seed", "7", "--classes", "2", "--trees", "4", "--features", "16",
+         "--samples", "2", "--out", str(work)],
+        ["layout", "--model", str(work / "ensemble.json"), "--keys", str(keys),
+         "--out", str(work / "layout.json")],
+        ["encrypt", "--model-layout", str(work / "layout.json"), "--data", str(work / "data.csv"),
+         "--labeled", "--keys", str(keys), "--seed", "7", "--out", str(work / "enc")],
+        ["infer", "--mode", "xgb", "--model", str(work / "ensemble.json"), "--in",
+         str(work / "enc"), "--keys", str(server), "--out", str(work / "scores")],
+    ]
+    for argv in steps:
+        assert main(argv) == EXIT_OK, argv[0]
+    names = sorted(path.name for path in server.iterdir())
+    assert names == ["eval.key", "params.txt", "public.key"]
+    for name in names:
+        assert (server / name).read_bytes() == (keys / name).read_bytes(), name
+    assert len(list(work.glob("scores/sample_*/score_000.ct"))) == 2
 
 
 def test_missing_model_file_exits_format(workspace, tmp_path):
